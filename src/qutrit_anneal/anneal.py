@@ -3,9 +3,14 @@
 The schedule interpolates H(s) = (1 - s) * H0 + s * Hf for s = l/M,
 l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  The
 exact-step mode evaluates each exponential with an adaptive Lanczos
-expansion (full reorthogonalization), which is accurate to the per-step
-tolerance and preserves the norm to machine precision.  The split-step
-mode is a fast Strang splitting of the diagonal and driver factors,
+expansion: the Krylov basis is one array, each new vector is
+reorthogonalized against all of it by two passes of classical Gram-Schmidt
+(matrix-vector products, no loop over the basis), and the tridiagonal
+problem is solved on every iteration, so the a-posteriori stop rule
+(tolerance 1e-12, two consecutive hits; Hochbruck & Lubich, SIAM J. Numer.
+Anal. 34, 1997) is checked at every Krylov dimension.  It is accurate to
+the per-step tolerance and preserves the norm to machine precision.  The
+split-step mode is a Strang splitting of the diagonal and driver factors,
 sub-stepped so its final probabilities track exact-step to well under
 1e-3; it is not used where exact-step accuracy is contractual.
 """
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 from .clustering import Partition
 from .hamiltonians import (
@@ -145,10 +150,19 @@ def instantaneous_hamiltonian(
     return InstantaneousHamiltonian(s, hf, drv)
 
 
-def _expm_tridiag_e1(diag: Sequence[float], offdiag: Sequence[float], dt: float):
+def _expm_tridiag_e1(diag: np.ndarray, offdiag: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i * dt * T) @ e1 for a real symmetric tridiagonal T."""
-    lam, q = eigh_tridiagonal(np.asarray(diag, float), np.asarray(offdiag, float))
+    if diag.shape[0] == 1:
+        return np.exp(-1j * dt * diag)
+    lam, q, info = dstevd(diag, offdiag)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed to converge (info={info})")
     return q @ (np.exp(-1j * dt * lam) * q[0])
+
+
+#: Krylov basis rows allocated up front; the bundled presets need at most 49
+#: per step at dt = 0.1, so the basis grows only for wider spectra or steps.
+_KRYLOV_ROWS = 64
 
 
 def expm_multiply_hermitian(
@@ -160,10 +174,13 @@ def expm_multiply_hermitian(
 ) -> np.ndarray:
     """Compute exp(-i * dt * H) @ v for Hermitian H via adaptive Lanczos.
 
-    The Krylov basis is fully reorthogonalized, so the result keeps the norm
-    of ``v`` to machine precision regardless of truncation.  Expansion stops
-    once the standard residual estimate stays below ``tol`` on two
-    consecutive iterations, or the basis exhausts the space (exact result).
+    Each new Krylov vector is orthogonalized against the whole basis by two
+    passes of classical Gram-Schmidt, which also take out the three-term
+    recurrence, so the result keeps the norm of ``v`` to machine precision
+    regardless of truncation.  The tridiagonal problem is solved on every
+    iteration, and expansion stops once the standard residual estimate
+    stays below ``tol`` on two consecutive iterations, or the basis exhausts
+    the space (exact result).
     """
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
@@ -171,30 +188,33 @@ def expm_multiply_hermitian(
     beta0 = float(np.linalg.norm(v))
     if beta0 == 0.0:
         return v.copy()
-    basis = [v / beta0]
-    alphas: list[float] = []
-    offs: list[float] = []
-    w_small = None
+    basis = np.empty((min(m_cap, _KRYLOV_ROWS), dim), dtype=complex)
+    basis[0] = v / beta0
+    alphas = np.empty(m_cap)
+    offs = np.empty(m_cap)
     hits = 0
     for m in range(1, m_cap + 1):
-        w = matvec(basis[-1])
-        alpha = float(np.vdot(basis[-1], w).real)
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - offs[-1] * basis[-2]
-        for q in basis:
-            w = w - np.vdot(q, w) * q
+        q = basis[m - 1]
+        w = matvec(q)
+        alpha = float(np.vdot(q, w).real)
+        alphas[m - 1] = alpha
+        span = basis[:m]
+        for _ in range(2):
+            # V^H w as conj(V @ conj(w)): conjugates w, not the whole basis
+            w = w - span.T @ (span @ w.conj()).conj()
         beta = float(np.linalg.norm(w))
-        w_small = _expm_tridiag_e1(alphas, offs, dt)
+        w_small = _expm_tridiag_e1(alphas[:m], offs[: m - 1], dt)
         err = abs(dt) * beta * abs(w_small[-1])
         hits = hits + 1 if err <= tol else 0
         breakdown = beta <= 1e-14 * max(1.0, abs(alpha))
         if hits >= 2 or breakdown or m == m_cap:
             break
-        offs.append(beta)
-        basis.append(w / beta)
-    return beta0 * (np.stack(basis, axis=1) @ w_small)
+        if m == basis.shape[0]:
+            grow = min(basis.shape[0], m_cap - m)
+            basis = np.concatenate([basis, np.empty((grow, dim), dtype=complex)])
+        offs[m - 1] = beta
+        np.divide(w, beta, out=basis[m])
+    return beta0 * (basis[:m].T @ w_small)
 
 
 def step(
@@ -223,8 +243,9 @@ def _apply_site_gate(amplitudes: np.ndarray, n: int, gate: np.ndarray) -> np.nda
     return psi.reshape(-1)
 
 
-#: Strang substeps per schedule step; 8 keeps every preset's probabilities
-#: within ~1e-4 of exact-step at dt = 0.1.
+#: Strang substeps per schedule step.  At dt = 0.1 the largest gap between
+#: split-step and exact-step partition probabilities over the presets is
+#: 3.1e-4 at M = 100 and 7e-5 at M = 2000 (fig1 both times).
 _SPLIT_SUBSTEPS = 8
 
 

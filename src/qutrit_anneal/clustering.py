@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, SpecError
 from .spin import BasisIndex
 
 #: Hard cap for exhaustive enumeration (K**n assignments).
@@ -34,6 +34,9 @@ class PointSet:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if len(pts) < 2:
             raise ValueError("a clustering instance needs at least 2 points")
+        for idx, (x, y) in enumerate(pts):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SpecError(f"point {idx} has a non-finite coordinate ({x}, {y})")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)

@@ -8,6 +8,7 @@ structured form and applied matrix-free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,17 +74,40 @@ class DiagonalHamiltonian:
         return self.diag * amplitudes
 
 
+@functools.lru_cache(maxsize=None)
+def _sx_neighbours(n: int) -> np.ndarray:
+    """Per-site neighbour indices of every basis state, shape (2n, 3**n).
+
+    Row 2i holds the state with site i's digit raised by one, row 2i + 1
+    the state with it lowered by one; a move off the ladder points at index
+    3**n, the zero that ``sum_sx_apply`` pads the vector with.
+    """
+    dim = 3**n
+    index = np.arange(dim)
+    rows = []
+    for site in range(n):
+        stride = 3 ** (n - site - 1)
+        digit = (index // stride) % 3
+        rows.append(np.where(digit < 2, index + stride, dim))
+        rows.append(np.where(digit > 0, index - stride, dim))
+    table = np.stack(rows)
+    table.flags.writeable = False
+    return table
+
+
 def sum_sx_apply(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """Apply sum_i S_i^x to a register state without densifying anything."""
-    psi = np.asarray(amplitudes).reshape((3,) * n)
-    out = np.zeros_like(psi)
-    for axis in range(n):
-        src = np.moveaxis(psi, axis, 0)
-        dst = np.moveaxis(out, axis, 0)
-        dst[0] += src[1] * _SQRT1_2
-        dst[1] += (src[0] + src[2]) * _SQRT1_2
-        dst[2] += src[1] * _SQRT1_2
-    return out.reshape(-1)
+    """Apply sum_i S_i^x to a register state without densifying anything.
+
+    S^x only links neighbouring digits on each site, each with weight
+    1/sqrt(2), so the result is one gather over the neighbour table.
+    """
+    table = _sx_neighbours(n)
+    padded = np.append(amplitudes, 0)
+    if padded.shape[0] != table.shape[1] + 1:
+        raise ValueError(
+            f"state of {padded.shape[0] - 1} amplitudes does not match 3**{n}"
+        )
+    return padded[table].sum(axis=0) * _SQRT1_2
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,14 @@ EMIT_FORMATS = ("table", "csv", "svg")
 _DEFAULT_H = 8.0
 
 
+def _needs_penalty(scheme: EncodingScheme) -> bool:
+    """Whether the block encoding leaves block states no cluster uses."""
+    return (
+        scheme.method in (METHOD_ONEHOT_MULTISPIN, METHOD_KMEANSPP)
+        and scheme.K < 3**scheme.spins_per_point
+    )
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A complete, validated description of one annealing run."""
@@ -105,6 +113,16 @@ class ProblemSpec:
             object.__setattr__(self, "pinned", True)
         elif method != METHOD_ONEHOT_K2_PENALTY and self.pinned:
             raise SpecError(f"method {method!r} has no pinned variant")
+        if (
+            self.scheme.penalty_constant is None
+            and _needs_penalty(self.scheme)
+            and len(set(self.points.points)) == 1
+        ):
+            raise SpecError(
+                "all points coincide, so the default penalty (twice the largest "
+                "distance) is zero: give 'penalty' (the scheme's penalty_constant) "
+                "or distinct points"
+            )
 
     @property
     def register_qutrits(self) -> int:
@@ -171,6 +189,17 @@ _SPEC_KEYS = {
     "out",
 }
 _ANNEAL_KEYS = {"M", "dt", "h", "mode"}
+
+
+def _real_field(block: dict, key: str, default: float) -> float:
+    value = block.get(key, default)
+    _require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value)),
+        f"anneal {key!r} must be a finite real number, got {value!r}",
+    )
+    return float(value)
 
 
 def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
@@ -242,11 +271,16 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     _require(isinstance(anneal_data, dict), "'anneal' must be an object")
     unknown = set(anneal_data) - _ANNEAL_KEYS
     _require(not unknown, f"unknown anneal field(s): {sorted(unknown)}")
+    M = anneal_data.get("M", 2000)
+    _require(
+        isinstance(M, int) and not isinstance(M, bool),
+        f"anneal 'M' must be an integer step count, got {M!r}",
+    )
     try:
         cfg = AnnealConfig(
-            h=float(anneal_data.get("h", _DEFAULT_H)),
-            M=int(anneal_data.get("M", 2000)),
-            dt=float(anneal_data.get("dt", 0.1)),
+            h=_real_field(anneal_data, "h", _DEFAULT_H),
+            M=M,
+            dt=_real_field(anneal_data, "dt", 0.1),
             mode=anneal_data.get("mode", MODE_EXACT),
         )
     except (TypeError, ValueError) as exc:
@@ -328,15 +362,13 @@ def build_final_hamiltonian(
         constant = 2.0 * dm.max_distance
     if method == METHOD_ONEHOT_MULTISPIN:
         hf = build_onehot_multispin(dm, scheme.K)
-        s = scheme.spins_per_point
-        if 3 ** (s - 1) < scheme.K < 3**s:
+        if _needs_penalty(scheme):
             hf = hf + build_penalty_onehot(dm.n_points, scheme.K, constant)
         return hf
     free = _free_indices(spec)
     rect = dm.d[np.ix_(spec.centroids, free)]
     hf = build_kmeanspp(rect, scheme)
-    s = scheme.spins_per_point
-    if scheme.K < 3**s:
+    if _needs_penalty(scheme):
         hf = hf + build_penalty_kmeanspp(len(free), scheme, constant)
     return hf
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from qutrit_anneal.anneal import (
+    _KRYLOV_ROWS,
     MODE_SPLIT,
     AnnealConfig,
     InstantaneousHamiltonian,
@@ -36,6 +37,22 @@ SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
 
 def random_diag(rng, n, scale=20.0):
     return DiagonalHamiltonian(n, rng.uniform(-scale, scale, 3**n))
+
+
+def counting(fn):
+    """``fn`` wrapped to count its calls, and the list the calls append to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    return counted, calls
+
+
+def unit_vector(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
 
 
 # ------------------------------------------------------------------- config
@@ -168,6 +185,7 @@ def test_expm_multiply_dt_zero_is_identity():
 
 
 def test_expm_multiply_eigenvector_phase():
+    # an eigenvector breaks the Lanczos recurrence down after one matvec
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
     op = InstantaneousHamiltonian(0.6, hf, build_driver(1, 1.5))
     lam, vecs = np.linalg.eigh(op.dense())
@@ -175,8 +193,60 @@ def test_expm_multiply_eigenvector_phase():
     for k in range(3):
         v = vecs[:, k].astype(complex)
         expected = np.exp(-1j * dt * lam[k]) * v
-        got = expm_multiply_hermitian(op.matvec, v, dt)
+        matvec, calls = counting(op.matvec)
+        got = expm_multiply_hermitian(matvec, v, dt)
         assert np.linalg.norm(got - expected) < 1e-12
+        assert len(calls) == 1
+
+
+def test_expm_multiply_exhausts_single_qutrit_space():
+    hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
+    op = InstantaneousHamiltonian(0.6, hf, build_driver(1, 1.5))
+    v = np.array([1.0, 0.3 - 0.2j, -0.5])
+    matvec, calls = counting(op.matvec)
+    # tol=0 never stops early: the basis spans all three states
+    got = expm_multiply_hermitian(matvec, v, 2.0, tol=0.0)
+    assert len(calls) == 3
+    np.testing.assert_allclose(got, expm(-2j * op.dense()) @ v, rtol=0, atol=1e-12)
+
+
+def test_expm_multiply_stops_at_m_max():
+    rng = np.random.default_rng(9)
+    n, dt, m_max = 3, 0.1, 4
+    hf = random_diag(rng, n, scale=40.0)
+    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 6.0))
+    H = op.dense()
+    v = unit_vector(rng, 3**n)
+    matvec, calls = counting(op.matvec)
+    got = expm_multiply_hermitian(matvec, v, dt, m_max=m_max)
+    assert len(calls) == m_max
+    assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+    # the Galerkin approximation on the order-4 Krylov space, built densely
+    krylov = np.column_stack([np.linalg.matrix_power(H, k) @ v for k in range(m_max)])
+    Q, _ = np.linalg.qr(krylov)
+    expected = Q @ (expm(-1j * dt * (Q.conj().T @ H @ Q)) @ (Q.conj().T @ v))
+    assert np.linalg.norm(got - expected) < 1e-9
+    # and the cap really truncated the expansion
+    assert np.linalg.norm(got - expm(-1j * dt * H) @ v) > 1e-6
+
+
+def test_expm_multiply_grows_basis_for_long_expansions():
+    rng = np.random.default_rng(13)
+    n, dt = 5, 1.0
+    hf = random_diag(rng, n, scale=330.0)
+    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 8.0))
+    v = unit_vector(rng, 3**n)
+    matvec, calls = counting(op.matvec)
+    got = expm_multiply_hermitian(matvec, v, dt)
+    assert len(calls) > _KRYLOV_ROWS
+    assert np.linalg.norm(got - expm(-1j * dt * op.dense()) @ v) < 1e-9
+
+
+def test_expm_multiply_zero_vector_needs_no_matvec():
+    matvec, calls = counting(lambda x: x)
+    got = expm_multiply_hermitian(matvec, np.zeros(9), 0.1)
+    assert not calls
+    np.testing.assert_array_equal(got, np.zeros(9, dtype=complex))
 
 
 # --------------------------------------------------------------------- step
@@ -248,6 +318,20 @@ def test_anneal_with_zero_final_hamiltonian_keeps_ground_state():
     psi0 = initial_state(n, h).amplitudes
     fidelity = abs(np.vdot(psi0, got.amplitudes)) ** 2
     assert fidelity > 1.0 - 1e-9
+
+
+def test_fig3_matvec_count_is_pinned(monkeypatch):
+    # guards the stop rule (tolerance 1e-12, two consecutive hits): any
+    # change to when the expansion stops moves this count
+    from qutrit_anneal.harness import build_final_hamiltonian
+    from qutrit_anneal.presets import get_preset
+
+    spec = get_preset("fig3")
+    hf = build_final_hamiltonian(spec)
+    matvec, calls = counting(InstantaneousHamiltonian.matvec)
+    monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
+    anneal(AnnealConfig(h=spec.anneal.h, M=100, dt=spec.anneal.dt), hf)
+    assert len(calls) == 1538
 
 
 def test_split_step_tracks_exact_step():

@@ -15,7 +15,7 @@ from qutrit_anneal.clustering import (
     oracle_diag_min,
     oracle_min,
 )
-from qutrit_anneal.errors import SizeGuardError
+from qutrit_anneal.errors import SizeGuardError, SpecError
 from qutrit_anneal.harness import generate_instance
 
 SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
@@ -36,6 +36,13 @@ def test_distance_direct_evaluation():
 def test_point_set_needs_two_points():
     with pytest.raises(ValueError):
         PointSet(points=((0, 0),))
+
+
+def test_point_set_rejects_non_finite_coordinates():
+    with pytest.raises(SpecError, match="point 1"):
+        PointSet(points=((0, 0), (float("nan"), 1), (2, 2)))
+    with pytest.raises(SpecError, match="point 0"):
+        PointSet(points=((0, float("-inf")), (1, 1)))
 
 
 def test_point_set_label_length_checked():

@@ -25,6 +25,7 @@ from qutrit_anneal.hamiltonians import (
     build_penalty_kmeanspp,
     build_penalty_onehot,
     spins_per_point,
+    sum_sx_apply,
 )
 from qutrit_anneal.spin import basis_index, digit_table, group_projector_diagonal
 
@@ -332,6 +333,46 @@ def test_driver_apply_matches_dense():
     drv = build_driver(3, 3.7)
     v = rng.normal(size=27) + 1j * rng.normal(size=27)
     np.testing.assert_allclose(drv.apply(v), drv.dense() @ v, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sum_sx_apply_matches_dense_driver(n):
+    rng = np.random.default_rng(30 + n)
+    v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    np.testing.assert_allclose(
+        sum_sx_apply(v, n), build_driver(n, 1.0).dense() @ v, rtol=0, atol=1e-13
+    )
+
+
+def _sum_sx_per_axis(amplitudes, n):
+    """Reference: S^x applied site by site on the (3,) * n tensor."""
+    psi = amplitudes.reshape((3,) * n)
+    out = np.zeros_like(psi)
+    c = 1.0 / np.sqrt(2.0)
+    for axis in range(n):
+        src = np.moveaxis(psi, axis, 0)
+        dst = np.moveaxis(out, axis, 0)
+        dst[0] += src[1] * c
+        dst[1] += (src[0] + src[2]) * c
+        dst[2] += src[1] * c
+    return out.reshape(-1)
+
+
+def test_sum_sx_apply_matches_per_axis_formula_at_register_cap():
+    n = 7
+    rng = np.random.default_rng(37)
+    v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    # same terms summed in another order: a few ulps of the largest entry
+    np.testing.assert_allclose(
+        sum_sx_apply(v, n), _sum_sx_per_axis(v, n), rtol=0, atol=1e-13
+    )
+
+
+def test_sum_sx_apply_rejects_wrong_length():
+    with pytest.raises(ValueError, match="3\\*\\*2"):
+        sum_sx_apply(np.ones(8), 2)
+    with pytest.raises(ValueError):
+        sum_sx_apply(np.ones(10), 2)
 
 
 def test_driver_on_all_zero_projection_state():

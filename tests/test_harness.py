@@ -105,6 +105,83 @@ def test_spec_penalty_validation(tiny_spec_dict):
         spec_from_dict(tiny_spec_dict)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan"])
+def test_spec_non_finite_coordinate_names_point(tiny_spec_dict, bad):
+    tiny_spec_dict["points"][2] = [1.0, bad]
+    with pytest.raises(SpecError, match="point 2"):
+        spec_from_dict(tiny_spec_dict)
+
+
+@pytest.mark.parametrize(
+    "method, K, centroids",
+    [
+        ("one-hot-multispin", 2, None),
+        ("one-hot-multispin", 4, None),
+        ("kmeanspp", 2, [0, 1]),
+    ],
+)
+def test_spec_coincident_points_need_explicit_penalty(
+    tiny_spec_dict, method, K, centroids
+):
+    tiny_spec_dict.update(method=method, K=K, points=[[3, 3]] * 4)
+    if centroids:
+        tiny_spec_dict["centroids"] = centroids
+    with pytest.raises(SpecError, match="penalty"):
+        spec_from_dict(tiny_spec_dict)
+    tiny_spec_dict["penalty"] = 5.0
+    spec = spec_from_dict(tiny_spec_dict)
+    assert build_final_hamiltonian(spec).diag.max() > 0.0
+
+
+def test_spec_coincident_points_without_penalty_states_accepted(tiny_spec_dict):
+    # K3 and K2 encodings and kmeanspp with K = 3**s leave no penalized states
+    tiny_spec_dict["points"] = [[3, 3]] * 4
+    spec_from_dict(tiny_spec_dict)
+    tiny_spec_dict.update(method="kmeanspp", centroids=[0, 1, 2])
+    spec_from_dict(tiny_spec_dict)
+
+
+def test_problem_spec_coincident_points_need_explicit_penalty():
+    def spec(penalty):
+        return ProblemSpec(
+            points=PointSet(points=((1, 1),) * 5),
+            scheme=EncodingScheme("kmeanspp", K=4, penalty_constant=penalty),
+            anneal=AnnealConfig(h=8.0, M=10),
+            centroids=(0, 1, 2, 3),
+        )
+
+    with pytest.raises(SpecError, match="penalty"):
+        spec(None)
+    spec(1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("M", 5.7),
+        ("M", True),
+        ("M", "100"),
+        ("h", "2"),
+        ("h", True),
+        ("h", float("nan")),
+        ("dt", "0.1"),
+        ("dt", float("inf")),
+        ("dt", None),
+    ],
+)
+def test_spec_anneal_field_types(tiny_spec_dict, field, value):
+    tiny_spec_dict["anneal"][field] = value
+    with pytest.raises(SpecError, match=f"'{field}'"):
+        spec_from_dict(tiny_spec_dict)
+
+
+def test_spec_anneal_accepts_integer_reals(tiny_spec_dict):
+    tiny_spec_dict["anneal"].update(h=2, dt=1)
+    cfg = spec_from_dict(tiny_spec_dict).anneal
+    assert (cfg.h, cfg.dt) == (2.0, 1.0)
+    assert isinstance(cfg.h, float) and isinstance(cfg.dt, float)
+
+
 def test_spec_output_targets(tiny_spec_dict):
     spec = spec_from_dict(tiny_spec_dict)
     assert spec.emit == ("table",)
