@@ -17,6 +17,7 @@ sub-stepped so its final probabilities track exact-step to well under
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -236,13 +237,6 @@ def _site_rotation(theta: float) -> np.ndarray:
     return (_SX_EIGVECS * phases) @ _SX_EIGVECS.T
 
 
-def _apply_site_gate(amplitudes: np.ndarray, n: int, gate: np.ndarray) -> np.ndarray:
-    psi = amplitudes.reshape((3,) * n)
-    for axis in range(n):
-        psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, axis)), 0, axis)
-    return psi.reshape(-1)
-
-
 #: Strang substeps per schedule step.  At dt = 0.1 the largest gap between
 #: split-step and exact-step partition probabilities over the presets is
 #: 3.1e-4 at M = 100 and 7e-5 at M = 2000 (fig1 both times).
@@ -260,10 +254,16 @@ def _split_step(
     tau = dt / substeps
     half = np.exp(-0.5j * tau * s * hf.diag)
     gate = _site_rotation(tau * (1.0 - s) * drv.h)
+    # the driver factor gate^{(x)n} as left (x) right, applied to the state
+    # reshaped with the first n//2 sites as rows
+    a = hf.n // 2
+    left = functools.reduce(np.kron, [gate] * a, np.ones((1, 1)))
+    right = functools.reduce(np.kron, [gate] * (hf.n - a), np.ones((1, 1)))
+    shape = (left.shape[0], right.shape[0])
     out = amplitudes
     for _ in range(substeps):
         out = half * out
-        out = _apply_site_gate(out, hf.n, gate)
+        out = (left @ out.reshape(shape) @ right.T).reshape(-1)
         out = half * out
     return out
 

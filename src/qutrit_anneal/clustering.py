@@ -2,11 +2,17 @@
 
 The oracles enumerate every cluster assignment of a small instance and are
 the classical reference that annealing results are certified against.
+``oracle_min`` enumerates in numpy chunks: each chunk is an int8 label table
+of 3**8 assignments, costed in one matrix-vector product over the pair
+distances, and only the rows near the minimum are rebuilt as ``Partition``s
+and re-costed exactly.  At its guard (12 points) it takes about 0.1 s for
+K = 3 (531,441 assignments) and 0.9 s for K = 4 with one point fixed
+(4,194,304).  Ties are every assignment within one relative window of the
+exact minimum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -180,12 +186,22 @@ def cost(dm: DistanceMatrix, partition: Partition) -> float:
     )
 
 
-def enumerate_assignments(
+#: Assignments per label-table chunk: the oracle costs this many rows in one
+#: numpy product, so its memory stays flat whatever the enumeration size.
+_CHUNK_ROWS = 3**8
+
+
+def _label_chunks(
     n_points: int,
     K: int,
-    fixed: Mapping[int, int] | None = None,
-) -> Iterator[Partition]:
-    """Yield every K-labeling of the points that honors the fixed labels."""
+    fixed: Mapping[int, int] | None,
+) -> Iterator[np.ndarray]:
+    """Yield every K-labeling honoring ``fixed`` as int8 label-table chunks.
+
+    Rows run in ``itertools.product`` order over the free points (the first
+    free point is the most significant digit), at most ``_CHUNK_ROWS`` rows
+    per chunk.
+    """
     fixed = dict(fixed or {})
     for p, l in fixed.items():
         if not 0 <= p < n_points:
@@ -193,14 +209,26 @@ def enumerate_assignments(
         if not 0 <= l < K:
             raise ValueError(f"fixed label {l} out of range [0, {K})")
     free = [i for i in range(n_points) if i not in fixed]
-    base = [0] * n_points
-    for p, l in fixed.items():
-        base[p] = l
-    for combo in itertools.product(range(K), repeat=len(free)):
-        labels = base.copy()
-        for p, l in zip(free, combo):
-            labels[p] = l
-        yield Partition(labels, K)
+    total = K ** len(free)
+    places = K ** np.arange(len(free) - 1, -1, -1)
+    for start in range(0, total, _CHUNK_ROWS):
+        idx = np.arange(start, min(start + _CHUNK_ROWS, total))
+        labels = np.empty((idx.size, n_points), dtype=np.int8)
+        for p, l in fixed.items():
+            labels[:, p] = l
+        labels[:, free] = (idx[:, None] // places) % K
+        yield labels
+
+
+def enumerate_assignments(
+    n_points: int,
+    K: int,
+    fixed: Mapping[int, int] | None = None,
+) -> Iterator[Partition]:
+    """Yield every K-labeling of the points that honors the fixed labels."""
+    for labels in _label_chunks(n_points, K, fixed):
+        for row in labels.tolist():
+            yield Partition(row, K)
 
 
 @dataclass(frozen=True)
@@ -223,7 +251,17 @@ def oracle_min(
     fixed: Mapping[int, int] | None = None,
     rel_tol: float = 1e-9,
 ) -> OracleResult:
-    """Exact minimum of the cost over all assignments, by brute force."""
+    """Exact minimum of the cost over all assignments, by brute force.
+
+    Assignments are costed in numpy label-table chunks; only rows near the
+    minimum become ``Partition``s, and their costs are recomputed with
+    :func:`cost`, so ``min_cost`` is the exact ``math.fsum`` minimum.  The
+    argmin is every assignment whose ``cost`` lies within
+    ``rel_tol * (1 + |min_cost|)`` of ``min_cost``: one window around the
+    final minimum.  (A running-best scan could also keep an early member of
+    a chain of near-ties lying up to two windows above it; this one does
+    not.)
+    """
     n = dm.n_points
     if n > ORACLE_MAX_POINTS:
         raise SizeGuardError(
@@ -235,19 +273,39 @@ def oracle_min(
             f"{K}**{n_free} assignments exceed the enumeration guard of "
             f"{ORACLE_MAX_ASSIGNMENTS}"
         )
-    best = math.inf
-    argmin: set[Partition] = set()
-    for p in enumerate_assignments(n, K, fixed):
-        w = cost(dm, p)
-        tol = rel_tol * (1.0 + abs(w if math.isinf(best) else best))
-        if w < best - tol:
-            best = w
-            argmin = {p}
-        elif w <= best + tol:
-            argmin.add(p)
-            best = min(best, w)
-    ordered = tuple(sorted(argmin, key=lambda p: p.canonical))
-    return OracleResult(min_cost=best, argmin_partitions=ordered)
+    pi, pj = np.triu_indices(n, 1)
+    w = dm.d[pi, pj]
+    # A row's numpy cost sums at most 66 non-negative terms of w; in any
+    # order that sum is within 65 * 2**-53 * sum(w) < 1e-14 * sum(w) of the
+    # exact value (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., sec. 4.2), and fsum is correctly rounded.  So this slack
+    # covers the numpy/fsum gap on both sides of the window 50 times over,
+    # and every row the fsum window holds survives the numpy cut.
+    slack = 1e-12 * (1.0 + math.fsum(w))
+
+    best = limit = math.inf
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (numpy costs, label rows)
+    for labels in _label_chunks(n, K, fixed):
+        # as float64 the product runs in BLAS; a bool operand takes a slow loop
+        costs = (labels[:, pi] == labels[:, pj]).astype(float) @ w
+        lo = float(costs.min())
+        if lo < best:
+            best = lo
+            limit = best + rel_tol * (1.0 + abs(best)) + slack
+            kept = [(c[c <= limit], rows[c <= limit]) for c, rows in kept]
+        near = costs <= limit
+        kept.append((costs[near], labels[near]))
+
+    exact: dict[Partition, float] = {}
+    for _, rows in kept:
+        for row in rows.tolist():
+            p = Partition(row, K)
+            if p not in exact:
+                exact[p] = cost(dm, p)
+    min_cost = min(exact.values())
+    limit = min_cost + rel_tol * (1.0 + abs(min_cost))
+    argmin = sorted((p for p, c in exact.items() if c <= limit), key=lambda p: p.canonical)
+    return OracleResult(min_cost=min_cost, argmin_partitions=tuple(argmin))
 
 
 def oracle_diag_min(h_diag, rel_tol: float = 1e-9) -> OracleResult:

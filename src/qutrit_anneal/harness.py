@@ -8,6 +8,7 @@ the exhaustive oracle.  Spec files are JSON; see the README for the schema.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -191,12 +192,20 @@ _SPEC_KEYS = {
 _ANNEAL_KEYS = {"M", "dt", "h", "mode"}
 
 
+def _is_finite_real(value) -> bool:
+    """True for an int or float (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _real_field(block: dict, key: str, default: float) -> float:
     value = block.get(key, default)
     _require(
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and bool(np.isfinite(value)),
+        _is_finite_real(value),
         f"anneal {key!r} must be a finite real number, got {value!r}",
     )
     return float(value)
@@ -257,8 +266,8 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     penalty = data.get("penalty")
     if penalty is not None:
         _require(
-            isinstance(penalty, (int, float)) and penalty > 0,
-            "'penalty' must be a positive number",
+            _is_finite_real(penalty) and penalty > 0,
+            f"'penalty' must be a positive finite number, got {penalty!r}",
         )
 
     pinned = data.get("pinned")

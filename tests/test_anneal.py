@@ -7,6 +7,7 @@ from qutrit_anneal.anneal import (
     MODE_SPLIT,
     AnnealConfig,
     InstantaneousHamiltonian,
+    _split_step,
     StateVector,
     anneal,
     decode,
@@ -23,6 +24,7 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_K3_PINNED,
     METHOD_ONEHOT_MULTISPIN,
     DiagonalHamiltonian,
+    DriverHamiltonian,
     EncodingScheme,
     build_driver,
     build_kmeanspp,
@@ -30,7 +32,7 @@ from qutrit_anneal.hamiltonians import (
     build_onehot_k3_pinned,
     build_penalty_kmeanspp,
 )
-from qutrit_anneal.spin import basis_index
+from qutrit_anneal.spin import basis_index, spin_operator
 
 SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
 
@@ -346,6 +348,29 @@ def test_split_step_tracks_exact_step():
     np.testing.assert_allclose(
         rep_s.basis_probabilities, rep_e.basis_probabilities, atol=1e-3
     )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_split_step_matches_per_axis_product(n):
+    # reference: the same Strang substeps with the driver factor applied one
+    # site at a time by tensordot and moveaxis
+    rng = np.random.default_rng(n)
+    hf = random_diag(rng, n)
+    drv = DriverHamiltonian(n=n, h=3.0)
+    amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    amps /= np.linalg.norm(amps)
+    s, dt, substeps = 0.3, 0.1, 8
+    tau = dt / substeps
+    half = np.exp(-0.5j * tau * s * hf.diag)
+    gate = expm(-1j * tau * (1.0 - s) * drv.h * spin_operator("x"))
+    expected = amps
+    for _ in range(substeps):
+        psi = (half * expected).reshape((3,) * n)
+        for axis in range(n):
+            psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, axis)), 0, axis)
+        expected = half * psi.reshape(-1)
+    got = _split_step(amps, s, hf, drv, dt)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qutrit_anneal.clustering import (
+    _CHUNK_ROWS,
     ORACLE_MAX_POINTS,
     DistanceMatrix,
     Partition,
@@ -147,6 +149,16 @@ def test_enumerate_rejects_bad_fixed():
         list(enumerate_assignments(3, 3, fixed={0: 3}))
 
 
+def test_enumerate_order_matches_product_across_chunks():
+    # 3**9 rows span three label-table chunks; the fixed point sits mid-row
+    expected = [
+        combo[:4] + (1,) + combo[4:] for combo in itertools.product(range(3), repeat=9)
+    ]
+    assert len(expected) > _CHUNK_ROWS
+    got = [p.labels for p in enumerate_assignments(10, 3, fixed={4: 1})]
+    assert got == expected
+
+
 def test_oracle_six_point_instance():
     dm = distance_matrix(SIX_POINTS)
     res = oracle_min(dm, 3)
@@ -204,6 +216,83 @@ def test_oracle_assignment_count_guard():
     pts = generate_instance(12, 1)
     with pytest.raises(SizeGuardError, match="assignments"):
         oracle_min(distance_matrix(pts), 9)
+
+
+def _reference_oracle(dm, K, fixed=None, rel_tol=1e-9):
+    costs = {p: cost(dm, p) for p in enumerate_assignments(dm.n_points, K, fixed)}
+    best = min(costs.values())
+    limit = best + rel_tol * (1.0 + abs(best))
+    return best, {p for p, c in costs.items() if c <= limit}
+
+
+#: (K, points, fixed labels), with fixed points first, in the middle and last
+ORACLE_CASES = [
+    (2, 7, {}),
+    (3, 8, {}),
+    (4, 7, {}),
+    (2, 10, {0: 1}),
+    (3, 9, {0: 2}),
+    (4, 8, {4: 3}),
+    (3, 10, {9: 1}),
+    (4, 6, {5: 0}),
+    (3, 9, {0: 0, 4: 1, 8: 2}),
+]
+
+
+def test_oracle_cases_cover_chunk_boundaries():
+    totals = [K ** (n - len(fixed)) for K, n, fixed in ORACLE_CASES]
+    assert any(t < _CHUNK_ROWS for t in totals)
+    assert _CHUNK_ROWS in totals
+    assert any(t > _CHUNK_ROWS and t % _CHUNK_ROWS for t in totals)
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_oracle_matches_reference_loop(case):
+    K, n, fixed = ORACLE_CASES[case]
+    dm = distance_matrix(generate_instance(n, 100 + case))
+    best, argmin = _reference_oracle(dm, K, fixed)
+    res = oracle_min(dm, K, fixed=fixed)
+    assert res.min_cost == best
+    assert set(res.argmin_partitions) == argmin
+    assert len(res.argmin_partitions) == len(argmin)
+
+
+def test_oracle_wide_tolerance_matches_reference_loop():
+    # a window far wider than the rounding slack keeps many near-optimal rows
+    dm = distance_matrix(generate_instance(7, 7))
+    best, argmin = _reference_oracle(dm, 4, rel_tol=0.5)
+    res = oracle_min(dm, 4, rel_tol=0.5)
+    assert len(argmin) > 1
+    assert res.min_cost == best
+    assert set(res.argmin_partitions) == argmin
+
+
+@pytest.mark.parametrize(
+    "points, K, expected",
+    [
+        # corners of a unit square: the two pairings along the sides
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], 2, [[0, 0, 1, 1], [0, 1, 1, 0]]),
+        # regular hexagon: the two matchings of adjacent vertices, whose
+        # side lengths agree only to rounding
+        (
+            [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)],
+            3,
+            [[0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 2, 0]],
+        ),
+    ],
+)
+def test_oracle_keeps_every_tied_partition(points, K, expected):
+    dm = distance_matrix(points)
+    best, argmin = _reference_oracle(dm, K)
+    res = oracle_min(dm, K)
+    assert res.min_cost == best
+    assert set(res.argmin_partitions) == argmin == {Partition(l, K) for l in expected}
+
+
+@pytest.mark.parametrize("fixed", [{6: 0}, {-1: 0}, {0: 3}, {2: -1}])
+def test_oracle_rejects_bad_fixed(fixed):
+    with pytest.raises(ValueError):
+        oracle_min(distance_matrix(SIX_POINTS), 3, fixed=fixed)
 
 
 def _stirling2(n, k):

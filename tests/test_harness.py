@@ -105,6 +105,13 @@ def test_spec_penalty_validation(tiny_spec_dict):
         spec_from_dict(tiny_spec_dict)
 
 
+@pytest.mark.parametrize("bad", [True, False, float("inf"), float("nan"), 10**400])
+def test_spec_penalty_rejects_bool_and_non_finite(tiny_spec_dict, bad):
+    tiny_spec_dict["penalty"] = bad
+    with pytest.raises(SpecError, match="'penalty'"):
+        spec_from_dict(tiny_spec_dict)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan"])
 def test_spec_non_finite_coordinate_names_point(tiny_spec_dict, bad):
     tiny_spec_dict["points"][2] = [1.0, bad]
@@ -166,6 +173,7 @@ def test_problem_spec_coincident_points_need_explicit_penalty():
         ("h", float("nan")),
         ("dt", "0.1"),
         ("dt", float("inf")),
+        ("dt", 10**400),
         ("dt", None),
     ],
 )
