@@ -9,10 +9,19 @@ reorthogonalized against all of it by two passes of classical Gram-Schmidt
 problem is solved on every iteration, so the a-posteriori stop rule
 (tolerance 1e-12, two consecutive hits; Hochbruck & Lubich, SIAM J. Numer.
 Anal. 34, 1997) is checked at every Krylov dimension.  It is accurate to
-the per-step tolerance and preserves the norm to machine precision.  The
-split-step mode is a Strang splitting of the diagonal and driver factors,
-sub-stepped so its final probabilities track exact-step to well under
-1e-3; it is not used where exact-step accuracy is contractual.
+the per-step tolerance and preserves the norm to machine precision; its
+LAPACK eigensolver is imported at the first exact step, so a process that
+never takes one never loads scipy.  The split-step mode is a Strang
+splitting of the diagonal and driver factors, sub-stepped so its final
+probabilities track exact-step to well under 1e-3; it is not used where
+exact-step accuracy is contractual.  Each step builds the driver factor
+gate^{(x)n} as two Kronecker powers of the 3x3 site gate, by repeated
+squaring, and applies it as two matrix products; the half phases of
+neighbouring substeps are applied as one full phase.
+
+``decode`` groups the basis states by ``partition_keys`` in numpy and
+builds one ``Partition`` per distinct partition; the row-to-partition index
+it returns is what the CSV emitter reads.
 """
 
 from __future__ import annotations
@@ -23,9 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dstevd
 
-from .clustering import Partition
+from .clustering import Partition, partition_keys
 from .hamiltonians import (
     METHOD_KMEANSPP,
     METHOD_ONEHOT_K2_PENALTY,
@@ -151,11 +159,23 @@ def instantaneous_hamiltonian(
     return InstantaneousHamiltonian(s, hf, drv)
 
 
+@functools.cache
+def _dstevd() -> Callable:
+    """LAPACK's tridiagonal eigensolver, imported at the first exact step.
+
+    scipy.linalg is more than half of the package's import time and memory,
+    and nothing but exact-step needs it.
+    """
+    from scipy.linalg.lapack import dstevd
+
+    return dstevd
+
+
 def _expm_tridiag_e1(diag: np.ndarray, offdiag: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i * dt * T) @ e1 for a real symmetric tridiagonal T."""
     if diag.shape[0] == 1:
         return np.exp(-1j * dt * diag)
-    lam, q, info = dstevd(diag, offdiag)
+    lam, q, info = _dstevd()(diag, offdiag)
     if info:
         raise np.linalg.LinAlgError(f"dstevd failed to converge (info={info})")
     return q @ (np.exp(-1j * dt * lam) * q[0])
@@ -243,6 +263,22 @@ def _site_rotation(theta: float) -> np.ndarray:
 _SPLIT_SUBSTEPS = 8
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square matrices as one broadcast outer product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], -1
+    )
+
+
+def _kron_power(gate: np.ndarray, k: int) -> np.ndarray:
+    """gate^{(x)k} by repeated squaring: about log2(k) products, not k."""
+    if k <= 1:
+        return gate if k else np.ones((1, 1))
+    half = _kron_power(gate, k // 2)
+    out = _kron(half, half)
+    return _kron(out, gate) if k % 2 else out
+
+
 def _split_step(
     amplitudes: np.ndarray,
     s: float,
@@ -253,18 +289,20 @@ def _split_step(
 ) -> np.ndarray:
     tau = dt / substeps
     half = np.exp(-0.5j * tau * s * hf.diag)
+    # the closing half phase of one substep and the opening one of the next
+    # are one full phase
+    full = half * half
     gate = _site_rotation(tau * (1.0 - s) * drv.h)
     # the driver factor gate^{(x)n} as left (x) right, applied to the state
     # reshaped with the first n//2 sites as rows
     a = hf.n // 2
-    left = functools.reduce(np.kron, [gate] * a, np.ones((1, 1)))
-    right = functools.reduce(np.kron, [gate] * (hf.n - a), np.ones((1, 1)))
+    left = _kron_power(gate, a)
+    right = left if hf.n == 2 * a else _kron(left, gate)
     shape = (left.shape[0], right.shape[0])
-    out = amplitudes
-    for _ in range(substeps):
-        out = half * out
+    out = half * amplitudes
+    for k in range(substeps):
         out = (left @ out.reshape(shape) @ right.T).reshape(-1)
-        out = half * out
+        out *= full if k + 1 < substeps else half
     return out
 
 
@@ -292,11 +330,14 @@ class ReadoutReport:
 
     ``invalid_probability`` collects basis states whose blocks sit in states
     no cluster uses (possible under penalty encodings); such states never
-    contribute to ``partition_probabilities``.
+    contribute to ``partition_probabilities``.  ``partition_index`` gives,
+    per basis state, the position of its partition in
+    ``partition_probabilities`` (insertion order), or -1 for invalid states.
     """
 
     basis_probabilities: np.ndarray
     partition_probabilities: Mapping[Partition, float]
+    partition_index: np.ndarray
     top_partition: Partition
     top_probability: float
     invalid_probability: float
@@ -392,18 +433,31 @@ def decode(
 
     probs = state.probabilities()
     labels, invalid = basis_partition_labels(state.n, scheme, pinned, centroid_indices)
-    partition_probs: dict[Partition, float] = {}
-    for idx in np.flatnonzero(~invalid):
-        part = Partition(labels[idx], scheme.K)
-        partition_probs[part] = partition_probs.get(part, 0.0) + float(probs[idx])
-    if not partition_probs:
+    valid = np.flatnonzero(~invalid)
+    if not valid.size:
         raise ValueError("no valid basis states to decode")
+    _, first, inverse = np.unique(
+        partition_keys(labels[valid]), return_index=True, return_inverse=True
+    )
+    # number partitions by first appearance in basis order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    index = np.full(probs.shape[0], -1)
+    index[valid] = rank[inverse]
+    # bincount adds in basis order, as a running sum over the states would
+    sums = np.bincount(index[valid], weights=probs[valid])
+    partition_probs = {
+        Partition(row, scheme.K): p
+        for row, p in zip(labels[valid[first[order]]].tolist(), sums.tolist())
+    }
     top_partition, top_probability = max(
         partition_probs.items(), key=lambda kv: (kv[1], kv[0].canonical)
     )
     return ReadoutReport(
         basis_probabilities=probs,
         partition_probabilities=partition_probs,
+        partition_index=index,
         top_partition=top_partition,
         top_probability=top_probability,
         invalid_probability=float(probs[invalid].sum()),

@@ -4,15 +4,18 @@ The oracles enumerate every cluster assignment of a small instance and are
 the classical reference that annealing results are certified against.
 ``oracle_min`` enumerates in numpy chunks: each chunk is an int8 label table
 of 3**8 assignments, costed in one matrix-vector product over the pair
-distances, and only the rows near the minimum are rebuilt as ``Partition``s
-and re-costed exactly.  At its guard (12 points) it takes about 0.1 s for
-K = 3 (531,441 assignments) and 0.9 s for K = 4 with one point fixed
-(4,194,304).  Ties are every assignment within one relative window of the
-exact minimum.
+distances; the rows near the minimum are deduplicated by their
+``partition_keys`` and re-costed exactly, and only the optimal ones become
+``Partition``s.  At its guard (12 points) it takes about 0.1 s for K = 3
+(531,441 assignments) and 0.9 s for K = 4 with one point fixed (4,194,304);
+12 coincident points at K = 3, where all 88,574 partitions tie, take about
+1.4 s.  Ties are every assignment within one relative window of the exact
+minimum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -191,6 +194,41 @@ def cost(dm: DistanceMatrix, partition: Partition) -> float:
 _CHUNK_ROWS = 3**8
 
 
+def partition_keys(labels: np.ndarray) -> np.ndarray:
+    """One int64 key per row of a non-negative label table.
+
+    Two rows get the same key exactly when they group the points identically
+    (equal ``Partition``s), and keys sort as the rows'
+    ``Partition.canonical`` tuples.  Rows are relabeled by first appearance
+    one column at a time, and each key is the relabeled row read as base-n
+    digits for n columns.  Up to 15 columns that depends on the row alone, so
+    keys of separate tables with the same columns compare; wider tables,
+    whose digits would overflow int64, are ranked within the call.
+    """
+    labels = np.asarray(labels)
+    if labels.size and labels.min() < 0:
+        raise ValueError("labels must be non-negative")
+    rows, cols = labels.shape
+    base = max(1, cols)  # relabeled ids lie in [0, cols)
+    first_id = np.full((rows, int(labels.max(initial=0)) + 1), -1, dtype=np.int64)
+    n_seen = np.zeros(rows, dtype=np.int64)
+    keys = np.zeros(rows, dtype=np.int64)
+    limit = np.iinfo(np.int64).max // base
+    r = np.arange(rows)
+    for j in range(cols):
+        col = labels[:, j]
+        ids = first_id[r, col]
+        new = ids < 0
+        ids[new] = n_seen[new]
+        first_id[r, col] = ids
+        n_seen += new
+        if keys.max(initial=0) >= limit:
+            # ranks keep the keys' order and equality
+            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+        keys = keys * base + ids
+    return keys
+
+
 def _label_chunks(
     n_points: int,
     K: int,
@@ -253,14 +291,15 @@ def oracle_min(
 ) -> OracleResult:
     """Exact minimum of the cost over all assignments, by brute force.
 
-    Assignments are costed in numpy label-table chunks; only rows near the
-    minimum become ``Partition``s, and their costs are recomputed with
-    :func:`cost`, so ``min_cost`` is the exact ``math.fsum`` minimum.  The
-    argmin is every assignment whose ``cost`` lies within
+    Assignments are costed in numpy label-table chunks; the rows near the
+    minimum are deduplicated by partition and their costs recomputed with
+    ``math.fsum`` as :func:`cost` does, so ``min_cost`` is the exact minimum.
+    The argmin is every assignment whose ``cost`` lies within
     ``rel_tol * (1 + |min_cost|)`` of ``min_cost``: one window around the
     final minimum.  (A running-best scan could also keep an early member of
     a chain of near-ties lying up to two windows above it; this one does
-    not.)
+    not.)  It lists one ``Partition`` per set partition, in canonical order,
+    with the labels of its first assignment in enumeration order.
     """
     n = dm.n_points
     if n > ORACLE_MAX_POINTS:
@@ -296,15 +335,25 @@ def oracle_min(
         near = costs <= limit
         kept.append((costs[near], labels[near]))
 
-    exact: dict[Partition, float] = {}
-    for _, rows in kept:
-        for row in rows.tolist():
-            p = Partition(row, K)
-            if p not in exact:
-                exact[p] = cost(dm, p)
-    min_cost = min(exact.values())
+    # one row per distinct partition, its first in enumeration order, in
+    # canonical order; keys and pair masks are taken a chunk at a time, so a
+    # mostly tied instance needs no more memory than its kept rows
+    keys = np.concatenate([partition_keys(rows) for _, rows in kept])
+    rows = np.concatenate([rows for _, rows in kept])
+    _, first = np.unique(keys, return_index=True)
+    rows = rows[first]
+    # fsum is correctly rounded, so summing the row's pair weights in any
+    # order gives exactly ``cost``
+    weights = w.tolist()
+    exact = []
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        block = rows[start : start + _CHUNK_ROWS]
+        same = (block[:, pi] == block[:, pj]).tolist()
+        exact += [math.fsum(itertools.compress(weights, row)) for row in same]
+    min_cost = min(exact)
     limit = min_cost + rel_tol * (1.0 + abs(min_cost))
-    argmin = sorted((p for p, c in exact.items() if c <= limit), key=lambda p: p.canonical)
+    near = np.array(exact) <= limit
+    argmin = [Partition(row, K) for row in rows[near].tolist()]
     return OracleResult(min_cost=min_cost, argmin_partitions=tuple(argmin))
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
-from .anneal import basis_partition_labels
+import numpy as np
+
 from .clustering import Partition
 from .harness import EMIT_FORMATS as FORMATS
 from .harness import RunResult
-from .spin import BasisIndex
+from .spin import digit_table
 
 #: Marker shapes assigned to clusters by decreasing cluster size.
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross", "plus")
@@ -52,6 +54,12 @@ def render_table(result: RunResult) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
+@functools.cache
+def _projection_strings(n: int) -> tuple[str, ...]:
+    """The CSV digits column of an n-qutrit register: projections per basis state."""
+    return tuple(" ".join(map(str, row)) for row in (1 - digit_table(n)).tolist())
+
+
 def render_csv(result: RunResult) -> str:
     """Per-basis-state dump: index, projections, decoded partition id, probability.
 
@@ -59,20 +67,18 @@ def render_csv(result: RunResult) -> str:
     The probability column sums to the squared final norm (1 up to drift).
     """
     ids = partition_id_map(result)
-    spec = result.spec
-    n = spec.register_qutrits
-    probs = result.report.basis_probabilities
-    labels, invalid = basis_partition_labels(
-        n, spec.scheme, spec.pinned, spec.centroids
-    )
+    report = result.report
+    # the -1 of an invalid state picks the trailing -1
+    pid_of = np.array([ids[p] for p in report.partition_probabilities] + [-1])
+    pids = pid_of[report.partition_index].tolist()
+    digits = _projection_strings(result.spec.register_qutrits)
     lines = ["basis_index,digits,partition_id,probability"]
-    for idx in range(3**n):
-        digits = " ".join(str(m) for m in BasisIndex.from_linear(idx, n).projections)
-        if invalid[idx]:
-            pid = -1
-        else:
-            pid = ids[Partition(labels[idx], spec.scheme.K)]
-        lines.append(f"{idx},{digits},{pid},{probs[idx]:.12e}")
+    lines += [
+        f"{idx},{d},{pid},{prob:.12e}"
+        for idx, (d, pid, prob) in enumerate(
+            zip(digits, pids, report.basis_probabilities.tolist())
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 

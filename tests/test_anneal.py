@@ -10,6 +10,7 @@ from qutrit_anneal.anneal import (
     _split_step,
     StateVector,
     anneal,
+    basis_partition_labels,
     decode,
     expm_multiply_hermitian,
     initial_state,
@@ -445,6 +446,53 @@ def test_decode_k2_penalty_marks_minus_one_invalid():
     rep = decode(StateVector(2, amps), scheme, pinned=False)
     assert rep.invalid_probability == pytest.approx(1.0, abs=0)
     assert rep.top_probability == 0.0 or rep.top_partition is not None
+
+
+def _reference_decode(state, scheme, pinned, centroid_indices):
+    """Partition probabilities as a running sum over the valid basis states."""
+    probs = state.probabilities()
+    labels, invalid = basis_partition_labels(state.n, scheme, pinned, centroid_indices)
+    out = {}
+    for idx in np.flatnonzero(~invalid):
+        part = Partition(labels[idx], scheme.K)
+        out[part] = out.get(part, 0.0) + float(probs[idx])
+    return out
+
+
+#: (scheme, register qutrits, pinned, centroid indices): every encoding
+DECODE_CASES = [
+    (EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 6, False, None),
+    (EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 7, True, None),
+    (EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2), 6, True, None),
+    (EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2), 7, False, None),
+    (EncodingScheme(method=METHOD_ONEHOT_MULTISPIN, K=5), 6, False, None),
+    (EncodingScheme(method=METHOD_KMEANSPP, K=3), 7, False, (2, 0, 5)),
+    (EncodingScheme(method=METHOD_KMEANSPP, K=4), 4, False, (3, 1, 0, 5)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DECODE_CASES)))
+def test_decode_matches_per_state_loop(case):
+    scheme, n, pinned, centroids = DECODE_CASES[case]
+    rng = np.random.default_rng(case)
+    amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    amps[rng.random(3**n) < 0.3] = 0.0
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    rep = decode(
+        state,
+        scheme,
+        pinned=pinned if scheme.method == METHOD_ONEHOT_K2_PENALTY else None,
+        centroid_indices=centroids,
+    )
+    expected = _reference_decode(state, scheme, pinned, centroids)
+    got = list(rep.partition_probabilities.items())
+    # same partitions, labels, insertion order and bitwise-equal sums
+    assert [(p.labels, v) for p, v in got] == [(p.labels, v) for p, v in expected.items()]
+    labels, invalid = basis_partition_labels(n, scheme, pinned, centroids)
+    assert (rep.partition_index == -1).tolist() == invalid.tolist()
+    parts = [p for p, _ in got]
+    for idx in np.flatnonzero(~invalid):
+        assert parts[rep.partition_index[idx]] == Partition(labels[idx], scheme.K)
 
 
 def test_decode_argument_validation():

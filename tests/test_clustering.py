@@ -16,6 +16,7 @@ from qutrit_anneal.clustering import (
     enumerate_assignments,
     oracle_diag_min,
     oracle_min,
+    partition_keys,
 )
 from qutrit_anneal.errors import SizeGuardError, SpecError
 from qutrit_anneal.harness import generate_instance
@@ -308,6 +309,51 @@ def test_deduplicated_partition_count_matches_stirling_numbers():
     expected = _stirling2(6, 1) + _stirling2(6, 2) + _stirling2(6, 3)
     assert expected == 122
     assert len(distinct) == expected
+
+
+def test_oracle_coincident_points_keep_every_partition_in_order():
+    # every assignment costs 0, so every set partition into at most 3 blocks
+    # ties: 3**8 candidate rows for 1,094 partitions
+    dm = distance_matrix([(2, 5)] * 8)
+    best, argmin = _reference_oracle(dm, 3)
+    res = oracle_min(dm, 3)
+    assert res.min_cost == best
+    assert len(argmin) == _stirling2(8, 1) + _stirling2(8, 2) + _stirling2(8, 3) == 1094
+    expected = sorted(argmin, key=lambda p: p.canonical)
+    assert [p.labels for p in res.argmin_partitions] == [p.labels for p in expected]
+
+
+@pytest.mark.parametrize("cols, n_labels", [(1, 1), (6, 3), (12, 4), (30, 27)])
+def test_partition_keys_match_canonical_labels(cols, n_labels):
+    # 30 columns of 27 labels overflow int64 digits, so keys are re-ranked
+    rng = np.random.default_rng(cols)
+    labels = rng.integers(0, n_labels, size=(400, cols))
+    labels[200:] = labels[:200]  # equal rows
+    labels[100:200] = (labels[100:200] + 1) % n_labels  # relabeled equal rows
+    keys = partition_keys(labels).tolist()
+    canon = [Partition(row, n_labels).canonical for row in labels.tolist()]
+    by_key = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+    by_canon = sorted(range(len(keys)), key=lambda i: (canon[i], i))
+    assert by_key == by_canon
+    for i, j in zip(by_key, by_key[1:]):
+        assert (keys[i] == keys[j]) == (canon[i] == canon[j])
+
+
+def test_partition_keys_compare_across_tables():
+    # the oracle keys its kept chunks separately; a chunk may lack a label
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 4, size=(300, 12))
+    labels[:100] %= 2
+    labels[100:200] = labels[:100] + 2
+    whole = partition_keys(labels)
+    parts = [partition_keys(labels[a:b]) for a, b in ((0, 100), (100, 200), (200, 300))]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(parts[0], parts[1])
+
+
+def test_partition_keys_reject_negative_labels():
+    with pytest.raises(ValueError, match="non-negative"):
+        partition_keys(np.array([[0, 1], [-1, 0]]))
 
 
 def test_oracle_diag_min_constant_diagonal():

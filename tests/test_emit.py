@@ -1,12 +1,21 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qutrit_anneal
+from qutrit_anneal.anneal import basis_partition_labels
+from qutrit_anneal.clustering import Partition
 from qutrit_anneal.cli import main
 from qutrit_anneal.emit import emit, partition_id_map, render_csv, render_svg, render_table
+from qutrit_anneal.harness import generate_instance, run, spec_from_dict
+from qutrit_anneal.spin import BasisIndex
 
 
 def test_table_reports_match_and_costs(tiny_result):
@@ -38,6 +47,82 @@ def test_csv_marks_invalid_states(preset_result):
     invalid_p = sum(float(r["probability"]) for r in rows if r["partition_id"] == "-1")
     assert invalid_p == pytest.approx(result.invalid_probability, abs=1e-12)
     assert invalid_p > 0.0
+
+
+def _reference_csv(result):
+    """The CSV built one row at a time from the spec's label table."""
+    ids = partition_id_map(result)
+    spec = result.spec
+    n = spec.register_qutrits
+    probs = result.report.basis_probabilities
+    labels, invalid = basis_partition_labels(n, spec.scheme, spec.pinned, spec.centroids)
+    lines = ["basis_index,digits,partition_id,probability"]
+    for idx in range(3**n):
+        digits = " ".join(str(m) for m in BasisIndex.from_linear(idx, n).projections)
+        if invalid[idx]:
+            pid = -1
+        else:
+            pid = ids[Partition(labels[idx], spec.scheme.K)]
+        lines.append(f"{idx},{digits},{pid},{probs[idx]:.12e}")
+    return "\n".join(lines) + "\n"
+
+
+#: (method, points, extra spec fields, whether some basis states are
+#: invalid): every encoding
+CSV_SHAPES = [
+    ("one-hot-K3", 5, {}, False),
+    ("one-hot-K3-pinned", 6, {}, False),
+    ("one-hot-K2-penalty", 6, {"pinned": True}, True),
+    ("one-hot-K2-penalty", 5, {"pinned": False}, True),
+    ("one-hot-multispin", 3, {"K": 4}, True),
+    ("kmeanspp", 7, {"centroids": [0, 1, 2]}, False),
+    ("kmeanspp", 5, {"centroids": [4, 0, 2, 1]}, True),
+]
+
+
+@pytest.mark.parametrize("shape", range(len(CSV_SHAPES)))
+def test_csv_bytes_match_per_row_renderer(shape):
+    method, n_points, extra, has_invalid = CSV_SHAPES[shape]
+    spec = spec_from_dict(
+        {
+            "name": "csv",
+            "points": [list(p) for p in generate_instance(n_points, 40 + shape).points],
+            "method": method,
+            "anneal": {"M": 20, "dt": 0.1, "h": 8.0, "mode": "split-step"},
+            **extra,
+        }
+    )
+    result = run(spec)
+    text = render_csv(result)
+    assert text == _reference_csv(result)
+    assert (",-1," in text) == has_invalid
+
+
+def test_csv_bytes_match_per_row_renderer_on_preset(preset_result):
+    result = preset_result("fig4")
+    assert render_csv(result) == _reference_csv(result)
+
+
+def test_split_step_request_never_loads_scipy(tmp_path):
+    # scipy is imported at the first exact step, and by nothing else
+    code = f"""
+import sys
+import qutrit_anneal.cli
+from qutrit_anneal.clustering import distance_matrix, oracle_min
+from qutrit_anneal.emit import emit
+from qutrit_anneal.harness import run, spec_from_dict
+spec = spec_from_dict({{
+    "name": "split", "points": [[0, 0], [0, 1], [10, 10], [-10, 10], [9, 9]],
+    "method": "one-hot-K3", "anneal": {{"M": 20, "mode": "split-step"}},
+}})
+emit(run(spec), ["table", "csv", "svg"], {str(tmp_path)!r})
+oracle_min(distance_matrix([[0, 0], [1, 0], [5, 5]]), 2)
+sys.exit(int("scipy.linalg" in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(qutrit_anneal.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == 3
 
 
 def test_svg_has_marker_group_sizes_3_2_1(preset_result):
