@@ -238,8 +238,9 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     centroids = data.get("centroids")
     if centroids is not None:
         _require(
-            isinstance(centroids, list) and all(isinstance(c, int) for c in centroids),
-            "'centroids' must be a list of point indices",
+            isinstance(centroids, list)
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in centroids),
+            f"'centroids' must be a list of point indices, got {centroids!r}",
         )
         centroids = tuple(centroids)
 
@@ -297,7 +298,10 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
 
     seed = data.get("seed")
     if seed is not None:
-        _require(isinstance(seed, int), "'seed' must be an integer")
+        _require(
+            isinstance(seed, int) and not isinstance(seed, bool),
+            f"'seed' must be an integer, got {seed!r}",
+        )
 
     emit = data.get("emit", ["table"])
     _require(

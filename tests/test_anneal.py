@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from qutrit_anneal.anneal import (
-    _KRYLOV_ROWS,
     MODE_SPLIT,
     AnnealConfig,
     InstantaneousHamiltonian,
+    _bessel_j,
     _split_step,
     StateVector,
     anneal,
@@ -75,11 +76,21 @@ def test_config_defaults_and_total_time():
         {"h": 2.0, "dt": 0.0},
         {"h": 0.0},
         {"h": 2.0, "mode": "magic"},
+        {"h": float("inf"), "dt": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         AnnealConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["h", "dt"])
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("nan"), pytest.param(10**400, id="huge-int")]
+)
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        AnnealConfig(**{"h": 2.0, field: value})
 
 
 # ------------------------------------------------------------ initial state
@@ -142,6 +153,21 @@ def test_midpoint_linearity():
     np.testing.assert_allclose(op.matvec(v), expected, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bounds_contain_spectrum(n):
+    rng = np.random.default_rng(20 + n)
+    for s in [0.0, 1.0, *rng.uniform(0, 1, 3)]:
+        op = InstantaneousHamiltonian(
+            s, random_diag(rng, n, scale=30.0), build_driver(n, rng.uniform(0.5, 8.0))
+        )
+        lam = np.linalg.eigvalsh(op.dense())
+        lo, hi = op.bounds()
+        assert lo - 1e-12 <= lam[0] and lam[-1] <= hi + 1e-12
+        if s in (0.0, 1.0):
+            # one term alone: the bounds are its extreme eigenvalues
+            np.testing.assert_allclose([lo, hi], lam[[0, -1]], rtol=0, atol=1e-12)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         instantaneous_hamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(3, 1.0))
@@ -150,6 +176,19 @@ def test_dimension_mismatch_rejected():
 
 
 # -------------------------------------------------------- matrix exponential
+
+
+@pytest.mark.parametrize(
+    "x", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.3, 37.5, 100.0, 500.0, -3.0]
+)
+def test_bessel_j_matches_scipy(x):
+    # x <= 1e-6 fills the table past 1e150 and takes the rescale path;
+    # scipy's jv itself is off by up to 5e-15 at x = 500
+    j = _bessel_j(x)
+    ref = jv(np.arange(j.size), x)
+    np.testing.assert_allclose(j, ref, rtol=0, atol=2e-14)
+    np.testing.assert_allclose(j[:3], ref[:3], rtol=1e-13)
+    assert np.abs(j[-5:]).max() < 1e-20
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -161,7 +200,7 @@ def test_expm_multiply_matches_dense(seed):
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
     expected = expm(-1j * 0.1 * op.dense()) @ v
-    got = expm_multiply_hermitian(op.matvec, v, 0.1)
+    got = expm_multiply_hermitian(op.matvec, v, 0.1, bounds=op.bounds())
     assert np.linalg.norm(got - expected) < 1e-9
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12
 
@@ -175,8 +214,23 @@ def test_expm_multiply_matches_dense_wide_spectrum():
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
     expected = expm(-1j * 0.1 * op.dense()) @ v
-    got = expm_multiply_hermitian(op.matvec, v, 0.1)
+    got = expm_multiply_hermitian(op.matvec, v, 0.1, bounds=op.bounds())
     assert np.linalg.norm(got - expected) < 1e-9
+
+
+@pytest.mark.parametrize("dt", [1.0, 10.0])
+def test_expm_multiply_long_steps(dt):
+    # dt * r reaches about 1,900 at dt = 10: a degree near 2,000
+    rng = np.random.default_rng(13)
+    n = 5
+    hf = random_diag(rng, n, scale=330.0)
+    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 8.0))
+    v = unit_vector(rng, 3**n)
+    got = expm_multiply_hermitian(op.matvec, v, dt, bounds=op.bounds())
+    assert np.linalg.norm(got - expm(-1j * dt * op.dense()) @ v) < 1e-9
+    assert np.linalg.norm(
+        expm_multiply_hermitian(op.matvec, got, -dt, bounds=op.bounds()) - v
+    ) < 1e-9
 
 
 def test_expm_multiply_dt_zero_is_identity():
@@ -184,11 +238,11 @@ def test_expm_multiply_dt_zero_is_identity():
     hf = random_diag(rng, 1)
     op = InstantaneousHamiltonian(0.5, hf, build_driver(1, 1.0))
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    np.testing.assert_allclose(expm_multiply_hermitian(op.matvec, v, 0.0), v, atol=1e-14)
+    got = expm_multiply_hermitian(op.matvec, v, 0.0, bounds=op.bounds())
+    np.testing.assert_allclose(got, v, atol=1e-14)
 
 
 def test_expm_multiply_eigenvector_phase():
-    # an eigenvector breaks the Lanczos recurrence down after one matvec
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
     op = InstantaneousHamiltonian(0.6, hf, build_driver(1, 1.5))
     lam, vecs = np.linalg.eigh(op.dense())
@@ -196,60 +250,39 @@ def test_expm_multiply_eigenvector_phase():
     for k in range(3):
         v = vecs[:, k].astype(complex)
         expected = np.exp(-1j * dt * lam[k]) * v
-        matvec, calls = counting(op.matvec)
-        got = expm_multiply_hermitian(matvec, v, dt)
+        got = expm_multiply_hermitian(op.matvec, v, dt, bounds=op.bounds())
         assert np.linalg.norm(got - expected) < 1e-12
-        assert len(calls) == 1
 
 
-def test_expm_multiply_exhausts_single_qutrit_space():
+def test_expm_multiply_single_qutrit_long_step():
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
     op = InstantaneousHamiltonian(0.6, hf, build_driver(1, 1.5))
     v = np.array([1.0, 0.3 - 0.2j, -0.5])
-    matvec, calls = counting(op.matvec)
-    # tol=0 never stops early: the basis spans all three states
-    got = expm_multiply_hermitian(matvec, v, 2.0, tol=0.0)
-    assert len(calls) == 3
+    got = expm_multiply_hermitian(op.matvec, v, 2.0, bounds=op.bounds())
     np.testing.assert_allclose(got, expm(-2j * op.dense()) @ v, rtol=0, atol=1e-12)
 
 
-def test_expm_multiply_stops_at_m_max():
-    rng = np.random.default_rng(9)
-    n, dt, m_max = 3, 0.1, 4
-    hf = random_diag(rng, n, scale=40.0)
-    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 6.0))
-    H = op.dense()
-    v = unit_vector(rng, 3**n)
+def test_expm_multiply_constant_hamiltonian_needs_no_matvec():
+    # zero-width bounds: H is the centre times the identity
+    hf = DiagonalHamiltonian(2, np.full(9, 1.5))
+    op = InstantaneousHamiltonian(1.0, hf, build_driver(2, 1.0))
     matvec, calls = counting(op.matvec)
-    got = expm_multiply_hermitian(matvec, v, dt, m_max=m_max)
-    assert len(calls) == m_max
-    assert abs(np.linalg.norm(got) - 1.0) < 1e-12
-    # the Galerkin approximation on the order-4 Krylov space, built densely
-    krylov = np.column_stack([np.linalg.matrix_power(H, k) @ v for k in range(m_max)])
-    Q, _ = np.linalg.qr(krylov)
-    expected = Q @ (expm(-1j * dt * (Q.conj().T @ H @ Q)) @ (Q.conj().T @ v))
-    assert np.linalg.norm(got - expected) < 1e-9
-    # and the cap really truncated the expansion
-    assert np.linalg.norm(got - expm(-1j * dt * H) @ v) > 1e-6
-
-
-def test_expm_multiply_grows_basis_for_long_expansions():
-    rng = np.random.default_rng(13)
-    n, dt = 5, 1.0
-    hf = random_diag(rng, n, scale=330.0)
-    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 8.0))
-    v = unit_vector(rng, 3**n)
-    matvec, calls = counting(op.matvec)
-    got = expm_multiply_hermitian(matvec, v, dt)
-    assert len(calls) > _KRYLOV_ROWS
-    assert np.linalg.norm(got - expm(-1j * dt * op.dense()) @ v) < 1e-9
+    v = unit_vector(np.random.default_rng(8), 9)
+    got = expm_multiply_hermitian(matvec, v, 0.4, bounds=op.bounds())
+    assert not calls
+    np.testing.assert_allclose(got, np.exp(-0.6j) * v, rtol=0, atol=1e-15)
 
 
 def test_expm_multiply_zero_vector_needs_no_matvec():
     matvec, calls = counting(lambda x: x)
-    got = expm_multiply_hermitian(matvec, np.zeros(9), 0.1)
+    got = expm_multiply_hermitian(matvec, np.zeros(9), 0.1, bounds=(-1.0, 1.0))
     assert not calls
     np.testing.assert_array_equal(got, np.zeros(9, dtype=complex))
+
+
+def test_expm_multiply_rejects_inverted_bounds():
+    with pytest.raises(ValueError, match="bounds"):
+        expm_multiply_hermitian(lambda x: x, np.ones(3), 0.1, bounds=(1.0, -1.0))
 
 
 # --------------------------------------------------------------------- step
@@ -324,8 +357,8 @@ def test_anneal_with_zero_final_hamiltonian_keeps_ground_state():
 
 
 def test_fig3_matvec_count_is_pinned(monkeypatch):
-    # guards the stop rule (tolerance 1e-12, two consecutive hits): any
-    # change to when the expansion stops moves this count
+    # guards the a-priori degree (tail 1e-15) and the spectral bounds: any
+    # change to where the expansion is truncated moves this count
     from qutrit_anneal.harness import build_final_hamiltonian
     from qutrit_anneal.presets import get_preset
 
@@ -334,7 +367,7 @@ def test_fig3_matvec_count_is_pinned(monkeypatch):
     matvec, calls = counting(InstantaneousHamiltonian.matvec)
     monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
     anneal(AnnealConfig(h=spec.anneal.h, M=100, dt=spec.anneal.dt), hf)
-    assert len(calls) == 1538
+    assert len(calls) == 2528
 
 
 def test_split_step_tracks_exact_step():

@@ -103,26 +103,48 @@ def test_csv_bytes_match_per_row_renderer_on_preset(preset_result):
     assert render_csv(result) == _reference_csv(result)
 
 
-def test_split_step_request_never_loads_scipy(tmp_path):
-    # scipy is imported at the first exact step, and by nothing else
+def test_requests_run_with_scipy_blocked(tmp_path):
+    # the package never imports scipy: exact-step and split-step requests,
+    # every emitter and the oracle run where importing it fails
     code = f"""
+import dataclasses
 import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
 import qutrit_anneal.cli
+from qutrit_anneal.anneal import AnnealConfig
 from qutrit_anneal.clustering import distance_matrix, oracle_min
 from qutrit_anneal.emit import emit
 from qutrit_anneal.harness import run, spec_from_dict
-spec = spec_from_dict({{
+from qutrit_anneal.presets import get_preset
+
+fig3 = get_preset("fig3")
+exact = dataclasses.replace(fig3, anneal=AnnealConfig(h=fig3.anneal.h, M=20))
+emit(run(exact), ["table", "csv", "svg"], {str(tmp_path / "exact")!r})
+split = spec_from_dict({{
     "name": "split", "points": [[0, 0], [0, 1], [10, 10], [-10, 10], [9, 9]],
     "method": "one-hot-K3", "anneal": {{"M": 20, "mode": "split-step"}},
 }})
-emit(run(spec), ["table", "csv", "svg"], {str(tmp_path)!r})
+emit(run(split), ["table", "csv", "svg"], {str(tmp_path / "split")!r})
 oracle_min(distance_matrix([[0, 0], [1, 0], [5, 5]]), 2)
-sys.exit(int("scipy.linalg" in sys.modules))
+sys.exit(int("scipy" in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(qutrit_anneal.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.iterdir())) == 3
+    assert len(list((tmp_path / "exact").iterdir())) == 3
+    assert len(list((tmp_path / "split").iterdir())) == 3
+    sources = sorted(Path(qutrit_anneal.__file__).parent.glob("*.py"))
+    assert sources
+    assert not [p.name for p in sources if "scipy" in p.read_text()]
 
 
 def test_svg_has_marker_group_sizes_3_2_1(preset_result):

@@ -77,6 +77,23 @@ def test_spec_kmeanspp_centroid_validation(tiny_spec_dict):
         spec_from_dict(tiny_spec_dict)
 
 
+@pytest.mark.parametrize("bad", [[True, False], [0, True], [0, 1.0]])
+def test_spec_centroids_must_be_ints_not_bools(tiny_spec_dict, bad):
+    tiny_spec_dict["method"] = "kmeanspp"
+    tiny_spec_dict["centroids"] = bad
+    with pytest.raises(SpecError, match="'centroids'"):
+        spec_from_dict(tiny_spec_dict)
+
+
+@pytest.mark.parametrize("bad", [True, False, 7.0, "7"])
+def test_spec_seed_must_be_int_not_bool(tiny_spec_dict, bad):
+    tiny_spec_dict["seed"] = bad
+    with pytest.raises(SpecError, match="'seed'"):
+        spec_from_dict(tiny_spec_dict)
+    tiny_spec_dict["seed"] = 7
+    assert spec_from_dict(tiny_spec_dict).seed == 7
+
+
 def test_spec_kmeanspp_k_from_centroids(tiny_spec_dict):
     tiny_spec_dict["method"] = "kmeanspp"
     tiny_spec_dict["centroids"] = [0, 1]
