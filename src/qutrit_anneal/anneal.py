@@ -6,7 +6,10 @@ exact-step mode evaluates each exponential by a Chebyshev expansion
 (Tal-Ezer & Kosloff, 1984).  The spectral bounds of H(s) come free from the
 extremes of the diagonal and the driver's -h n .. h n, the degree is fixed
 a priori where the Bessel coefficients fall below 1e-15, and each term
-costs one matvec and a three-term recurrence; it needs numpy alone.  The
+costs one matvec and a three-term recurrence; it needs numpy alone.  H(s)
+is real symmetric, so the recurrence runs in real arithmetic on the real
+and imaginary parts of the state, and each matvec applies the driver as a
+Kronecker sum: two matrix products on the state viewed as a grid.  The
 split-step mode is a Strang splitting of the diagonal and driver factors,
 sub-stepped so its final probabilities track exact-step to well under 1e-3;
 it is not used where exact-step accuracy is contractual.  Each step builds
@@ -22,6 +25,7 @@ it returns is what the CSV emitter reads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -38,7 +42,7 @@ from .hamiltonians import (
     DriverHamiltonian,
     EncodingScheme,
     block_state_index,
-    sum_sx_apply,
+    driver_factors,
 )
 from .spin import block_values, digit_table
 
@@ -78,12 +82,16 @@ class AnnealConfig:
     mode: str = MODE_EXACT
 
     def __post_init__(self) -> None:
+        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral):
+            raise ValueError(f"step count M must be an integer, got {self.M!r}")
         if self.M < 1:
-            raise ValueError("step count M must be at least 1")
-        if not _positive_finite(self.dt):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not _positive_finite(self.h):
-            raise ValueError(f"h must be positive and finite, got {self.h!r}")
+            raise ValueError(f"step count M must be at least 1, got {self.M!r}")
+        for name in ("dt", "h"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+            if not _positive_finite(value):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
 
@@ -138,14 +146,22 @@ class InstantaneousHamiltonian:
             raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
         self.s = float(s)
         self.n = hf.n
-        self._diag = s * hf.diag
         self._field = (1.0 - s) * drv.h
+        # the driver (field A) (x) I + I (x) (field B) acts on the state viewed
+        # as a grid, as in sum_sx_apply; the diagonal takes the grid's shape
+        a, b = driver_factors(self.n)
+        self._factors = (self._field * a, self._field * b)
+        self._diag = (s * hf.diag).reshape(a.shape[0], b.shape[0])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self._diag * v
+        """H v along the last axis of a (..., 3**n) array, real or complex."""
+        grid = v.reshape(*v.shape[:-1], *self._diag.shape)
+        out = self._diag * grid
         if self._field != 0.0:
-            out = out + self._field * sum_sx_apply(v, self.n)
-        return out
+            a, b = self._factors
+            out += a @ grid
+            out += grid @ b
+        return out.reshape(v.shape)
 
     def bounds(self) -> tuple[float, float]:
         """Spectral interval [s min Hf - (1 - s) h n, s max Hf + (1 - s) h n].
@@ -159,9 +175,8 @@ class InstantaneousHamiltonian:
 
     def dense(self) -> np.ndarray:
         """Dense matrix form, for small registers and tests."""
-        dim = 3**self.n
-        eye = np.eye(dim)
-        return np.column_stack([self.matvec(eye[:, k]) for k in range(dim)])
+        # row k is H e_k, which is column k as H is symmetric
+        return self.matvec(np.eye(3**self.n))
 
 
 def instantaneous_hamiltonian(
@@ -182,8 +197,8 @@ _TAIL = 1e-15
 #: small argument, whose table spans hundreds of decades, cannot overflow.
 _BESSEL_BIG = 1e150
 
-#: (-i)^k for k mod 4, exact where a complex power of -1j is not.
-_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
+#: (-i)^k is this sign for even k and -i times it for odd k (k mod 4).
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -216,7 +231,7 @@ def expm_multiply_hermitian(
     *,
     bounds: tuple[float, float],
 ) -> np.ndarray:
-    """Compute exp(-i * dt * H) @ v for Hermitian H by a Chebyshev expansion.
+    """Compute exp(-i * dt * H) @ v for real symmetric H by a Chebyshev expansion.
 
     ``bounds`` = (lo, hi) must contain the spectrum of H.  With H mapped onto
     [-1, 1] as (H - c) / r, c and r the centre and half-width of the bounds,
@@ -224,6 +239,13 @@ def expm_multiply_hermitian(
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  The degree is fixed
     before the first matvec by the tail of the Bessel coefficients, and each
     term costs one matvec through the three-term recurrence of T_k.
+
+    H must be real: the recurrence runs in real arithmetic on the (2, N)
+    array of v's real and imaginary parts, and ``matvec`` must map such an
+    array row by row to a new real one (the recurrence updates it in
+    place); a complex result raises ``TypeError``.
+    The coefficients are real for even k and imaginary for odd k, so the
+    terms go to two real sums, combined into the complex result at the end.
     """
     lo, hi = bounds
     if not hi >= lo:
@@ -231,27 +253,36 @@ def expm_multiply_hermitian(
     v = np.asarray(v, dtype=complex)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     x = dt * radius
+    phase = np.exp(-1j * dt * centre)
     if abs(x) < _TAIL or not v.any():
         # below the tail J_0(x) rounds to 1 and no other term is kept: exact
         # for x = 0 (H is centre * I), and no matvec for a zero vector
-        return np.exp(-1j * dt * centre) * v
+        return phase * v
     j = _bessel_j(x)
     degree = int(np.flatnonzero(np.abs(j) >= 0.5 * _TAIL)[-1])
-    coefs = 2.0 * _MINUS_I_POWERS[np.arange(degree + 1) % 4] * j[: degree + 1]
+    coefs = 2.0 * _SIGNS[np.arange(degree + 1) % 4] * j[: degree + 1]
     coefs[0] = j[0]
     scale, shift = 2.0 / radius, 2.0 * centre / radius
-    out = coefs[0] * v
+    prev = np.stack([v.real, v.imag])
+    sums = [coefs[0] * prev, np.zeros_like(prev)]  # even and odd k
     if degree:
-        prev, cur = v, (matvec(v) - centre * v) / radius
-        out += coefs[1] * cur
+        cur = matvec(prev)
+        if np.iscomplexobj(cur):
+            raise TypeError(
+                "matvec returned complex values on a real input: H must be real symmetric"
+            )
+        cur -= centre * prev
+        cur /= radius
+        sums[1] += coefs[1] * cur
     for k in range(2, degree + 1):
         nxt = matvec(cur)
         nxt *= scale
         nxt -= shift * cur
         nxt -= prev
-        out += coefs[k] * nxt
+        sums[k & 1] += coefs[k] * nxt
         prev, cur = cur, nxt
-    return np.exp(-1j * dt * centre) * out
+    even, odd = sums
+    return phase * ((even[0] + odd[1]) + 1j * (even[1] - odd[0]))
 
 
 def step(

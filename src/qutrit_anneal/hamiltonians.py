@@ -2,14 +2,14 @@
 
 Every final Hamiltonian produced here is stored as a plain real vector of
 length 3**n: each clustering encoding only ever needs projector products
-that are diagonal in the z basis.  The transverse-field driver is kept in
-structured form and applied matrix-free.
+that are diagonal in the z basis.  The transverse-field driver is applied
+as the Kronecker sum of two small dense factors, one per half of the
+register (at most 81 x 81), so no 3**n x 3**n matrix is ever formed.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,8 +37,6 @@ METHODS = (
     METHOD_ONEHOT_MULTISPIN,
     METHOD_KMEANSPP,
 )
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,39 +73,36 @@ class DiagonalHamiltonian:
 
 
 @functools.lru_cache(maxsize=None)
-def _sx_neighbours(n: int) -> np.ndarray:
-    """Per-site neighbour indices of every basis state, shape (2n, 3**n).
+def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense sum_i S_i^x on the first n // 2 sites and on the remaining ones.
 
-    Row 2i holds the state with site i's digit raised by one, row 2i + 1
-    the state with it lowered by one; a move off the ladder points at index
-    3**n, the zero that ``sum_sx_apply`` pads the vector with.
+    The driver on n sites is their Kronecker sum A (x) I + I (x) B; at the
+    7-qutrit cap the larger factor is 81 x 81.
     """
-    dim = 3**n
-    index = np.arange(dim)
-    rows = []
-    for site in range(n):
-        stride = 3 ** (n - site - 1)
-        digit = (index // stride) % 3
-        rows.append(np.where(digit < 2, index + stride, dim))
-        rows.append(np.where(digit > 0, index - stride, dim))
-    table = np.stack(rows)
-    table.flags.writeable = False
-    return table
+    first, rest = (
+        DriverHamiltonian(k, 1.0).dense() if k else np.zeros((1, 1))
+        for k in (n // 2, n - n // 2)
+    )
+    first.flags.writeable = rest.flags.writeable = False
+    return first, rest
 
 
 def sum_sx_apply(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """Apply sum_i S_i^x to a register state without densifying anything.
+    """Apply sum_i S_i^x along the last axis of a (..., 3**n) array.
 
-    S^x only links neighbouring digits on each site, each with weight
-    1/sqrt(2), so the result is one gather over the neighbour table.
+    The driver is the Kronecker sum A (x) I + I (x) B of its halves
+    (``driver_factors``).  With the last axis viewed as a row-major grid of
+    3**(n // 2) rows, that is A @ grid + grid @ B (B is symmetric): two
+    matrix products, batched over the leading axes.
     """
-    table = _sx_neighbours(n)
-    padded = np.append(amplitudes, 0)
-    if padded.shape[0] != table.shape[1] + 1:
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.shape[-1] != 3**n:
         raise ValueError(
-            f"state of {padded.shape[0] - 1} amplitudes does not match 3**{n}"
+            f"state of {amplitudes.shape[-1]} amplitudes does not match 3**{n}"
         )
-    return padded[table].sum(axis=0) * _SQRT1_2
+    a, b = driver_factors(n)
+    grid = amplitudes.reshape(*amplitudes.shape[:-1], a.shape[0], b.shape[0])
+    return (a @ grid + grid @ b).reshape(amplitudes.shape)
 
 
 @dataclass(frozen=True)

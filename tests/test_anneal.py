@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -93,6 +95,25 @@ def test_config_rejects_non_finite(field, value):
         AnnealConfig(**{"h": 2.0, field: value})
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"M": 2.5}, "step count M must be an integer, got 2.5"),
+        ({"M": True}, "step count M must be an integer, got True"),
+        ({"M": "100"}, "step count M must be an integer, got '100'"),
+        ({"h": True}, "h must be a number, not a bool, got True"),
+        ({"dt": True}, "dt must be a number, not a bool, got True"),
+    ],
+)
+def test_config_rejects_mistyped_fields(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AnnealConfig(**{"h": 2.0, **kwargs})
+
+
+def test_config_accepts_numpy_integer_steps():
+    assert AnnealConfig(h=2.0, M=np.int64(5)).total_time == pytest.approx(0.5)
+
+
 # ------------------------------------------------------------ initial state
 
 
@@ -166,6 +187,17 @@ def test_bounds_contain_spectrum(n):
         if s in (0.0, 1.0):
             # one term alone: the bounds are its extreme eigenvalues
             np.testing.assert_allclose([lo, hi], lam[[0, -1]], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_is_diagonal_plus_scaled_driver(n, s):
+    rng = np.random.default_rng(40 + n)
+    hf = random_diag(rng, n)
+    h = 2.5
+    got = InstantaneousHamiltonian(s, hf, build_driver(n, h)).dense()
+    expected = np.diag(s * hf.diag) + (1.0 - s) * h * build_driver(n, 1.0).dense()
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
 def test_dimension_mismatch_rejected():
@@ -283,6 +315,13 @@ def test_expm_multiply_zero_vector_needs_no_matvec():
 def test_expm_multiply_rejects_inverted_bounds():
     with pytest.raises(ValueError, match="bounds"):
         expm_multiply_hermitian(lambda x: x, np.ones(3), 0.1, bounds=(1.0, -1.0))
+
+
+def test_expm_multiply_rejects_complex_hamiltonian():
+    # Hermitian but not real: the real-arithmetic recurrence cannot apply it
+    h = np.array([[0.0, 1j], [-1j, 0.0]])
+    with pytest.raises(TypeError, match="real symmetric"):
+        expm_multiply_hermitian(lambda x: x @ h.T, np.ones(2), 0.1, bounds=(-1.0, 1.0))
 
 
 # --------------------------------------------------------------------- step

@@ -344,6 +344,19 @@ def test_sum_sx_apply_matches_dense_driver(n):
     )
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sum_sx_apply_works_along_the_last_axis(n):
+    rng = np.random.default_rng(50 + n)
+    dense = build_driver(n, 1.0).dense()
+    # a complex vector is test_sum_sx_apply_matches_dense_driver's case
+    planes = rng.normal(size=(2, 3**n))
+    batch = rng.normal(size=(3, 3**n)) + 1j * rng.normal(size=(3, 3**n))
+    for v in (planes, batch):
+        got = sum_sx_apply(v, n)
+        assert got.shape == v.shape and got.dtype == v.dtype
+        np.testing.assert_allclose(got, v @ dense, rtol=0, atol=1e-13)
+
+
 def _sum_sx_per_axis(amplitudes, n):
     """Reference: S^x applied site by site on the (3,) * n tensor."""
     psi = amplitudes.reshape((3,) * n)
@@ -373,6 +386,9 @@ def test_sum_sx_apply_rejects_wrong_length():
         sum_sx_apply(np.ones(8), 2)
     with pytest.raises(ValueError):
         sum_sx_apply(np.ones(10), 2)
+    # the right number of amplitudes, but not along the last axis
+    with pytest.raises(ValueError, match="state of 2 amplitudes"):
+        sum_sx_apply(np.ones((9, 2)), 2)
 
 
 def test_driver_on_all_zero_projection_state():
