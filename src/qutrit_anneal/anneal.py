@@ -5,17 +5,19 @@ l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  The
 exact-step mode evaluates each exponential by a Chebyshev expansion
 (Tal-Ezer & Kosloff, 1984).  The spectral bounds of H(s) come free from the
 extremes of the diagonal and the driver's -h n .. h n, the degree is fixed
-a priori where the Bessel coefficients fall below 1e-15, and each term
-costs one matvec and a three-term recurrence; it needs numpy alone.  H(s)
-is real symmetric, so the recurrence runs in real arithmetic on the real
-and imaginary parts of the state, and each matvec applies the driver as a
-Kronecker sum: two matrix products on the state viewed as a grid.  The
-split-step mode is a Strang splitting of the diagonal and driver factors,
-sub-stepped so its final probabilities track exact-step to well under 1e-3;
-it is not used where exact-step accuracy is contractual.  Each step builds
-the driver factor gate^{(x)n} as two Kronecker powers of the 3x3 site
-gate, by repeated squaring, and applies it as two matrix products; the half
-phases of neighbouring substeps are applied as one full phase.
+a priori where the Bessel coefficients fall below 1e-15, and it needs
+numpy alone.  Each step maps H(s) onto [-2, 2] once, folding the scale and
+shift into its diagonal and driver factors, so each term is one apply of
+the mapped operator and one subtraction.  H(s) is real symmetric, so the
+recurrence runs in real arithmetic on the real and imaginary parts of the
+state, and each apply takes the driver as a Kronecker sum: two matrix
+products on the state viewed as a grid.  The split-step mode is a Strang
+splitting of the diagonal and driver factors, sub-stepped so its final
+probabilities track exact-step to well under 1e-3; it is not used where
+exact-step accuracy is contractual.  Each step builds the driver factor
+gate^{(x)n} as two Kronecker powers of the 3x3 site gate, by repeated
+squaring, and applies it as two matrix products; the half phases of
+neighbouring substeps are applied as one full phase.
 
 ``decode`` groups the basis states by ``partition_keys`` in numpy and
 builds one ``Partition`` per distinct partition; the row-to-partition index
@@ -24,6 +26,7 @@ it returns is what the CSV emitter reads.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -152,16 +155,33 @@ class InstantaneousHamiltonian:
         a, b = driver_factors(self.n)
         self._factors = (self._field * a, self._field * b)
         self._diag = (s * hf.diag).reshape(a.shape[0], b.shape[0])
+        self._grid = (-1, *self._diag.shape)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v along the last axis of a (..., 3**n) array, real or complex."""
-        grid = v.reshape(*v.shape[:-1], *self._diag.shape)
+        grid = v.reshape(self._grid)
         out = self._diag * grid
         if self._field != 0.0:
             a, b = self._factors
             out += a @ grid
             out += grid @ b
         return out.reshape(v.shape)
+
+    def rescaled(self, centre: float, scale: float) -> InstantaneousHamiltonian:
+        """Handle for scale * (H - centre), applied to (2, 3**n) arrays only.
+
+        The shift and the scale fold into the diagonal and the driver
+        factors.  The diagonal is stored once per row of the input, so its
+        product needs no broadcast: the rows are the real and imaginary
+        planes that ``expm_multiply_hermitian`` applies H to once per term.
+        """
+        out = copy.copy(self)
+        out._field = scale * self._field
+        out._factors = tuple(scale * f for f in self._factors)
+        diag = scale * (self._diag - centre)
+        out._diag = np.stack([diag, diag])
+        out._grid = out._diag.shape
+        return out
 
     def bounds(self) -> tuple[float, float]:
         """Spectral interval [s min Hf - (1 - s) h n, s max Hf + (1 - s) h n].
@@ -199,6 +219,11 @@ _BESSEL_BIG = 1e150
 
 #: (-i)^k is this sign for even k and -i times it for odd k (k mod 4).
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+#: The Chebyshev recurrence keeps at most this many T_k, so its memory does
+#: not grow with the degree (280 kB at the 7-qutrit cap).  Blocks of 8, 16
+#: and 32 ran the presets equally fast, and 8 holds the fewest states.
+_ROWS = 8
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -238,14 +263,18 @@ def expm_multiply_hermitian(
     exp(-i dt H) = exp(-i dt c) sum_k (2 - [k = 0]) (-i)^k J_k(dt r) T_k
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  The degree is fixed
     before the first matvec by the tail of the Bessel coefficients, and each
-    term costs one matvec through the three-term recurrence of T_k.
+    term costs one matvec through the three-term recurrence of T_k; for
+    bounds (-2, 2) that recurrence is T_{k+1} = H T_k - T_{k-1}, with no
+    scale or shift.
 
     H must be real: the recurrence runs in real arithmetic on the (2, N)
     array of v's real and imaginary parts, and ``matvec`` must map such an
     array row by row to a new real one (the recurrence updates it in
     place); a complex result raises ``TypeError``.
-    The coefficients are real for even k and imaginary for odd k, so the
-    terms go to two real sums, combined into the complex result at the end.
+    The T_k are kept in blocks of ``_ROWS`` and each block is summed with
+    its coefficients by one matrix product.  The coefficients are real for
+    even k and imaginary for odd k, so the terms go to two real sums,
+    combined into the complex result at the end.
     """
     lo, hi = bounds
     if not hi >= lo:
@@ -262,9 +291,14 @@ def expm_multiply_hermitian(
     degree = int(np.flatnonzero(np.abs(j) >= 0.5 * _TAIL)[-1])
     coefs = 2.0 * _SIGNS[np.arange(degree + 1) % 4] * j[: degree + 1]
     coefs[0] = j[0]
+    weights = np.zeros((2, degree + 1))  # even k in row 0, odd k in row 1
+    weights[0, ::2], weights[1, 1::2] = coefs[::2], coefs[1::2]
     scale, shift = 2.0 / radius, 2.0 * centre / radius
-    prev = np.stack([v.real, v.imag])
-    sums = [coefs[0] * prev, np.zeros_like(prev)]  # even and odd k
+    size = min(degree + 1, _ROWS)
+    block = np.empty((size, 2, *v.shape))  # T_k in block[k % size]
+    rows = list(block)
+    prev = rows[0]
+    prev[:] = v.real, v.imag
     if degree:
         cur = matvec(prev)
         if np.iscomplexobj(cur):
@@ -272,17 +306,49 @@ def expm_multiply_hermitian(
                 "matvec returned complex values on a real input: H must be real symmetric"
             )
         cur -= centre * prev
-        cur /= radius
-        sums[1] += coefs[1] * cur
+        cur = np.divide(cur, radius, out=rows[1])
+    sums = np.zeros((2, prev.size))
+    summed = 0  # T_0 .. T_{summed - 1} are in sums
+    flat = block.reshape(size, -1)
     for k in range(2, degree + 1):
+        slot = k % size
         nxt = matvec(cur)
-        nxt *= scale
-        nxt -= shift * cur
-        nxt -= prev
-        sums[k & 1] += coefs[k] * nxt
-        prev, cur = cur, nxt
-    even, odd = sums
-    return phase * ((even[0] + odd[1]) + 1j * (even[1] - odd[0]))
+        if scale != 1.0:
+            nxt *= scale
+        if shift:
+            nxt -= shift * cur
+        prev, cur = cur, np.subtract(nxt, prev, out=rows[slot])
+        if slot == size - 1:  # block holds T_summed .. T_k in order
+            sums += weights[:, summed : k + 1] @ flat
+            summed = k + 1
+    sums += weights[:, summed:] @ flat[: degree + 1 - summed]
+    (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, *v.shape)
+    return phase * ((even_re + odd_im) + 1j * (even_im - odd_re))
+
+
+def _exact_step(
+    amplitudes: np.ndarray,
+    s: float,
+    hf: DiagonalHamiltonian,
+    drv: DriverHamiltonian,
+    dt: float,
+) -> np.ndarray:
+    """exp(-i dt H(s)) on the amplitudes, expanding H(s) mapped onto [-2, 2].
+
+    With c and r the centre and half-width of ``bounds()``, H(s) = c + (r/2) H~
+    for H~ = 2 (H(s) - c) / r, so the step is the phase exp(-i dt c) times
+    exp(-i (r dt / 2) H~), and each Chebyshev term is one apply of H~.  A
+    zero-width H(s) is c times the identity: H~ is then H(s) - c = 0 and the
+    expansion makes no matvec.
+    """
+    op = InstantaneousHamiltonian(s, hf, drv)
+    lo, hi = op.bounds()
+    centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    mapped = op.rescaled(centre, 2.0 / radius if radius else 1.0)
+    amplitudes = expm_multiply_hermitian(
+        mapped.matvec, amplitudes, 0.5 * radius * dt, bounds=(-2.0, 2.0)
+    )
+    return np.exp(-1j * dt * centre) * amplitudes
 
 
 def step(
@@ -293,11 +359,9 @@ def step(
     dt: float,
 ) -> StateVector:
     """Advance the state by exp(-i * dt * H(s))."""
-    op = InstantaneousHamiltonian(s, hf, drv)
-    amps = expm_multiply_hermitian(
-        op.matvec, state.amplitudes, dt, bounds=op.bounds()
+    return StateVector(
+        n=state.n, amplitudes=_exact_step(state.amplitudes, s, hf, drv, dt)
     )
-    return StateVector(n=state.n, amplitudes=amps)
 
 
 def _site_rotation(theta: float) -> np.ndarray:
@@ -368,8 +432,7 @@ def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> StateVector:
         if cfg.mode == MODE_SPLIT:
             amps = _split_step(amps, s, hf, drv, cfg.dt)
         else:
-            op = InstantaneousHamiltonian(s, hf, drv)
-            amps = expm_multiply_hermitian(op.matvec, amps, cfg.dt, bounds=op.bounds())
+            amps = _exact_step(amps, s, hf, drv, cfg.dt)
     return StateVector(n=hf.n, amplitudes=amps)
 
 

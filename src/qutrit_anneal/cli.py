@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 run completed and the decoded partition matches the oracle,
-1 run completed but mismatched, 2 input or validation error, 3 instance
-exceeds a size guard.
+1 run completed but mismatched, 2 input or validation error or an output
+file that cannot be written, 3 instance exceeds a size guard.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_failed(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _execute(spec, emit_arg: str | None, out_arg: str | None) -> int:
     if emit_arg is None:
         formats = list(spec.emit)
@@ -102,7 +107,10 @@ def _execute(spec, emit_arg: str | None, out_arg: str | None) -> int:
     out_dir = spec.out_dir if out_arg is None else out_arg
     result = run(spec)
     sys.stdout.write(render_table(result))
-    written = emit(result, formats, out_dir)
+    try:
+        written = emit(result, formats, out_dir)
+    except OSError as exc:
+        return _write_failed(exc)
     for path in written:
         print(f"wrote {path}")
     return EXIT_MATCH if result.match else EXIT_MISMATCH
@@ -122,10 +130,12 @@ def main(argv=None) -> int:
             text = json.dumps(skeleton, indent=2) + "\n"
             sys.stdout.write(text)
             if args.out is not None:
-                out_dir = Path(args.out)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                path = out_dir / (skeleton["name"] + ".json")
-                path.write_text(text)
+                path = Path(args.out) / (skeleton["name"] + ".json")
+                try:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_text(text)
+                except OSError as exc:
+                    return _write_failed(exc)
                 print(f"wrote {path}", file=sys.stderr)
             return EXIT_MATCH
         if args.command == "preset":

@@ -84,6 +84,17 @@ class ProblemSpec:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
+        # the name becomes the emitted files' names inside out_dir
+        name = self.name
+        if (
+            not isinstance(name, str)
+            or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")
+        ):
+            raise SpecError(
+                f"'name' must be a plain file name: not empty, '.' or '..', "
+                f"and without '/', '\\' or NUL, got {name!r}"
+            )
         emit = tuple(self.emit)
         unknown = [f for f in emit if f not in EMIT_FORMATS]
         if unknown:

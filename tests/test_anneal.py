@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import numpy as np
@@ -37,6 +38,9 @@ from qutrit_anneal.hamiltonians import (
     build_penalty_kmeanspp,
 )
 from qutrit_anneal.spin import basis_index, spin_operator
+
+# the package exports the function anneal under its module's name
+anneal_module = importlib.import_module("qutrit_anneal.anneal")
 
 SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
 
@@ -200,6 +204,21 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.4, 1.0])
+def test_rescaled_is_an_affine_map_of_h(s):
+    rng = np.random.default_rng(50)
+    op = InstantaneousHamiltonian(s, random_diag(rng, 3), build_driver(3, 2.5))
+    lo, hi = op.bounds()
+    centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    mapped = op.rescaled(centre, 2.0 / radius)
+    planes = rng.normal(size=(2, 27))
+    expected = (2.0 / radius) * (op.matvec(planes) - centre * planes)
+    np.testing.assert_allclose(mapped.matvec(planes), expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mapped.bounds(), (-2.0, 2.0), rtol=0, atol=1e-14)
+    # the handle it was made from is unchanged
+    np.testing.assert_allclose(op.bounds(), (lo, hi), rtol=0, atol=0)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         instantaneous_hamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(3, 1.0))
@@ -312,6 +331,22 @@ def test_expm_multiply_zero_vector_needs_no_matvec():
     np.testing.assert_array_equal(got, np.zeros(9, dtype=complex))
 
 
+@pytest.mark.parametrize("rows", [3, 4, 8, 29, 10_000])
+def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
+    # degree 86: T_0 .. T_86 fill 29 blocks of 3 rows or 3 of 29 exactly,
+    # leave a partial last block with 4 or 8 rows, and fit one of 10,000
+    rng = np.random.default_rng(14)
+    hf = random_diag(rng, 3, scale=100.0)
+    op = InstantaneousHamiltonian(0.5, hf, build_driver(3, 8.0))
+    v = unit_vector(rng, 27)
+    matvec, calls = counting(op.matvec)
+    monkeypatch.setattr(anneal_module, "_ROWS", rows)
+    got = expm_multiply_hermitian(matvec, v, 0.8, bounds=op.bounds())
+    assert len(calls) == 86
+    expected = expm(-0.8j * op.dense()) @ v
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 def test_expm_multiply_rejects_inverted_bounds():
     with pytest.raises(ValueError, match="bounds"):
         expm_multiply_hermitian(lambda x: x, np.ones(3), 0.1, bounds=(1.0, -1.0))
@@ -359,6 +394,43 @@ def test_single_qutrit_step_matches_analytic_diagonalization():
     assert np.linalg.norm(got.amplitudes - exact) < 1e-9
 
 
+@pytest.mark.parametrize("s", [0.0, 1e-3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_step_matches_dense_expm(n, s):
+    rng = np.random.default_rng(60 + n)
+    hf = random_diag(rng, n, scale=60.0)
+    drv = build_driver(n, 6.0)
+    v = unit_vector(rng, 3**n)
+    dense = InstantaneousHamiltonian(s, hf, drv).dense()
+    got = step(StateVector(n, v), s, hf, drv, 0.1).amplitudes
+    np.testing.assert_allclose(got, expm(-0.1j * dense) @ v, rtol=0, atol=1e-12)
+
+
+def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
+    # a constant Hf at s = 1: H(s) is 1.5 times the identity
+    hf = DiagonalHamiltonian(2, np.full(9, 1.5))
+    matvec, calls = counting(InstantaneousHamiltonian.matvec)
+    monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
+    v = unit_vector(np.random.default_rng(9), 9)
+    got = step(StateVector(2, v), 1.0, hf, build_driver(2, 1.0), 0.4)
+    assert not calls
+    np.testing.assert_array_equal(got.amplitudes, np.exp(-1j * 0.4 * 1.5) * v)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.9, 1.0])
+def test_step_makes_the_a_priori_degree_of_matvecs(monkeypatch, s):
+    # the degree is the last k with 2 |J_k(dt r)| >= 1e-15, r the half-width
+    rng = np.random.default_rng(70)
+    hf, drv, dt = random_diag(rng, 3, scale=80.0), build_driver(3, 5.0), 0.1
+    lo, hi = InstantaneousHamiltonian(s, hf, drv).bounds()
+    j = jv(np.arange(200), dt * 0.5 * (hi - lo))
+    degree = np.flatnonzero(2.0 * np.abs(j) >= 1e-15)[-1]
+    matvec, calls = counting(InstantaneousHamiltonian.matvec)
+    monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
+    step(initial_state(3, 5.0), s, hf, drv, dt)
+    assert len(calls) == degree > 0
+
+
 # ------------------------------------------------------------------- anneal
 
 
@@ -370,6 +442,16 @@ def test_anneal_single_step_unrolls():
     expected = step(step(initial_state(2, 2.0), 0.0, hf, drv, 0.05), 1.0, hf, drv, 0.05)
     got = anneal(cfg, hf)
     np.testing.assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
+
+
+def test_anneal_steps_are_bitwise_those_of_step():
+    # anneal and step share one exact-step path
+    rng = np.random.default_rng(16)
+    hf = random_diag(rng, 4, scale=40.0)
+    drv = build_driver(4, 3.0)
+    expected = step(step(initial_state(4, 3.0), 0.0, hf, drv, 0.1), 1.0, hf, drv, 0.1)
+    got = anneal(AnnealConfig(h=3.0, M=1, dt=0.1), hf)
+    np.testing.assert_array_equal(got.amplitudes, expected.amplitudes)
 
 
 def test_anneal_matches_dense_factor_product():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -160,6 +162,16 @@ def test_svg_has_marker_group_sizes_3_2_1(preset_result):
     assert 'version="1.1"' in svg
 
 
+def test_svg_escapes_the_spec_name(tmp_path, tiny_result):
+    named = dataclasses.replace(
+        tiny_result, spec=dataclasses.replace(tiny_result.spec, name="a<b&c")
+    )
+    (path,) = emit(named, ["svg"], tmp_path)
+    assert path.name == "a<b&c.svg"
+    title = minidom.parse(str(path)).getElementsByTagName("text")[0]
+    assert title.firstChild.data.startswith("a<b&c: top partition")
+
+
 def test_emit_writes_requested_files(tmp_path, tiny_result):
     paths = emit(tiny_result, ["table", "csv", "svg"], tmp_path)
     names = {p.name for p in paths}
@@ -208,6 +220,31 @@ def test_cli_uses_spec_output_targets(tmp_path, tiny_spec_dict):
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "nested" / "tiny.csv").exists()
     assert not (tmp_path / "nested" / "tiny.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["sub/dir", "../escaped"])
+def test_cli_spec_name_with_a_path_is_input_error(tmp_path, tiny_spec_dict, capsys, name):
+    tiny_spec_dict["name"] = name
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--emit", "table,csv,svg", "--out", str(out)]) == 2
+    assert "'name'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
+def test_cli_unwritable_output_is_input_error(tmp_path, tiny_spec_dict, capsys):
+    # --out names an existing regular file, so no directory can be made there
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny_spec_dict))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["run", str(path), "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and "taken" in err
+    assert main(["generate", "--n", "4", "--seed", "2", "--out", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output:")
+    assert blocker.read_text() == ""
 
 
 def test_cli_size_guard_exit_code(tmp_path, capsys):

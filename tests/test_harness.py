@@ -94,6 +94,23 @@ def test_spec_seed_must_be_int_not_bool(tiny_spec_dict, bad):
     assert spec_from_dict(tiny_spec_dict).seed == 7
 
 
+@pytest.mark.parametrize("bad", ["", ".", "..", "sub/dir", "../escaped", "a\\b", "nul\0"])
+def test_spec_name_must_be_a_plain_file_name(tiny_spec_dict, bad):
+    # the name becomes the emitted files' names inside the output directory
+    tiny_spec_dict["name"] = bad
+    with pytest.raises(SpecError, match="'name'"):
+        spec_from_dict(tiny_spec_dict)
+    spec = spec_from_dict({**tiny_spec_dict, "name": "tiny"})
+    with pytest.raises(SpecError, match="'name'"):
+        ProblemSpec(points=spec.points, scheme=spec.scheme, anneal=spec.anneal, name=bad)
+
+
+def test_spec_name_may_hold_dots_and_markup(tiny_spec_dict):
+    for name in ("a.b", "...", "a<b&c", "run 1"):
+        tiny_spec_dict["name"] = name
+        assert spec_from_dict(tiny_spec_dict).name == name
+
+
 def test_spec_kmeanspp_k_from_centroids(tiny_spec_dict):
     tiny_spec_dict["method"] = "kmeanspp"
     tiny_spec_dict["centroids"] = [0, 1]
