@@ -15,11 +15,9 @@ from .anneal import (
     ReadoutReport,
     StateVector,
     anneal,
-    basis_partition_labels,
     decode,
     expm_multiply_hermitian,
     initial_state,
-    instantaneous_hamiltonian,
     step,
 )
 from .clustering import (
@@ -46,16 +44,14 @@ from .hamiltonians import (
     METHODS,
     DiagonalHamiltonian,
     DriverHamiltonian,
+    Encoding,
     EncodingScheme,
     block_state_index,
     block_state_list,
     build_driver,
-    build_k2_penalty,
-    build_kmeanspp,
     build_onehot_k3,
     build_onehot_k3_pinned,
     build_onehot_multispin,
-    build_penalty_kmeanspp,
     build_penalty_onehot,
     spins_per_point,
 )

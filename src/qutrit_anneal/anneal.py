@@ -19,8 +19,9 @@ gate^{(x)n} as two Kronecker powers of the 3x3 site gate, by repeated
 squaring, and applies it as two matrix products; the half phases of
 neighbouring substeps are applied as one full phase.
 
-``decode`` groups the basis states by ``partition_keys`` in numpy and
-builds one ``Partition`` per distinct partition; the row-to-partition index
+``decode`` groups the rows of the encoding's label table by
+``partition_keys`` in numpy and builds one ``Partition`` per distinct
+partition; the row-to-partition index
 it returns is what the CSV emitter reads.
 """
 
@@ -30,24 +31,17 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .clustering import Partition, partition_keys
 from .hamiltonians import (
-    METHOD_KMEANSPP,
-    METHOD_ONEHOT_K2_PENALTY,
-    METHOD_ONEHOT_K3,
-    METHOD_ONEHOT_K3_PINNED,
-    METHOD_ONEHOT_MULTISPIN,
     DiagonalHamiltonian,
     DriverHamiltonian,
-    EncodingScheme,
-    block_state_index,
+    Encoding,
     driver_factors,
 )
-from .spin import block_values, digit_table
 
 MODE_EXACT = "exact-step"
 MODE_SPLIT = "split-step"
@@ -197,13 +191,6 @@ class InstantaneousHamiltonian:
         """Dense matrix form, for small registers and tests."""
         # row k is H e_k, which is column k as H is symmetric
         return self.matvec(np.eye(3**self.n))
-
-
-def instantaneous_hamiltonian(
-    s: float, hf: DiagonalHamiltonian, drv: DriverHamiltonian
-) -> InstantaneousHamiltonian:
-    """Operator handle for the schedule Hamiltonian at interpolation s."""
-    return InstantaneousHamiltonian(s, hf, drv)
 
 
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
@@ -455,96 +442,19 @@ class ReadoutReport:
     invalid_probability: float
 
 
-def basis_partition_labels(
-    n: int,
-    scheme: EncodingScheme,
-    pinned: bool,
-    centroid_indices: tuple[int, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-basis-state point labels and the invalid-state mask.
-
-    Returns a (3**n, n_points) label array and a boolean mask marking basis
-    states that decode to no valid partition under the scheme.
-    """
-    dim = 3**n
-    method = scheme.method
-    if method in (METHOD_ONEHOT_K3, METHOD_ONEHOT_K3_PINNED, METHOD_ONEHOT_K2_PENALTY):
-        digits = digit_table(n)
-        if pinned:
-            pin_col = np.zeros((dim, 1), dtype=digits.dtype)
-            labels = np.hstack([pin_col, digits])
-        else:
-            labels = digits
-        if method == METHOD_ONEHOT_K2_PENALTY:
-            invalid = (labels == 2).any(axis=1)
-        else:
-            invalid = np.zeros(dim, dtype=bool)
-        return labels, invalid
-    s = scheme.spins_per_point
-    if n % s:
-        raise ValueError(
-            f"a {n}-qutrit register does not divide into blocks of {s}"
-        )
-    n_blocks = n // s
-    blocks = np.stack([block_values(n, p * s, s) for p in range(n_blocks)], axis=1)
-    if method == METHOD_ONEHOT_MULTISPIN:
-        invalid = (blocks >= scheme.K).any(axis=1)
-        return blocks, invalid
-    # kmeanspp: match each free block against the centroid states
-    lookup = np.full(3**s, -1)
-    for c, st in enumerate(scheme.centroid_states):
-        lookup[block_state_index(st)] = c
-    free_labels = lookup[blocks]
-    invalid = (free_labels < 0).any(axis=1)
-    n_points = scheme.K + n_blocks
-    if any(not 0 <= p < n_points for p in centroid_indices):
-        raise ValueError(f"centroid indices must lie in [0, {n_points})")
-    labels = np.empty((dim, n_points), dtype=free_labels.dtype)
-    centroid_set = set(centroid_indices)
-    free_positions = [p for p in range(n_points) if p not in centroid_set]
-    for c, p in enumerate(centroid_indices):
-        labels[:, p] = c
-    for k, p in enumerate(free_positions):
-        labels[:, p] = free_labels[:, k]
-    return labels, invalid
-
-
-def decode(
-    state: StateVector,
-    scheme: EncodingScheme,
-    pinned: bool | None = None,
-    centroid_indices: Sequence[int] | None = None,
-) -> ReadoutReport:
+def decode(state: StateVector, encoding: Encoding) -> ReadoutReport:
     """Aggregate basis probabilities into set-partition probabilities.
 
-    ``pinned`` must be given for the K2 method (its register size alone does
-    not reveal whether point 0 was dropped); for the other methods it is
-    implied.  ``centroid_indices`` maps kmeanspp clusters back to the point
-    numbering and is required there.
+    Each basis state decodes to the partition of its row of the encoding's
+    label table; the rows the encoding marks invalid decode to none.
     """
-    method = scheme.method
-    if method == METHOD_ONEHOT_K3_PINNED:
-        pinned = True
-    elif method == METHOD_ONEHOT_K2_PENALTY:
-        if pinned is None:
-            raise ValueError("the K2 method needs an explicit pinned flag to decode")
-    else:
-        if pinned:
-            raise ValueError(f"{method} has no pinned variant")
-        pinned = False
-    if method == METHOD_KMEANSPP:
-        if centroid_indices is None:
-            raise ValueError("kmeanspp decoding needs the centroid point indices")
-        centroid_indices = tuple(int(i) for i in centroid_indices)
-        if len(centroid_indices) != scheme.K:
-            raise ValueError(
-                f"expected {scheme.K} centroid indices, got {len(centroid_indices)}"
-            )
-    elif centroid_indices is not None:
-        raise ValueError(f"{method} does not take centroid indices")
-
+    if state.n != encoding.n_qutrits:
+        raise ValueError(
+            f"a {state.n}-qutrit state does not fit the encoding's "
+            f"{encoding.n_qutrits}-qutrit register"
+        )
     probs = state.probabilities()
-    labels, invalid = basis_partition_labels(state.n, scheme, pinned, centroid_indices)
+    labels, invalid = encoding.labels, encoding.invalid
     valid = np.flatnonzero(~invalid)
     if not valid.size:
         raise ValueError("no valid basis states to decode")
@@ -560,7 +470,7 @@ def decode(
     # bincount adds in basis order, as a running sum over the states would
     sums = np.bincount(index[valid], weights=probs[valid])
     partition_probs = {
-        Partition(row, scheme.K): p
+        Partition(row, encoding.K): p
         for row, p in zip(labels[valid[first[order]]].tolist(), sums.tolist())
     }
     top_partition, top_probability = max(

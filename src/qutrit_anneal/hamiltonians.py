@@ -2,7 +2,10 @@
 
 Every final Hamiltonian produced here is stored as a plain real vector of
 length 3**n: each clustering encoding only ever needs projector products
-that are diagonal in the z basis.  The transverse-field driver is applied
+that are diagonal in the z basis.  All of them are one pair sum and one
+penalty sum over an ``Encoding``'s per-basis-state label table, and
+``METHOD_TRAITS`` holds all that sets the methods apart.  The
+transverse-field driver is applied
 as the Kronecker sum of two small dense factors, one per half of the
 register (at most 81 x 81), so no 3**n x 3**n matrix is ever formed.
 """
@@ -10,16 +13,17 @@ register (at most 81 x 81), so no 3**n x 3**n matrix is ever formed.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .clustering import DistanceMatrix
+from .errors import SpecError
 from .spin import (
     block_values,
     digit_from_projection,
-    digit_table,
     projection_from_digit,
     spin_operator,
 )
@@ -30,13 +34,49 @@ METHOD_ONEHOT_K2_PENALTY = "one-hot-K2-penalty"
 METHOD_ONEHOT_MULTISPIN = "one-hot-multispin"
 METHOD_KMEANSPP = "kmeanspp"
 
-METHODS = (
-    METHOD_ONEHOT_K3,
-    METHOD_ONEHOT_K3_PINNED,
-    METHOD_ONEHOT_K2_PENALTY,
-    METHOD_ONEHOT_MULTISPIN,
-    METHOD_KMEANSPP,
-)
+
+@dataclass(frozen=True)
+class MethodTraits:
+    """What a method name decides about its encoding.
+
+    ``K`` is the cluster count the method fixes (None: the spec gives it).
+    ``pinned`` says whether point 0 sits at label 0 off the register: always,
+    never, or None for the spec to choose (default yes); ``variant`` is the
+    method with the same encoding and the other pinning.  With ``centroids``
+    the K centroid points sit at fixed labels off the register and only
+    centroid-to-free pairs are coupled; otherwise every pair is.  With
+    ``constant_penalty`` a point in a block state no cluster uses pays a
+    constant and sits apart from every other point; without it (K2) such
+    points share a label and each pays twice its distances to the others.
+    """
+
+    K: int | None = None
+    pinned: bool | None = False
+    variant: str | None = None
+    centroids: bool = False
+    constant_penalty: bool = False
+
+
+#: The only place that tells the methods apart.
+METHOD_TRAITS = {
+    METHOD_ONEHOT_K3: MethodTraits(K=3, variant=METHOD_ONEHOT_K3_PINNED),
+    METHOD_ONEHOT_K3_PINNED: MethodTraits(K=3, pinned=True, variant=METHOD_ONEHOT_K3),
+    METHOD_ONEHOT_K2_PENALTY: MethodTraits(K=2, pinned=None),
+    METHOD_ONEHOT_MULTISPIN: MethodTraits(constant_penalty=True),
+    METHOD_KMEANSPP: MethodTraits(centroids=True, constant_penalty=True),
+}
+
+METHODS = tuple(METHOD_TRAITS)
+
+
+def pinned_method(method: str, pinned: bool) -> str:
+    """The method with ``method``'s encoding and point 0 pinned or not."""
+    traits = METHOD_TRAITS[method]
+    if traits.pinned is None or traits.pinned == pinned:
+        return method
+    if traits.variant is None:
+        raise SpecError(f"method {method!r} has no pinned variant")
+    return traits.variant
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +108,6 @@ class DiagonalHamiltonian:
             raise ValueError("cannot add diagonals over different registers")
         return DiagonalHamiltonian(self.n, self.diag + other.diag)
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.diag * amplitudes
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,7 +222,8 @@ class EncodingScheme:
 
     ``centroid_states`` is only meaningful for the kmeanspp method and
     defaults to the first K block states; ``penalty_constant`` overrides the
-    default of twice the largest distance when penalties are needed.
+    default of twice the largest distance, and is accepted only where a
+    constant penalty applies.
     """
 
     method: str
@@ -194,16 +233,13 @@ class EncodingScheme:
     penalty_constant: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in METHOD_TRAITS:
             raise ValueError(
                 f"unknown method {self.method!r}, expected one of {METHODS}"
             )
-        if self.method == METHOD_ONEHOT_K3 or self.method == METHOD_ONEHOT_K3_PINNED:
-            if self.K != 3:
-                raise ValueError(f"{self.method} requires K=3, got {self.K}")
-        elif self.method == METHOD_ONEHOT_K2_PENALTY:
-            if self.K != 2:
-                raise ValueError(f"{self.method} requires K=2, got {self.K}")
+        traits = self.traits
+        if traits.K is not None and self.K != traits.K:
+            raise ValueError(f"{self.method} requires K={traits.K}, got {self.K}")
         s = spins_per_point(self.K)
         if self.spins_per_point == 0:
             object.__setattr__(self, "spins_per_point", s)
@@ -211,14 +247,13 @@ class EncodingScheme:
             raise ValueError(
                 f"K={self.K} needs {s} qutrits per point, got {self.spins_per_point}"
             )
-        if self.method == METHOD_KMEANSPP:
+        if traits.centroids:
             states = self.centroid_states
             if states is None:
                 states = block_state_list(s)[: self.K]
-            states = tuple(tuple(int(m) for m in st) for st in states)
             if len(states) != self.K:
                 raise ValueError(
-                    f"kmeanspp needs exactly K={self.K} centroid states, got {len(states)}"
+                    f"{self.method} needs exactly K={self.K} centroid states, got {len(states)}"
                 )
             for st in states:
                 if len(st) != s:
@@ -227,163 +262,174 @@ class EncodingScheme:
                     )
                 for m in st:
                     digit_from_projection(m)
+            states = tuple(tuple(int(m) for m in st) for st in states)
             if len(set(states)) != len(states):
                 raise ValueError("centroid states must be distinct")
             object.__setattr__(self, "centroid_states", states)
         elif self.centroid_states is not None:
             raise ValueError(f"{self.method} does not take centroid states")
-        if self.penalty_constant is not None and not self.penalty_constant > 0:
-            raise ValueError("penalty constant must be positive")
+        if self.penalty_constant is not None:
+            if not self.penalty_constant > 0:
+                raise ValueError("penalty constant must be positive")
+            if not self.has_constant_penalty:
+                raise ValueError(
+                    f"{self.method} with K={self.K} has no constant penalty, "
+                    "so a penalty constant does not apply"
+                )
+
+    @property
+    def traits(self) -> MethodTraits:
+        return METHOD_TRAITS[self.method]
+
+    @property
+    def has_constant_penalty(self) -> bool:
+        """Whether a block can sit in a state no cluster uses, at a constant penalty."""
+        return self.traits.constant_penalty and self.K < 3**self.spins_per_point
+
+
+class Encoding:
+    """How one problem's points live on the register, and its final Hamiltonian.
+
+    Every encoding's final Hamiltonian is the sum over the coupled ``pairs``
+    of d_ij (2 [l_i = l_j] - 1), plus a per-point penalty for each point
+    whose label says it sits in a state no cluster uses.  ``labels[b, p]`` is
+    the label of point p in basis state b: a cluster below K, or K and above
+    for such a point, which makes the whole row ``invalid``.  ``points`` are
+    the points on the register in register order, one block of
+    ``scheme.spins_per_point`` qutrits each; a pinned point 0 and the
+    centroids sit at fixed labels off it, and ``fixed`` gives the centroids'
+    labels to the oracle.  The label table is built on first use, so a
+    register past the size guard costs nothing until it is run.
+    """
+
+    def __init__(
+        self,
+        scheme: EncodingScheme,
+        n_points: int,
+        pinned: bool = False,
+        centroids: Sequence[int] | None = None,
+    ):
+        traits = scheme.traits
+        if traits.centroids:
+            if not centroids:
+                raise SpecError(
+                    f"{scheme.method} requires a list of centroid point indices"
+                )
+            centroids = tuple(int(i) for i in centroids)
+            if len(set(centroids)) != len(centroids):
+                raise SpecError("centroid indices must be distinct")
+            if len(centroids) != scheme.K:
+                raise SpecError(f"expected {scheme.K} centroids, got {len(centroids)}")
+            if any(not 0 <= c < n_points for c in centroids):
+                raise SpecError(f"centroid indices must lie in [0, {n_points})")
+            if len(centroids) >= n_points:
+                raise SpecError("at least one point must remain free")
+        elif centroids:
+            raise SpecError(f"method {scheme.method!r} does not take centroids")
+        else:
+            centroids = None
+        if traits.pinned is not None:
+            if pinned and not traits.pinned:
+                raise SpecError(f"method {scheme.method!r} does not pin point 0")
+            pinned = traits.pinned
+        off = set(centroids or ()) | ({0} if pinned else set())
+        self.scheme = scheme
+        self.K = scheme.K
+        self.n_points = n_points
+        self.pinned = bool(pinned)
+        self.centroids = centroids
+        self.points = tuple(p for p in range(n_points) if p not in off)
+        self.n_qutrits = len(self.points) * scheme.spins_per_point
+        if not self.n_qutrits:
+            raise SpecError("register would be empty")
+        if centroids:
+            self.pairs = tuple((c, j) for c in centroids for j in self.points)
+            self.fixed = {p: c for c, p in enumerate(centroids)}
+        else:
+            self.pairs = tuple(itertools.combinations(range(n_points), 2))
+            self.fixed = None
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        K, width, n = self.K, self.scheme.spins_per_point, self.n_qutrits
+        cluster = np.full(3**width, -1)
+        states = self.scheme.centroid_states or block_state_list(width)[:K]
+        cluster[[block_state_index(st) for st in states]] = np.arange(K)
+        dtype = np.min_scalar_type(K + self.n_points)
+        labels = np.zeros((3**n, self.n_points), dtype=dtype)  # pinned point 0: 0
+        for c, p in enumerate(self.centroids or ()):
+            labels[:, p] = c
+        for k, p in enumerate(self.points):
+            col = cluster[block_values(n, k * width, width)]
+            unused = K + p if self.scheme.traits.constant_penalty else K
+            labels[:, p] = np.where(col >= 0, col, unused)
+        labels.flags.writeable = False
+        return labels
+
+    @functools.cached_property
+    def invalid(self) -> np.ndarray:
+        return (self.labels >= self.K).any(axis=1)
+
+    def pair_sum(self, d: np.ndarray) -> np.ndarray:
+        """Sum over the coupled pairs of d[i, j] (2 [l_i = l_j] - 1), per basis state."""
+        labels = self.labels
+        out = np.zeros(labels.shape[0])
+        for i, j in self.pairs:
+            out += d[i, j] * np.where(labels[:, i] == labels[:, j], 1.0, -1.0)
+        return out
+
+    def penalty_weights(self, dm: DistanceMatrix) -> np.ndarray:
+        """Per-point penalty for sitting in a state no cluster uses.
+
+        A constant penalty defaults to twice the largest distance; K2's is
+        twice the point's distances to all the others.
+        """
+        if not self.scheme.traits.constant_penalty:
+            return 2.0 * dm.d.sum(axis=1)
+        a = self.scheme.penalty_constant
+        return np.full(self.n_points, 2.0 * dm.max_distance if a is None else float(a))
+
+    def penalty_sum(self, weights: np.ndarray) -> np.ndarray:
+        """Sum of ``weights[p]`` over the points p in an unused state, per basis state."""
+        out = np.zeros(self.labels.shape[0])
+        for p, w in enumerate(weights):
+            out += w * (self.labels[:, p] >= self.K)
+        return out
+
+    def hamiltonian(self, dm: DistanceMatrix) -> DiagonalHamiltonian:
+        """The final Hamiltonian: the pair sum, plus the penalty sum where states go unused."""
+        diag = self.pair_sum(dm.d)
+        if self.invalid.any():
+            diag = diag + self.penalty_sum(self.penalty_weights(dm))
+        return DiagonalHamiltonian(self.n_qutrits, diag)
 
 
 def build_onehot_k3(dm: DistanceMatrix) -> DiagonalHamiltonian:
     """One qutrit per point: equal projections attract, unequal ones repel."""
-    n = dm.n_points
-    digits = digit_table(n)
-    diag = np.zeros(3**n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sign = np.where(digits[:, i] == digits[:, j], 1.0, -1.0)
-            diag += dm.d[i, j] * sign
-    return DiagonalHamiltonian(n, diag)
+    scheme = EncodingScheme(METHOD_ONEHOT_K3, K=3)
+    return Encoding(scheme, dm.n_points).hamiltonian(dm)
 
 
 def build_onehot_k3_pinned(dm: DistanceMatrix) -> DiagonalHamiltonian:
-    """Three-cluster form with point 0 held at projection 1.
+    """Three-cluster form with point 0 held at projection 1, off the register.
 
-    The register shrinks to N - 1 qutrits (qutrit j - 1 represents point j);
-    pairs with the pinned point become single-site field terms.
+    Its diagonal is bitwise the slice of the unpinned one where point 0 sits
+    at projection 1: the pairs are summed in the same order.
     """
-    npts = dm.n_points
-    if npts < 2:
-        raise ValueError("pinning needs at least 2 points")
-    n = npts - 1
-    digits = digit_table(n)
-    diag = np.zeros(3**n)
-    # field terms first: same accumulation order as the unpinned builder, so
-    # this diagonal is bitwise equal to the slice of it where point 0 sits
-    # at projection 1 (digit 0 is projection 1)
-    for j in range(1, npts):
-        diag += dm.d[0, j] * np.where(digits[:, j - 1] == 0, 1.0, -1.0)
-    for i in range(1, npts):
-        for j in range(i + 1, npts):
-            sign = np.where(digits[:, i - 1] == digits[:, j - 1], 1.0, -1.0)
-            diag += dm.d[i, j] * sign
-    return DiagonalHamiltonian(n, diag)
-
-
-def build_k2_penalty(dm: DistanceMatrix, pinned: bool = True) -> DiagonalHamiltonian:
-    """Two-cluster form: projections 1 and 0 name the clusters, -1 is penalized.
-
-    Each unordered pair contributes the usual coincidence term plus
-    2 * d[i][j] for every member sitting at projection -1.  With ``pinned``
-    the first point is held at projection 1 and dropped from the register.
-    """
-    npts = dm.n_points
-    n = npts - 1 if pinned else npts
-    if n < 1:
-        raise ValueError("register would be empty")
-    digits = digit_table(n)
-    dim = 3**n
-    cols = []
-    for p in range(npts):
-        if pinned and p == 0:
-            cols.append(np.zeros(dim, dtype=digits.dtype))
-        else:
-            cols.append(digits[:, p - 1 if pinned else p])
-    diag = np.zeros(dim)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            sign = np.where(cols[i] == cols[j], 1.0, -1.0)
-            penalized = (cols[i] == 2).astype(float) + (cols[j] == 2)
-            diag += dm.d[i, j] * (sign + 2.0 * penalized)
-    return DiagonalHamiltonian(n, diag)
+    scheme = EncodingScheme(METHOD_ONEHOT_K3_PINNED, K=3)
+    return Encoding(scheme, dm.n_points).hamiltonian(dm)
 
 
 def build_onehot_multispin(dm: DistanceMatrix, K: int) -> DiagonalHamiltonian:
-    """General one-hot form: clusters are numbered by multi-qutrit block states.
-
-    Each point owns a contiguous block of ceil(log3 K) qutrits.  Two points
-    attract when their blocks agree on one of the first K block states and
-    repel otherwise.
-    """
-    s = spins_per_point(K)
-    npts = dm.n_points
-    n = npts * s
-    blocks = np.stack([block_values(n, p * s, s) for p in range(npts)], axis=1)
-    diag = np.zeros(3**n)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            same = (blocks[:, i] == blocks[:, j]) & (blocks[:, i] < K)
-            diag += dm.d[i, j] * np.where(same, 1.0, -1.0)
-    return DiagonalHamiltonian(n, diag)
+    """Block one-hot pair sum, without the penalty: two points attract when
+    their blocks agree on one of the first K block states, and repel otherwise."""
+    encoding = Encoding(EncodingScheme(METHOD_ONEHOT_MULTISPIN, K), dm.n_points)
+    return DiagonalHamiltonian(encoding.n_qutrits, encoding.pair_sum(dm.d))
 
 
 def build_penalty_onehot(n_points: int, K: int, a: float) -> DiagonalHamiltonian:
     """Constant penalty a per point whose block sits outside the first K states."""
-    if not a > 0:
-        raise ValueError("penalty constant a must be positive")
-    s = spins_per_point(K)
-    if not 3 ** (s - 1) < K < 3**s:
-        raise ValueError(
-            f"K={K} leaves no forbidden block states on {s} qutrit(s) per point"
-        )
-    n = n_points * s
-    diag = np.zeros(3**n)
-    for p in range(n_points):
-        diag += float(a) * (block_values(n, p * s, s) >= K)
-    return DiagonalHamiltonian(n, diag)
-
-
-def build_kmeanspp(
-    d_centroid_point: np.ndarray, scheme: EncodingScheme
-) -> DiagonalHamiltonian:
-    """Couple free points to fixed centroid block states.
-
-    ``d_centroid_point[c, j]`` is the distance from centroid c to free point
-    j; only the free points live on the register, one block each.
-    """
-    if scheme.method != METHOD_KMEANSPP:
-        raise ValueError(f"scheme method is {scheme.method!r}, expected kmeanspp")
-    d = np.asarray(d_centroid_point, dtype=float)
-    if d.ndim != 2 or d.shape[0] != scheme.K:
-        raise ValueError(
-            f"need a (K={scheme.K}) x (free points) distance block, got {d.shape}"
-        )
-    n_free = d.shape[1]
-    if n_free < 1:
-        raise ValueError("no free points to place on the register")
-    s = scheme.spins_per_point
-    n = n_free * s
-    targets = [block_state_index(st) for st in scheme.centroid_states]
-    blocks = np.stack([block_values(n, j * s, s) for j in range(n_free)], axis=1)
-    diag = np.zeros(3**n)
-    for c, target in enumerate(targets):
-        for j in range(n_free):
-            match = blocks[:, j] == target
-            diag += d[c, j] * np.where(match, 1.0, -1.0)
-    return DiagonalHamiltonian(n, diag)
-
-
-def build_penalty_kmeanspp(
-    n_free_points: int, scheme: EncodingScheme, b: float
-) -> DiagonalHamiltonian:
-    """Constant penalty b per free point in a block state no centroid uses."""
-    if not b > 0:
-        raise ValueError("penalty constant b must be positive")
-    if scheme.method != METHOD_KMEANSPP:
-        raise ValueError(f"scheme method is {scheme.method!r}, expected kmeanspp")
-    s = scheme.spins_per_point
-    if not 3 ** (s - 1) < scheme.K < 3**s:
-        raise ValueError(
-            f"K={scheme.K} leaves no forbidden block states on {s} qutrit(s) per point"
-        )
-    allowed = np.array(
-        sorted(block_state_index(st) for st in scheme.centroid_states)
-    )
-    n = n_free_points * s
-    diag = np.zeros(3**n)
-    for j in range(n_free_points):
-        forbidden = ~np.isin(block_values(n, j * s, s), allowed)
-        diag += float(b) * forbidden
-    return DiagonalHamiltonian(n, diag)
+    scheme = EncodingScheme(METHOD_ONEHOT_MULTISPIN, K, penalty_constant=a)
+    encoding = Encoding(scheme, n_points)
+    diag = encoding.penalty_sum(np.full(n_points, float(a)))
+    return DiagonalHamiltonian(encoding.n_qutrits, diag)

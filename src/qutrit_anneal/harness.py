@@ -11,10 +11,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from .anneal import (
     MODE_EXACT,
@@ -35,21 +33,12 @@ from .clustering import (
 )
 from .errors import SizeGuardError, SpecError
 from .hamiltonians import (
-    METHOD_KMEANSPP,
-    METHOD_ONEHOT_K2_PENALTY,
-    METHOD_ONEHOT_K3,
-    METHOD_ONEHOT_K3_PINNED,
-    METHOD_ONEHOT_MULTISPIN,
+    METHOD_TRAITS,
     METHODS,
     DiagonalHamiltonian,
+    Encoding,
     EncodingScheme,
-    build_k2_penalty,
-    build_kmeanspp,
-    build_onehot_k3,
-    build_onehot_k3_pinned,
-    build_onehot_multispin,
-    build_penalty_kmeanspp,
-    build_penalty_onehot,
+    pinned_method,
 )
 
 #: State vectors beyond 3**7 entries are refused.
@@ -61,17 +50,13 @@ EMIT_FORMATS = ("table", "csv", "svg")
 _DEFAULT_H = 8.0
 
 
-def _needs_penalty(scheme: EncodingScheme) -> bool:
-    """Whether the block encoding leaves block states no cluster uses."""
-    return (
-        scheme.method in (METHOD_ONEHOT_MULTISPIN, METHOD_KMEANSPP)
-        and scheme.K < 3**scheme.spins_per_point
-    )
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A complete, validated description of one annealing run."""
+    """A complete, validated description of one annealing run.
+
+    ``encoding`` is derived from the points, scheme, pinning and centroids;
+    ``pinned`` and ``centroids`` are normalized to the ones it uses.
+    """
 
     points: PointSet
     scheme: EncodingScheme
@@ -82,6 +67,7 @@ class ProblemSpec:
     name: str = "spec"
     emit: tuple[str, ...] = ("table",)
     out_dir: str = "."
+    encoding: Encoding = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the name becomes the emitted files' names inside out_dir
@@ -102,32 +88,13 @@ class ProblemSpec:
                 f"unknown emit format(s) {unknown}, expected from {EMIT_FORMATS}"
             )
         object.__setattr__(self, "emit", emit)
-        method = self.scheme.method
-        if method == METHOD_KMEANSPP:
-            if not self.centroids:
-                raise SpecError("kmeanspp requires a list of centroid point indices")
-            cents = tuple(int(i) for i in self.centroids)
-            if len(set(cents)) != len(cents):
-                raise SpecError("centroid indices must be distinct")
-            if len(cents) != self.scheme.K:
-                raise SpecError(
-                    f"expected {self.scheme.K} centroids, got {len(cents)}"
-                )
-            n = len(self.points)
-            if any(not 0 <= c < n for c in cents):
-                raise SpecError(f"centroid indices must lie in [0, {n})")
-            if len(cents) >= n:
-                raise SpecError("at least one point must remain free")
-            object.__setattr__(self, "centroids", cents)
-        elif self.centroids:
-            raise SpecError(f"method {method!r} does not take centroids")
-        if method == METHOD_ONEHOT_K3_PINNED:
-            object.__setattr__(self, "pinned", True)
-        elif method != METHOD_ONEHOT_K2_PENALTY and self.pinned:
-            raise SpecError(f"method {method!r} has no pinned variant")
+        encoding = Encoding(self.scheme, len(self.points), self.pinned, self.centroids)
+        object.__setattr__(self, "encoding", encoding)
+        object.__setattr__(self, "pinned", encoding.pinned)
+        object.__setattr__(self, "centroids", encoding.centroids)
         if (
             self.scheme.penalty_constant is None
-            and _needs_penalty(self.scheme)
+            and self.scheme.has_constant_penalty
             and len(set(self.points.points)) == 1
         ):
             raise SpecError(
@@ -138,13 +105,7 @@ class ProblemSpec:
 
     @property
     def register_qutrits(self) -> int:
-        n = len(self.points)
-        method = self.scheme.method
-        if method == METHOD_KMEANSPP:
-            return (n - self.scheme.K) * self.scheme.spins_per_point
-        if method == METHOD_ONEHOT_MULTISPIN:
-            return n * self.scheme.spins_per_point
-        return n - 1 if self.pinned else n
+        return self.encoding.n_qutrits
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +174,10 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _real_field(block: dict, key: str, default: float) -> float:
     value = block.get(key, default)
     _require(
@@ -234,10 +199,16 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
         isinstance(raw_points, list) and len(raw_points) >= 2,
         "'points' must be a list of at least 2 [x, y] pairs",
     )
+    labels = data.get("labels")
+    _require(
+        labels is None
+        or isinstance(labels, list) and all(isinstance(s, str) for s in labels),
+        f"'labels' must be a list of strings, got {labels!r}",
+    )
     try:
         points = PointSet(
             points=tuple((p[0], p[1]) for p in raw_points),
-            labels=tuple(data["labels"]) if data.get("labels") else None,
+            labels=tuple(labels) if labels else None,
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise SpecError(f"invalid 'points'/'labels': {exc}") from exc
@@ -245,35 +216,39 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     _require("method" in data, "spec is missing the required 'method' field")
     method = data["method"]
     _require(method in METHODS, f"unknown method {method!r}, expected one of {METHODS}")
+    traits = METHOD_TRAITS[method]
 
     centroids = data.get("centroids")
     if centroids is not None:
         _require(
             isinstance(centroids, list)
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in centroids),
+            and all(_is_int(c) for c in centroids),
             f"'centroids' must be a list of point indices, got {centroids!r}",
         )
         centroids = tuple(centroids)
 
     K = data.get("K")
     if K is None:
-        if method in (METHOD_ONEHOT_K3, METHOD_ONEHOT_K3_PINNED):
-            K = 3
-        elif method == METHOD_ONEHOT_K2_PENALTY:
-            K = 2
-        elif method == METHOD_KMEANSPP and centroids:
-            K = len(centroids)
-        else:
-            raise SpecError(f"method {method!r} requires an explicit 'K'")
+        _require(
+            traits.K is not None or traits.centroids and bool(centroids),
+            f"method {method!r} requires an explicit 'K'",
+        )
+        K = traits.K or len(centroids)
     _require(isinstance(K, int) and K >= 2, "'K' must be an integer >= 2")
 
     centroid_states = data.get("centroid_states")
     if centroid_states is not None:
-        _require(method == METHOD_KMEANSPP, "'centroid_states' only apply to kmeanspp")
-        try:
-            centroid_states = tuple(tuple(int(m) for m in st) for st in centroid_states)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid 'centroid_states': {exc}") from exc
+        _require(traits.centroids, f"'centroid_states' do not apply to {method}")
+        _require(
+            isinstance(centroid_states, list)
+            and all(
+                isinstance(st, list) and all(_is_int(m) for m in st)
+                for st in centroid_states
+            ),
+            "'centroid_states' must be a list of lists of integer projections, "
+            f"got {centroid_states!r}",
+        )
+        centroid_states = tuple(tuple(st) for st in centroid_states)
 
     penalty = data.get("penalty")
     if penalty is not None:
@@ -284,9 +259,13 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
 
     pinned = data.get("pinned")
     if pinned is None:
-        # the K2 encoding defaults to dropping point 0 from the register
-        pinned = method in (METHOD_ONEHOT_K3_PINNED, METHOD_ONEHOT_K2_PENALTY)
+        # where the spec may choose (K2), point 0 is pinned by default
+        pinned = traits.pinned is not False
     _require(isinstance(pinned, bool), "'pinned' must be a boolean")
+    _require(
+        pinned or not traits.pinned,
+        f"method {method!r} pins point 0, which contradicts 'pinned': false",
+    )
 
     anneal_data = data.get("anneal") or {}
     _require(isinstance(anneal_data, dict), "'anneal' must be an object")
@@ -294,7 +273,7 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     _require(not unknown, f"unknown anneal field(s): {sorted(unknown)}")
     M = anneal_data.get("M", 2000)
     _require(
-        isinstance(M, int) and not isinstance(M, bool),
+        _is_int(M),
         f"anneal 'M' must be an integer step count, got {M!r}",
     )
     try:
@@ -310,7 +289,7 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     seed = data.get("seed")
     if seed is not None:
         _require(
-            isinstance(seed, int) and not isinstance(seed, bool),
+            _is_int(seed),
             f"'seed' must be an integer, got {seed!r}",
         )
 
@@ -324,7 +303,7 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
 
     try:
         scheme = EncodingScheme(
-            method=method,
+            method=pinned_method(method, pinned),
             K=K,
             centroid_states=centroid_states,
             penalty_constant=penalty,
@@ -362,39 +341,13 @@ def load_spec(path: str | Path) -> ProblemSpec:
     return spec_from_dict(data, default_name=path.stem)
 
 
-def _free_indices(spec: ProblemSpec) -> list[int]:
-    centroid_set = set(spec.centroids)
-    return [i for i in range(len(spec.points)) if i not in centroid_set]
-
-
 def build_final_hamiltonian(
     spec: ProblemSpec, dm: DistanceMatrix | None = None
 ) -> DiagonalHamiltonian:
     """Final Hamiltonian for the spec, penalties included where they apply."""
     if dm is None:
         dm = distance_matrix(spec.points)
-    scheme = spec.scheme
-    method = scheme.method
-    if method == METHOD_ONEHOT_K3:
-        return build_onehot_k3(dm)
-    if method == METHOD_ONEHOT_K3_PINNED:
-        return build_onehot_k3_pinned(dm)
-    if method == METHOD_ONEHOT_K2_PENALTY:
-        return build_k2_penalty(dm, pinned=spec.pinned)
-    constant = scheme.penalty_constant
-    if constant is None:
-        constant = 2.0 * dm.max_distance
-    if method == METHOD_ONEHOT_MULTISPIN:
-        hf = build_onehot_multispin(dm, scheme.K)
-        if _needs_penalty(scheme):
-            hf = hf + build_penalty_onehot(dm.n_points, scheme.K, constant)
-        return hf
-    free = _free_indices(spec)
-    rect = dm.d[np.ix_(spec.centroids, free)]
-    hf = build_kmeanspp(rect, scheme)
-    if _needs_penalty(scheme):
-        hf = hf + build_penalty_kmeanspp(len(free), scheme, constant)
-    return hf
+    return spec.encoding.hamiltonian(dm)
 
 
 def run(spec: ProblemSpec) -> RunResult:
@@ -413,17 +366,8 @@ def run(spec: ProblemSpec) -> RunResult:
     dm = distance_matrix(spec.points)
     hf = build_final_hamiltonian(spec, dm)
     state = anneal(spec.anneal, hf)
-    report = decode(
-        state,
-        spec.scheme,
-        pinned=spec.pinned,
-        centroid_indices=spec.centroids,
-    )
-    if spec.scheme.method == METHOD_KMEANSPP:
-        fixed = {idx: c for c, idx in enumerate(spec.centroids)}
-    else:
-        fixed = None
-    oracle = oracle_min(dm, spec.scheme.K, fixed=fixed)
+    report = decode(state, spec.encoding)
+    oracle = oracle_min(dm, spec.scheme.K, fixed=spec.encoding.fixed)
     match = report.top_partition in set(oracle.argmin_partitions)
     return RunResult(
         spec=spec,
@@ -447,19 +391,8 @@ def with_overrides(
 ) -> ProblemSpec:
     """Apply command-line overrides to a spec."""
     if pinned is not None:
-        method = spec.scheme.method
-        if method in (METHOD_ONEHOT_K3, METHOD_ONEHOT_K3_PINNED):
-            target = METHOD_ONEHOT_K3_PINNED if pinned else METHOD_ONEHOT_K3
-            scheme = EncodingScheme(
-                method=target,
-                K=spec.scheme.K,
-                penalty_constant=spec.scheme.penalty_constant,
-            )
-            spec = replace(spec, scheme=scheme, pinned=pinned)
-        elif method == METHOD_ONEHOT_K2_PENALTY:
-            spec = replace(spec, pinned=pinned)
-        else:
-            raise SpecError(f"method {method!r} has no pinned variant")
+        method = pinned_method(spec.scheme.method, pinned)
+        spec = replace(spec, scheme=replace(spec.scheme, method=method), pinned=pinned)
     if mode is not None:
         if mode not in MODES:
             raise SpecError(f"unknown mode {mode!r}, expected one of {MODES}")

@@ -14,11 +14,9 @@ from qutrit_anneal.anneal import (
     _split_step,
     StateVector,
     anneal,
-    basis_partition_labels,
     decode,
     expm_multiply_hermitian,
     initial_state,
-    instantaneous_hamiltonian,
     step,
 )
 from qutrit_anneal.clustering import Partition, distance_matrix, oracle_diag_min
@@ -30,12 +28,11 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_MULTISPIN,
     DiagonalHamiltonian,
     DriverHamiltonian,
+    Encoding,
     EncodingScheme,
     build_driver,
-    build_kmeanspp,
     build_onehot_k3,
     build_onehot_k3_pinned,
-    build_penalty_kmeanspp,
 )
 from qutrit_anneal.spin import basis_index, spin_operator
 
@@ -154,7 +151,7 @@ def test_initial_state_rejects_bad_field():
 def test_endpoint_s1_is_diagonal():
     rng = np.random.default_rng(0)
     hf = random_diag(rng, 2)
-    op = instantaneous_hamiltonian(1.0, hf, build_driver(2, 3.0))
+    op = InstantaneousHamiltonian(1.0, hf, build_driver(2, 3.0))
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
     np.testing.assert_allclose(op.matvec(v), hf.diag * v, atol=1e-14)
 
@@ -163,7 +160,7 @@ def test_endpoint_s0_is_driver():
     rng = np.random.default_rng(1)
     hf = random_diag(rng, 2)
     drv = build_driver(2, 3.0)
-    op = instantaneous_hamiltonian(0.0, hf, drv)
+    op = InstantaneousHamiltonian(0.0, hf, drv)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
     np.testing.assert_allclose(op.matvec(v), drv.apply(v), atol=1e-14)
 
@@ -172,7 +169,7 @@ def test_midpoint_linearity():
     rng = np.random.default_rng(2)
     hf = random_diag(rng, 2)
     drv = build_driver(2, 4.0)
-    op = instantaneous_hamiltonian(0.5, hf, drv)
+    op = InstantaneousHamiltonian(0.5, hf, drv)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
     expected = 0.5 * hf.diag * v + 0.5 * drv.apply(v)
     np.testing.assert_allclose(op.matvec(v), expected, atol=1e-13)
@@ -221,9 +218,9 @@ def test_rescaled_is_an_affine_map_of_h(s):
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        instantaneous_hamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(3, 1.0))
+        InstantaneousHamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(3, 1.0))
     with pytest.raises(ValueError):
-        instantaneous_hamiltonian(1.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(2, 1.0))
+        InstantaneousHamiltonian(1.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(2, 1.0))
 
 
 # -------------------------------------------------------- matrix exponential
@@ -496,9 +493,9 @@ def test_split_step_tracks_exact_step():
     hf = build_onehot_k3(dm)
     exact = anneal(AnnealConfig(h=2.0, M=400, dt=0.1), hf)
     split = anneal(AnnealConfig(h=2.0, M=400, dt=0.1, mode=MODE_SPLIT), hf)
-    scheme = EncodingScheme(method=METHOD_ONEHOT_K3, K=3)
-    rep_e = decode(exact, scheme)
-    rep_s = decode(split, scheme)
+    encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 3)
+    rep_e = decode(exact, encoding)
+    rep_s = decode(split, encoding)
     assert rep_s.top_partition == rep_e.top_partition
     np.testing.assert_allclose(
         rep_s.basis_probabilities, rep_e.basis_probabilities, atol=1e-3
@@ -550,8 +547,8 @@ def test_decode_pure_basis_state_pinned():
     state_ms = (1, 1, 0, 0, -1)
     amps = np.zeros(3**5)
     amps[basis_index(state_ms).linear] = 1.0
-    scheme = EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3)
-    rep = decode(StateVector(5, amps), scheme)
+    encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 6)
+    rep = decode(StateVector(5, amps), encoding)
     assert rep.top_probability == pytest.approx(1.0, abs=0)
     assert rep.top_partition == Partition([0, 0, 0, 1, 1, 2], 3)
     assert rep.invalid_probability == 0.0
@@ -565,7 +562,8 @@ def test_decode_merges_degenerate_argmin_states():
     amps = np.zeros(h.dim, dtype=complex)
     for b in res.argmin_basis_states:
         amps[b.linear] = 1.0 / np.sqrt(2.0)
-    rep = decode(StateVector(h.n, amps), EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3))
+    encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 6)
+    rep = decode(StateVector(h.n, amps), encoding)
     # the two degenerate states decode to the same set partition
     assert rep.top_probability == pytest.approx(1.0, abs=1e-12)
     nonzero = [p for p, prob in rep.partition_probabilities.items() if prob > 0.0]
@@ -576,7 +574,7 @@ def test_decode_kmeanspp_assigns_blocks_to_matching_centroids():
     scheme = EncodingScheme(method=METHOD_KMEANSPP, K=3)
     amps = np.zeros(27)
     amps[basis_index((1, 0, -1)).linear] = 1.0
-    rep = decode(StateVector(3, amps), scheme, centroid_indices=(0, 1, 2))
+    rep = decode(StateVector(3, amps), Encoding(scheme, 6, centroids=(0, 1, 2)))
     # free points 3, 4, 5 follow their matching centroids 0, 1, 2
     assert rep.top_partition == Partition([0, 1, 2, 0, 1, 2], 3)
 
@@ -586,7 +584,7 @@ def test_decode_routes_forbidden_blocks_to_invalid_bucket():
     amps = np.zeros(81, dtype=complex)
     amps[basis_index((1, 1, 0, 0)).linear] = 1.0 / np.sqrt(2.0)  # block 2 forbidden
     amps[basis_index((1, 1, 0, 1)).linear] = 1.0 / np.sqrt(2.0)  # both allowed
-    rep = decode(StateVector(4, amps), scheme)
+    rep = decode(StateVector(4, amps), Encoding(scheme, 2))
     assert rep.invalid_probability == pytest.approx(0.5, abs=1e-12)
     assert rep.top_partition == Partition([0, 3], 4)
     total = sum(rep.partition_probabilities.values()) + rep.invalid_probability
@@ -597,81 +595,75 @@ def test_decode_k2_penalty_marks_minus_one_invalid():
     scheme = EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2)
     amps = np.zeros(9, dtype=complex)
     amps[basis_index((1, -1)).linear] = 1.0
-    rep = decode(StateVector(2, amps), scheme, pinned=False)
+    rep = decode(StateVector(2, amps), Encoding(scheme, 2, pinned=False))
     assert rep.invalid_probability == pytest.approx(1.0, abs=0)
     assert rep.top_probability == 0.0 or rep.top_partition is not None
 
 
-def _reference_decode(state, scheme, pinned, centroid_indices):
+def _reference_decode(state, encoding):
     """Partition probabilities as a running sum over the valid basis states."""
     probs = state.probabilities()
-    labels, invalid = basis_partition_labels(state.n, scheme, pinned, centroid_indices)
     out = {}
-    for idx in np.flatnonzero(~invalid):
-        part = Partition(labels[idx], scheme.K)
+    for idx in np.flatnonzero(~encoding.invalid):
+        part = Partition(encoding.labels[idx], encoding.K)
         out[part] = out.get(part, 0.0) + float(probs[idx])
     return out
 
 
-#: (scheme, register qutrits, pinned, centroid indices): every encoding
+#: (encoding, register qutrits): every encoding
 DECODE_CASES = [
-    (EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 6, False, None),
-    (EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 7, True, None),
-    (EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2), 6, True, None),
-    (EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2), 7, False, None),
-    (EncodingScheme(method=METHOD_ONEHOT_MULTISPIN, K=5), 6, False, None),
-    (EncodingScheme(method=METHOD_KMEANSPP, K=3), 7, False, (2, 0, 5)),
-    (EncodingScheme(method=METHOD_KMEANSPP, K=4), 4, False, (3, 1, 0, 5)),
+    (Encoding(EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 6), 6),
+    (Encoding(EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 8), 7),
+    (Encoding(EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2), 7, pinned=True), 6),
+    (Encoding(EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2), 7, pinned=False), 7),
+    (Encoding(EncodingScheme(method=METHOD_ONEHOT_MULTISPIN, K=5), 3), 6),
+    (Encoding(EncodingScheme(method=METHOD_KMEANSPP, K=3), 10, centroids=(2, 0, 5)), 7),
+    (Encoding(EncodingScheme(method=METHOD_KMEANSPP, K=4), 6, centroids=(3, 1, 0, 5)), 4),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(DECODE_CASES)))
 def test_decode_matches_per_state_loop(case):
-    scheme, n, pinned, centroids = DECODE_CASES[case]
+    encoding, n = DECODE_CASES[case]
+    assert encoding.n_qutrits == n
     rng = np.random.default_rng(case)
     amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     amps[rng.random(3**n) < 0.3] = 0.0
     state = StateVector(n, amps / np.linalg.norm(amps))
-    rep = decode(
-        state,
-        scheme,
-        pinned=pinned if scheme.method == METHOD_ONEHOT_K2_PENALTY else None,
-        centroid_indices=centroids,
-    )
-    expected = _reference_decode(state, scheme, pinned, centroids)
+    rep = decode(state, encoding)
+    expected = _reference_decode(state, encoding)
     got = list(rep.partition_probabilities.items())
     # same partitions, labels, insertion order and bitwise-equal sums
     assert [(p.labels, v) for p, v in got] == [(p.labels, v) for p, v in expected.items()]
-    labels, invalid = basis_partition_labels(n, scheme, pinned, centroids)
+    labels, invalid = encoding.labels, encoding.invalid
     assert (rep.partition_index == -1).tolist() == invalid.tolist()
     parts = [p for p, _ in got]
     for idx in np.flatnonzero(~invalid):
-        assert parts[rep.partition_index[idx]] == Partition(labels[idx], scheme.K)
+        assert parts[rep.partition_index[idx]] == Partition(labels[idx], encoding.K)
 
 
 def test_decode_argument_validation():
     scheme_k2 = EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2)
     state = initial_state(2, 1.0)
     with pytest.raises(ValueError):
-        decode(state, scheme_k2)  # pinned flag required
+        decode(state, Encoding(scheme_k2, 2, pinned=True))  # a 1-qutrit register
     scheme_kpp = EncodingScheme(method=METHOD_KMEANSPP, K=3)
-    state3 = initial_state(3, 1.0)
     with pytest.raises(ValueError):
-        decode(state3, scheme_kpp)  # centroid indices required
+        Encoding(scheme_kpp, 6)  # centroid indices required
     with pytest.raises(ValueError):
-        decode(state3, scheme_kpp, centroid_indices=(0, 1))
+        Encoding(scheme_kpp, 6, centroids=(0, 1))
     scheme_k3 = EncodingScheme(method=METHOD_ONEHOT_K3, K=3)
     with pytest.raises(ValueError):
-        decode(state3, scheme_k3, pinned=True)
+        Encoding(scheme_k3, 3, pinned=True)
     with pytest.raises(ValueError):
-        decode(state3, scheme_k3, centroid_indices=(0, 1, 2))
+        Encoding(scheme_k3, 3, centroids=(0, 1, 2))
 
 
 def test_decode_basis_probabilities_normalized():
     rng = np.random.default_rng(8)
     hf = random_diag(rng, 2)
     state = anneal(AnnealConfig(h=2.0, M=50), hf)
-    rep = decode(state, EncodingScheme(method=METHOD_ONEHOT_K3, K=3))
+    rep = decode(state, Encoding(EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 2))
     assert rep.basis_probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -682,16 +674,15 @@ def test_partition_probabilities_invariant_under_projection_reversal():
     pts = ((8, -1), (-2, -6), (1, 6), (4, -4))
     dm = distance_matrix(pts)
     centroids = (0, 1)
-    rect = dm.d[np.ix_(centroids, [2, 3])]
-    b = 2.0 * dm.max_distance
     scheme_a = EncodingScheme(method=METHOD_KMEANSPP, K=2, centroid_states=((1,), (0,)))
     scheme_b = EncodingScheme(method=METHOD_KMEANSPP, K=2, centroid_states=((-1,), (0,)))
     cfg = AnnealConfig(h=8.0, M=150, dt=0.1)
     reps = []
     for scheme in (scheme_a, scheme_b):
-        hf = build_kmeanspp(rect, scheme) + build_penalty_kmeanspp(2, scheme, b)
-        state = anneal(cfg, hf)
-        reps.append(decode(state, scheme, centroid_indices=centroids))
+        # the penalty defaults to twice the largest distance
+        encoding = Encoding(scheme, 4, centroids=centroids)
+        state = anneal(cfg, encoding.hamiltonian(dm))
+        reps.append(decode(state, encoding))
     probs_a = reps[0].partition_probabilities
     probs_b = reps[1].partition_probabilities
     assert set(probs_a) == set(probs_b)

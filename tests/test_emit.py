@@ -12,7 +12,6 @@ from xml.dom import minidom
 import pytest
 
 import qutrit_anneal
-from qutrit_anneal.anneal import basis_partition_labels
 from qutrit_anneal.clustering import Partition
 from qutrit_anneal.cli import main
 from qutrit_anneal.emit import emit, partition_id_map, render_csv, render_svg, render_table
@@ -57,7 +56,7 @@ def _reference_csv(result):
     spec = result.spec
     n = spec.register_qutrits
     probs = result.report.basis_probabilities
-    labels, invalid = basis_partition_labels(n, spec.scheme, spec.pinned, spec.centroids)
+    labels, invalid = spec.encoding.labels, spec.encoding.invalid
     lines = ["basis_index,digits,partition_id,probability"]
     for idx in range(3**n):
         digits = " ".join(str(m) for m in BasisIndex.from_linear(idx, n).projections)

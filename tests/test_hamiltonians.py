@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,17 +13,16 @@ from qutrit_anneal.clustering import (
 )
 from qutrit_anneal.hamiltonians import (
     METHOD_KMEANSPP,
+    METHOD_ONEHOT_K2_PENALTY,
     DiagonalHamiltonian,
+    Encoding,
     EncodingScheme,
     block_state_index,
     block_state_list,
     build_driver,
-    build_k2_penalty,
-    build_kmeanspp,
     build_onehot_k3,
     build_onehot_k3_pinned,
     build_onehot_multispin,
-    build_penalty_kmeanspp,
     build_penalty_onehot,
     spins_per_point,
     sum_sx_apply,
@@ -120,6 +120,12 @@ def test_pinned_argmin_agrees_with_full_slice():
 
 
 # ---------------------------------------------------------------- K2 penalty
+
+
+def build_k2_penalty(dm, pinned):
+    """The K2 final Hamiltonian, pair sum and distance-scaled penalty."""
+    scheme = EncodingScheme(METHOD_ONEHOT_K2_PENALTY, K=2)
+    return Encoding(scheme, dm.n_points, pinned=pinned).hamiltonian(dm)
 
 
 def test_k2_penalty_two_points_unpinned():
@@ -251,6 +257,28 @@ def test_penalty_dominance(seed):
 
 def kmeanspp_scheme(K, centroid_states=None):
     return EncodingScheme(method=METHOD_KMEANSPP, K=K, centroid_states=centroid_states)
+
+
+def build_kmeanspp(d_centroid_point, scheme):
+    """kmeanspp pair sum for centroid-to-free distances (K x free points).
+
+    Centroid c is point c and free point j is point K + j.
+    """
+    K, n_free = np.shape(d_centroid_point)
+    d = np.zeros((K + n_free, K + n_free))
+    d[:K, K:] = d_centroid_point
+    d[K:, :K] = np.transpose(d_centroid_point)
+    encoding = Encoding(scheme, K + n_free, centroids=range(K))
+    return DiagonalHamiltonian(encoding.n_qutrits, encoding.pair_sum(d))
+
+
+def build_penalty_kmeanspp(n_free_points, scheme, b):
+    """Constant penalty b per free point in a block state no centroid uses."""
+    scheme = dataclasses.replace(scheme, penalty_constant=b)
+    n_points = scheme.K + n_free_points
+    encoding = Encoding(scheme, n_points, centroids=range(scheme.K))
+    diag = encoding.penalty_sum(np.full(n_points, float(b)))
+    return DiagonalHamiltonian(encoding.n_qutrits, diag)
 
 
 def test_kmeanspp_equidistant_point():

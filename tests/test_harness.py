@@ -127,6 +127,58 @@ def test_spec_pinned_rejected_for_blockwise_methods(tiny_spec_dict):
         spec_from_dict(tiny_spec_dict)
 
 
+def test_spec_pinned_true_selects_the_pinned_k3_method(tiny_spec_dict):
+    tiny_spec_dict.update(method="one-hot-K3", pinned=True)
+    spec = spec_from_dict(tiny_spec_dict)
+    assert spec.scheme.method == "one-hot-K3-pinned"
+    assert spec.pinned is True
+    tiny_spec_dict.pop("pinned")
+    assert spec == with_overrides(spec_from_dict(tiny_spec_dict), pinned=True)
+
+
+def test_spec_pinned_false_contradicts_the_pinned_k3_method(tiny_spec_dict):
+    tiny_spec_dict.update(method="one-hot-K3-pinned", pinned=False)
+    with pytest.raises(SpecError, match="contradicts 'pinned': false"):
+        spec_from_dict(tiny_spec_dict)
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [
+        ("one-hot-K3", {}),
+        ("one-hot-K3-pinned", {}),
+        ("one-hot-K2-penalty", {}),
+        ("one-hot-multispin", {"K": 3}),
+        ("one-hot-multispin", {"K": 9}),
+        ("kmeanspp", {"centroids": [0, 1, 2]}),
+    ],
+)
+def test_spec_penalty_rejected_without_constant_penalty(tiny_spec_dict, method, extra):
+    tiny_spec_dict.update(method=method, penalty=5.0, **extra)
+    with pytest.raises(SpecError, match="no constant penalty"):
+        spec_from_dict(tiny_spec_dict)
+
+
+@pytest.mark.parametrize(
+    "states", [[[1.7], [0.2]], [["1"], ["0"]], [[True], [False]], "10"]
+)
+def test_spec_centroid_states_must_be_integer_projections(tiny_spec_dict, states):
+    tiny_spec_dict.update(method="kmeanspp", centroids=[0, 1], centroid_states=states)
+    with pytest.raises(SpecError, match="'centroid_states'"):
+        spec_from_dict(tiny_spec_dict)
+    tiny_spec_dict["centroid_states"] = [[-1], [0]]
+    assert spec_from_dict(tiny_spec_dict).scheme.centroid_states == ((-1,), (0,))
+
+
+@pytest.mark.parametrize("labels", ["abcd", ["a", "b", "c", 4]])
+def test_spec_labels_must_be_a_list_of_strings(tiny_spec_dict, labels):
+    tiny_spec_dict["labels"] = labels
+    with pytest.raises(SpecError, match="'labels'"):
+        spec_from_dict(tiny_spec_dict)
+    tiny_spec_dict["labels"] = list("abcd")
+    assert spec_from_dict(tiny_spec_dict).points.labels == ("a", "b", "c", "d")
+
+
 def test_spec_multispin_requires_k(tiny_spec_dict):
     tiny_spec_dict["method"] = "one-hot-multispin"
     with pytest.raises(SpecError, match="K"):
@@ -342,6 +394,11 @@ def test_override_pinned_swaps_onehot_method(tiny_spec_dict):
 def test_override_pinned_on_kmeanspp_rejected():
     with pytest.raises(SpecError):
         with_overrides(get_preset("fig3"), pinned=True)
+
+
+def test_override_pinned_false_on_block_method_is_a_no_op():
+    spec = get_preset("fig3")
+    assert with_overrides(spec, pinned=False) == spec
 
 
 def test_override_mode():
