@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .clustering import Partition, partition_keys
+from .errors import SpecError, is_int, is_positive_finite
 from .hamiltonians import (
     DiagonalHamiltonian,
     DriverHamiltonian,
@@ -61,14 +61,6 @@ _SX_EIGVECS = np.array(
 _SX_EIGVALS = np.array([1.0, 0.0, -1.0])
 
 
-def _positive_finite(value) -> bool:
-    """value > 0 and finite; False too for an int too large for a float."""
-    try:
-        return math.isfinite(value) and value > 0
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class AnnealConfig:
     """Schedule parameters: M steps of duration dt at driver strength h."""
@@ -79,18 +71,18 @@ class AnnealConfig:
     mode: str = MODE_EXACT
 
     def __post_init__(self) -> None:
-        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral):
-            raise ValueError(f"step count M must be an integer, got {self.M!r}")
+        if not is_int(self.M):
+            raise SpecError(f"step count M must be an integer, got {self.M!r} (anneal 'M')")
         if self.M < 1:
-            raise ValueError(f"step count M must be at least 1, got {self.M!r}")
-        for name in ("dt", "h"):
+            raise SpecError(f"step count M must be at least 1, got {self.M!r} (anneal 'M')")
+        for name in ("h", "dt"):
             value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-            if not _positive_finite(value):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if not is_positive_finite(value):
+                kind = "a number, not a bool" if isinstance(value, bool) else "positive and finite"
+                raise SpecError(f"{name} must be {kind}, got {value!r} (anneal {name!r})")
+            object.__setattr__(self, name, float(value))
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+            raise SpecError(f"unknown anneal 'mode' {self.mode!r}, expected one of {MODES}")
 
     @property
     def total_time(self) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .emit import FORMATS, emit, render_table
@@ -97,18 +98,14 @@ def _write_failed(exc: OSError) -> int:
 
 
 def _execute(spec, emit_arg: str | None, out_arg: str | None) -> int:
-    if emit_arg is None:
-        formats = list(spec.emit)
-    else:
-        formats = [f.strip() for f in emit_arg.split(",") if f.strip()]
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise SpecError(f"unknown emit format {fmt!r}, expected one of {FORMATS}")
-    out_dir = spec.out_dir if out_arg is None else out_arg
+    if emit_arg is not None:
+        spec = replace(spec, emit=[f.strip() for f in emit_arg.split(",") if f.strip()])
+    if out_arg is not None:
+        spec = replace(spec, out_dir=out_arg)
     result = run(spec)
     sys.stdout.write(render_table(result))
     try:
-        written = emit(result, formats, out_dir)
+        written = emit(result, spec.emit, spec.out_dir)
     except OSError as exc:
         return _write_failed(exc)
     for path in written:

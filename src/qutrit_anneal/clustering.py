@@ -40,18 +40,29 @@ class PointSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+        try:
+            pts = tuple((float(x), float(y)) for x, y in self.points)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"'points' must be [x, y] pairs of numbers: {exc}") from exc
         if len(pts) < 2:
-            raise ValueError("a clustering instance needs at least 2 points")
+            raise SpecError("'points' must hold at least 2 points")
         for idx, (x, y) in enumerate(pts):
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise SpecError(f"point {idx} has a non-finite coordinate ({x}, {y})")
+                raise SpecError(
+                    f"'points': point {idx} has a non-finite coordinate ({x}, {y})"
+                )
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+        labels = self.labels
+        if labels is not None:
+            if not (
+                isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)
+            ):
+                raise SpecError(f"'labels' must be a list of strings, got {labels!r}")
             if len(labels) != len(pts):
-                raise ValueError("labels and points must have the same length")
-            object.__setattr__(self, "labels", labels)
+                raise SpecError(
+                    f"'labels' must name each of the {len(pts)} points, got {len(labels)}"
+                )
+            object.__setattr__(self, "labels", tuple(labels))
 
     def __len__(self) -> int:
         return len(self.points)

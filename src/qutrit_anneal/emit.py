@@ -187,15 +187,19 @@ def render_svg(result: RunResult) -> str:
 
 
 def emit(result: RunResult, formats, out_dir: str | Path = ".") -> list[Path]:
-    """Write the requested artifact files, named after the spec."""
+    """Write the requested artifact files, named after the spec.
+
+    Every format is checked before the directory or any file is made.
+    """
+    unknown = [fmt for fmt in formats if fmt not in FORMATS]
+    if unknown:
+        raise ValueError(f"unknown emit format(s) {unknown}, expected from {FORMATS}")
     renderers = {"table": render_table, "csv": render_csv, "svg": render_svg}
     suffixes = {"table": ".txt", "csv": ".csv", "svg": ".svg"}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
-        if fmt not in renderers:
-            raise ValueError(f"unknown emit format {fmt!r}, expected one of {FORMATS}")
         path = out_dir / (result.spec.name + suffixes[fmt])
         path.write_text(renderers[fmt](result))
         written.append(path)

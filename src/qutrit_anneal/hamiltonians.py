@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import DistanceMatrix
-from .errors import SpecError
+from .errors import SpecError, is_int, is_positive_finite
 from .spin import (
+    PROJECTIONS,
     block_values,
     digit_from_projection,
     projection_from_digit,
@@ -69,13 +70,22 @@ METHOD_TRAITS = {
 METHODS = tuple(METHOD_TRAITS)
 
 
+def method_traits(method: str) -> MethodTraits:
+    """The traits of a method name; an unknown name is a ``SpecError``."""
+    if method not in METHODS:  # a tuple, so an unhashable name compares too
+        raise SpecError(f"unknown 'method' {method!r}, expected one of {METHODS}")
+    return METHOD_TRAITS[method]
+
+
 def pinned_method(method: str, pinned: bool) -> str:
     """The method with ``method``'s encoding and point 0 pinned or not."""
-    traits = METHOD_TRAITS[method]
+    traits = method_traits(method)
     if traits.pinned is None or traits.pinned == pinned:
         return method
     if traits.variant is None:
-        raise SpecError(f"method {method!r} has no pinned variant")
+        raise SpecError(
+            f"method {method!r} has no pinned variant, so 'pinned' must be false"
+        )
     return traits.variant
 
 
@@ -221,65 +231,69 @@ class EncodingScheme:
     """How points map onto register blocks and how blocks number clusters.
 
     ``centroid_states`` is only meaningful for the kmeanspp method and
-    defaults to the first K block states; ``penalty_constant`` overrides the
-    default of twice the largest distance, and is accepted only where a
-    constant penalty applies.
+    defaults to the first K block states; ``penalty_constant`` (the spec's
+    ``penalty``) overrides the default of twice the largest distance, and is
+    accepted only where a constant penalty applies.
     """
 
     method: str
     K: int
-    spins_per_point: int = 0
     centroid_states: tuple[tuple[int, ...], ...] | None = None
     penalty_constant: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHOD_TRAITS:
-            raise ValueError(
-                f"unknown method {self.method!r}, expected one of {METHODS}"
-            )
         traits = self.traits
+        if not (is_int(self.K) and self.K >= 2):
+            raise SpecError(f"'K' must be an integer >= 2, got {self.K!r}")
         if traits.K is not None and self.K != traits.K:
-            raise ValueError(f"{self.method} requires K={traits.K}, got {self.K}")
-        s = spins_per_point(self.K)
-        if self.spins_per_point == 0:
-            object.__setattr__(self, "spins_per_point", s)
-        elif self.spins_per_point != s:
-            raise ValueError(
-                f"K={self.K} needs {s} qutrits per point, got {self.spins_per_point}"
-            )
+            raise SpecError(f"{self.method} requires 'K' = {traits.K}, got {self.K}")
+        states = self.centroid_states
         if traits.centroids:
-            states = self.centroid_states
+            s = self.spins_per_point
             if states is None:
                 states = block_state_list(s)[: self.K]
-            if len(states) != self.K:
-                raise ValueError(
-                    f"{self.method} needs exactly K={self.K} centroid states, got {len(states)}"
+            if not (
+                isinstance(states, (list, tuple))
+                and all(
+                    isinstance(st, (list, tuple))
+                    and len(st) == s
+                    and all(is_int(m) and m in PROJECTIONS for m in st)
+                    for st in states
                 )
-            for st in states:
-                if len(st) != s:
-                    raise ValueError(
-                        f"centroid state {st} does not span {s} qutrit(s)"
-                    )
-                for m in st:
-                    digit_from_projection(m)
+            ):
+                raise SpecError(
+                    f"'centroid_states' must be lists of {s} projection(s) "
+                    f"(1, 0 or -1) each, got {states!r}"
+                )
             states = tuple(tuple(int(m) for m in st) for st in states)
-            if len(set(states)) != len(states):
-                raise ValueError("centroid states must be distinct")
+            if len(set(states)) != len(states) or len(states) != self.K:
+                raise SpecError(
+                    f"'centroid_states' must be K={self.K} distinct block states, "
+                    f"got {states}"
+                )
             object.__setattr__(self, "centroid_states", states)
-        elif self.centroid_states is not None:
-            raise ValueError(f"{self.method} does not take centroid states")
+        elif states is not None:
+            raise SpecError(f"'centroid_states' do not apply to {self.method}")
         if self.penalty_constant is not None:
-            if not self.penalty_constant > 0:
-                raise ValueError("penalty constant must be positive")
+            if not is_positive_finite(self.penalty_constant):
+                raise SpecError(
+                    "'penalty' must be a positive finite number, "
+                    f"got {self.penalty_constant!r}"
+                )
             if not self.has_constant_penalty:
-                raise ValueError(
+                raise SpecError(
                     f"{self.method} with K={self.K} has no constant penalty, "
-                    "so a penalty constant does not apply"
+                    "so a 'penalty' does not apply"
                 )
 
     @property
     def traits(self) -> MethodTraits:
-        return METHOD_TRAITS[self.method]
+        return method_traits(self.method)
+
+    @property
+    def spins_per_point(self) -> int:
+        """Qutrits per point block, which K decides."""
+        return spins_per_point(self.K)
 
     @property
     def has_constant_penalty(self) -> bool:
@@ -310,27 +324,35 @@ class Encoding:
         centroids: Sequence[int] | None = None,
     ):
         traits = scheme.traits
+        if not isinstance(pinned, bool):
+            raise SpecError(f"'pinned' must be a boolean, got {pinned!r}")
+        if centroids is not None and not (
+            isinstance(centroids, (list, tuple, range)) and all(map(is_int, centroids))
+        ):
+            raise SpecError(f"'centroids' must be a list of point indices, got {centroids!r}")
         if traits.centroids:
             if not centroids:
                 raise SpecError(
-                    f"{scheme.method} requires a list of centroid point indices"
+                    f"{scheme.method} requires 'centroids', a list of point indices"
                 )
             centroids = tuple(int(i) for i in centroids)
             if len(set(centroids)) != len(centroids):
-                raise SpecError("centroid indices must be distinct")
+                raise SpecError("'centroids' must be distinct point indices")
             if len(centroids) != scheme.K:
-                raise SpecError(f"expected {scheme.K} centroids, got {len(centroids)}")
+                raise SpecError(f"expected K={scheme.K} 'centroids', got {len(centroids)}")
             if any(not 0 <= c < n_points for c in centroids):
-                raise SpecError(f"centroid indices must lie in [0, {n_points})")
+                raise SpecError(f"'centroids' must lie in [0, {n_points})")
             if len(centroids) >= n_points:
-                raise SpecError("at least one point must remain free")
+                raise SpecError("at least one point must remain free of 'centroids'")
         elif centroids:
-            raise SpecError(f"method {scheme.method!r} does not take centroids")
+            raise SpecError(f"method {scheme.method!r} does not take 'centroids'")
         else:
             centroids = None
         if traits.pinned is not None:
             if pinned and not traits.pinned:
-                raise SpecError(f"method {scheme.method!r} does not pin point 0")
+                raise SpecError(
+                    f"method {scheme.method!r} does not pin point 0, so 'pinned' must be false"
+                )
             pinned = traits.pinned
         off = set(centroids or ()) | ({0} if pinned else set())
         self.scheme = scheme

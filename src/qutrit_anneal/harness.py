@@ -3,25 +3,27 @@
 A run builds the final Hamiltonian for the requested encoding, anneals,
 decodes the final state, and compares the most probable partition against
 the exhaustive oracle.  Spec files are JSON; see the README for the schema.
+
+Each spec rule is checked once, by the constructor that holds the value:
+``PointSet`` (points, labels), ``EncodingScheme`` (method, K, centroid
+states, penalty), ``Encoding`` (centroids, pinning), ``AnnealConfig`` (the
+anneal block) and ``ProblemSpec`` (name, emit, out, seed).  Each raises
+``SpecError`` naming the spec field, so a library caller and a spec file
+meet the same rules.  ``spec_from_dict`` checks only the JSON shape (known
+keys, required fields, ``[x, y]`` pairs), fills in the defaults that depend
+on the method, and rejects ``"pinned": false`` on a method that pins.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
 import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .anneal import (
-    MODE_EXACT,
-    MODES,
-    AnnealConfig,
-    ReadoutReport,
-    anneal,
-    decode,
-)
+from .anneal import AnnealConfig, ReadoutReport, anneal, decode
 from .clustering import (
     ORACLE_MAX_POINTS,
     DistanceMatrix,
@@ -31,13 +33,12 @@ from .clustering import (
     distance_matrix,
     oracle_min,
 )
-from .errors import SizeGuardError, SpecError
+from .errors import SizeGuardError, SpecError, is_int
 from .hamiltonians import (
-    METHOD_TRAITS,
-    METHODS,
     DiagonalHamiltonian,
     Encoding,
     EncodingScheme,
+    method_traits,
     pinned_method,
 )
 
@@ -66,7 +67,7 @@ class ProblemSpec:
     seed: int | None = None
     name: str = "spec"
     emit: tuple[str, ...] = ("table",)
-    out_dir: str = "."
+    out_dir: str | os.PathLike = "."
     encoding: Encoding = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,13 +82,18 @@ class ProblemSpec:
                 f"'name' must be a plain file name: not empty, '.' or '..', "
                 f"and without '/', '\\' or NUL, got {name!r}"
             )
-        emit = tuple(self.emit)
-        unknown = [f for f in emit if f not in EMIT_FORMATS]
-        if unknown:
+        emit = self.emit
+        if not (
+            isinstance(emit, (list, tuple)) and all(f in EMIT_FORMATS for f in emit)
+        ):
             raise SpecError(
-                f"unknown emit format(s) {unknown}, expected from {EMIT_FORMATS}"
+                f"'emit' must be a list of formats from {EMIT_FORMATS}, got {emit!r}"
             )
-        object.__setattr__(self, "emit", emit)
+        object.__setattr__(self, "emit", tuple(emit))
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise SpecError(f"'out' must be a directory path, got {self.out_dir!r}")
+        if self.seed is not None and not is_int(self.seed):
+            raise SpecError(f"'seed' must be an integer, got {self.seed!r}")
         encoding = Encoding(self.scheme, len(self.points), self.pinned, self.centroids)
         object.__setattr__(self, "encoding", encoding)
         object.__setattr__(self, "pinned", encoding.pinned)
@@ -164,106 +170,46 @@ _SPEC_KEYS = {
 _ANNEAL_KEYS = {"M", "dt", "h", "mode"}
 
 
-def _is_finite_real(value) -> bool:
-    """True for an int or float (not a bool) that is a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _real_field(block: dict, key: str, default: float) -> float:
-    value = block.get(key, default)
-    _require(
-        _is_finite_real(value),
-        f"anneal {key!r} must be a finite real number, got {value!r}",
-    )
-    return float(value)
-
-
 def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
-    """Validate a parsed spec dictionary into a ProblemSpec."""
+    """Parse a spec dictionary into a ProblemSpec.
+
+    Only the JSON shape is checked here; the constructors check the values.
+    """
     _require(isinstance(data, dict), "spec must be a JSON object")
     unknown = set(data) - _SPEC_KEYS
     _require(not unknown, f"unknown spec field(s): {sorted(unknown)}")
+    for key in ("points", "method"):
+        _require(key in data, f"spec is missing the required {key!r} field")
 
-    _require("points" in data, "spec is missing the required 'points' field")
     raw_points = data["points"]
-    _require(
-        isinstance(raw_points, list) and len(raw_points) >= 2,
-        "'points' must be a list of at least 2 [x, y] pairs",
-    )
-    labels = data.get("labels")
-    _require(
-        labels is None
-        or isinstance(labels, list) and all(isinstance(s, str) for s in labels),
-        f"'labels' must be a list of strings, got {labels!r}",
-    )
+    _require(isinstance(raw_points, list), "'points' must be a list of [x, y] pairs")
     try:
-        points = PointSet(
-            points=tuple((p[0], p[1]) for p in raw_points),
-            labels=tuple(labels) if labels else None,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise SpecError(f"invalid 'points'/'labels': {exc}") from exc
+        pairs = tuple((p[0], p[1]) for p in raw_points)
+    except (TypeError, IndexError, KeyError) as exc:
+        raise SpecError(f"'points' must be a list of [x, y] pairs: {exc!r}") from exc
+    labels = data.get("labels")
+    points = PointSet(pairs, None if labels == [] else labels)
 
-    _require("method" in data, "spec is missing the required 'method' field")
     method = data["method"]
-    _require(method in METHODS, f"unknown method {method!r}, expected one of {METHODS}")
-    traits = METHOD_TRAITS[method]
-
+    traits = method_traits(method)
     centroids = data.get("centroids")
-    if centroids is not None:
+    K = data.get("K")
+    if K is None and traits.centroids and centroids is not None:
+        # the default K counts the centroids
         _require(
-            isinstance(centroids, list)
-            and all(_is_int(c) for c in centroids),
+            isinstance(centroids, list),
             f"'centroids' must be a list of point indices, got {centroids!r}",
         )
-        centroids = tuple(centroids)
-
-    K = data.get("K")
+        K = len(centroids) or None
     if K is None:
-        _require(
-            traits.K is not None or traits.centroids and bool(centroids),
-            f"method {method!r} requires an explicit 'K'",
-        )
-        K = traits.K or len(centroids)
-    _require(isinstance(K, int) and K >= 2, "'K' must be an integer >= 2")
-
-    centroid_states = data.get("centroid_states")
-    if centroid_states is not None:
-        _require(traits.centroids, f"'centroid_states' do not apply to {method}")
-        _require(
-            isinstance(centroid_states, list)
-            and all(
-                isinstance(st, list) and all(_is_int(m) for m in st)
-                for st in centroid_states
-            ),
-            "'centroid_states' must be a list of lists of integer projections, "
-            f"got {centroid_states!r}",
-        )
-        centroid_states = tuple(tuple(st) for st in centroid_states)
-
-    penalty = data.get("penalty")
-    if penalty is not None:
-        _require(
-            _is_finite_real(penalty) and penalty > 0,
-            f"'penalty' must be a positive finite number, got {penalty!r}",
-        )
-
+        K = traits.K
+        _require(K, f"method {method!r} requires an explicit 'K'")
     pinned = data.get("pinned")
     if pinned is None:
         # where the spec may choose (K2), point 0 is pinned by default
         pinned = traits.pinned is not False
-    _require(isinstance(pinned, bool), "'pinned' must be a boolean")
     _require(
-        pinned or not traits.pinned,
+        pinned is not False or not traits.pinned,
         f"method {method!r} pins point 0, which contradicts 'pinned': false",
     )
 
@@ -271,58 +217,24 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     _require(isinstance(anneal_data, dict), "'anneal' must be an object")
     unknown = set(anneal_data) - _ANNEAL_KEYS
     _require(not unknown, f"unknown anneal field(s): {sorted(unknown)}")
-    M = anneal_data.get("M", 2000)
-    _require(
-        _is_int(M),
-        f"anneal 'M' must be an integer step count, got {M!r}",
+
+    scheme = EncodingScheme(
+        method=pinned_method(method, pinned),
+        K=K,
+        centroid_states=data.get("centroid_states"),
+        penalty_constant=data.get("penalty"),
     )
-    try:
-        cfg = AnnealConfig(
-            h=_real_field(anneal_data, "h", _DEFAULT_H),
-            M=M,
-            dt=_real_field(anneal_data, "dt", 0.1),
-            mode=anneal_data.get("mode", MODE_EXACT),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"invalid 'anneal' block: {exc}") from exc
-
-    seed = data.get("seed")
-    if seed is not None:
-        _require(
-            _is_int(seed),
-            f"'seed' must be an integer, got {seed!r}",
-        )
-
-    emit = data.get("emit", ["table"])
-    _require(
-        isinstance(emit, list) and all(isinstance(f, str) for f in emit),
-        "'emit' must be a list of format names",
+    return ProblemSpec(
+        points=points,
+        scheme=scheme,
+        anneal=AnnealConfig(**{"h": _DEFAULT_H, **anneal_data}),
+        centroids=centroids,
+        pinned=pinned,
+        seed=data.get("seed"),
+        name=str(data.get("name", default_name)),
+        emit=data.get("emit", ["table"]),
+        out_dir=data.get("out", "."),
     )
-    out_dir = data.get("out", ".")
-    _require(isinstance(out_dir, str), "'out' must be a directory path string")
-
-    try:
-        scheme = EncodingScheme(
-            method=pinned_method(method, pinned),
-            K=K,
-            centroid_states=centroid_states,
-            penalty_constant=penalty,
-        )
-        return ProblemSpec(
-            points=points,
-            scheme=scheme,
-            anneal=cfg,
-            centroids=centroids,
-            pinned=pinned,
-            seed=seed,
-            name=str(data.get("name", default_name)),
-            emit=tuple(emit),
-            out_dir=out_dir,
-        )
-    except ValueError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(str(exc)) from exc
 
 
 def load_spec(path: str | Path) -> ProblemSpec:
@@ -394,7 +306,5 @@ def with_overrides(
         method = pinned_method(spec.scheme.method, pinned)
         spec = replace(spec, scheme=replace(spec.scheme, method=method), pinned=pinned)
     if mode is not None:
-        if mode not in MODES:
-            raise SpecError(f"unknown mode {mode!r}, expected one of {MODES}")
         spec = replace(spec, anneal=replace(spec.anneal, mode=mode))
     return spec

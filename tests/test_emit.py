@@ -184,6 +184,12 @@ def test_emit_unknown_format(tmp_path, tiny_result):
         emit(tiny_result, ["pdf"], tmp_path)
 
 
+def test_emit_checks_every_format_before_writing(tmp_path, tiny_result):
+    with pytest.raises(ValueError, match="pdf"):
+        emit(tiny_result, ["table", "pdf"], tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------ CLI plumbing
 
 

@@ -486,8 +486,6 @@ def test_encoding_scheme_validation():
     with pytest.raises(ValueError):
         EncodingScheme(method="one-hot-K2-penalty", K=3)
     with pytest.raises(ValueError):
-        EncodingScheme(method="one-hot-multispin", K=4, spins_per_point=1)
-    with pytest.raises(ValueError):
         EncodingScheme(method="one-hot-K3", K=3, centroid_states=((1,),))
     with pytest.raises(ValueError):
         EncodingScheme(method=METHOD_KMEANSPP, K=3, centroid_states=((1, 1), (1, 0), (0, 1)))

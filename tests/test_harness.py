@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qutrit_anneal.harness import (
     spec_from_dict,
     with_overrides,
 )
-from qutrit_anneal.hamiltonians import EncodingScheme
+from qutrit_anneal.hamiltonians import Encoding, EncodingScheme
 from qutrit_anneal.anneal import AnnealConfig
 from qutrit_anneal.clustering import PointSet
 from qutrit_anneal.presets import PRESET_NAMES, get_preset
@@ -290,6 +291,11 @@ def test_spec_output_targets(tiny_spec_dict):
         spec_from_dict(tiny_spec_dict)
 
 
+def test_spec_out_dir_may_be_a_path(tmp_path):
+    spec = ProblemSpec(**_SPEC, out_dir=tmp_path)
+    assert spec.out_dir == tmp_path
+
+
 def test_load_spec_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "points": [[0, 0],\n}\n')
@@ -308,6 +314,136 @@ def test_load_spec_round_trip(tmp_path, tiny_spec_dict):
     spec = load_spec(path)
     assert spec.name == "tiny"
     assert len(spec.points) == 4
+
+
+# ------------------------------------------- each rule in one constructor
+
+_POINTS = ((0, 0), (0, 1), (10, 10), (-10, 10))  # the tiny spec's points
+_KPP = {"method": "kmeanspp", "centroids": [0, 1, 2]}
+_MULTISPIN = {"method": "one-hot-multispin", "K": 4}
+_SPEC = {
+    "points": PointSet(_POINTS),
+    "scheme": EncodingScheme("one-hot-K3-pinned", K=3),
+    "anneal": AnnealConfig(h=2.0),
+}
+_ANNEAL_BAD = {
+    "M": (5.7, True, "100", 0),
+    "h": ("2", True, float("nan"), 0, -1.0),
+    "dt": ("0.1", float("inf"), 10**400, None),
+    "mode": ("warp",),
+}
+_PENALTY_BAD = (True, float("inf"), float("nan"), 0, -3.0, 10**400, "5")
+_CENTROID_STATES_BAD = (
+    [[True], [0], [-1]],
+    [[1.7], [0.2], [0]],
+    [["1"], ["0"], ["-1"]],
+    "10",
+    [[2], [0], [-1]],
+    [[1, 1], [0, 0], [-1, -1]],
+    [[1], [1], [0]],
+    [[1], [0]],
+)
+
+#: (field the message must name, spec fields that carry a bad value, the
+#: same value given straight to the constructor that holds the field)
+BAD_VALUES = [
+    ("points", {"points": [[0, 0]]}, partial(PointSet, ((0, 0),))),
+    ("points", {"points": [[0, 0], [1]]}, partial(PointSet, ((0, 0), (1,)))),
+    ("points", {"points": [[0, 0], [1, "a"]]}, partial(PointSet, ((0, 0), (1, "a")))),
+    ("points", {"points": [[0, 0], [1, None]]}, partial(PointSet, ((0, 0), (1, None)))),
+    ("points", {"points": [[0, 0], [1, "inf"]]}, partial(PointSet, ((0, 0), (1, "inf")))),
+    ("labels", {"labels": "abcd"}, partial(PointSet, _POINTS, "abcd")),
+    ("labels", {"labels": ["a", "b", "c", 4]}, partial(PointSet, _POINTS, ("a", "b", "c", 4))),
+    ("labels", {"labels": ["a"]}, partial(PointSet, _POINTS, ("a",))),
+    ("method", {"method": "bogus"}, partial(EncodingScheme, "bogus", 3)),
+    ("method", {"method": ["kmeanspp"]}, partial(EncodingScheme, ["kmeanspp"], 3)),
+    ("K", {"K": 2}, partial(EncodingScheme, "one-hot-K3-pinned", 2)),
+    *[
+        ("K", {**_MULTISPIN, "K": K}, partial(EncodingScheme, "one-hot-multispin", K))
+        for K in (4.5, "3", 1, True)
+    ],
+    *[
+        (
+            "centroid_states",
+            {**_KPP, "centroid_states": states},
+            partial(EncodingScheme, "kmeanspp", 3, centroid_states=states),
+        )
+        for states in _CENTROID_STATES_BAD
+    ],
+    (
+        "centroid_states",
+        {"centroid_states": [[1], [0], [-1]]},
+        partial(EncodingScheme, "one-hot-K3-pinned", 3, ((1,), (0,), (-1,))),
+    ),
+    *[
+        ("penalty", {**_MULTISPIN, "penalty": a}, partial(EncodingScheme, **_MULTISPIN, penalty_constant=a))
+        for a in _PENALTY_BAD
+    ],
+    ("penalty", {"penalty": 5.0}, partial(EncodingScheme, "one-hot-K3-pinned", 3, penalty_constant=5.0)),
+    *[
+        (
+            "centroids",
+            {**_KPP, "K": 3, "centroids": centroids},
+            partial(Encoding, EncodingScheme("kmeanspp", 3), 4, centroids=centroids),
+        )
+        for centroids in ([0, 1.7, 2], [0, True, 2], [0, 0, 1], [0, 1, 7], [0, 1], None)
+    ],
+    (
+        "centroids",
+        {"method": "kmeanspp", "centroids": [0, 1, 2, 3]},
+        partial(Encoding, EncodingScheme("kmeanspp", 4), 4, centroids=(0, 1, 2, 3)),
+    ),
+    ("centroids", {"centroids": [0]}, partial(Encoding, _SPEC["scheme"], 4, centroids=[0])),
+    ("pinned", {"pinned": "yes"}, partial(Encoding, _SPEC["scheme"], 4, pinned="yes")),
+    (
+        "pinned",
+        {**_MULTISPIN, "pinned": True},
+        partial(Encoding, EncodingScheme(**_MULTISPIN), 4, pinned=True),
+    ),
+    *[
+        (key, {"anneal": {key: value}}, partial(AnnealConfig, **{"h": 2.0, key: value}))
+        for key, values in _ANNEAL_BAD.items()
+        for value in values
+    ],
+    ("name", {"name": "sub/dir"}, partial(ProblemSpec, **_SPEC, name="sub/dir")),
+    ("name", {"name": ""}, partial(ProblemSpec, **_SPEC, name="")),
+    ("emit", {"emit": ["pdf"]}, partial(ProblemSpec, **_SPEC, emit=["pdf"])),
+    ("emit", {"emit": "table"}, partial(ProblemSpec, **_SPEC, emit="table")),
+    ("out", {"out": 5}, partial(ProblemSpec, **_SPEC, out_dir=5)),
+    *[
+        ("seed", {"seed": seed}, partial(ProblemSpec, **_SPEC, seed=seed))
+        for seed in ("x", True, 7.0)
+    ],
+    *[
+        (
+            "centroids",
+            {"method": "kmeanspp", "centroids": centroids},
+            partial(Encoding, EncodingScheme("kmeanspp", 3), 4, centroids=centroids),
+        )
+        for centroids in ("012", {})
+    ],
+    (
+        "penalty",
+        {**_MULTISPIN, "points": [[3, 3]] * 4},
+        partial(
+            ProblemSpec, PointSet(((3, 3),) * 4), EncodingScheme(**_MULTISPIN), _SPEC["anneal"]
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "field, update, construct",
+    BAD_VALUES,
+    ids=[f"{field}-{i}" for i, (field, _, _) in enumerate(BAD_VALUES)],
+)
+def test_bad_value_is_rejected_by_spec_and_constructor(tiny_spec_dict, field, update, construct):
+    anneal = {**tiny_spec_dict["anneal"], **update.get("anneal", {})}
+    tiny_spec_dict.update(update, anneal=anneal)
+    with pytest.raises(SpecError, match=f"'{field}'"):
+        spec_from_dict(tiny_spec_dict)
+    with pytest.raises(SpecError, match=f"'{field}'"):
+        construct()
 
 
 # -------------------------------------------------------------- generation
