@@ -29,8 +29,6 @@ from .clustering import (
     cost,
     distance,
     distance_matrix,
-    enumerate_assignments,
-    oracle_diag_min,
     oracle_min,
 )
 from .emit import emit, render_csv, render_svg, render_table
@@ -48,11 +46,6 @@ from .hamiltonians import (
     EncodingScheme,
     block_state_index,
     block_state_list,
-    build_driver,
-    build_onehot_k3,
-    build_onehot_k3_pinned,
-    build_onehot_multispin,
-    build_penalty_onehot,
     spins_per_point,
 )
 from .harness import (
@@ -70,8 +63,6 @@ from .harness import (
 from .presets import PRESET_NAMES, get_preset
 from .spin import (
     PROJECTIONS,
-    BasisIndex,
-    basis_index,
     digit_table,
     group_projector_diagonal,
     projector,

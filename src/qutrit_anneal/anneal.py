@@ -84,10 +84,6 @@ class AnnealConfig:
         if self.mode not in MODES:
             raise SpecError(f"unknown anneal 'mode' {self.mode!r}, expected one of {MODES}")
 
-    @property
-    def total_time(self) -> float:
-        return self.M * self.dt
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -137,7 +133,8 @@ class InstantaneousHamiltonian:
         self.n = hf.n
         self._field = (1.0 - s) * drv.h
         # the driver (field A) (x) I + I (x) (field B) acts on the state viewed
-        # as a grid, as in sum_sx_apply; the diagonal takes the grid's shape
+        # as a row-major grid of 3**(n // 2) rows, as A @ grid + grid @ B (B is
+        # symmetric); the diagonal takes the grid's shape
         a, b = driver_factors(self.n)
         self._factors = (self._field * a, self._field * b)
         self._diag = (s * hf.diag).reshape(a.shape[0], b.shape[0])

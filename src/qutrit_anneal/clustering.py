@@ -1,16 +1,17 @@
-"""Clustering instances, the intra-cluster cost, and exhaustive oracles.
+"""Clustering instances, the intra-cluster cost, and the exhaustive oracle.
 
-The oracles enumerate every cluster assignment of a small instance and are
-the classical reference that annealing results are certified against.
-``oracle_min`` enumerates in numpy chunks: each chunk is an int8 label table
-of 3**8 assignments, costed in one matrix-vector product over the pair
-distances; the rows near the minimum are deduplicated by their
-``partition_keys`` and re-costed exactly, and only the optimal ones become
-``Partition``s.  At its guard (12 points) it takes about 0.1 s for K = 3
-(531,441 assignments) and 0.9 s for K = 4 with one point fixed (4,194,304);
-12 coincident points at K = 3, where all 88,574 partitions tie, take about
-1.4 s.  Ties are every assignment within one relative window of the exact
-minimum.
+The oracle, ``oracle_min``, enumerates every cluster assignment of a small
+instance and is the classical reference that annealing results are
+certified against; its ``OracleResult`` holds the exact minimum and the
+optimal ``Partition``s.  It enumerates in numpy chunks: each chunk is an
+int8 label table of 3**8 assignments, costed in one matrix-vector product
+over the pair distances; the rows near the minimum are deduplicated by
+their ``partition_keys`` and re-costed exactly, and only the optimal ones
+become ``Partition``s.  At its guard (12 points) it takes about 0.1 s for
+K = 3 (531,441 assignments) and 0.9 s for K = 4 with one point fixed
+(4,194,304); 12 coincident points at K = 3, where all 88,574 partitions
+tie, take about 1.4 s.  Ties are every assignment within one relative
+window of the exact minimum.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError, SpecError
-from .spin import BasisIndex
+from .errors import SizeGuardError, SpecError, is_finite_real
 
 #: Hard cap for exhaustive enumeration (K**n assignments).
 ORACLE_MAX_POINTS = 12
@@ -40,17 +40,17 @@ class PointSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        try:
-            pts = tuple((float(x), float(y)) for x, y in self.points)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"'points' must be [x, y] pairs of numbers: {exc}") from exc
+        if not _is_sequence(self.points):
+            raise SpecError(f"'points' must be a list of [x, y] pairs, got {self.points!r}")
+        for idx, p in enumerate(self.points):
+            if not (_is_sequence(p) and len(p) == 2 and all(map(is_finite_real, p))):
+                raise SpecError(
+                    f"'points': point {idx} must be an [x, y] pair of finite numbers, "
+                    f"got {p!r}"
+                )
+        pts = tuple((float(x), float(y)) for x, y in self.points)
         if len(pts) < 2:
             raise SpecError("'points' must hold at least 2 points")
-        for idx, (x, y) in enumerate(pts):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise SpecError(
-                    f"'points': point {idx} has a non-finite coordinate ({x}, {y})"
-                )
         object.__setattr__(self, "points", pts)
         labels = self.labels
         if labels is not None:
@@ -68,6 +68,13 @@ class PointSet:
         return len(self.points)
 
 
+def _is_sequence(value) -> bool:
+    """A list, a tuple or a numpy array of at least one dimension: not a string."""
+    return isinstance(value, (list, tuple)) or (
+        isinstance(value, np.ndarray) and value.ndim > 0
+    )
+
+
 def distance(p: Sequence[float], q: Sequence[float]) -> float:
     """Euclidean distance between two points in the plane."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
@@ -83,7 +90,7 @@ class DistanceMatrix:
         d = np.array(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
-        if not np.allclose(d, d.T, atol=0.0):
+        if not np.array_equal(d, d.T):
             raise ValueError("distance matrix must be symmetric")
         if np.any(d < 0.0) or np.any(np.diag(d) != 0.0):
             raise ValueError("distances must be non-negative with a zero diagonal")
@@ -98,13 +105,6 @@ class DistanceMatrix:
     def max_distance(self) -> float:
         return float(self.d.max())
 
-    @property
-    def total_pair_sum(self) -> float:
-        """Sum of all unordered pair distances."""
-        n = self.n_points
-        return math.fsum(
-            self.d[i, j] for i in range(n) for j in range(i + 1, n)
-        )
 
 
 def distance_matrix(points: PointSet | Sequence[Sequence[float]]) -> DistanceMatrix:
@@ -269,29 +269,16 @@ def _label_chunks(
         yield labels
 
 
-def enumerate_assignments(
-    n_points: int,
-    K: int,
-    fixed: Mapping[int, int] | None = None,
-) -> Iterator[Partition]:
-    """Yield every K-labeling of the points that honors the fixed labels."""
-    for labels in _label_chunks(n_points, K, fixed):
-        for row in labels.tolist():
-            yield Partition(row, K)
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Exact minimum found by enumeration.
 
     ``argmin_partitions`` holds the optimal assignments deduplicated up to
-    cluster relabeling; ``argmin_basis_states`` is filled when the query was
-    over a Hamiltonian diagonal.
+    cluster relabeling.
     """
 
     min_cost: float
     argmin_partitions: tuple[Partition, ...] = ()
-    argmin_basis_states: tuple[BasisIndex, ...] = ()
 
 
 def oracle_min(
@@ -367,20 +354,3 @@ def oracle_min(
     argmin = [Partition(row, K) for row in rows[near].tolist()]
     return OracleResult(min_cost=min_cost, argmin_partitions=tuple(argmin))
 
-
-def oracle_diag_min(h_diag, rel_tol: float = 1e-9) -> OracleResult:
-    """Minimum entry of a Hamiltonian diagonal and all basis states attaining it.
-
-    Accepts a plain vector or anything exposing a ``diag`` attribute; the
-    length must be a power of 3.  Entries within ``rel_tol`` of the minimum
-    count as degenerate.
-    """
-    diag = np.asarray(getattr(h_diag, "diag", h_diag), dtype=float)
-    dim = diag.shape[0]
-    n = max(1, round(math.log(dim, 3)))
-    if diag.ndim != 1 or 3**n != dim:
-        raise ValueError(f"diagonal length {dim} is not a power of 3")
-    mn = float(diag.min())
-    idx = np.flatnonzero(diag <= mn + rel_tol * (1.0 + abs(mn)))
-    states = tuple(BasisIndex.from_linear(int(i), n) for i in idx)
-    return OracleResult(min_cost=mn, argmin_basis_states=states)

@@ -17,11 +17,16 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_positive_finite(value) -> bool:
-    """True for a real number, not a bool, that is finite and above zero."""
+def is_finite_real(value) -> bool:
+    """True for a real number, numpy's included, that is not a bool and is finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
-        return math.isfinite(value) and value > 0
+        return math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def is_positive_finite(value) -> bool:
+    """True for a real number, not a bool, that is finite and above zero."""
+    return is_finite_real(value) and value > 0

@@ -111,14 +111,6 @@ class DiagonalHamiltonian:
     def dim(self) -> int:
         return self.diag.shape[0]
 
-    def __add__(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":
-        if not isinstance(other, DiagonalHamiltonian):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("cannot add diagonals over different registers")
-        return DiagonalHamiltonian(self.n, self.diag + other.diag)
-
-
 
 @functools.lru_cache(maxsize=None)
 def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,24 +125,6 @@ def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
     first.flags.writeable = rest.flags.writeable = False
     return first, rest
-
-
-def sum_sx_apply(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """Apply sum_i S_i^x along the last axis of a (..., 3**n) array.
-
-    The driver is the Kronecker sum A (x) I + I (x) B of its halves
-    (``driver_factors``).  With the last axis viewed as a row-major grid of
-    3**(n // 2) rows, that is A @ grid + grid @ B (B is symmetric): two
-    matrix products, batched over the leading axes.
-    """
-    amplitudes = np.asarray(amplitudes)
-    if amplitudes.shape[-1] != 3**n:
-        raise ValueError(
-            f"state of {amplitudes.shape[-1]} amplitudes does not match 3**{n}"
-        )
-    a, b = driver_factors(n)
-    grid = amplitudes.reshape(*amplitudes.shape[:-1], a.shape[0], b.shape[0])
-    return (a @ grid + grid @ b).reshape(amplitudes.shape)
 
 
 @dataclass(frozen=True)
@@ -171,13 +145,6 @@ class DriverHamiltonian:
     def dim(self) -> int:
         return 3**self.n
 
-    @property
-    def ground_energy(self) -> float:
-        return -self.n * self.h
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.h * sum_sx_apply(amplitudes, self.n)
-
     def dense(self) -> np.ndarray:
         """Dense matrix form, intended for small registers and tests."""
         sx = spin_operator("x")
@@ -188,11 +155,6 @@ class DriverHamiltonian:
             )
             out += term
         return self.h * out
-
-
-def build_driver(n: int, h: float) -> DriverHamiltonian:
-    """Driver h * sum_i S_i^x; h must be positive so its ground state is unique."""
-    return DriverHamiltonian(n=n, h=h)
 
 
 def spins_per_point(K: int) -> int:
@@ -425,33 +387,3 @@ class Encoding:
             diag = diag + self.penalty_sum(self.penalty_weights(dm))
         return DiagonalHamiltonian(self.n_qutrits, diag)
 
-
-def build_onehot_k3(dm: DistanceMatrix) -> DiagonalHamiltonian:
-    """One qutrit per point: equal projections attract, unequal ones repel."""
-    scheme = EncodingScheme(METHOD_ONEHOT_K3, K=3)
-    return Encoding(scheme, dm.n_points).hamiltonian(dm)
-
-
-def build_onehot_k3_pinned(dm: DistanceMatrix) -> DiagonalHamiltonian:
-    """Three-cluster form with point 0 held at projection 1, off the register.
-
-    Its diagonal is bitwise the slice of the unpinned one where point 0 sits
-    at projection 1: the pairs are summed in the same order.
-    """
-    scheme = EncodingScheme(METHOD_ONEHOT_K3_PINNED, K=3)
-    return Encoding(scheme, dm.n_points).hamiltonian(dm)
-
-
-def build_onehot_multispin(dm: DistanceMatrix, K: int) -> DiagonalHamiltonian:
-    """Block one-hot pair sum, without the penalty: two points attract when
-    their blocks agree on one of the first K block states, and repel otherwise."""
-    encoding = Encoding(EncodingScheme(METHOD_ONEHOT_MULTISPIN, K), dm.n_points)
-    return DiagonalHamiltonian(encoding.n_qutrits, encoding.pair_sum(dm.d))
-
-
-def build_penalty_onehot(n_points: int, K: int, a: float) -> DiagonalHamiltonian:
-    """Constant penalty a per point whose block sits outside the first K states."""
-    scheme = EncodingScheme(METHOD_ONEHOT_MULTISPIN, K, penalty_constant=a)
-    encoding = Encoding(scheme, n_points)
-    diag = encoding.penalty_sum(np.full(n_points, float(a)))
-    return DiagonalHamiltonian(encoding.n_qutrits, diag)

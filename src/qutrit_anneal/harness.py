@@ -10,8 +10,8 @@ states, penalty), ``Encoding`` (centroids, pinning), ``AnnealConfig`` (the
 anneal block) and ``ProblemSpec`` (name, emit, out, seed).  Each raises
 ``SpecError`` naming the spec field, so a library caller and a spec file
 meet the same rules.  ``spec_from_dict`` checks only the JSON shape (known
-keys, required fields, ``[x, y]`` pairs), fills in the defaults that depend
-on the method, and rejects ``"pinned": false`` on a method that pins.
+keys, required fields), fills in the defaults that depend on the method,
+and rejects ``"pinned": false`` on a method that pins.
 """
 
 from __future__ import annotations
@@ -181,14 +181,8 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     for key in ("points", "method"):
         _require(key in data, f"spec is missing the required {key!r} field")
 
-    raw_points = data["points"]
-    _require(isinstance(raw_points, list), "'points' must be a list of [x, y] pairs")
-    try:
-        pairs = tuple((p[0], p[1]) for p in raw_points)
-    except (TypeError, IndexError, KeyError) as exc:
-        raise SpecError(f"'points' must be a list of [x, y] pairs: {exc!r}") from exc
     labels = data.get("labels")
-    points = PointSet(pairs, None if labels == [] else labels)
+    points = PointSet(data["points"], None if labels == [] else labels)
 
     method = data["method"]
     traits = method_traits(method)
@@ -231,7 +225,7 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
         centroids=centroids,
         pinned=pinned,
         seed=data.get("seed"),
-        name=str(data.get("name", default_name)),
+        name=data.get("name", default_name),
         emit=data.get("emit", ["table"]),
         out_dir=data.get("out", "."),
     )

@@ -4,14 +4,15 @@ The single-qutrit basis is ordered by z projection as (|1>, |0>, |-1>).
 A register state |m_1, ..., m_n> maps to the base-3 integer with digit
 1 - m per site, so digits run (0, 1, 2) for m = (1, 0, -1), site 0 is the
 most significant trit, and the all-|1> state has linear index 0.
+``digit_table`` maps every linear index to its digits at once, and
+``hamiltonians.block_state_index`` maps a projection tuple to its index.
 
 Everything here is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,41 +62,6 @@ def projection_from_digit(digit: int) -> int:
     if digit not in (0, 1, 2):
         raise ValueError(f"digit must be 0, 1 or 2, got {digit!r}")
     return 1 - digit
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """A register basis state as projections plus its linear index."""
-
-    n: int
-    projections: tuple[int, ...]
-    linear: int
-
-    @classmethod
-    def from_projections(cls, ms: Iterable[int]) -> "BasisIndex":
-        ms = tuple(ms)
-        linear = 0
-        for m in ms:
-            linear = linear * 3 + digit_from_projection(m)
-        return cls(n=len(ms), projections=ms, linear=linear)
-
-    @classmethod
-    def from_linear(cls, linear: int, n: int) -> "BasisIndex":
-        if n < 1:
-            raise ValueError("register needs at least one qutrit")
-        if not 0 <= linear < 3**n:
-            raise ValueError(f"linear index {linear} out of range for {n} qutrits")
-        digits = [(linear // 3 ** (n - 1 - i)) % 3 for i in range(n)]
-        return cls(n=n, projections=tuple(1 - d for d in digits), linear=linear)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(1 - m for m in self.projections)
-
-
-def basis_index(ms: Iterable[int]) -> BasisIndex:
-    """Index the basis state |m_1, ..., m_n>."""
-    return BasisIndex.from_projections(ms)
 
 
 def digit_table(n: int) -> np.ndarray:

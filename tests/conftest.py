@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from qutrit_anneal.harness import run, spec_from_dict
@@ -12,6 +13,13 @@ TINY_SPEC = {
     "method": "one-hot-K3-pinned",
     "anneal": {"M": 150, "dt": 0.1, "h": 2.0},
 }
+
+
+def ground_states(h) -> np.ndarray:
+    """Basis indices where a final Hamiltonian's diagonal is within 1e-9 (relative) of its minimum."""
+    diag = h.diag
+    mn = float(diag.min())
+    return np.flatnonzero(diag <= mn + 1e-9 * (1.0 + abs(mn)))
 
 
 @pytest.fixture

@@ -6,22 +6,23 @@ lines alongside the pytest verdicts.
 
 import numpy as np
 
+from conftest import ground_states
 from qutrit_anneal.anneal import InstantaneousHamiltonian, initial_state, step
 from qutrit_anneal.clustering import (
     Partition,
     cost,
     distance_matrix,
-    oracle_diag_min,
     oracle_min,
 )
 from qutrit_anneal.hamiltonians import (
+    METHOD_ONEHOT_K3,
+    METHOD_ONEHOT_K3_PINNED,
+    METHOD_ONEHOT_MULTISPIN,
     DiagonalHamiltonian,
+    DriverHamiltonian,
+    Encoding,
+    EncodingScheme,
     block_state_index,
-    build_driver,
-    build_onehot_k3,
-    build_onehot_k3_pinned,
-    build_onehot_multispin,
-    build_penalty_onehot,
 )
 from qutrit_anneal.presets import get_preset
 from qutrit_anneal.spin import digit_table, projector
@@ -140,8 +141,8 @@ def test_a5_diagonal_identity_on_random_instances():
         n = int(rng.integers(2, 6))
         pts = [tuple(p) for p in rng.integers(-10, 11, size=(n, 2)).astype(float)]
         dm = distance_matrix(pts)
-        h = build_onehot_k3(dm)
-        total = dm.total_pair_sum
+        h = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), n).hamiltonian(dm)
+        total = cost(dm, Partition([0] * n, 1))
         digits = digit_table(n)
         for idx in range(3**n):
             w = cost(dm, Partition(digits[idx], 3))
@@ -156,13 +157,15 @@ def test_a5_diagonal_identity_on_random_instances():
 
 def test_a6_ground_state_degeneracy_counts():
     dm = distance_matrix(get_preset("fig1").points)
-    full = oracle_diag_min(build_onehot_k3(dm))
-    pinned = oracle_diag_min(build_onehot_k3_pinned(dm))
+    full, pinned = (
+        ground_states(Encoding(EncodingScheme(method, 3), dm.n_points).hamiltonian(dm))
+        for method in (METHOD_ONEHOT_K3, METHOD_ONEHOT_K3_PINNED)
+    )
     _criterion(
         "A6",
         "six-point instance: 6 degenerate minima unpinned, 2 when pinned",
-        len(full.argmin_basis_states) == 6 and len(pinned.argmin_basis_states) == 2,
-        f"got {len(full.argmin_basis_states)} and {len(pinned.argmin_basis_states)}",
+        len(full) == 6 and len(pinned) == 2,
+        f"got {len(full)} and {len(pinned)}",
     )
 
 
@@ -178,7 +181,7 @@ def test_a7_unitarity_and_step_accuracy(preset_result):
         ", ".join(f"{k}={v:.1e}" for k, v in drifts.items()),
     )
     hf = DiagonalHamiltonian(1, np.array([3.0, -1.0, 0.5]))
-    drv = build_driver(1, 2.0)
+    drv = DriverHamiltonian(1, 2.0)
     psi = initial_state(1, 2.0)
     s, dt = 0.45, 0.1
     lam, vecs = np.linalg.eigh(InstantaneousHamiltonian(s, hf, drv).dense())
@@ -223,9 +226,11 @@ def test_a9_penalty_dominance_on_random_instances():
         pts = [tuple(p) for p in rng.uniform(-10, 10, size=(2, 2))]
         dm = distance_matrix(pts)
         a = 2.0 * dm.max_distance
-        h = build_onehot_multispin(dm, K) + build_penalty_onehot(2, K, a)
-        for state in oracle_diag_min(h).argmin_basis_states:
-            for block in (state.projections[:2], state.projections[2:]):
+        scheme = EncodingScheme(METHOD_ONEHOT_MULTISPIN, K, penalty_constant=a)
+        h = Encoding(scheme, 2).hamiltonian(dm)
+        for idx in ground_states(h):
+            projections = tuple(1 - digit_table(4)[idx])
+            for block in (projections[:2], projections[2:]):
                 if block_state_index(block) >= K:
                     clean = False
     _criterion(

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
+from conftest import ground_states
 from qutrit_anneal.anneal import (
     MODE_SPLIT,
     AnnealConfig,
@@ -19,7 +20,7 @@ from qutrit_anneal.anneal import (
     initial_state,
     step,
 )
-from qutrit_anneal.clustering import Partition, distance_matrix, oracle_diag_min
+from qutrit_anneal.clustering import Partition, distance_matrix
 from qutrit_anneal.hamiltonians import (
     METHOD_KMEANSPP,
     METHOD_ONEHOT_K2_PENALTY,
@@ -30,11 +31,9 @@ from qutrit_anneal.hamiltonians import (
     DriverHamiltonian,
     Encoding,
     EncodingScheme,
-    build_driver,
-    build_onehot_k3,
-    build_onehot_k3_pinned,
+    block_state_index,
 )
-from qutrit_anneal.spin import basis_index, spin_operator
+from qutrit_anneal.spin import spin_operator
 
 # the package exports the function anneal under its module's name
 anneal_module = importlib.import_module("qutrit_anneal.anneal")
@@ -65,11 +64,10 @@ def unit_vector(rng, dim):
 # ------------------------------------------------------------------- config
 
 
-def test_config_defaults_and_total_time():
+def test_config_defaults():
     cfg = AnnealConfig(h=2.0)
     assert cfg.M == 2000
     assert cfg.dt == 0.1
-    assert cfg.total_time == pytest.approx(200.0)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +110,7 @@ def test_config_rejects_mistyped_fields(kwargs, message):
 
 
 def test_config_accepts_numpy_integer_steps():
-    assert AnnealConfig(h=2.0, M=np.int64(5)).total_time == pytest.approx(0.5)
+    assert AnnealConfig(h=2.0, M=np.int64(5)).M == 5
 
 
 # ------------------------------------------------------------ initial state
@@ -134,9 +132,9 @@ def test_initial_state_is_product_state():
 
 def test_initial_state_is_driver_ground_state():
     n, h = 3, 1.7
-    drv = build_driver(n, h)
+    drv = DriverHamiltonian(n, h)
     psi = initial_state(n, h).amplitudes
-    energy = np.vdot(psi, drv.apply(psi)).real
+    energy = np.vdot(psi, drv.dense() @ psi).real
     assert energy == pytest.approx(-n * h, abs=1e-12)
 
 
@@ -151,7 +149,7 @@ def test_initial_state_rejects_bad_field():
 def test_endpoint_s1_is_diagonal():
     rng = np.random.default_rng(0)
     hf = random_diag(rng, 2)
-    op = InstantaneousHamiltonian(1.0, hf, build_driver(2, 3.0))
+    op = InstantaneousHamiltonian(1.0, hf, DriverHamiltonian(2, 3.0))
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
     np.testing.assert_allclose(op.matvec(v), hf.diag * v, atol=1e-14)
 
@@ -159,19 +157,19 @@ def test_endpoint_s1_is_diagonal():
 def test_endpoint_s0_is_driver():
     rng = np.random.default_rng(1)
     hf = random_diag(rng, 2)
-    drv = build_driver(2, 3.0)
+    drv = DriverHamiltonian(2, 3.0)
     op = InstantaneousHamiltonian(0.0, hf, drv)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    np.testing.assert_allclose(op.matvec(v), drv.apply(v), atol=1e-14)
+    np.testing.assert_allclose(op.matvec(v), drv.dense() @ v, atol=1e-14)
 
 
 def test_midpoint_linearity():
     rng = np.random.default_rng(2)
     hf = random_diag(rng, 2)
-    drv = build_driver(2, 4.0)
+    drv = DriverHamiltonian(2, 4.0)
     op = InstantaneousHamiltonian(0.5, hf, drv)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    expected = 0.5 * hf.diag * v + 0.5 * drv.apply(v)
+    expected = 0.5 * hf.diag * v + 0.5 * drv.dense() @ v
     np.testing.assert_allclose(op.matvec(v), expected, atol=1e-13)
 
 
@@ -180,7 +178,7 @@ def test_bounds_contain_spectrum(n):
     rng = np.random.default_rng(20 + n)
     for s in [0.0, 1.0, *rng.uniform(0, 1, 3)]:
         op = InstantaneousHamiltonian(
-            s, random_diag(rng, n, scale=30.0), build_driver(n, rng.uniform(0.5, 8.0))
+            s, random_diag(rng, n, scale=30.0), DriverHamiltonian(n, rng.uniform(0.5, 8.0))
         )
         lam = np.linalg.eigvalsh(op.dense())
         lo, hi = op.bounds()
@@ -196,15 +194,15 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     rng = np.random.default_rng(40 + n)
     hf = random_diag(rng, n)
     h = 2.5
-    got = InstantaneousHamiltonian(s, hf, build_driver(n, h)).dense()
-    expected = np.diag(s * hf.diag) + (1.0 - s) * h * build_driver(n, 1.0).dense()
+    got = InstantaneousHamiltonian(s, hf, DriverHamiltonian(n, h)).dense()
+    expected = np.diag(s * hf.diag) + (1.0 - s) * h * DriverHamiltonian(n, 1.0).dense()
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.4, 1.0])
 def test_rescaled_is_an_affine_map_of_h(s):
     rng = np.random.default_rng(50)
-    op = InstantaneousHamiltonian(s, random_diag(rng, 3), build_driver(3, 2.5))
+    op = InstantaneousHamiltonian(s, random_diag(rng, 3), DriverHamiltonian(3, 2.5))
     lo, hi = op.bounds()
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     mapped = op.rescaled(centre, 2.0 / radius)
@@ -218,9 +216,9 @@ def test_rescaled_is_an_affine_map_of_h(s):
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        InstantaneousHamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(3, 1.0))
+        InstantaneousHamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(3, 1.0))
     with pytest.raises(ValueError):
-        InstantaneousHamiltonian(1.5, DiagonalHamiltonian(2, np.zeros(9)), build_driver(2, 1.0))
+        InstantaneousHamiltonian(1.5, DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(2, 1.0))
 
 
 # -------------------------------------------------------- matrix exponential
@@ -244,7 +242,7 @@ def test_expm_multiply_matches_dense(seed):
     rng = np.random.default_rng(seed)
     n = 2
     hf = random_diag(rng, n, scale=40.0)
-    op = InstantaneousHamiltonian(0.4, hf, build_driver(n, 6.0))
+    op = InstantaneousHamiltonian(0.4, hf, DriverHamiltonian(n, 6.0))
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
     expected = expm(-1j * 0.1 * op.dense()) @ v
@@ -258,7 +256,7 @@ def test_expm_multiply_matches_dense_wide_spectrum():
     rng = np.random.default_rng(12)
     n = 5
     hf = random_diag(rng, n, scale=330.0)
-    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 8.0))
+    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(n, 8.0))
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
     expected = expm(-1j * 0.1 * op.dense()) @ v
@@ -272,7 +270,7 @@ def test_expm_multiply_long_steps(dt):
     rng = np.random.default_rng(13)
     n = 5
     hf = random_diag(rng, n, scale=330.0)
-    op = InstantaneousHamiltonian(0.5, hf, build_driver(n, 8.0))
+    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(n, 8.0))
     v = unit_vector(rng, 3**n)
     got = expm_multiply_hermitian(op.matvec, v, dt, bounds=op.bounds())
     assert np.linalg.norm(got - expm(-1j * dt * op.dense()) @ v) < 1e-9
@@ -284,7 +282,7 @@ def test_expm_multiply_long_steps(dt):
 def test_expm_multiply_dt_zero_is_identity():
     rng = np.random.default_rng(3)
     hf = random_diag(rng, 1)
-    op = InstantaneousHamiltonian(0.5, hf, build_driver(1, 1.0))
+    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(1, 1.0))
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     got = expm_multiply_hermitian(op.matvec, v, 0.0, bounds=op.bounds())
     np.testing.assert_allclose(got, v, atol=1e-14)
@@ -292,7 +290,7 @@ def test_expm_multiply_dt_zero_is_identity():
 
 def test_expm_multiply_eigenvector_phase():
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
-    op = InstantaneousHamiltonian(0.6, hf, build_driver(1, 1.5))
+    op = InstantaneousHamiltonian(0.6, hf, DriverHamiltonian(1, 1.5))
     lam, vecs = np.linalg.eigh(op.dense())
     dt = 0.3
     for k in range(3):
@@ -304,7 +302,7 @@ def test_expm_multiply_eigenvector_phase():
 
 def test_expm_multiply_single_qutrit_long_step():
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
-    op = InstantaneousHamiltonian(0.6, hf, build_driver(1, 1.5))
+    op = InstantaneousHamiltonian(0.6, hf, DriverHamiltonian(1, 1.5))
     v = np.array([1.0, 0.3 - 0.2j, -0.5])
     got = expm_multiply_hermitian(op.matvec, v, 2.0, bounds=op.bounds())
     np.testing.assert_allclose(got, expm(-2j * op.dense()) @ v, rtol=0, atol=1e-12)
@@ -313,7 +311,7 @@ def test_expm_multiply_single_qutrit_long_step():
 def test_expm_multiply_constant_hamiltonian_needs_no_matvec():
     # zero-width bounds: H is the centre times the identity
     hf = DiagonalHamiltonian(2, np.full(9, 1.5))
-    op = InstantaneousHamiltonian(1.0, hf, build_driver(2, 1.0))
+    op = InstantaneousHamiltonian(1.0, hf, DriverHamiltonian(2, 1.0))
     matvec, calls = counting(op.matvec)
     v = unit_vector(np.random.default_rng(8), 9)
     got = expm_multiply_hermitian(matvec, v, 0.4, bounds=op.bounds())
@@ -334,7 +332,7 @@ def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
     # leave a partial last block with 4 or 8 rows, and fit one of 10,000
     rng = np.random.default_rng(14)
     hf = random_diag(rng, 3, scale=100.0)
-    op = InstantaneousHamiltonian(0.5, hf, build_driver(3, 8.0))
+    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(3, 8.0))
     v = unit_vector(rng, 27)
     matvec, calls = counting(op.matvec)
     monkeypatch.setattr(anneal_module, "_ROWS", rows)
@@ -362,7 +360,7 @@ def test_expm_multiply_rejects_complex_hamiltonian():
 def test_step_on_pure_diagonal_applies_exact_phases():
     rng = np.random.default_rng(4)
     hf = random_diag(rng, 2)
-    drv = build_driver(2, 1.0)
+    drv = DriverHamiltonian(2, 1.0)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
     out = step(StateVector(2, amps), 1.0, hf, drv, dt=0.25)
@@ -373,7 +371,7 @@ def test_step_on_pure_diagonal_applies_exact_phases():
 def test_step_preserves_norm():
     rng = np.random.default_rng(5)
     hf = random_diag(rng, 3, scale=50.0)
-    drv = build_driver(3, 8.0)
+    drv = DriverHamiltonian(3, 8.0)
     psi = initial_state(3, 8.0)
     out = step(psi, 0.5, hf, drv, dt=0.1)
     assert abs(out.norm() - 1.0) < 1e-12
@@ -381,7 +379,7 @@ def test_step_preserves_norm():
 
 def test_single_qutrit_step_matches_analytic_diagonalization():
     hf = DiagonalHamiltonian(1, np.array([3.0, -1.0, 0.5]))
-    drv = build_driver(1, 2.0)
+    drv = DriverHamiltonian(1, 2.0)
     psi = initial_state(1, 2.0)
     s, dt = 0.7, 0.1
     op = InstantaneousHamiltonian(s, hf, drv)
@@ -396,7 +394,7 @@ def test_single_qutrit_step_matches_analytic_diagonalization():
 def test_step_matches_dense_expm(n, s):
     rng = np.random.default_rng(60 + n)
     hf = random_diag(rng, n, scale=60.0)
-    drv = build_driver(n, 6.0)
+    drv = DriverHamiltonian(n, 6.0)
     v = unit_vector(rng, 3**n)
     dense = InstantaneousHamiltonian(s, hf, drv).dense()
     got = step(StateVector(n, v), s, hf, drv, 0.1).amplitudes
@@ -409,7 +407,7 @@ def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
     matvec, calls = counting(InstantaneousHamiltonian.matvec)
     monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
     v = unit_vector(np.random.default_rng(9), 9)
-    got = step(StateVector(2, v), 1.0, hf, build_driver(2, 1.0), 0.4)
+    got = step(StateVector(2, v), 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
     assert not calls
     np.testing.assert_array_equal(got.amplitudes, np.exp(-1j * 0.4 * 1.5) * v)
 
@@ -418,7 +416,7 @@ def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
 def test_step_makes_the_a_priori_degree_of_matvecs(monkeypatch, s):
     # the degree is the last k with 2 |J_k(dt r)| >= 1e-15, r the half-width
     rng = np.random.default_rng(70)
-    hf, drv, dt = random_diag(rng, 3, scale=80.0), build_driver(3, 5.0), 0.1
+    hf, drv, dt = random_diag(rng, 3, scale=80.0), DriverHamiltonian(3, 5.0), 0.1
     lo, hi = InstantaneousHamiltonian(s, hf, drv).bounds()
     j = jv(np.arange(200), dt * 0.5 * (hi - lo))
     degree = np.flatnonzero(2.0 * np.abs(j) >= 1e-15)[-1]
@@ -435,7 +433,7 @@ def test_anneal_single_step_unrolls():
     rng = np.random.default_rng(6)
     hf = random_diag(rng, 2)
     cfg = AnnealConfig(h=2.0, M=1, dt=0.05)
-    drv = build_driver(2, 2.0)
+    drv = DriverHamiltonian(2, 2.0)
     expected = step(step(initial_state(2, 2.0), 0.0, hf, drv, 0.05), 1.0, hf, drv, 0.05)
     got = anneal(cfg, hf)
     np.testing.assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
@@ -445,7 +443,7 @@ def test_anneal_steps_are_bitwise_those_of_step():
     # anneal and step share one exact-step path
     rng = np.random.default_rng(16)
     hf = random_diag(rng, 4, scale=40.0)
-    drv = build_driver(4, 3.0)
+    drv = DriverHamiltonian(4, 3.0)
     expected = step(step(initial_state(4, 3.0), 0.0, hf, drv, 0.1), 1.0, hf, drv, 0.1)
     got = anneal(AnnealConfig(h=3.0, M=1, dt=0.1), hf)
     np.testing.assert_array_equal(got.amplitudes, expected.amplitudes)
@@ -456,7 +454,7 @@ def test_anneal_matches_dense_factor_product():
     rng = np.random.default_rng(7)
     hf = random_diag(rng, 2)
     M, dt, h = 5, 0.07, 1.3
-    drv = build_driver(2, h)
+    drv = DriverHamiltonian(2, h)
     psi = initial_state(2, h).amplitudes
     for l in range(M + 1):
         H = InstantaneousHamiltonian(l / M, hf, drv).dense()
@@ -490,10 +488,10 @@ def test_fig3_matvec_count_is_pinned(monkeypatch):
 
 def test_split_step_tracks_exact_step():
     dm = distance_matrix([(0, 0), (8, 1), (7, 0)])
-    hf = build_onehot_k3(dm)
+    encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 3)
+    hf = encoding.hamiltonian(dm)
     exact = anneal(AnnealConfig(h=2.0, M=400, dt=0.1), hf)
     split = anneal(AnnealConfig(h=2.0, M=400, dt=0.1, mode=MODE_SPLIT), hf)
-    encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 3)
     rep_e = decode(exact, encoding)
     rep_s = decode(split, encoding)
     assert rep_s.top_partition == rep_e.top_partition
@@ -546,7 +544,7 @@ def test_split_mode_agrees_with_exact_on_presets(name, preset_result):
 def test_decode_pure_basis_state_pinned():
     state_ms = (1, 1, 0, 0, -1)
     amps = np.zeros(3**5)
-    amps[basis_index(state_ms).linear] = 1.0
+    amps[block_state_index(state_ms)] = 1.0
     encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 6)
     rep = decode(StateVector(5, amps), encoding)
     assert rep.top_probability == pytest.approx(1.0, abs=0)
@@ -556,13 +554,12 @@ def test_decode_pure_basis_state_pinned():
 
 def test_decode_merges_degenerate_argmin_states():
     dm = distance_matrix(SIX_POINTS)
-    h = build_onehot_k3_pinned(dm)
-    res = oracle_diag_min(h)
-    assert len(res.argmin_basis_states) == 2
-    amps = np.zeros(h.dim, dtype=complex)
-    for b in res.argmin_basis_states:
-        amps[b.linear] = 1.0 / np.sqrt(2.0)
     encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 6)
+    h = encoding.hamiltonian(dm)
+    ground = ground_states(h)
+    assert len(ground) == 2
+    amps = np.zeros(h.dim, dtype=complex)
+    amps[ground] = 1.0 / np.sqrt(2.0)
     rep = decode(StateVector(h.n, amps), encoding)
     # the two degenerate states decode to the same set partition
     assert rep.top_probability == pytest.approx(1.0, abs=1e-12)
@@ -573,7 +570,7 @@ def test_decode_merges_degenerate_argmin_states():
 def test_decode_kmeanspp_assigns_blocks_to_matching_centroids():
     scheme = EncodingScheme(method=METHOD_KMEANSPP, K=3)
     amps = np.zeros(27)
-    amps[basis_index((1, 0, -1)).linear] = 1.0
+    amps[block_state_index((1, 0, -1))] = 1.0
     rep = decode(StateVector(3, amps), Encoding(scheme, 6, centroids=(0, 1, 2)))
     # free points 3, 4, 5 follow their matching centroids 0, 1, 2
     assert rep.top_partition == Partition([0, 1, 2, 0, 1, 2], 3)
@@ -582,8 +579,8 @@ def test_decode_kmeanspp_assigns_blocks_to_matching_centroids():
 def test_decode_routes_forbidden_blocks_to_invalid_bucket():
     scheme = EncodingScheme(method=METHOD_ONEHOT_MULTISPIN, K=4)
     amps = np.zeros(81, dtype=complex)
-    amps[basis_index((1, 1, 0, 0)).linear] = 1.0 / np.sqrt(2.0)  # block 2 forbidden
-    amps[basis_index((1, 1, 0, 1)).linear] = 1.0 / np.sqrt(2.0)  # both allowed
+    amps[block_state_index((1, 1, 0, 0))] = 1.0 / np.sqrt(2.0)  # block 2 forbidden
+    amps[block_state_index((1, 1, 0, 1))] = 1.0 / np.sqrt(2.0)  # both allowed
     rep = decode(StateVector(4, amps), Encoding(scheme, 2))
     assert rep.invalid_probability == pytest.approx(0.5, abs=1e-12)
     assert rep.top_partition == Partition([0, 3], 4)
@@ -594,7 +591,7 @@ def test_decode_routes_forbidden_blocks_to_invalid_bucket():
 def test_decode_k2_penalty_marks_minus_one_invalid():
     scheme = EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2)
     amps = np.zeros(9, dtype=complex)
-    amps[basis_index((1, -1)).linear] = 1.0
+    amps[block_state_index((1, -1))] = 1.0
     rep = decode(StateVector(2, amps), Encoding(scheme, 2, pinned=False))
     assert rep.invalid_probability == pytest.approx(1.0, abs=0)
     assert rep.top_probability == 0.0 or rep.top_partition is not None

@@ -16,7 +16,7 @@ from qutrit_anneal.clustering import Partition
 from qutrit_anneal.cli import main
 from qutrit_anneal.emit import emit, partition_id_map, render_csv, render_svg, render_table
 from qutrit_anneal.harness import generate_instance, run, spec_from_dict
-from qutrit_anneal.spin import BasisIndex
+from qutrit_anneal.spin import digit_table
 
 
 def test_table_reports_match_and_costs(tiny_result):
@@ -57,9 +57,10 @@ def _reference_csv(result):
     n = spec.register_qutrits
     probs = result.report.basis_probabilities
     labels, invalid = spec.encoding.labels, spec.encoding.invalid
+    projections = (1 - digit_table(n)).tolist()
     lines = ["basis_index,digits,partition_id,probability"]
     for idx in range(3**n):
-        digits = " ".join(str(m) for m in BasisIndex.from_linear(idx, n).projections)
+        digits = " ".join(str(m) for m in projections[idx])
         if invalid[idx]:
             pid = -1
         else:

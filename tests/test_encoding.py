@@ -8,17 +8,17 @@ code with the library's label tables or pair sums.
 import numpy as np
 import pytest
 
+from conftest import ground_states
 from qutrit_anneal.anneal import StateVector, decode
 from qutrit_anneal.clustering import (
     DistanceMatrix,
     Partition,
     cost,
     distance_matrix,
-    oracle_diag_min,
     oracle_min,
 )
 from qutrit_anneal.harness import build_final_hamiltonian, generate_instance, spec_from_dict
-from qutrit_anneal.spin import BasisIndex
+from qutrit_anneal.spin import digit_table
 
 #: (method, points, extra spec fields): every method, with forbidden block
 #: states (multispin K = 2, 4; kmeanspp K = 2, 4) and without (K = 3, 9)
@@ -80,8 +80,9 @@ def _reference_diagonal(spec, dm):
     total = sum(d[i, j] for i in range(n_points) for j in range(i + 1, n_points))
     width = n // (n_points - K) if method == "kmeanspp" else n // n_points
     states = _block_states(width)
+    projections = (1 - digit_table(n)).tolist()
     for idx in range(3**n):
-        ms = BasisIndex.from_linear(idx, n).projections
+        ms = tuple(projections[idx])
         if method in ("one-hot-multispin", "kmeanspp"):
             blocks = [states.index(ms[k : k + width]) for k in range(0, n, width)]
             if method == "kmeanspp":
@@ -126,9 +127,8 @@ def _ground_space_in_argmin(spec):
     """Whether an equal superposition of the ground states of the spec's Hf
     decodes only into valid partitions that the oracle finds optimal."""
     hf = build_final_hamiltonian(spec)
-    ground = oracle_diag_min(hf).argmin_basis_states
     amps = np.zeros(hf.dim)
-    amps[[b.linear for b in ground]] = 1.0
+    amps[ground_states(hf)] = 1.0
     report = decode(StateVector(hf.n, amps / np.linalg.norm(amps)), spec.encoding)
     fixed = None
     if spec.centroids is not None:

@@ -429,6 +429,13 @@ BAD_VALUES = [
             ProblemSpec, PointSet(((3, 3),) * 4), EncodingScheme(**_MULTISPIN), _SPEC["anneal"]
         ),
     ),
+    # each of these was once coerced, truncated or stringified into a value
+    ("points", {"points": [[0, 0], [0, 0, 3]]}, partial(PointSet, ((0, 0), (0, 0, 3)))),
+    ("points", {"points": ["12", [3, 4]]}, partial(PointSet, ("12", (3, 4)))),
+    ("points", {"points": [[0, 0], [True, 0]]}, partial(PointSet, ((0, 0), (True, 0)))),
+    ("points", {"points": [[0, 0], [0, "3"]]}, partial(PointSet, ((0, 0), (0, "3")))),
+    ("name", {"name": None}, partial(ProblemSpec, **_SPEC, name=None)),
+    ("name", {"name": 5}, partial(ProblemSpec, **_SPEC, name=5)),
 ]
 
 
@@ -605,12 +612,12 @@ def test_build_final_hamiltonian_adds_penalty_for_partial_blocks(tiny_spec_dict)
     spec = spec_from_dict(tiny_spec_dict)
     dm = distance_matrix(spec.points)
     hf = build_final_hamiltonian(spec, dm)
-    from qutrit_anneal.hamiltonians import build_onehot_multispin, build_penalty_onehot
-
-    expected = build_onehot_multispin(dm, 4) + build_penalty_onehot(
-        4, 4, 2.0 * dm.max_distance
+    encoding = Encoding(EncodingScheme("one-hot-multispin", 4), 4)
+    # the pair sum plus the default penalty, twice the largest distance
+    expected = encoding.pair_sum(dm.d) + encoding.penalty_sum(
+        np.full(4, 2.0 * dm.max_distance)
     )
-    np.testing.assert_array_equal(hf.diag, expected.diag)
+    np.testing.assert_array_equal(hf.diag, expected)
 
 
 def test_penalty_constant_override(tiny_spec_dict):
