@@ -14,9 +14,12 @@ state, and each apply takes the driver as a Kronecker sum: two matrix
 products on the state viewed as a grid.  The split-step mode is a Strang
 splitting of the diagonal and driver factors, sub-stepped so its final
 probabilities track exact-step to well under 1e-3; it is not used where
-exact-step accuracy is contractual.  Each step builds the driver factor
-gate^{(x)n} as two Kronecker powers of the 3x3 site gate, by repeated
-squaring, and applies it as two matrix products; the half phases of
+exact-step accuracy is contractual.  In the frame F = diag(1, i, -1) on
+each site the 3x3 driver gate is a real rotation, and F^{(x)n} is diagonal,
+so it folds into the first and last half phase of a step.  Each step builds
+the rotation's n-fold Kronecker power as two Kronecker powers, by repeated
+squaring, and applies each as one real matrix product on the state's float
+view, transposing the state once per substep; the half phases of
 neighbouring substeps are applied as one full phase.
 
 ``decode`` groups the rows of the encoding's label table by
@@ -28,6 +31,7 @@ it returns is what the CSV emitter reads.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -42,6 +46,7 @@ from .hamiltonians import (
     Encoding,
     driver_factors,
 )
+from .spin import digit_table
 
 MODE_EXACT = "exact-step"
 MODE_SPLIT = "split-step"
@@ -50,15 +55,10 @@ MODES = (MODE_EXACT, MODE_SPLIT)
 #: Single-site ground state of h * S^x for h > 0, in the (|1>, |0>, |-1>) basis.
 _SITE_GROUND = np.array([0.5, -math.sqrt(0.5), 0.5])
 
-#: Columns are the S^x eigenvectors for eigenvalues +1, 0, -1.
-_SX_EIGVECS = np.array(
-    [
-        [0.5, math.sqrt(0.5), 0.5],
-        [math.sqrt(0.5), 0.0, -math.sqrt(0.5)],
-        [0.5, -math.sqrt(0.5), 0.5],
-    ]
-)
-_SX_EIGVALS = np.array([1.0, 0.0, -1.0])
+#: With F = diag(1, i, -1) on a site, F^dagger S^x F = i Ks for this real
+#: antisymmetric Ks, so exp(-i theta S^x) = F exp(theta Ks) F^dagger.
+_KS = math.sqrt(0.5) * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+_KS2 = 0.5 * np.array([[-1.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ class InstantaneousHamiltonian:
             raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
         self.s = float(s)
         self.n = hf.n
+        self._size = hf.dim
         self._field = (1.0 - s) * drv.h
         # the driver (field A) (x) I + I (x) (field B) acts on the state viewed
         # as a row-major grid of 3**(n // 2) rows, as A @ grid + grid @ B (B is
@@ -142,6 +143,10 @@ class InstantaneousHamiltonian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v along the last axis of a (..., 3**n) array, real or complex."""
+        if v.shape[-1] != self._size:
+            raise ValueError(
+                f"last axis of length {v.shape[-1]} does not match 3**{self.n}"
+            )
         grid = v.reshape(self._grid)
         out = self._diag * grid
         if self._field != 0.0:
@@ -341,9 +346,21 @@ def step(
 
 
 def _site_rotation(theta: float) -> np.ndarray:
-    """exp(-i * theta * S^x) on a single site, via the fixed S^x eigenbasis."""
-    phases = np.exp(-1j * theta * _SX_EIGVALS)
-    return (_SX_EIGVECS * phases) @ _SX_EIGVECS.T
+    """exp(theta * Ks), real and orthogonal: exp(-i theta S^x) in the frame F.
+
+    Ks^3 = -Ks closes the series as I + sin(theta) Ks + (1 - cos(theta)) Ks^2,
+    with 1 - cos(theta) taken as 2 sin(theta / 2)^2 to keep its digits at
+    small theta.
+    """
+    return np.eye(3) + math.sin(theta) * _KS + 2.0 * math.sin(0.5 * theta) ** 2 * _KS2
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(n: int) -> np.ndarray:
+    """Diagonal of F^{(x)n}: i to the power of each basis state's digit sum."""
+    frame = np.array([1.0, 1j, -1.0, -1j])[digit_table(n).sum(axis=1) % 4]
+    frame.flags.writeable = False
+    return frame
 
 
 #: Strang substeps per schedule step.  At dt = 0.1 the largest gap between
@@ -360,12 +377,16 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kron_power(gate: np.ndarray, k: int) -> np.ndarray:
-    """gate^{(x)k} by repeated squaring: about log2(k) products, not k."""
+    """gate^{(x)k} by repeated squaring: about log2(k) products, not k.
+
+    Every factor is the same gate, so the odd one goes first, where the
+    broadcast's inner loop runs along the larger factor's columns.
+    """
     if k <= 1:
         return gate if k else np.ones((1, 1))
     half = _kron_power(gate, k // 2)
     out = _kron(half, half)
-    return _kron(out, gate) if k % 2 else out
+    return _kron(gate, out) if k % 2 else out
 
 
 def _split_step(
@@ -376,23 +397,38 @@ def _split_step(
     dt: float,
     substeps: int = _SPLIT_SUBSTEPS,
 ) -> np.ndarray:
+    """Strang substeps of exp(-i dt H(s)) on computational-basis amplitudes.
+
+    Each substep is a half phase of the diagonal, the driver factor and
+    another half phase.  The driver factor is F^{(x)n} R^{(x)n} F^{(x)n}^dagger
+    with R the real site rotation; F^{(x)n} is diagonal, so it commutes with
+    the phases, and only the first and last half phase carry it.  R^{(x)n} is
+    left (x) right, on the state as a grid with the first n // 2 sites as
+    rows.  Each factor contracts the grid's outer axis as one real product
+    on its float view, so the layout alternates between (rows, cols) and
+    (cols, rows), with one transposed copy per substep.
+    """
     tau = dt / substeps
     half = np.exp(-0.5j * tau * s * hf.diag)
-    # the closing half phase of one substep and the opening one of the next
-    # are one full phase
-    full = half * half
+    frame = _frame(hf.n)
     gate = _site_rotation(tau * (1.0 - s) * drv.h)
-    # the driver factor gate^{(x)n} as left (x) right, applied to the state
-    # reshaped with the first n//2 sites as rows
     a = hf.n // 2
     left = _kron_power(gate, a)
-    right = left if hf.n == 2 * a else _kron(left, gate)
-    shape = (left.shape[0], right.shape[0])
-    out = half * amplitudes
+    right = left if hf.n == 2 * a else _kron(gate, left)
+    # the closing half phase of one substep and the opening one of the next
+    # are one full phase, held in both layouts
+    full = (half * half).reshape(left.shape[0], right.shape[0])
+    layouts = ((left, right, full.T.copy()), (right, left, full))
+    grid = (half * frame.conj() * amplitudes).reshape(full.shape)
     for k in range(substeps):
-        out = (left @ out.reshape(shape) @ right.T).reshape(-1)
-        out *= full if k + 1 < substeps else half
-    return out
+        outer, inner, phase = layouts[k % 2]
+        grid = (outer @ grid.view(float)).view(complex).T.copy()
+        grid = (inner @ grid.view(float)).view(complex)
+        if k + 1 < substeps:
+            grid *= phase
+    if substeps % 2:
+        grid = grid.T
+    return half * frame * grid.reshape(-1)
 
 
 def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> StateVector:

@@ -35,6 +35,9 @@ METHOD_ONEHOT_K2_PENALTY = "one-hot-K2-penalty"
 METHOD_ONEHOT_MULTISPIN = "one-hot-multispin"
 METHOD_KMEANSPP = "kmeanspp"
 
+#: State vectors beyond 3**7 entries are refused.
+REGISTER_MAX_QUTRITS = 7
+
 
 @dataclass(frozen=True)
 class MethodTraits:
@@ -211,6 +214,14 @@ class EncodingScheme:
             raise SpecError(f"{self.method} requires 'K' = {traits.K}, got {self.K}")
         states = self.centroid_states
         if traits.centroids:
+            # one block must fit the register: this bounds the table of
+            # default states below, which a huge K would stall on
+            if self.K > 3**REGISTER_MAX_QUTRITS:
+                raise SpecError(
+                    f"{self.method} 'K' must be at most {3**REGISTER_MAX_QUTRITS}, so "
+                    f"that one block fits the {REGISTER_MAX_QUTRITS}-qutrit register, "
+                    f"got {self.K}"
+                )
             s = self.spins_per_point
             if states is None:
                 states = block_state_list(s)[: self.K]

@@ -35,15 +35,13 @@ from .clustering import (
 )
 from .errors import SizeGuardError, SpecError, is_int
 from .hamiltonians import (
+    REGISTER_MAX_QUTRITS,
     DiagonalHamiltonian,
     Encoding,
     EncodingScheme,
     method_traits,
     pinned_method,
 )
-
-#: State vectors beyond 3**7 entries are refused.
-REGISTER_MAX_QUTRITS = 7
 
 #: Artifact formats a run can emit (renderers live in the emit module).
 EMIT_FORMATS = ("table", "csv", "svg")

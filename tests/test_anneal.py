@@ -12,6 +12,8 @@ from qutrit_anneal.anneal import (
     AnnealConfig,
     InstantaneousHamiltonian,
     _bessel_j,
+    _frame,
+    _site_rotation,
     _split_step,
     StateVector,
     anneal,
@@ -212,6 +214,14 @@ def test_rescaled_is_an_affine_map_of_h(s):
     np.testing.assert_allclose(mapped.bounds(), (-2.0, 2.0), rtol=0, atol=1e-14)
     # the handle it was made from is unchanged
     np.testing.assert_allclose(op.bounds(), (lo, hi), rtol=0, atol=0)
+
+
+def test_matvec_rejects_a_last_axis_of_the_wrong_length():
+    # 18 entries would reshape into two 3 x 3 grids without the check
+    op = InstantaneousHamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(2, 1.0))
+    for handle in (op, op.rescaled(0.0, 1.0)):
+        with pytest.raises(ValueError, match="last axis of length 2"):
+            handle.matvec(np.ones((9, 2)))
 
 
 def test_dimension_mismatch_rejected():
@@ -500,8 +510,36 @@ def test_split_step_tracks_exact_step():
     )
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_split_step_matches_per_axis_product(n):
+@pytest.mark.parametrize("theta", [-7.0, -2.5, -0.3, 0.0, 1e-9, 0.01, 1.0, 3.0, 7.5])
+def test_site_rotation_is_the_real_driver_gate_in_the_frame(theta):
+    rot = _site_rotation(theta)
+    assert rot.dtype == np.float64
+    np.testing.assert_allclose(rot @ rot.T, np.eye(3), rtol=0, atol=1e-15)
+    frame = np.diag([1.0, 1j, -1.0])
+    np.testing.assert_allclose(
+        frame @ rot @ frame.conj().T,
+        expm(-1j * theta * spin_operator("x")),
+        rtol=0,
+        atol=1e-14,
+    )
+    # the register frame is the site frame's Kronecker power
+    register = np.ones(1)
+    for n in range(1, 5):
+        register = np.kron(register, np.diag(frame))
+        np.testing.assert_array_equal(_frame(n), register)
+
+
+#: Odd substep counts end in the transposed layout; the default count keeps
+#: the plain register size as its id.
+SPLIT_CASES = [
+    pytest.param(n, k, id=str(n) if k == 8 else f"{n}-substeps{k}")
+    for k in (8, 1, 2, 3)
+    for n in range(1, 8)
+]
+
+
+@pytest.mark.parametrize("n, substeps", SPLIT_CASES)
+def test_split_step_matches_per_axis_product(n, substeps):
     # reference: the same Strang substeps with the driver factor applied one
     # site at a time by tensordot and moveaxis
     rng = np.random.default_rng(n)
@@ -509,7 +547,7 @@ def test_split_step_matches_per_axis_product(n):
     drv = DriverHamiltonian(n=n, h=3.0)
     amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     amps /= np.linalg.norm(amps)
-    s, dt, substeps = 0.3, 0.1, 8
+    s, dt = 0.3, 0.1
     tau = dt / substeps
     half = np.exp(-0.5j * tau * s * hf.diag)
     gate = expm(-1j * tau * (1.0 - s) * drv.h * spin_operator("x"))
@@ -519,8 +557,18 @@ def test_split_step_matches_per_axis_product(n):
         for axis in range(n):
             psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, axis)), 0, axis)
         expected = half * psi.reshape(-1)
-    got = _split_step(amps, s, hf, drv, dt)
+    got = _split_step(amps, s, hf, drv, dt, substeps)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_split_anneal_calls_the_split_step_seam_once_per_step(monkeypatch):
+    # perfbench's tracer times split-step by wrapping the module global
+    # _split_step, so anneal must call it by that name at every step
+    hf = random_diag(np.random.default_rng(9), 3)
+    split_step, calls = counting(anneal_module._split_step)
+    monkeypatch.setattr(anneal_module, "_split_step", split_step)
+    anneal(AnnealConfig(h=2.0, M=7, mode=MODE_SPLIT), hf)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])

@@ -1,4 +1,5 @@
 import json
+import time
 from functools import partial
 
 import numpy as np
@@ -118,6 +119,17 @@ def test_spec_kmeanspp_k_from_centroids(tiny_spec_dict):
     spec = spec_from_dict(tiny_spec_dict)
     assert spec.scheme.K == 2
     assert spec.centroids == (0, 1)
+
+
+@pytest.mark.parametrize("K", [3**11, 10**400], ids=["3**11", "10**400"])
+def test_spec_kmeanspp_huge_k_rejected_quickly(tiny_spec_dict, K):
+    # past the register cap no block fits, so the default centroid states
+    # (3**11 of them, or 3**839) are never built
+    tiny_spec_dict.update(method="kmeanspp", centroids=[0, 1, 2], K=K)
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="'K' must be at most 2187"):
+        spec_from_dict(tiny_spec_dict)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_spec_pinned_rejected_for_blockwise_methods(tiny_spec_dict):
