@@ -3,15 +3,15 @@
 The oracle, ``oracle_min``, enumerates every cluster assignment of a small
 instance and is the classical reference that annealing results are
 certified against; its ``OracleResult`` holds the exact minimum and the
-optimal ``Partition``s.  It enumerates in numpy chunks: each chunk is an
-int8 label table of 3**8 assignments, costed in one matrix-vector product
-over the pair distances; the rows near the minimum are deduplicated by
-their ``partition_keys`` and re-costed exactly, and only the optimal ones
-become ``Partition``s.  At its guard (12 points) it takes about 0.1 s for
-K = 3 (531,441 assignments) and 0.9 s for K = 4 with one point fixed
-(4,194,304); 12 coincident points at K = 3, where all 88,574 partitions
-tie, take about 1.4 s.  Ties are every assignment within one relative
-window of the exact minimum.
+optimal ``Partition``s.  It costs in numpy chunks by broadcasting: the last
+free points (3**9 assignments at most) are the axes of one cost tensor, and
+each assignment of the others is a chunk.  Only assignments near the minimum
+become label rows; they are deduplicated by their ``partition_keys`` and
+re-costed exactly, and only the optimal ones become ``Partition``s.  At its
+guard (12 points) it takes about 0.02 s for K = 3 (531,441 assignments) and
+0.09 s for K = 4 with one point fixed (4,194,304); 12 coincident points at
+K = 3, where all 88,574 partitions tie, take 1.2-1.5 s.  Ties are every
+assignment within one relative window of the exact minimum.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError, SpecError, is_finite_real
+from .errors import SizeGuardError, SpecError, is_finite_real, is_int
 
 #: Hard cap for exhaustive enumeration (K**n assignments).
 ORACLE_MAX_POINTS = 12
@@ -200,11 +200,6 @@ def cost(dm: DistanceMatrix, partition: Partition) -> float:
     )
 
 
-#: Assignments per label-table chunk: the oracle costs this many rows in one
-#: numpy product, so its memory stays flat whatever the enumeration size.
-_CHUNK_ROWS = 3**8
-
-
 def partition_keys(labels: np.ndarray) -> np.ndarray:
     """One int64 key per row of a non-negative label table.
 
@@ -240,33 +235,69 @@ def partition_keys(labels: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _label_chunks(
-    n_points: int,
-    K: int,
-    fixed: Mapping[int, int] | None,
-) -> Iterator[np.ndarray]:
-    """Yield every K-labeling honoring ``fixed`` as int8 label-table chunks.
+#: Most assignments in one oracle chunk: its memory stays flat at any size.
+_CHUNK_ROWS = 3**9
 
-    Rows run in ``itertools.product`` order over the free points (the first
-    free point is the most significant digit), at most ``_CHUNK_ROWS`` rows
-    per chunk.
+
+def _cost_chunks(
+    dm: DistanceMatrix, K: int, fixed: Mapping[int, int]
+) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
+    """Check ``fixed`` and the guards, then iterate ``(costs, rows)`` chunks.
+
+    The last r free points, K**r at most ``_CHUNK_ROWS``, are the tail; a
+    chunk is one assignment of the others, in ``itertools.product`` order,
+    and ``costs`` holds the cost of each tail assignment, flat in C order, so
+    all run in product order over the free points.  ``rows(idx)`` gives the int8 label
+    rows of the flat indices ``idx``.
     """
-    fixed = dict(fixed or {})
+    n = dm.n_points
     for p, l in fixed.items():
-        if not 0 <= p < n_points:
-            raise ValueError(f"fixed point {p} out of range")
-        if not 0 <= l < K:
-            raise ValueError(f"fixed label {l} out of range [0, {K})")
-    free = [i for i in range(n_points) if i not in fixed]
-    total = K ** len(free)
-    places = K ** np.arange(len(free) - 1, -1, -1)
-    for start in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, total))
-        labels = np.empty((idx.size, n_points), dtype=np.int8)
-        for p, l in fixed.items():
-            labels[:, p] = l
-        labels[:, free] = (idx[:, None] // places) % K
-        yield labels
+        if not (is_int(p) and 0 <= p < n and is_int(l) and 0 <= l < K):
+            raise ValueError(f"fixed {{{p!r}: {l!r}}} not in range({n}) x range({K})")
+    if n > ORACLE_MAX_POINTS:
+        raise SizeGuardError(
+            f"{n} points exceeds the enumeration guard of {ORACLE_MAX_POINTS}"
+        )
+    free = [i for i in range(n) if i not in fixed]
+    if K ** len(free) > ORACLE_MAX_ASSIGNMENTS:
+        raise SizeGuardError(
+            f"{K}**{len(free)} assignments exceed the enumeration guard of "
+            f"{ORACLE_MAX_ASSIGNMENTS}"
+        )
+    r = len(free)
+    while r > 1 and K**r > _CHUNK_ROWS:
+        r -= 1
+    head, tail = free[: len(free) - r], free[len(free) - r :]
+    known = list(fixed) + head  # labeled before the tail, in every chunk
+    d, eye = dm.d, np.eye(K)
+    # pairs within the tail, in every chunk: d_pq on the diagonal of p's and q's axes
+    within = np.zeros(())
+    for b, q in enumerate(tail):
+        with_q = np.zeros(K)
+        for p in tail[:b]:
+            with_q = with_q[..., None, :] + d[p, q] * eye
+        within = within[..., None] + with_q
+    pairs = np.triu(d[np.ix_(known, known)], 1)
+    to_tail = d[np.ix_(tail, known)]
+    places = K ** np.arange(r - 1, -1, -1)
+    base = np.zeros(n, dtype=np.int8)
+    base[list(fixed)] = list(fixed.values())
+
+    def chunk(labels: tuple[int, ...]):
+        prefix = base.copy()
+        prefix[head] = labels
+        a = prefix[known]
+        costs = np.array(pairs[a[:, None] == a].sum())
+        # each tail point's pairs with the labeled points, one term per label
+        for term in to_tail @ (a[:, None] == np.arange(K)).astype(float):
+            costs = costs[..., None] + term
+        def rows(idx: np.ndarray) -> np.ndarray:
+            out = np.repeat(prefix[None], idx.size, axis=0)
+            out[:, tail] = idx[:, None] // places % K
+            return out
+        return (costs + within).ravel(), rows
+
+    return map(chunk, itertools.product(range(K), repeat=len(head)))
 
 
 @dataclass(frozen=True)
@@ -289,9 +320,9 @@ def oracle_min(
 ) -> OracleResult:
     """Exact minimum of the cost over all assignments, by brute force.
 
-    Assignments are costed in numpy label-table chunks; the rows near the
-    minimum are deduplicated by partition and their costs recomputed with
-    ``math.fsum`` as :func:`cost` does, so ``min_cost`` is the exact minimum.
+    Assignments are costed in numpy chunks; the ones near the minimum become
+    label rows, deduplicated by partition and re-costed with ``math.fsum`` as
+    :func:`cost` does, so ``min_cost`` is the exact minimum.
     The argmin is every assignment whose ``cost`` lies within
     ``rel_tol * (1 + |min_cost|)`` of ``min_cost``: one window around the
     final minimum.  (A running-best scan could also keep an early member of
@@ -299,39 +330,28 @@ def oracle_min(
     not.)  It lists one ``Partition`` per set partition, in canonical order,
     with the labels of its first assignment in enumeration order.
     """
-    n = dm.n_points
-    if n > ORACLE_MAX_POINTS:
-        raise SizeGuardError(
-            f"{n} points exceeds the enumeration guard of {ORACLE_MAX_POINTS}"
-        )
-    n_free = n - len(fixed or {})
-    if K**n_free > ORACLE_MAX_ASSIGNMENTS:
-        raise SizeGuardError(
-            f"{K}**{n_free} assignments exceed the enumeration guard of "
-            f"{ORACLE_MAX_ASSIGNMENTS}"
-        )
-    pi, pj = np.triu_indices(n, 1)
+    chunks = _cost_chunks(dm, K, dict(fixed or {}))
+    pi, pj = np.triu_indices(dm.n_points, 1)
     w = dm.d[pi, pj]
-    # A row's numpy cost sums at most 66 non-negative terms of w; in any
-    # order that sum is within 65 * 2**-53 * sum(w) < 1e-14 * sum(w) of the
-    # exact value (Higham, Accuracy and Stability of Numerical Algorithms,
-    # 2nd ed., sec. 4.2), and fsum is correctly rounded.  So this slack
-    # covers the numpy/fsum gap on both sides of the window 50 times over,
-    # and every row the fsum window holds survives the numpy cut.
+    # A row's numpy cost sums at most 66 non-negative terms of w and exact
+    # zeros (weights times 0 or 1).  In any order that sum is within
+    # 65 * 2**-53 * sum(w) < 1e-14 * sum(w) of the exact value (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2), and
+    # fsum is correctly rounded.  So this slack covers the numpy/fsum gap on
+    # both sides of the window 50 times over, and every row the fsum window
+    # holds survives the numpy cut.
     slack = 1e-12 * (1.0 + math.fsum(w))
 
     best = limit = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (numpy costs, label rows)
-    for labels in _label_chunks(n, K, fixed):
-        # as float64 the product runs in BLAS; a bool operand takes a slow loop
-        costs = (labels[:, pi] == labels[:, pj]).astype(float) @ w
+    for costs, chunk_rows in chunks:
         lo = float(costs.min())
         if lo < best:
             best = lo
             limit = best + rel_tol * (1.0 + abs(best)) + slack
             kept = [(c[c <= limit], rows[c <= limit]) for c, rows in kept]
-        near = costs <= limit
-        kept.append((costs[near], labels[near]))
+        near = np.flatnonzero(costs <= limit)
+        kept.append((costs[near], chunk_rows(near)))
 
     # one row per distinct partition, its first in enumeration order, in
     # canonical order; keys and pair masks are taken a chunk at a time, so a

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_anneal import clustering
 from qutrit_anneal.clustering import (
     _CHUNK_ROWS,
     ORACLE_MAX_POINTS,
@@ -12,7 +13,7 @@ from qutrit_anneal.clustering import (
     PointSet,
     cost,
     distance,
-    _label_chunks,
+    _cost_chunks,
     distance_matrix,
     oracle_min,
     partition_keys,
@@ -138,8 +139,10 @@ def test_cost_invariant_under_relabeling(seed):
 
 
 def _label_rows(n_points, K, fixed=None):
-    """Every row of the oracle's label-table chunks, as one array."""
-    return np.concatenate(list(_label_chunks(n_points, K, fixed)))
+    """Every row of the oracle's cost chunks, rebuilt from their flat indices."""
+    dm = DistanceMatrix(np.zeros((n_points, n_points)))
+    chunks = _cost_chunks(dm, K, fixed or {})
+    return np.concatenate([rows(np.arange(costs.size)) for costs, rows in chunks])
 
 
 def test_enumerate_counts_small():
@@ -164,13 +167,38 @@ def test_enumerate_rejects_bad_fixed():
 
 
 def test_enumerate_order_matches_product_across_chunks():
-    # 3**9 rows span three label-table chunks; the fixed point sits mid-row
+    # 3**10 rows span three chunks of 3**9; the fixed point sits mid-row
     expected = [
-        combo[:4] + (1,) + combo[4:] for combo in itertools.product(range(3), repeat=9)
+        combo[:4] + (1,) + combo[4:] for combo in itertools.product(range(3), repeat=10)
     ]
-    assert len(expected) > _CHUNK_ROWS
-    got = [tuple(row) for row in _label_rows(10, 3, fixed={4: 1}).tolist()]
+    assert len(expected) == 3 * _CHUNK_ROWS
+    got = [tuple(row) for row in _label_rows(11, 3, fixed={4: 1}).tolist()]
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "points, K, fixed, chunk_rows",
+    [
+        (generate_instance(7, 20), 3, {0: 1}, _CHUNK_ROWS),  # fixed point first
+        (generate_instance(7, 21), 4, {3: 2}, _CHUNK_ROWS),  # in the middle
+        (generate_instance(8, 22), 2, {7: 0}, _CHUNK_ROWS),  # last
+        (generate_instance(7, 23), 3, {2: 0, 5: 2}, 3**3),  # 9 chunks of 27
+        ([(0, 0), (3, 4), (0, 0), (3, 4), (0, 0), (6, 8)], 3, {}, _CHUNK_ROWS),  # ties
+    ],
+)
+def test_chunk_costs_lie_within_slack_of_cost(points, K, fixed, chunk_rows, monkeypatch):
+    monkeypatch.setattr(clustering, "_CHUNK_ROWS", chunk_rows)
+    dm = distance_matrix(points)
+    chunks = list(_cost_chunks(dm, K, fixed))
+    assert (len(chunks) > 1) == (chunk_rows < _CHUNK_ROWS)
+    # the oracle's rounding slack on a row's numpy cost
+    slack = 1e-12 * (1.0 + math.fsum(dm.d[np.triu_indices(len(points), 1)]))
+    seen = set()
+    for costs, rows in chunks:
+        for c, row in zip(costs.tolist(), rows(np.arange(costs.size)).tolist()):
+            assert abs(c - cost(dm, Partition(row, K))) <= slack
+            seen.add(tuple(row))
+    assert len(seen) == K ** (len(points) - len(fixed))
 
 
 def test_oracle_six_point_instance():
@@ -259,25 +287,67 @@ ORACLE_CASES = [
     (3, 10, {9: 1}),
     (4, 6, {5: 0}),
     (3, 9, {0: 0, 4: 1, 8: 2}),
+    (2, 8, {3: 0, 7: 1}),
+    (3, 6, {1: 2, 5: 0}),
+    (4, 5, {2: 1, 4: 0}),
 ]
 
+#: A chunk bound under which the cases above also span several chunks: the
+#: production bound holds every one of them in a single chunk
+SMALL_CHUNK_ROWS = 3**4
 
-def test_oracle_cases_cover_chunk_boundaries():
-    totals = [K ** (n - len(fixed)) for K, n, fixed in ORACLE_CASES]
-    assert any(t < _CHUNK_ROWS for t in totals)
-    assert _CHUNK_ROWS in totals
-    assert any(t > _CHUNK_ROWS and t % _CHUNK_ROWS for t in totals)
+
+def test_oracle_cases_cover_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(clustering, "_CHUNK_ROWS", SMALL_CHUNK_ROWS)
+    chunks = {}  # K -> the chunk counts of its cases
+    for K, n, fixed in ORACLE_CASES:
+        dm = DistanceMatrix(np.zeros((n, n)))
+        chunks.setdefault(K, set()).add(len(list(_cost_chunks(dm, K, fixed))))
+    assert sorted(chunks) == [2, 3, 4]
+    for counts in chunks.values():
+        assert 1 in counts and max(counts) > 1
 
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
-def test_oracle_matches_reference_loop(case):
+def test_oracle_matches_reference_loop(case, monkeypatch):
     K, n, fixed = ORACLE_CASES[case]
     dm = distance_matrix(generate_instance(n, 100 + case))
+    best, argmin = _reference_oracle(dm, K, fixed)
+    for chunk_rows in (_CHUNK_ROWS, SMALL_CHUNK_ROWS):
+        monkeypatch.setattr(clustering, "_CHUNK_ROWS", chunk_rows)
+        res = oracle_min(dm, K, fixed=fixed)
+        assert res.min_cost == best
+        assert set(res.argmin_partitions) == argmin
+        assert len(res.argmin_partitions) == len(argmin)
+
+
+def _random_oracle_instance(seed):
+    """n 2-8, K 1-4 with at most 4,096 labelings, 0-3 fixed points anywhere;
+    every other instance on a 3 x 3 grid, where coincident points tie."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(1, 5))
+    n = int(rng.integers(2, 9 if K < 3 else {3: 8, 4: 7}[K]))
+    if seed % 2:
+        points = generate_instance(n, seed)
+    else:
+        points = rng.integers(0, 3, size=(n, 2)).tolist()
+    spots = rng.choice(n, size=int(rng.integers(0, min(3, n) + 1)), replace=False)
+    return points, K, {int(p): int(rng.integers(0, K)) for p in spots}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_oracle_matches_reference_loop_on_seeded_instances(seed):
+    points, K, fixed = _random_oracle_instance(seed)
+    dm = distance_matrix(points)
+    assert K**dm.n_points <= 4096
     best, argmin = _reference_oracle(dm, K, fixed)
     res = oracle_min(dm, K, fixed=fixed)
     assert res.min_cost == best
     assert set(res.argmin_partitions) == argmin
     assert len(res.argmin_partitions) == len(argmin)
+    # the reference's set holds the first labeling of each partition
+    first = {p: p.labels for p in argmin}
+    assert all(p.labels == first[p] for p in res.argmin_partitions)
 
 
 def test_oracle_wide_tolerance_matches_reference_loop():
@@ -312,10 +382,22 @@ def test_oracle_keeps_every_tied_partition(points, K, expected):
     assert set(res.argmin_partitions) == argmin == {Partition(l, K) for l in expected}
 
 
-@pytest.mark.parametrize("fixed", [{6: 0}, {-1: 0}, {0: 3}, {2: -1}])
+@pytest.mark.parametrize(
+    "fixed", [{6: 0}, {-1: 0}, {0: 3}, {2: -1}, {0: 1.5}, {1.0: 0}, {True: 0}]
+)
 def test_oracle_rejects_bad_fixed(fixed):
     with pytest.raises(ValueError):
         oracle_min(distance_matrix(SIX_POINTS), 3, fixed=fixed)
+
+
+def test_oracle_checks_fixed_before_the_guards():
+    # 13 points fail the point guard, and 5**11 assignments the other; a
+    # fractional label is named first, before either guard counts points
+    for n, K in ((13, 3), (12, 5)):
+        dm = distance_matrix(generate_instance(n, 0))
+        with pytest.raises(ValueError, match="fixed") as err:
+            oracle_min(dm, K, fixed={0: 1.5})
+        assert not isinstance(err.value, SizeGuardError)
 
 
 def _stirling2(n, k):
