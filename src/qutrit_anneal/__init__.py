@@ -13,7 +13,6 @@ from .anneal import (
     AnnealConfig,
     InstantaneousHamiltonian,
     ReadoutReport,
-    StateVector,
     anneal,
     decode,
     expm_multiply_hermitian,

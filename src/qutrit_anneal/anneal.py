@@ -22,10 +22,11 @@ squaring, and applies each as one real matrix product on the state's float
 view, transposing the state once per substep; the half phases of
 neighbouring substeps are applied as one full phase.
 
-``decode`` groups the rows of the encoding's label table by
-``partition_keys`` in numpy and builds one ``Partition`` per distinct
-partition; the row-to-partition index
-it returns is what the CSV emitter reads.
+States are plain complex arrays of the 3**n basis amplitudes, from
+``initial_state`` through ``step`` and ``anneal`` to ``decode``.  ``decode``
+groups the rows of the encoding's label table by ``partition_keys`` in
+numpy, builds one ``Partition`` per distinct partition, and is the one place
+that ranks them: its per-state rank is the CSV's partition id.
 """
 
 from __future__ import annotations
@@ -85,29 +86,7 @@ class AnnealConfig:
             raise SpecError(f"unknown anneal 'mode' {self.mode!r}, expected one of {MODES}")
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Complex amplitudes over the 3**n computational basis."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] != 3**self.n:
-            raise ValueError(
-                f"amplitude vector of shape {amps.shape} does not match 3**{self.n}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def initial_state(n: int, h: float) -> StateVector:
+def initial_state(n: int, h: float) -> np.ndarray:
     """Ground state of the driver: a product of single-site S^x ground states."""
     if not h > 0:
         raise ValueError("field strength h must be positive")
@@ -116,7 +95,7 @@ def initial_state(n: int, h: float) -> StateVector:
     amps = np.array([1.0])
     for _ in range(n):
         amps = np.kron(amps, _SITE_GROUND)
-    return StateVector(n=n, amplitudes=amps.astype(complex))
+    return amps.astype(complex)
 
 
 class InstantaneousHamiltonian:
@@ -307,14 +286,14 @@ def expm_multiply_hermitian(
     return phase * ((even_re + odd_im) + 1j * (even_im - odd_re))
 
 
-def _exact_step(
+def step(
     amplitudes: np.ndarray,
     s: float,
     hf: DiagonalHamiltonian,
     drv: DriverHamiltonian,
     dt: float,
 ) -> np.ndarray:
-    """exp(-i dt H(s)) on the amplitudes, expanding H(s) mapped onto [-2, 2].
+    """Advance the amplitudes by exp(-i dt H(s)), expanding H(s) mapped onto [-2, 2].
 
     With c and r the centre and half-width of ``bounds()``, H(s) = c + (r/2) H~
     for H~ = 2 (H(s) - c) / r, so the step is the phase exp(-i dt c) times
@@ -330,19 +309,6 @@ def _exact_step(
         mapped.matvec, amplitudes, 0.5 * radius * dt, bounds=(-2.0, 2.0)
     )
     return np.exp(-1j * dt * centre) * amplitudes
-
-
-def step(
-    state: StateVector,
-    s: float,
-    hf: DiagonalHamiltonian,
-    drv: DriverHamiltonian,
-    dt: float,
-) -> StateVector:
-    """Advance the state by exp(-i * dt * H(s))."""
-    return StateVector(
-        n=state.n, amplitudes=_exact_step(state.amplitudes, s, hf, drv, dt)
-    )
 
 
 def _site_rotation(theta: float) -> np.ndarray:
@@ -431,32 +397,34 @@ def _split_step(
     return half * frame * grid.reshape(-1)
 
 
-def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> StateVector:
-    """Run the full schedule from the driver ground state.
+def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> np.ndarray:
+    """The final amplitudes of the full schedule from the driver ground state.
 
     Applies one step per l = 0 .. M (M + 1 factors; the l = 0 factor only
     rephases the initial state).
     """
     drv = DriverHamiltonian(n=hf.n, h=cfg.h)
-    amps = initial_state(hf.n, cfg.h).amplitudes
+    amps = initial_state(hf.n, cfg.h)
     for l in range(cfg.M + 1):
         s = l / cfg.M
         if cfg.mode == MODE_SPLIT:
             amps = _split_step(amps, s, hf, drv, cfg.dt)
         else:
-            amps = _exact_step(amps, s, hf, drv, cfg.dt)
-    return StateVector(n=hf.n, amplitudes=amps)
+            amps = step(amps, s, hf, drv, cfg.dt)
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
 class ReadoutReport:
-    """Probabilities of the decoded set partitions.
+    """Probabilities of the decoded set partitions, most probable first.
 
-    ``invalid_probability`` collects basis states whose blocks sit in states
-    no cluster uses (possible under penalty encodings); such states never
-    contribute to ``partition_probabilities``.  ``partition_index`` gives,
-    per basis state, the position of its partition in
-    ``partition_probabilities`` (insertion order), or -1 for invalid states.
+    ``partition_probabilities`` runs in rank order: descending probability,
+    exact ties to the larger ``Partition.canonical`` tuple, so its first
+    entry is ``top_partition``.  ``partition_index`` gives, per basis state,
+    the rank of its partition, or -1 for states whose blocks sit in states
+    no cluster uses (possible under penalty encodings); those never
+    contribute to ``partition_probabilities`` and are summed in
+    ``invalid_probability``.
     """
 
     basis_probabilities: np.ndarray
@@ -467,40 +435,40 @@ class ReadoutReport:
     invalid_probability: float
 
 
-def decode(state: StateVector, encoding: Encoding) -> ReadoutReport:
-    """Aggregate basis probabilities into set-partition probabilities.
+def decode(amplitudes: np.ndarray, encoding: Encoding) -> ReadoutReport:
+    """Aggregate basis probabilities into ranked set-partition probabilities.
 
     Each basis state decodes to the partition of its row of the encoding's
     label table; the rows the encoding marks invalid decode to none.
     """
-    if state.n != encoding.n_qutrits:
+    size = 3**encoding.n_qutrits
+    if np.shape(amplitudes) != (size,):
         raise ValueError(
-            f"a {state.n}-qutrit state does not fit the encoding's "
-            f"{encoding.n_qutrits}-qutrit register"
+            f"amplitudes of shape {np.shape(amplitudes)} do not fit the encoding's "
+            f"{encoding.n_qutrits}-qutrit register of {size} states"
         )
-    probs = state.probabilities()
+    probs = np.abs(amplitudes) ** 2
     labels, invalid = encoding.labels, encoding.invalid
     valid = np.flatnonzero(~invalid)
     if not valid.size:
         raise ValueError("no valid basis states to decode")
+    # unique numbers the partitions in canonical order
     _, first, inverse = np.unique(
         partition_keys(labels[valid]), return_index=True, return_inverse=True
     )
-    # number partitions by first appearance in basis order
-    order = np.argsort(first)
+    # bincount adds in basis order, as a running sum over the states would
+    sums = np.bincount(inverse, weights=probs[valid])
+    # descending probability; a stable sort reversed puts ties larger canonical first
+    order = np.argsort(sums, kind="stable")[::-1]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    index = np.full(probs.shape[0], -1)
+    index = np.full(size, -1)
     index[valid] = rank[inverse]
-    # bincount adds in basis order, as a running sum over the states would
-    sums = np.bincount(index[valid], weights=probs[valid])
     partition_probs = {
         Partition(row, encoding.K): p
-        for row, p in zip(labels[valid[first[order]]].tolist(), sums.tolist())
+        for row, p in zip(labels[valid[first[order]]].tolist(), sums[order].tolist())
     }
-    top_partition, top_probability = max(
-        partition_probs.items(), key=lambda kv: (kv[1], kv[0].canonical)
-    )
+    top_partition, top_probability = next(iter(partition_probs.items()))
     return ReadoutReport(
         basis_probabilities=probs,
         partition_probabilities=partition_probs,

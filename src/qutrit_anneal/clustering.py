@@ -51,6 +51,12 @@ class PointSet:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if len(pts) < 2:
             raise SpecError("'points' must hold at least 2 points")
+        # no distance exceeds the span's diagonal, and the pair and K2 penalty
+        # sums of a final Hamiltonian's entry stay below 3 n^2 times it
+        xs, ys = zip(*pts)
+        span = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        if not math.isfinite(3.0 * len(pts) ** 2 * span):
+            raise SpecError(f"'points' span {span!r} too wide for {len(pts)} points")
         object.__setattr__(self, "points", pts)
         labels = self.labels
         if labels is not None:
@@ -242,7 +248,7 @@ _CHUNK_ROWS = 3**9
 def _cost_chunks(
     dm: DistanceMatrix, K: int, fixed: Mapping[int, int]
 ) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
-    """Check ``fixed`` and the guards, then iterate ``(costs, rows)`` chunks.
+    """Check K, ``fixed`` and the guards, then iterate ``(costs, rows)`` chunks.
 
     The last r free points, K**r at most ``_CHUNK_ROWS``, are the tail; a
     chunk is one assignment of the others, in ``itertools.product`` order,
@@ -251,6 +257,8 @@ def _cost_chunks(
     rows of the flat indices ``idx``.
     """
     n = dm.n_points
+    if not (is_int(K) and 1 <= K <= 128):
+        raise ValueError(f"K must be an integer in [1, 128] (int8 labels), got {K!r}")
     for p, l in fixed.items():
         if not (is_int(p) and 0 <= p < n and is_int(l) and 0 <= l < K):
             raise ValueError(f"fixed {{{p!r}: {l!r}}} not in range({n}) x range({K})")
@@ -318,7 +326,7 @@ def oracle_min(
     fixed: Mapping[int, int] | None = None,
     rel_tol: float = 1e-9,
 ) -> OracleResult:
-    """Exact minimum of the cost over all assignments, by brute force.
+    """Exact minimum of the cost over all assignments of K <= 128 labels, by brute force.
 
     Assignments are costed in numpy chunks; the ones near the minimum become
     label rows, deduplicated by partition and re-costed with ``math.fsum`` as

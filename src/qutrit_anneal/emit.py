@@ -5,9 +5,6 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
-import numpy as np
-
-from .clustering import Partition
 from .harness import EMIT_FORMATS as FORMATS
 from .harness import RunResult
 from .spin import digit_table
@@ -15,15 +12,6 @@ from .spin import digit_table
 #: Marker shapes assigned to clusters by decreasing cluster size.
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross", "plus")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def partition_id_map(result: RunResult) -> dict[Partition, int]:
-    """Stable ids for decoded partitions: 0 for the most probable, then by rank."""
-    ranked = sorted(
-        result.report.partition_probabilities.items(),
-        key=lambda kv: (-kv[1], kv[0].canonical),
-    )
-    return {part: i for i, (part, _) in enumerate(ranked)}
 
 
 def render_table(result: RunResult) -> str:
@@ -63,14 +51,12 @@ def _projection_strings(n: int) -> tuple[str, ...]:
 def render_csv(result: RunResult) -> str:
     """Per-basis-state dump: index, projections, decoded partition id, probability.
 
-    Partition id -1 marks basis states decoding to no valid partition.
-    The probability column sums to the squared final norm (1 up to drift).
+    The partition id is the decoded rank, 0 for the top partition; -1 marks
+    basis states decoding to no valid partition.  The probability column
+    sums to the squared final norm (1 up to drift).
     """
-    ids = partition_id_map(result)
     report = result.report
-    # the -1 of an invalid state picks the trailing -1
-    pid_of = np.array([ids[p] for p in report.partition_probabilities] + [-1])
-    pids = pid_of[report.partition_index].tolist()
+    pids = report.partition_index.tolist()
     digits = _projection_strings(result.spec.register_qutrits)
     lines = ["basis_index,digits,partition_id,probability"]
     lines += [

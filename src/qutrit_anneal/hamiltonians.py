@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -327,6 +328,10 @@ class Encoding:
                     f"method {scheme.method!r} does not pin point 0, so 'pinned' must be false"
                 )
             pinned = traits.pinned
+        a = scheme.penalty_constant
+        # with PointSet's bound on the pair sum, this keeps every entry of Hf finite
+        if a is not None and not math.isfinite(2.0 * n_points * a):
+            raise SpecError(f"'penalty' {a!r} too large for {n_points} points")
         off = set(centroids or ()) | ({0} if pinned else set())
         self.scheme = scheme
         self.K = scheme.K

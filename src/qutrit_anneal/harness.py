@@ -6,8 +6,9 @@ the exhaustive oracle.  Spec files are JSON; see the README for the schema.
 
 Each spec rule is checked once, by the constructor that holds the value:
 ``PointSet`` (points, labels), ``EncodingScheme`` (method, K, centroid
-states, penalty), ``Encoding`` (centroids, pinning), ``AnnealConfig`` (the
-anneal block) and ``ProblemSpec`` (name, emit, out, seed).  Each raises
+states, penalty), ``Encoding`` (centroids, pinning, the penalty against the
+point count), ``AnnealConfig`` (the anneal block) and ``ProblemSpec``
+(name, emit, out, seed).  Each raises
 ``SpecError`` naming the spec field, so a library caller and a spec file
 meet the same rules.  ``spec_from_dict`` checks only the JSON shape (known
 keys, required fields), fills in the defaults that depend on the method,
@@ -22,6 +23,8 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .anneal import AnnealConfig, ReadoutReport, anneal, decode
 from .clustering import (
@@ -205,7 +208,7 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
         f"method {method!r} pins point 0, which contradicts 'pinned': false",
     )
 
-    anneal_data = data.get("anneal") or {}
+    anneal_data = {} if data.get("anneal") is None else data["anneal"]
     _require(isinstance(anneal_data, dict), "'anneal' must be an object")
     unknown = set(anneal_data) - _ANNEAL_KEYS
     _require(not unknown, f"unknown anneal field(s): {sorted(unknown)}")
@@ -269,8 +272,8 @@ def run(spec: ProblemSpec) -> RunResult:
         )
     dm = distance_matrix(spec.points)
     hf = build_final_hamiltonian(spec, dm)
-    state = anneal(spec.anneal, hf)
-    report = decode(state, spec.encoding)
+    amps = anneal(spec.anneal, hf)
+    report = decode(amps, spec.encoding)
     oracle = oracle_min(dm, spec.scheme.K, fixed=spec.encoding.fixed)
     match = report.top_partition in set(oracle.argmin_partitions)
     return RunResult(
@@ -282,7 +285,7 @@ def run(spec: ProblemSpec) -> RunResult:
         oracle_partitions=oracle.argmin_partitions,
         match=match,
         invalid_probability=report.invalid_probability,
-        final_norm=state.norm(),
+        final_norm=float(np.linalg.norm(amps)),
         wall_time_s=time.perf_counter() - t0,
         report=report,
     )

@@ -15,7 +15,6 @@ from qutrit_anneal.anneal import (
     _frame,
     _site_rotation,
     _split_step,
-    StateVector,
     anneal,
     decode,
     expm_multiply_hermitian,
@@ -121,21 +120,21 @@ def test_config_accepts_numpy_integer_steps():
 def test_initial_state_single_site():
     psi = initial_state(1, 2.0)
     np.testing.assert_allclose(
-        psi.amplitudes, [0.5, -1.0 / np.sqrt(2.0), 0.5], atol=1e-15
+        psi, [0.5, -1.0 / np.sqrt(2.0), 0.5], atol=1e-15
     )
 
 
 def test_initial_state_is_product_state():
-    one = initial_state(1, 1.0).amplitudes
-    two = initial_state(2, 1.0).amplitudes
+    one = initial_state(1, 1.0)
+    two = initial_state(2, 1.0)
     np.testing.assert_allclose(two, np.kron(one, one), atol=1e-15)
-    assert initial_state(2, 1.0).norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(initial_state(2, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_state_is_driver_ground_state():
     n, h = 3, 1.7
     drv = DriverHamiltonian(n, h)
-    psi = initial_state(n, h).amplitudes
+    psi = initial_state(n, h)
     energy = np.vdot(psi, drv.dense() @ psi).real
     assert energy == pytest.approx(-n * h, abs=1e-12)
 
@@ -373,9 +372,9 @@ def test_step_on_pure_diagonal_applies_exact_phases():
     drv = DriverHamiltonian(2, 1.0)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
-    out = step(StateVector(2, amps), 1.0, hf, drv, dt=0.25)
+    out = step(amps, 1.0, hf, drv, dt=0.25)
     expected = np.exp(-1j * 0.25 * hf.diag) * amps
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_step_preserves_norm():
@@ -384,7 +383,7 @@ def test_step_preserves_norm():
     drv = DriverHamiltonian(3, 8.0)
     psi = initial_state(3, 8.0)
     out = step(psi, 0.5, hf, drv, dt=0.1)
-    assert abs(out.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_single_qutrit_step_matches_analytic_diagonalization():
@@ -394,9 +393,9 @@ def test_single_qutrit_step_matches_analytic_diagonalization():
     s, dt = 0.7, 0.1
     op = InstantaneousHamiltonian(s, hf, drv)
     lam, vecs = np.linalg.eigh(op.dense())
-    exact = vecs @ (np.exp(-1j * dt * lam) * (vecs.conj().T @ psi.amplitudes))
+    exact = vecs @ (np.exp(-1j * dt * lam) * (vecs.conj().T @ psi))
     got = step(psi, s, hf, drv, dt)
-    assert np.linalg.norm(got.amplitudes - exact) < 1e-9
+    assert np.linalg.norm(got - exact) < 1e-9
 
 
 @pytest.mark.parametrize("s", [0.0, 1e-3, 0.5, 1.0])
@@ -407,7 +406,7 @@ def test_step_matches_dense_expm(n, s):
     drv = DriverHamiltonian(n, 6.0)
     v = unit_vector(rng, 3**n)
     dense = InstantaneousHamiltonian(s, hf, drv).dense()
-    got = step(StateVector(n, v), s, hf, drv, 0.1).amplitudes
+    got = step(v, s, hf, drv, 0.1)
     np.testing.assert_allclose(got, expm(-0.1j * dense) @ v, rtol=0, atol=1e-12)
 
 
@@ -417,9 +416,9 @@ def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
     matvec, calls = counting(InstantaneousHamiltonian.matvec)
     monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
     v = unit_vector(np.random.default_rng(9), 9)
-    got = step(StateVector(2, v), 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
+    got = step(v, 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
     assert not calls
-    np.testing.assert_array_equal(got.amplitudes, np.exp(-1j * 0.4 * 1.5) * v)
+    np.testing.assert_array_equal(got, np.exp(-1j * 0.4 * 1.5) * v)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.9, 1.0])
@@ -446,7 +445,7 @@ def test_anneal_single_step_unrolls():
     drv = DriverHamiltonian(2, 2.0)
     expected = step(step(initial_state(2, 2.0), 0.0, hf, drv, 0.05), 1.0, hf, drv, 0.05)
     got = anneal(cfg, hf)
-    np.testing.assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_anneal_steps_are_bitwise_those_of_step():
@@ -456,7 +455,7 @@ def test_anneal_steps_are_bitwise_those_of_step():
     drv = DriverHamiltonian(4, 3.0)
     expected = step(step(initial_state(4, 3.0), 0.0, hf, drv, 0.1), 1.0, hf, drv, 0.1)
     got = anneal(AnnealConfig(h=3.0, M=1, dt=0.1), hf)
-    np.testing.assert_array_equal(got.amplitudes, expected.amplitudes)
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_anneal_matches_dense_factor_product():
@@ -465,20 +464,20 @@ def test_anneal_matches_dense_factor_product():
     hf = random_diag(rng, 2)
     M, dt, h = 5, 0.07, 1.3
     drv = DriverHamiltonian(2, h)
-    psi = initial_state(2, h).amplitudes
+    psi = initial_state(2, h)
     for l in range(M + 1):
         H = InstantaneousHamiltonian(l / M, hf, drv).dense()
         psi = expm(-1j * dt * H) @ psi
     got = anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
-    assert np.linalg.norm(got.amplitudes - psi) < 1e-9
+    assert np.linalg.norm(got - psi) < 1e-9
 
 
 def test_anneal_with_zero_final_hamiltonian_keeps_ground_state():
     n, h = 2, 3.0
     hf = DiagonalHamiltonian(n, np.zeros(3**n))
     got = anneal(AnnealConfig(h=h, M=100, dt=0.1), hf)
-    psi0 = initial_state(n, h).amplitudes
-    fidelity = abs(np.vdot(psi0, got.amplitudes)) ** 2
+    psi0 = initial_state(n, h)
+    fidelity = abs(np.vdot(psi0, got)) ** 2
     assert fidelity > 1.0 - 1e-9
 
 
@@ -496,7 +495,7 @@ def test_fig3_matvec_count_is_pinned(monkeypatch):
     assert len(calls) == 2528
 
 
-def test_split_step_tracks_exact_step():
+def test_split_mode_tracks_exact_mode():
     dm = distance_matrix([(0, 0), (8, 1), (7, 0)])
     encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3, K=3), 3)
     hf = encoding.hamiltonian(dm)
@@ -594,7 +593,7 @@ def test_decode_pure_basis_state_pinned():
     amps = np.zeros(3**5)
     amps[block_state_index(state_ms)] = 1.0
     encoding = Encoding(EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3), 6)
-    rep = decode(StateVector(5, amps), encoding)
+    rep = decode(amps, encoding)
     assert rep.top_probability == pytest.approx(1.0, abs=0)
     assert rep.top_partition == Partition([0, 0, 0, 1, 1, 2], 3)
     assert rep.invalid_probability == 0.0
@@ -608,7 +607,7 @@ def test_decode_merges_degenerate_argmin_states():
     assert len(ground) == 2
     amps = np.zeros(h.dim, dtype=complex)
     amps[ground] = 1.0 / np.sqrt(2.0)
-    rep = decode(StateVector(h.n, amps), encoding)
+    rep = decode(amps, encoding)
     # the two degenerate states decode to the same set partition
     assert rep.top_probability == pytest.approx(1.0, abs=1e-12)
     nonzero = [p for p, prob in rep.partition_probabilities.items() if prob > 0.0]
@@ -619,7 +618,7 @@ def test_decode_kmeanspp_assigns_blocks_to_matching_centroids():
     scheme = EncodingScheme(method=METHOD_KMEANSPP, K=3)
     amps = np.zeros(27)
     amps[block_state_index((1, 0, -1))] = 1.0
-    rep = decode(StateVector(3, amps), Encoding(scheme, 6, centroids=(0, 1, 2)))
+    rep = decode(amps, Encoding(scheme, 6, centroids=(0, 1, 2)))
     # free points 3, 4, 5 follow their matching centroids 0, 1, 2
     assert rep.top_partition == Partition([0, 1, 2, 0, 1, 2], 3)
 
@@ -629,7 +628,7 @@ def test_decode_routes_forbidden_blocks_to_invalid_bucket():
     amps = np.zeros(81, dtype=complex)
     amps[block_state_index((1, 1, 0, 0))] = 1.0 / np.sqrt(2.0)  # block 2 forbidden
     amps[block_state_index((1, 1, 0, 1))] = 1.0 / np.sqrt(2.0)  # both allowed
-    rep = decode(StateVector(4, amps), Encoding(scheme, 2))
+    rep = decode(amps, Encoding(scheme, 2))
     assert rep.invalid_probability == pytest.approx(0.5, abs=1e-12)
     assert rep.top_partition == Partition([0, 3], 4)
     total = sum(rep.partition_probabilities.values()) + rep.invalid_probability
@@ -640,19 +639,20 @@ def test_decode_k2_penalty_marks_minus_one_invalid():
     scheme = EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2)
     amps = np.zeros(9, dtype=complex)
     amps[block_state_index((1, -1))] = 1.0
-    rep = decode(StateVector(2, amps), Encoding(scheme, 2, pinned=False))
+    rep = decode(amps, Encoding(scheme, 2, pinned=False))
     assert rep.invalid_probability == pytest.approx(1.0, abs=0)
     assert rep.top_probability == 0.0 or rep.top_partition is not None
 
 
-def _reference_decode(state, encoding):
-    """Partition probabilities as a running sum over the valid basis states."""
-    probs = state.probabilities()
+def _reference_decode(amps, encoding):
+    """Partition probabilities as a running sum over the valid basis states,
+    ranked by descending probability, exact ties to the larger canonical labels."""
+    probs = np.abs(amps) ** 2
     out = {}
     for idx in np.flatnonzero(~encoding.invalid):
         part = Partition(encoding.labels[idx], encoding.K)
         out[part] = out.get(part, 0.0) + float(probs[idx])
-    return out
+    return dict(sorted(out.items(), key=lambda kv: (kv[1], kv[0].canonical), reverse=True))
 
 
 #: (encoding, register qutrits): every encoding
@@ -674,12 +674,13 @@ def test_decode_matches_per_state_loop(case):
     rng = np.random.default_rng(case)
     amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     amps[rng.random(3**n) < 0.3] = 0.0
-    state = StateVector(n, amps / np.linalg.norm(amps))
-    rep = decode(state, encoding)
-    expected = _reference_decode(state, encoding)
+    amps /= np.linalg.norm(amps)
+    rep = decode(amps, encoding)
+    expected = _reference_decode(amps, encoding)
     got = list(rep.partition_probabilities.items())
-    # same partitions, labels, insertion order and bitwise-equal sums
+    # same partitions, labels, rank order and bitwise-equal sums
     assert [(p.labels, v) for p, v in got] == [(p.labels, v) for p, v in expected.items()]
+    assert (rep.top_partition, rep.top_probability) == got[0]
     labels, invalid = encoding.labels, encoding.invalid
     assert (rep.partition_index == -1).tolist() == invalid.tolist()
     parts = [p for p, _ in got]
@@ -689,9 +690,10 @@ def test_decode_matches_per_state_loop(case):
 
 def test_decode_argument_validation():
     scheme_k2 = EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2)
-    state = initial_state(2, 1.0)
-    with pytest.raises(ValueError):
-        decode(state, Encoding(scheme_k2, 2, pinned=True))  # a 1-qutrit register
+    with pytest.raises(ValueError, match="1-qutrit register"):
+        decode(initial_state(2, 1.0), Encoding(scheme_k2, 2, pinned=True))
+    with pytest.raises(ValueError, match="shape"):
+        decode(initial_state(2, 1.0).reshape(3, 3), Encoding(scheme_k2, 3, pinned=True))
     scheme_kpp = EncodingScheme(method=METHOD_KMEANSPP, K=3)
     with pytest.raises(ValueError):
         Encoding(scheme_kpp, 6)  # centroid indices required

@@ -390,6 +390,26 @@ def test_oracle_rejects_bad_fixed(fixed):
         oracle_min(distance_matrix(SIX_POINTS), 3, fixed=fixed)
 
 
+@pytest.mark.parametrize("K", [0, -1, 2.5, True, "3", 129])
+def test_oracle_rejects_bad_k(K):
+    # labels are int8, so K above 128 cannot be stored; K is checked before
+    # the guards, as fixed is
+    with pytest.raises(ValueError, match="K") as err:
+        oracle_min(distance_matrix(SIX_POINTS), K)
+    assert not isinstance(err.value, SizeGuardError)
+
+
+@pytest.mark.parametrize("fixed", [None, {0: 127}])
+def test_oracle_at_the_largest_k_matches_reference_loop(fixed):
+    # the labels' top value 127 is stored and read back
+    dm = distance_matrix([(0, 0), (3, 4)])
+    best, argmin = _reference_oracle(dm, 128, fixed)
+    res = oracle_min(dm, 128, fixed=fixed)
+    assert res.min_cost == best
+    assert set(res.argmin_partitions) == argmin
+    assert len(res.argmin_partitions) == len(argmin)
+
+
 def test_oracle_checks_fixed_before_the_guards():
     # 13 points fail the point guard, and 5**11 assignments the other; a
     # fractional label is named first, before either guard counts points

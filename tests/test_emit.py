@@ -9,12 +9,14 @@ import sys
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 import qutrit_anneal
 from qutrit_anneal.clustering import Partition
 from qutrit_anneal.cli import main
-from qutrit_anneal.emit import emit, partition_id_map, render_csv, render_svg, render_table
+from qutrit_anneal.anneal import decode
+from qutrit_anneal.emit import emit, render_csv, render_svg, render_table
 from qutrit_anneal.harness import generate_instance, run, spec_from_dict
 from qutrit_anneal.spin import digit_table
 
@@ -34,12 +36,34 @@ def test_csv_structure_and_normalization(tiny_result):
     assert len(rows) == 3**n
     total = sum(float(r["probability"]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
-    ids = partition_id_map(tiny_result)
-    assert ids[tiny_result.top_partition] == 0
     top_rows = [r for r in rows if r["partition_id"] == "0"]
     top_p = sum(float(r["probability"]) for r in top_rows)
     assert top_p == pytest.approx(tiny_result.top_probability, abs=1e-12)
     assert all(len(r["digits"].split()) == n for r in rows)
+
+
+def test_csv_id_zero_is_the_top_partition_on_a_tie(tiny_result):
+    # a uniform state ties several partitions at the top; decode breaks the
+    # tie once, so the CSV's id 0 is the table's top partition
+    encoding = tiny_result.spec.encoding
+    size = 3**encoding.n_qutrits
+    report = decode(np.full(size, size**-0.5), encoding)
+    probs = list(report.partition_probabilities.values())
+    assert probs[1] == probs[0] == report.top_probability
+    result = dataclasses.replace(
+        tiny_result,
+        report=report,
+        top_partition=report.top_partition,
+        top_probability=report.top_probability,
+    )
+    rows = list(csv.DictReader(io.StringIO(render_csv(result))))
+    top_rows = [r for r in rows if r["partition_id"] == "0"]
+    decoded = {
+        Partition(encoding.labels[int(r["basis_index"])], encoding.K) for r in top_rows
+    }
+    assert decoded == {result.top_partition}
+    top_p = sum(float(r["probability"]) for r in top_rows)
+    assert top_p == pytest.approx(result.top_probability, abs=1e-12)
 
 
 def test_csv_marks_invalid_states(preset_result):
@@ -52,7 +76,12 @@ def test_csv_marks_invalid_states(preset_result):
 
 def _reference_csv(result):
     """The CSV built one row at a time from the spec's label table."""
-    ids = partition_id_map(result)
+    ranked = sorted(
+        result.report.partition_probabilities.items(),
+        key=lambda kv: (kv[1], kv[0].canonical),
+        reverse=True,
+    )
+    ids = {part: i for i, (part, _) in enumerate(ranked)}
     spec = result.spec
     n = spec.register_qutrits
     probs = result.report.basis_probabilities

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import ground_states
-from qutrit_anneal.anneal import StateVector, decode
+from qutrit_anneal.anneal import decode
 from qutrit_anneal.clustering import (
     DistanceMatrix,
     Partition,
@@ -129,7 +129,7 @@ def _ground_space_in_argmin(spec):
     hf = build_final_hamiltonian(spec)
     amps = np.zeros(hf.dim)
     amps[ground_states(hf)] = 1.0
-    report = decode(StateVector(hf.n, amps / np.linalg.norm(amps)), spec.encoding)
+    report = decode(amps / np.linalg.norm(amps), spec.encoding)
     fixed = None
     if spec.centroids is not None:
         fixed = {p: c for c, p in enumerate(spec.centroids)}

@@ -1,11 +1,19 @@
+import copy
 import json
 import time
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
-from qutrit_anneal.clustering import Partition, cost, distance_matrix, oracle_min
+from qutrit_anneal.clustering import (
+    ORACLE_MAX_POINTS,
+    Partition,
+    cost,
+    distance_matrix,
+    oracle_min,
+)
 from qutrit_anneal.errors import SizeGuardError, SpecError
 from qutrit_anneal.harness import (
     REGISTER_MAX_QUTRITS,
@@ -448,6 +456,23 @@ BAD_VALUES = [
     ("points", {"points": [[0, 0], [0, "3"]]}, partial(PointSet, ((0, 0), (0, "3")))),
     ("name", {"name": None}, partial(ProblemSpec, **_SPEC, name=None)),
     ("name", {"name": 5}, partial(ProblemSpec, **_SPEC, name=5)),
+    # each of these once validated, then broke the build with an overflow
+    (
+        "penalty",
+        {**_MULTISPIN, "points": [[0, 0], [0, 1], [10, 10]], "penalty": 1e308},
+        partial(Encoding, EncodingScheme(**_MULTISPIN, penalty_constant=1e308), 3),
+    ),
+    (
+        "points",
+        {"points": [[1e308, 0], [-1e308, 0]]},
+        partial(PointSet, ((1e308, 0), (-1e308, 0))),
+    ),
+    # every distance is finite, but the pair sum of one cluster is not
+    (
+        "points",
+        {"points": [[6e307, 0], [-6e307, 0]] * 2},
+        partial(PointSet, ((6e307, 0), (-6e307, 0)) * 2),
+    ),
 ]
 
 
@@ -463,6 +488,105 @@ def test_bad_value_is_rejected_by_spec_and_constructor(tiny_spec_dict, field, up
         spec_from_dict(tiny_spec_dict)
     with pytest.raises(SpecError, match=f"'{field}'"):
         construct()
+
+
+@pytest.mark.parametrize("anneal", [False, [], 0, "", [1], "M"])
+def test_non_object_anneal_is_rejected(tiny_spec_dict, anneal):
+    tiny_spec_dict["anneal"] = anneal
+    with pytest.raises(SpecError, match="'anneal' must be an object"):
+        spec_from_dict(tiny_spec_dict)
+
+
+def test_null_anneal_takes_the_defaults(tiny_spec_dict):
+    tiny_spec_dict["anneal"] = None
+    assert spec_from_dict(tiny_spec_dict).anneal == AnnealConfig(h=8.0)
+
+
+# ---------------------------------------------------- seeded spec mutation
+
+_FIVE = [[0, 0], [0, 1], [10, 10], [-10, 10], [3, 4]]
+_ANNEAL = {"M": 50, "dt": 0.1, "h": 2.0, "mode": "split-step"}
+
+#: One valid spec per method, with every optional field that method takes.
+MUTATION_BASES = [
+    {"points": _FIVE, "method": "one-hot-K3", "labels": list("abcde"), "name": "a", "seed": 1},
+    {"points": _FIVE, "method": "one-hot-K3-pinned", "emit": ["table"], "out": "o"},
+    {"points": _FIVE, "method": "one-hot-K2-penalty", "pinned": False, "anneal": _ANNEAL},
+    {"points": _FIVE[:3], "method": "one-hot-multispin", "K": 4, "penalty": 40.0},
+    {
+        "points": _FIVE,
+        "method": "kmeanspp",
+        "K": 3,
+        "centroids": [0, 1, 2],
+        "centroid_states": [[1], [0], [-1]],
+        "anneal": _ANNEAL,
+    },
+]
+
+#: What a mutation puts in place of a field or an entry, or under a new key.
+MUTATION_VALUES = (
+    None, True, False, 0, 1, -1, 2, 3, 4, 9, 2.5, -3.0, 1e308, -1e308, 1e-300,
+    float("inf"), float("nan"), 10**400, "", "x", "3", "kmeanspp", [], [0], [1, 2],
+    [[0, 0]], [[1e308, 0], [-1e308, 0]], {}, {"M": 5},
+)
+_MUTATION_KEYS = ("bogus", "K", "penalty", "pinned", "centroids", "anneal", "M", "h", "mode")
+
+
+def _mutate(spec: dict, rng) -> dict:
+    """The spec with one field or entry deleted, replaced, duplicated, or a key added."""
+    slots = []  # (container, key) of every field and entry, nested ones included
+    todo = [spec]
+    while todo:
+        node = todo.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    node, key = slots[rng.integers(len(slots))]
+    op = rng.integers(4)
+    value = copy.deepcopy(MUTATION_VALUES[rng.integers(len(MUTATION_VALUES))])
+    if op == 0:
+        del node[key]
+    elif op == 1:
+        node[key] = value
+    elif op == 2 and isinstance(node, list):
+        node.append(copy.deepcopy(node[key]))
+    else:
+        dicts = [spec] + [n[k] for n, k in slots if isinstance(n[k], dict)]
+        dicts[rng.integers(len(dicts))][_MUTATION_KEYS[rng.integers(len(_MUTATION_KEYS))]] = value
+    return spec
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        assert time.perf_counter() - start < 0.5, f"{fn.__name__} took over 0.5 s"
+
+
+@pytest.mark.parametrize("base", range(len(MUTATION_BASES)))
+def test_mutated_spec_is_rejected_or_builds_finite(base):
+    # a mutated spec either raises SpecError or gives a ProblemSpec; one
+    # within run's guards builds a finite final Hamiltonian with no warning
+    rng = np.random.default_rng(base)
+    built = 0
+    for _ in range(2000):
+        data = copy.deepcopy(MUTATION_BASES[base])
+        for _ in range(rng.integers(1, 4)):
+            data = _mutate(data, rng)
+        try:
+            spec = _timed(spec_from_dict, data)
+        except SpecError:
+            continue
+        if spec.register_qutrits <= REGISTER_MAX_QUTRITS and len(spec.points) <= ORACLE_MAX_POINTS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                diag = _timed(build_final_hamiltonian, spec).diag
+            assert np.isfinite(diag).all(), data
+            built += 1
+    assert built > 50
 
 
 # -------------------------------------------------------------- generation
