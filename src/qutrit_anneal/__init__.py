@@ -11,7 +11,6 @@ from .anneal import (
     MODE_EXACT,
     MODE_SPLIT,
     AnnealConfig,
-    InstantaneousHamiltonian,
     ReadoutReport,
     anneal,
     decode,

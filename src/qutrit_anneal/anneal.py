@@ -3,24 +3,27 @@
 The schedule interpolates H(s) = (1 - s) * H0 + s * Hf for s = l/M,
 l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  The
 exact-step mode evaluates each exponential by a Chebyshev expansion
-(Tal-Ezer & Kosloff, 1984).  The spectral bounds of H(s) come free from the
-extremes of the diagonal and the driver's -h n .. h n, the degree is fixed
-a priori where the Bessel coefficients fall below 1e-15, and it needs
-numpy alone.  Each step maps H(s) onto [-2, 2] once, folding the scale and
-shift into its diagonal and driver factors, so each term is one apply of
-the mapped operator and one subtraction.  H(s) is real symmetric, so the
-recurrence runs in real arithmetic on the real and imaginary parts of the
-state, and each apply takes the driver as a Kronecker sum: two matrix
-products on the state viewed as a grid.  The split-step mode is a Strang
-splitting of the diagonal and driver factors, sub-stepped so its final
-probabilities track exact-step to well under 1e-3; it is not used where
-exact-step accuracy is contractual.  In the frame F = diag(1, i, -1) on
-each site the 3x3 driver gate is a real rotation, and F^{(x)n} is diagonal,
-so it folds into the first and last half phase of a step.  Each step builds
-the rotation's n-fold Kronecker power as two Kronecker powers, by repeated
-squaring, and applies each as one real matrix product on the state's float
-view, transposing the state once per substep; the half phases of
-neighbouring substeps are applied as one full phase.
+(Tal-Ezer & Kosloff, 1984).  ``step`` is the one place that maps H(s) onto
+[-2, 2]: its spectral bounds come free from the extremes of the diagonal
+and the driver's -h n .. h n, and the scale and shift fold into the mapped
+diagonal and driver factors.  ``expm_multiply_hermitian`` expands any real
+symmetric operator on [-2, 2], each term one apply and one subtraction, to
+a degree fixed a priori where the Bessel coefficients fall below 1e-15.
+The recurrence runs in real arithmetic on the real and imaginary parts of
+the state, and each apply takes the driver as a Kronecker sum: two matrix
+products on the state viewed as a grid.  ``anneal`` refuses an exact-step
+schedule whose degree would pass about 1e4 terms a step before it starts.
+
+The split-step mode is a Strang splitting of the diagonal and driver
+factors, sub-stepped so its final probabilities track exact-step to well
+under 1e-3; it is not used where exact-step accuracy is contractual.  In
+the frame F = diag(1, i, -1) on each site the 3x3 driver gate is a real
+rotation, and F^{(x)n} is diagonal, so it folds into the first and last
+half phase of a step.  Each step builds the rotation's n-fold Kronecker
+power as two Kronecker powers, by repeated squaring, and applies each as
+one real matrix product on the state's float view, transposing the state
+once per substep; the half phases of neighbouring substeps are applied as
+one full phase.
 
 States are plain complex arrays of the 3**n basis amplitudes, from
 ``initial_state`` through ``step`` and ``anneal`` to ``decode``.  ``decode``
@@ -31,7 +34,6 @@ that ranks them: its per-state rank is the CSV's partition id.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .clustering import Partition, partition_keys
-from .errors import SpecError, is_int, is_positive_finite
+from .errors import SizeGuardError, SpecError, is_int, is_positive_finite
 from .hamiltonians import (
     DiagonalHamiltonian,
     DriverHamiltonian,
@@ -98,74 +100,6 @@ def initial_state(n: int, h: float) -> np.ndarray:
     return amps.astype(complex)
 
 
-class InstantaneousHamiltonian:
-    """Matrix-free handle for H(s) = (1 - s) * H0 + s * Hf."""
-
-    def __init__(self, s: float, hf: DiagonalHamiltonian, drv: DriverHamiltonian):
-        if hf.n != drv.n:
-            raise ValueError(
-                f"register mismatch: diagonal spans {hf.n} qutrits, driver {drv.n}"
-            )
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
-        self.s = float(s)
-        self.n = hf.n
-        self._size = hf.dim
-        self._field = (1.0 - s) * drv.h
-        # the driver (field A) (x) I + I (x) (field B) acts on the state viewed
-        # as a row-major grid of 3**(n // 2) rows, as A @ grid + grid @ B (B is
-        # symmetric); the diagonal takes the grid's shape
-        a, b = driver_factors(self.n)
-        self._factors = (self._field * a, self._field * b)
-        self._diag = (s * hf.diag).reshape(a.shape[0], b.shape[0])
-        self._grid = (-1, *self._diag.shape)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v along the last axis of a (..., 3**n) array, real or complex."""
-        if v.shape[-1] != self._size:
-            raise ValueError(
-                f"last axis of length {v.shape[-1]} does not match 3**{self.n}"
-            )
-        grid = v.reshape(self._grid)
-        out = self._diag * grid
-        if self._field != 0.0:
-            a, b = self._factors
-            out += a @ grid
-            out += grid @ b
-        return out.reshape(v.shape)
-
-    def rescaled(self, centre: float, scale: float) -> InstantaneousHamiltonian:
-        """Handle for scale * (H - centre), applied to (2, 3**n) arrays only.
-
-        The shift and the scale fold into the diagonal and the driver
-        factors.  The diagonal is stored once per row of the input, so its
-        product needs no broadcast: the rows are the real and imaginary
-        planes that ``expm_multiply_hermitian`` applies H to once per term.
-        """
-        out = copy.copy(self)
-        out._field = scale * self._field
-        out._factors = tuple(scale * f for f in self._factors)
-        diag = scale * (self._diag - centre)
-        out._diag = np.stack([diag, diag])
-        out._grid = out._diag.shape
-        return out
-
-    def bounds(self) -> tuple[float, float]:
-        """Spectral interval [s min Hf - (1 - s) h n, s max Hf + (1 - s) h n].
-
-        The spectrum of a sum lies within the sum of its terms' ranges, and
-        each range here is exact (S^x has eigenvalues -1, 0, 1 on every
-        site), so the interval is the spectrum's own at s = 0 and s = 1.
-        """
-        spread = self._field * self.n
-        return float(self._diag.min()) - spread, float(self._diag.max()) + spread
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix form, for small registers and tests."""
-        # row k is H e_k, which is column k as H is symmetric
-        return self.matvec(np.eye(3**self.n))
-
-
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
 #: At 1e-15 the presets' basis probabilities at M = 2000 stay within 2.2e-13
 #: of an adaptive Lanczos stepper's (tolerance 1e-12) and the norm drifts by
@@ -184,6 +118,11 @@ _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 #: not grow with the degree (280 kB at the 7-qutrit cap).  Blocks of 8, 16
 #: and 32 ran the presets equally fast, and 8 holds the fewest states.
 _ROWS = 8
+
+#: ``anneal`` refuses an exact-step schedule whose dt times the half-width
+#: of H(s) exceeds this: the Bessel table then holds at most 82 kB and a step
+#: makes at most about 10,300 matvecs.  The presets peak at 31.5 (fig2).
+_MAX_DT_RADIUS = 1e4
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -210,22 +149,15 @@ def _bessel_j(x: float) -> np.ndarray:
 
 
 def expm_multiply_hermitian(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    v: np.ndarray,
-    dt: float,
-    *,
-    bounds: tuple[float, float],
+    matvec: Callable[[np.ndarray], np.ndarray], v: np.ndarray, dt: float
 ) -> np.ndarray:
-    """Compute exp(-i * dt * H) @ v for real symmetric H by a Chebyshev expansion.
+    """Compute exp(-i * dt * H) @ v for real symmetric H with spectrum in [-2, 2].
 
-    ``bounds`` = (lo, hi) must contain the spectrum of H.  With H mapped onto
-    [-1, 1] as (H - c) / r, c and r the centre and half-width of the bounds,
-    exp(-i dt H) = exp(-i dt c) sum_k (2 - [k = 0]) (-i)^k J_k(dt r) T_k
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  The degree is fixed
-    before the first matvec by the tail of the Bessel coefficients, and each
-    term costs one matvec through the three-term recurrence of T_k; for
-    bounds (-2, 2) that recurrence is T_{k+1} = H T_k - T_{k-1}, with no
-    scale or shift.
+    On [-2, 2], exp(-i dt H) = sum_k (2 - [k = 0]) (-i)^k J_k(2 dt) T_k(H / 2)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), and the three-term
+    recurrence of the T_k is T_{k+1} = H T_k - T_{k-1}, with T_1 = H v / 2:
+    one matvec and one subtraction a term.  The degree is fixed before the
+    first matvec by the tail of the Bessel coefficients.
 
     H must be real: the recurrence runs in real arithmetic on the (2, N)
     array of v's real and imaginary parts, and ``matvec`` must map such an
@@ -236,24 +168,18 @@ def expm_multiply_hermitian(
     even k and imaginary for odd k, so the terms go to two real sums,
     combined into the complex result at the end.
     """
-    lo, hi = bounds
-    if not hi >= lo:
-        raise ValueError(f"spectral bounds must satisfy lo <= hi, got {bounds}")
     v = np.asarray(v, dtype=complex)
-    centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x = dt * radius
-    phase = np.exp(-1j * dt * centre)
+    x = 2.0 * dt
     if abs(x) < _TAIL or not v.any():
         # below the tail J_0(x) rounds to 1 and no other term is kept: exact
-        # for x = 0 (H is centre * I), and no matvec for a zero vector
-        return phase * v
+        # for dt = 0, and no matvec for a zero vector
+        return v.copy()
     j = _bessel_j(x)
     degree = int(np.flatnonzero(np.abs(j) >= 0.5 * _TAIL)[-1])
     coefs = 2.0 * _SIGNS[np.arange(degree + 1) % 4] * j[: degree + 1]
     coefs[0] = j[0]
     weights = np.zeros((2, degree + 1))  # even k in row 0, odd k in row 1
     weights[0, ::2], weights[1, 1::2] = coefs[::2], coefs[1::2]
-    scale, shift = 2.0 / radius, 2.0 * centre / radius
     size = min(degree + 1, _ROWS)
     block = np.empty((size, 2, *v.shape))  # T_k in block[k % size]
     rows = list(block)
@@ -265,25 +191,19 @@ def expm_multiply_hermitian(
             raise TypeError(
                 "matvec returned complex values on a real input: H must be real symmetric"
             )
-        cur -= centre * prev
-        cur = np.divide(cur, radius, out=rows[1])
+        cur = np.divide(cur, 2.0, out=rows[1])
     sums = np.zeros((2, prev.size))
     summed = 0  # T_0 .. T_{summed - 1} are in sums
     flat = block.reshape(size, -1)
     for k in range(2, degree + 1):
         slot = k % size
-        nxt = matvec(cur)
-        if scale != 1.0:
-            nxt *= scale
-        if shift:
-            nxt -= shift * cur
-        prev, cur = cur, np.subtract(nxt, prev, out=rows[slot])
+        prev, cur = cur, np.subtract(matvec(cur), prev, out=rows[slot])
         if slot == size - 1:  # block holds T_summed .. T_k in order
             sums += weights[:, summed : k + 1] @ flat
             summed = k + 1
     sums += weights[:, summed:] @ flat[: degree + 1 - summed]
     (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, *v.shape)
-    return phase * ((even_re + odd_im) + 1j * (even_im - odd_re))
+    return (even_re + odd_im) + 1j * (even_im - odd_re)
 
 
 def step(
@@ -295,19 +215,40 @@ def step(
 ) -> np.ndarray:
     """Advance the amplitudes by exp(-i dt H(s)), expanding H(s) mapped onto [-2, 2].
 
-    With c and r the centre and half-width of ``bounds()``, H(s) = c + (r/2) H~
-    for H~ = 2 (H(s) - c) / r, so the step is the phase exp(-i dt c) times
-    exp(-i (r dt / 2) H~), and each Chebyshev term is one apply of H~.  A
-    zero-width H(s) is c times the identity: H~ is then H(s) - c = 0 and the
-    expansion makes no matvec.
+    H(s) has its spectrum in [lo, hi] = [s min Hf - (1 - s) h n,
+    s max Hf + (1 - s) h n], which is exact at s = 0 and s = 1 (S^x has
+    eigenvalues -1, 0, 1 on every site).  With c and r its centre and
+    half-width, H(s) = c + (r/2) H~ for H~ = 2 (H(s) - c) / r: the step is
+    exp(-i dt c) exp(-i (r dt / 2) H~), and each Chebyshev term one apply of
+    H~.  A zero-width H(s) is c times the identity and makes no matvec.
     """
-    op = InstantaneousHamiltonian(s, hf, drv)
-    lo, hi = op.bounds()
+    if hf.n != drv.n:
+        raise ValueError(f"register mismatch: diagonal spans {hf.n} qutrits, driver {drv.n}")
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
+    if np.shape(amplitudes) != (hf.dim,):
+        raise ValueError(f"amplitudes of shape {np.shape(amplitudes)} do not fit 3**{hf.n}")
+    field = (1.0 - s) * drv.h
+    a, b = driver_factors(hf.n)
+    diag = (s * hf.diag).reshape(a.shape[0], b.shape[0])
+    spread = field * hf.n
+    lo, hi = float(diag.min()) - spread, float(diag.max()) + spread
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    mapped = op.rescaled(centre, 2.0 / radius if radius else 1.0)
-    amplitudes = expm_multiply_hermitian(
-        mapped.matvec, amplitudes, 0.5 * radius * dt, bounds=(-2.0, 2.0)
-    )
+    scale = 2.0 / radius if radius else 1.0
+    # H~ applies to (re, im) planes as grids of 3**(n // 2) rows: the mapped
+    # diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
+    planes = np.stack([scale * (diag - centre)] * 2)
+    fa, fb = scale * (field * a), scale * (field * b)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        grid = x.reshape(planes.shape)
+        out = planes * grid
+        if field:
+            out += fa @ grid
+            out += grid @ fb
+        return out.reshape(x.shape)
+
+    amplitudes = expm_multiply_hermitian(matvec, amplitudes, 0.5 * radius * dt)
     return np.exp(-1j * dt * centre) * amplitudes
 
 
@@ -404,6 +345,17 @@ def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> np.ndarray:
     rephases the initial state).
     """
     drv = DriverHamiltonian(n=hf.n, h=cfg.h)
+    if cfg.mode == MODE_EXACT:
+        # the half-width r of H(s) is affine in s, so it peaks at s = 0 or 1
+        width = float(hf.diag.max()) - float(hf.diag.min())
+        x = cfg.dt * max(cfg.h * hf.n, 0.5 * width)
+        if not x <= _MAX_DT_RADIUS:
+            raise SizeGuardError(
+                f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
+                f"the {_MAX_DT_RADIUS:g} guard (final Hamiltonian width {width:.3g}, "
+                f"dt = {cfg.dt:g}); lower the 'penalty' or the points' spread, or use "
+                "split-step mode"
+            )
     amps = initial_state(hf.n, cfg.h)
     for l in range(cfg.M + 1):
         s = l / cfg.M

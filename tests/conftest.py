@@ -1,4 +1,5 @@
 import copy
+import importlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ def ground_states(h) -> np.ndarray:
     diag = h.diag
     mn = float(diag.min())
     return np.flatnonzero(diag <= mn + 1e-9 * (1.0 + abs(mn)))
+
+
+def forbid_expansion(monkeypatch) -> None:
+    """Make any exact-step expansion fail the test, before it can allocate or stall."""
+
+    def refuse(*args):
+        raise AssertionError("the run reached an exact-step expansion")
+
+    monkeypatch.setattr(importlib.import_module("qutrit_anneal.anneal"), "expm_multiply_hermitian", refuse)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from conftest import ground_states
 from qutrit_anneal.anneal import (
     MODE_SPLIT,
     AnnealConfig,
-    InstantaneousHamiltonian,
     _bessel_j,
     _frame,
     _site_rotation,
@@ -22,6 +21,7 @@ from qutrit_anneal.anneal import (
     step,
 )
 from qutrit_anneal.clustering import Partition, distance_matrix
+from qutrit_anneal.errors import SizeGuardError
 from qutrit_anneal.hamiltonians import (
     METHOD_KMEANSPP,
     METHOD_ONEHOT_K2_PENALTY,
@@ -55,6 +55,25 @@ def counting(fn):
         return fn(*args)
 
     return counted, calls
+
+
+def count_matvecs(monkeypatch) -> list:
+    """A list that grows by one per matvec of every exact-step expansion.
+
+    Wraps the module-global ``expm_multiply_hermitian`` that ``step`` calls,
+    and counts calls of the matvec it receives, as the benchmark's tracer does.
+    """
+    expm, calls = anneal_module.expm_multiply_hermitian, []
+
+    def counted_expm(matvec, v, *args):
+        def counted(x):
+            calls.append(1)
+            return matvec(x)
+
+        return expm(counted, v, *args)
+
+    monkeypatch.setattr(anneal_module, "expm_multiply_hermitian", counted_expm)
+    return calls
 
 
 def unit_vector(rng, dim):
@@ -144,90 +163,126 @@ def test_initial_state_rejects_bad_field():
         initial_state(2, 0.0)
 
 
-# ------------------------------------------------- instantaneous Hamiltonian
+# ------------------------------------------------ H(s) mapped onto [-2, 2]
+
+
+def dense_h(s, hf, drv):
+    """H(s) = (1 - s) H0 + s Hf as a dense matrix, for small registers."""
+    return np.diag(s * hf.diag) + (1.0 - s) * drv.dense()
+
+
+def spectral_bounds(s, hf, drv):
+    """[s min Hf - (1 - s) h n, s max Hf + (1 - s) h n], worked out here on its own."""
+    spread = (1.0 - s) * drv.h * drv.n
+    return s * hf.diag.min() - spread, s * hf.diag.max() + spread
+
+
+def expansion_args(s, hf, drv, dt=0.1):
+    """The matvec ``step`` hands the expansion, and the dt it passes with it."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(anneal_module, "expm_multiply_hermitian", lambda m, v, dt: seen.append((m, dt)) or v)
+        step(np.ones(hf.dim, dtype=complex), s, hf, drv, dt)
+    (args,) = seen
+    return args
+
+
+def mapped_operator(s, hf, drv, dt=0.1):
+    """The dense operator ``step`` expands, and the dt it expands it for."""
+    matvec, dt_mapped = expansion_args(s, hf, drv, dt)
+    # column k is the operator on e_k, in the real plane; the imaginary plane is zero
+    planes = np.zeros((hf.dim, 2, hf.dim))
+    planes[np.arange(hf.dim), 0, np.arange(hf.dim)] = 1.0
+    cols = np.array([matvec(p) for p in planes])
+    assert not cols[:, 1].any()
+    return cols[:, 0].T, dt_mapped
 
 
 def test_endpoint_s1_is_diagonal():
     rng = np.random.default_rng(0)
     hf = random_diag(rng, 2)
-    op = InstantaneousHamiltonian(1.0, hf, DriverHamiltonian(2, 3.0))
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    np.testing.assert_allclose(op.matvec(v), hf.diag * v, atol=1e-14)
+    got = step(v, 1.0, hf, DriverHamiltonian(2, 3.0), 0.2)
+    np.testing.assert_allclose(got, np.exp(-0.2j * hf.diag) * v, atol=1e-12)
 
 
 def test_endpoint_s0_is_driver():
     rng = np.random.default_rng(1)
     hf = random_diag(rng, 2)
     drv = DriverHamiltonian(2, 3.0)
-    op = InstantaneousHamiltonian(0.0, hf, drv)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    np.testing.assert_allclose(op.matvec(v), drv.dense() @ v, atol=1e-14)
+    got = step(v, 0.0, hf, drv, 0.2)
+    np.testing.assert_allclose(got, expm(-0.2j * drv.dense()) @ v, atol=1e-12)
 
 
 def test_midpoint_linearity():
     rng = np.random.default_rng(2)
     hf = random_diag(rng, 2)
     drv = DriverHamiltonian(2, 4.0)
-    op = InstantaneousHamiltonian(0.5, hf, drv)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    expected = 0.5 * hf.diag * v + 0.5 * drv.dense() @ v
-    np.testing.assert_allclose(op.matvec(v), expected, atol=1e-13)
+    expected = expm(-0.2j * (0.5 * np.diag(hf.diag) + 0.5 * drv.dense())) @ v
+    np.testing.assert_allclose(step(v, 0.5, hf, drv, 0.2), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bounds_contain_spectrum(n):
+    # step expands an operator whose spectrum lies in [-2, 2], and reaches
+    # both ends where one term of H(s) is alone
     rng = np.random.default_rng(20 + n)
     for s in [0.0, 1.0, *rng.uniform(0, 1, 3)]:
-        op = InstantaneousHamiltonian(
-            s, random_diag(rng, n, scale=30.0), DriverHamiltonian(n, rng.uniform(0.5, 8.0))
-        )
-        lam = np.linalg.eigvalsh(op.dense())
-        lo, hi = op.bounds()
-        assert lo - 1e-12 <= lam[0] and lam[-1] <= hi + 1e-12
+        hf = random_diag(rng, n, scale=30.0)
+        drv = DriverHamiltonian(n, rng.uniform(0.5, 8.0))
+        lam = np.linalg.eigvalsh(mapped_operator(s, hf, drv)[0])
+        assert -2.0 - 1e-12 <= lam[0] and lam[-1] <= 2.0 + 1e-12
         if s in (0.0, 1.0):
-            # one term alone: the bounds are its extreme eigenvalues
-            np.testing.assert_allclose([lo, hi], lam[[0, -1]], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lam[[0, -1]], [-2.0, 2.0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dense_is_diagonal_plus_scaled_driver(n, s):
+    # undoing the map, c + (r / 2) H~, gives the diagonal plus the scaled driver
     rng = np.random.default_rng(40 + n)
     hf = random_diag(rng, n)
-    h = 2.5
-    got = InstantaneousHamiltonian(s, hf, DriverHamiltonian(n, h)).dense()
+    h, dt = 2.5, 0.1
+    mapped, dt_mapped = mapped_operator(s, hf, DriverHamiltonian(n, h), dt)
+    lo, hi = spectral_bounds(s, hf, DriverHamiltonian(n, h))
+    centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    assert dt_mapped == pytest.approx(0.5 * radius * dt, rel=1e-15)
+    got = centre * np.eye(3**n) + 0.5 * radius * mapped
     expected = np.diag(s * hf.diag) + (1.0 - s) * h * DriverHamiltonian(n, 1.0).dense()
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.4, 1.0])
-def test_rescaled_is_an_affine_map_of_h(s):
+def test_step_maps_h_affinely_onto_minus_two_two(s):
     rng = np.random.default_rng(50)
-    op = InstantaneousHamiltonian(s, random_diag(rng, 3), DriverHamiltonian(3, 2.5))
-    lo, hi = op.bounds()
+    hf, drv = random_diag(rng, 3), DriverHamiltonian(3, 2.5)
+    lo, hi = spectral_bounds(s, hf, drv)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    mapped = op.rescaled(centre, 2.0 / radius)
+    expected = (2.0 / radius) * (dense_h(s, hf, drv) - centre * np.eye(27))
+    matvec, _ = expansion_args(s, hf, drv)
+    # the two planes are mapped each on its own, into a new array
     planes = rng.normal(size=(2, 27))
-    expected = (2.0 / radius) * (op.matvec(planes) - centre * planes)
-    np.testing.assert_allclose(mapped.matvec(planes), expected, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(mapped.bounds(), (-2.0, 2.0), rtol=0, atol=1e-14)
-    # the handle it was made from is unchanged
-    np.testing.assert_allclose(op.bounds(), (lo, hi), rtol=0, atol=0)
+    kept = planes.copy()
+    np.testing.assert_allclose(matvec(planes), planes @ expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(planes, kept)
 
 
-def test_matvec_rejects_a_last_axis_of_the_wrong_length():
+def test_step_rejects_amplitudes_of_the_wrong_shape():
     # 18 entries would reshape into two 3 x 3 grids without the check
-    op = InstantaneousHamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(2, 1.0))
-    for handle in (op, op.rescaled(0.0, 1.0)):
-        with pytest.raises(ValueError, match="last axis of length 2"):
-            handle.matvec(np.ones((9, 2)))
+    hf, drv = DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(2, 1.0)
+    for amps in (np.ones((9, 2)), np.ones(18)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {amps.shape} do not fit 3**2")):
+            step(amps, 0.5, hf, drv, 0.1)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        InstantaneousHamiltonian(0.5, DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(3, 1.0))
-    with pytest.raises(ValueError):
-        InstantaneousHamiltonian(1.5, DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(2, 1.0))
+    hf = DiagonalHamiltonian(2, np.zeros(9))
+    with pytest.raises(ValueError, match="register mismatch"):
+        step(np.ones(9), 0.5, hf, DriverHamiltonian(3, 1.0), 0.1)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
+        step(np.ones(9), 1.5, hf, DriverHamiltonian(2, 1.0), 0.1)
 
 
 # -------------------------------------------------------- matrix exponential
@@ -246,16 +301,28 @@ def test_bessel_j_matches_scipy(x):
     assert np.abs(j[-5:]).max() < 1e-20
 
 
+@pytest.mark.parametrize("dt", [0.3, 5.0, -2.0])
+def test_expm_multiply_matches_dense_on_minus_two_two(dt):
+    # a random real symmetric operator whose spectrum spans [-2, 2]
+    rng = np.random.default_rng(15)
+    q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+    h = (q * np.r_[-2.0, 2.0, rng.uniform(-2.0, 2.0, 18)]) @ q.T
+    h = 0.5 * (h + h.T)
+    v = unit_vector(rng, 20)
+    got = expm_multiply_hermitian(lambda x: x @ h, v, dt)
+    np.testing.assert_allclose(got, expm(-1j * dt * h) @ v, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_expm_multiply_matches_dense(seed):
     rng = np.random.default_rng(seed)
     n = 2
     hf = random_diag(rng, n, scale=40.0)
-    op = InstantaneousHamiltonian(0.4, hf, DriverHamiltonian(n, 6.0))
+    drv = DriverHamiltonian(n, 6.0)
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
-    expected = expm(-1j * 0.1 * op.dense()) @ v
-    got = expm_multiply_hermitian(op.matvec, v, 0.1, bounds=op.bounds())
+    expected = expm(-1j * 0.1 * dense_h(0.4, hf, drv)) @ v
+    got = step(v, 0.4, hf, drv, 0.1)
     assert np.linalg.norm(got - expected) < 1e-9
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12
 
@@ -265,11 +332,11 @@ def test_expm_multiply_matches_dense_wide_spectrum():
     rng = np.random.default_rng(12)
     n = 5
     hf = random_diag(rng, n, scale=330.0)
-    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(n, 8.0))
+    drv = DriverHamiltonian(n, 8.0)
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
-    expected = expm(-1j * 0.1 * op.dense()) @ v
-    got = expm_multiply_hermitian(op.matvec, v, 0.1, bounds=op.bounds())
+    expected = expm(-1j * 0.1 * dense_h(0.5, hf, drv)) @ v
+    got = step(v, 0.5, hf, drv, 0.1)
     assert np.linalg.norm(got - expected) < 1e-9
 
 
@@ -279,60 +346,59 @@ def test_expm_multiply_long_steps(dt):
     rng = np.random.default_rng(13)
     n = 5
     hf = random_diag(rng, n, scale=330.0)
-    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(n, 8.0))
+    drv = DriverHamiltonian(n, 8.0)
     v = unit_vector(rng, 3**n)
-    got = expm_multiply_hermitian(op.matvec, v, dt, bounds=op.bounds())
-    assert np.linalg.norm(got - expm(-1j * dt * op.dense()) @ v) < 1e-9
-    assert np.linalg.norm(
-        expm_multiply_hermitian(op.matvec, got, -dt, bounds=op.bounds()) - v
-    ) < 1e-9
+    got = step(v, 0.5, hf, drv, dt)
+    assert np.linalg.norm(got - expm(-1j * dt * dense_h(0.5, hf, drv)) @ v) < 1e-9
+    assert np.linalg.norm(step(got, 0.5, hf, drv, -dt) - v) < 1e-9
 
 
 def test_expm_multiply_dt_zero_is_identity():
     rng = np.random.default_rng(3)
     hf = random_diag(rng, 1)
-    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(1, 1.0))
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    got = expm_multiply_hermitian(op.matvec, v, 0.0, bounds=op.bounds())
+    got = step(v, 0.5, hf, DriverHamiltonian(1, 1.0), 0.0)
     np.testing.assert_allclose(got, v, atol=1e-14)
 
 
 def test_expm_multiply_eigenvector_phase():
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
-    op = InstantaneousHamiltonian(0.6, hf, DriverHamiltonian(1, 1.5))
-    lam, vecs = np.linalg.eigh(op.dense())
+    drv = DriverHamiltonian(1, 1.5)
+    lam, vecs = np.linalg.eigh(dense_h(0.6, hf, drv))
     dt = 0.3
     for k in range(3):
         v = vecs[:, k].astype(complex)
         expected = np.exp(-1j * dt * lam[k]) * v
-        got = expm_multiply_hermitian(op.matvec, v, dt, bounds=op.bounds())
+        got = step(v, 0.6, hf, drv, dt)
         assert np.linalg.norm(got - expected) < 1e-12
 
 
 def test_expm_multiply_single_qutrit_long_step():
     hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
-    op = InstantaneousHamiltonian(0.6, hf, DriverHamiltonian(1, 1.5))
+    drv = DriverHamiltonian(1, 1.5)
     v = np.array([1.0, 0.3 - 0.2j, -0.5])
-    got = expm_multiply_hermitian(op.matvec, v, 2.0, bounds=op.bounds())
-    np.testing.assert_allclose(got, expm(-2j * op.dense()) @ v, rtol=0, atol=1e-12)
+    got = step(v, 0.6, hf, drv, 2.0)
+    np.testing.assert_allclose(got, expm(-2j * dense_h(0.6, hf, drv)) @ v, rtol=0, atol=1e-12)
 
 
-def test_expm_multiply_constant_hamiltonian_needs_no_matvec():
+def test_expm_multiply_constant_hamiltonian_needs_no_matvec(monkeypatch):
     # zero-width bounds: H is the centre times the identity
     hf = DiagonalHamiltonian(2, np.full(9, 1.5))
-    op = InstantaneousHamiltonian(1.0, hf, DriverHamiltonian(2, 1.0))
-    matvec, calls = counting(op.matvec)
+    calls = count_matvecs(monkeypatch)
     v = unit_vector(np.random.default_rng(8), 9)
-    got = expm_multiply_hermitian(matvec, v, 0.4, bounds=op.bounds())
+    got = step(v, 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
     assert not calls
     np.testing.assert_allclose(got, np.exp(-0.6j) * v, rtol=0, atol=1e-15)
 
 
 def test_expm_multiply_zero_vector_needs_no_matvec():
     matvec, calls = counting(lambda x: x)
-    got = expm_multiply_hermitian(matvec, np.zeros(9), 0.1, bounds=(-1.0, 1.0))
+    v = np.zeros(9, dtype=complex)
+    got = expm_multiply_hermitian(matvec, v, 0.1)
     assert not calls
     np.testing.assert_array_equal(got, np.zeros(9, dtype=complex))
+    # a fresh array, not the caller's
+    assert not np.shares_memory(got, v)
 
 
 @pytest.mark.parametrize("rows", [3, 4, 8, 29, 10_000])
@@ -341,26 +407,21 @@ def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
     # leave a partial last block with 4 or 8 rows, and fit one of 10,000
     rng = np.random.default_rng(14)
     hf = random_diag(rng, 3, scale=100.0)
-    op = InstantaneousHamiltonian(0.5, hf, DriverHamiltonian(3, 8.0))
+    drv = DriverHamiltonian(3, 8.0)
     v = unit_vector(rng, 27)
-    matvec, calls = counting(op.matvec)
+    calls = count_matvecs(monkeypatch)
     monkeypatch.setattr(anneal_module, "_ROWS", rows)
-    got = expm_multiply_hermitian(matvec, v, 0.8, bounds=op.bounds())
+    got = step(v, 0.5, hf, drv, 0.8)
     assert len(calls) == 86
-    expected = expm(-0.8j * op.dense()) @ v
+    expected = expm(-0.8j * dense_h(0.5, hf, drv)) @ v
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-
-def test_expm_multiply_rejects_inverted_bounds():
-    with pytest.raises(ValueError, match="bounds"):
-        expm_multiply_hermitian(lambda x: x, np.ones(3), 0.1, bounds=(1.0, -1.0))
 
 
 def test_expm_multiply_rejects_complex_hamiltonian():
     # Hermitian but not real: the real-arithmetic recurrence cannot apply it
     h = np.array([[0.0, 1j], [-1j, 0.0]])
     with pytest.raises(TypeError, match="real symmetric"):
-        expm_multiply_hermitian(lambda x: x @ h.T, np.ones(2), 0.1, bounds=(-1.0, 1.0))
+        expm_multiply_hermitian(lambda x: x @ h.T, np.ones(2), 0.1)
 
 
 # --------------------------------------------------------------------- step
@@ -391,8 +452,7 @@ def test_single_qutrit_step_matches_analytic_diagonalization():
     drv = DriverHamiltonian(1, 2.0)
     psi = initial_state(1, 2.0)
     s, dt = 0.7, 0.1
-    op = InstantaneousHamiltonian(s, hf, drv)
-    lam, vecs = np.linalg.eigh(op.dense())
+    lam, vecs = np.linalg.eigh(dense_h(s, hf, drv))
     exact = vecs @ (np.exp(-1j * dt * lam) * (vecs.conj().T @ psi))
     got = step(psi, s, hf, drv, dt)
     assert np.linalg.norm(got - exact) < 1e-9
@@ -405,16 +465,31 @@ def test_step_matches_dense_expm(n, s):
     hf = random_diag(rng, n, scale=60.0)
     drv = DriverHamiltonian(n, 6.0)
     v = unit_vector(rng, 3**n)
-    dense = InstantaneousHamiltonian(s, hf, drv).dense()
     got = step(v, s, hf, drv, 0.1)
-    np.testing.assert_allclose(got, expm(-0.1j * dense) @ v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, expm(-0.1j * dense_h(s, hf, drv)) @ v, rtol=0, atol=1e-12)
+
+
+def test_step_at_the_register_cap_matches_site_gates_and_phases():
+    # 7 qutrits: at s = 0 the step is the product of one 3 x 3 gate per
+    # site, applied here axis by axis; at s = 1 it is one phase per state
+    n, h, dt = 7, 8.0, 0.1
+    rng = np.random.default_rng(80)
+    hf, drv = random_diag(rng, n, scale=300.0), DriverHamiltonian(n, h)
+    v = unit_vector(rng, 3**n)
+    gate = expm(-1j * dt * h * spin_operator("x"))
+    expected = v.reshape((3,) * n)
+    for axis in range(n):
+        expected = np.moveaxis(np.tensordot(gate, expected, axes=(1, axis)), 0, axis)
+    np.testing.assert_allclose(step(v, 0.0, hf, drv, dt), expected.reshape(-1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        step(v, 1.0, hf, drv, dt), np.exp(-1j * dt * hf.diag) * v, rtol=0, atol=1e-12
+    )
 
 
 def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
     # a constant Hf at s = 1: H(s) is 1.5 times the identity
     hf = DiagonalHamiltonian(2, np.full(9, 1.5))
-    matvec, calls = counting(InstantaneousHamiltonian.matvec)
-    monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
+    calls = count_matvecs(monkeypatch)
     v = unit_vector(np.random.default_rng(9), 9)
     got = step(v, 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
     assert not calls
@@ -424,13 +499,17 @@ def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.9, 1.0])
 def test_step_makes_the_a_priori_degree_of_matvecs(monkeypatch, s):
     # the degree is the last k with 2 |J_k(dt r)| >= 1e-15, r the half-width
+    # of [lo, hi]; that interval holds the spectrum, exactly so at s = 0, 1
     rng = np.random.default_rng(70)
     hf, drv, dt = random_diag(rng, 3, scale=80.0), DriverHamiltonian(3, 5.0), 0.1
-    lo, hi = InstantaneousHamiltonian(s, hf, drv).bounds()
+    lo, hi = spectral_bounds(s, hf, drv)
+    lam = np.linalg.eigvalsh(dense_h(s, hf, drv))
+    assert lo - 1e-12 <= lam[0] and lam[-1] <= hi + 1e-12
+    if s in (0.0, 1.0):
+        np.testing.assert_allclose([lo, hi], lam[[0, -1]], rtol=0, atol=1e-12)
     j = jv(np.arange(200), dt * 0.5 * (hi - lo))
     degree = np.flatnonzero(2.0 * np.abs(j) >= 1e-15)[-1]
-    matvec, calls = counting(InstantaneousHamiltonian.matvec)
-    monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
+    calls = count_matvecs(monkeypatch)
     step(initial_state(3, 5.0), s, hf, drv, dt)
     assert len(calls) == degree > 0
 
@@ -466,7 +545,7 @@ def test_anneal_matches_dense_factor_product():
     drv = DriverHamiltonian(2, h)
     psi = initial_state(2, h)
     for l in range(M + 1):
-        H = InstantaneousHamiltonian(l / M, hf, drv).dense()
+        H = dense_h(l / M, hf, drv)
         psi = expm(-1j * dt * H) @ psi
     got = anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
     assert np.linalg.norm(got - psi) < 1e-9
@@ -489,10 +568,36 @@ def test_fig3_matvec_count_is_pinned(monkeypatch):
 
     spec = get_preset("fig3")
     hf = build_final_hamiltonian(spec)
-    matvec, calls = counting(InstantaneousHamiltonian.matvec)
-    monkeypatch.setattr(InstantaneousHamiltonian, "matvec", matvec)
+    calls = count_matvecs(monkeypatch)
     anneal(AnnealConfig(h=spec.anneal.h, M=100, dt=spec.anneal.dt), hf)
     assert len(calls) == 2528
+
+
+@pytest.mark.parametrize("side", ["width", "driver"])
+def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
+    # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h n);
+    # just under the guard every step runs (a stub here), just over none does
+    cap, dt = anneal_module._MAX_DT_RADIUS, 0.1
+    steps = []
+    monkeypatch.setattr(anneal_module, "step", lambda amps, *args: steps.append(1) or amps)
+    for factor, refused in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+        r = factor * cap / dt
+        if side == "width":
+            hf, h = DiagonalHamiltonian(1, np.array([-r, 0.0, r])), 1.0
+        else:
+            hf, h = DiagonalHamiltonian(2, np.zeros(9)), 0.5 * r
+        steps.clear()
+        cfg = AnnealConfig(h=h, M=3, dt=dt)
+        if refused:
+            with pytest.raises(SizeGuardError, match="split-step mode"):
+                anneal(cfg, hf)
+            assert not steps
+            # split-step has no degree to bound
+            monkeypatch.setattr(anneal_module, "_split_step", lambda amps, *args: amps)
+            anneal(AnnealConfig(h=h, M=3, dt=dt, mode=MODE_SPLIT), hf)
+        else:
+            anneal(cfg, hf)
+            assert len(steps) == 4
 
 
 def test_split_mode_tracks_exact_mode():

@@ -12,6 +12,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from conftest import forbid_expansion
 import qutrit_anneal
 from qutrit_anneal.clustering import Partition
 from qutrit_anneal.cli import main
@@ -291,6 +292,22 @@ def test_cli_size_guard_exit_code(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(spec))
     assert main(["run", str(path)]) == 3
+
+
+def test_cli_exact_step_degree_guard_exit_code(monkeypatch, tmp_path, capsys):
+    forbid_expansion(monkeypatch)
+    spec = {
+        "points": [[0, 0], [0, 1], [10, 10]],
+        "method": "one-hot-multispin",
+        "K": 4,
+        "penalty": 1e12,
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact-step needs about dt * r = 1.5e+11")
+    assert "'penalty'" in err and "split-step mode" in err
 
 
 def test_cli_mismatch_exit_code(monkeypatch, tmp_path, tiny_spec_dict, tiny_result):

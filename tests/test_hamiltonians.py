@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import ground_states
-from qutrit_anneal.anneal import InstantaneousHamiltonian
 from qutrit_anneal.clustering import (
     DistanceMatrix,
     Partition,
@@ -25,6 +24,7 @@ from qutrit_anneal.hamiltonians import (
     EncodingScheme,
     block_state_index,
     block_state_list,
+    driver_factors,
     spins_per_point,
 )
 from qutrit_anneal.spin import digit_table, group_projector_diagonal
@@ -361,17 +361,23 @@ def test_driver_single_site_ground_state():
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+def kron_sum_apply(v, n):
+    """sum_i S_i^x along the last axis of v, as A (x) I + I (x) B on the state's grid."""
+    a, b = driver_factors(n)
+    grid = v.reshape(*v.shape[:-1], a.shape[0], b.shape[0])
+    # B is symmetric, so grid @ B applies I (x) B
+    return (a @ grid + grid @ b).reshape(v.shape)
+
+
 def test_driver_apply_matches_dense():
     rng = np.random.default_rng(17)
     drv = DriverHamiltonian(3, 3.7)
-    # at s = 0, H(s) is the driver alone
-    op = InstantaneousHamiltonian(0.0, DiagonalHamiltonian(3, np.zeros(27)), drv)
     v = rng.normal(size=27) + 1j * rng.normal(size=27)
-    np.testing.assert_allclose(op.matvec(v), drv.dense() @ v, atol=1e-12)
+    np.testing.assert_allclose(3.7 * kron_sum_apply(v, 3), drv.dense() @ v, atol=1e-12)
 
 
-# sum_i S_i^x applied by the matvec at s = 0, against its dense matrix and a
-# per-site reference
+# sum_i S_i^x applied as the Kronecker sum of driver_factors(n), against its
+# dense matrix and a per-site reference
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -379,21 +385,19 @@ def test_sum_sx_apply_matches_dense_driver(n):
     rng = np.random.default_rng(30 + n)
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     drv = DriverHamiltonian(n, 1.0)
-    op = InstantaneousHamiltonian(0.0, DiagonalHamiltonian(n, np.zeros(3**n)), drv)
-    np.testing.assert_allclose(op.matvec(v), drv.dense() @ v, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(kron_sum_apply(v, n), drv.dense() @ v, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sum_sx_apply_works_along_the_last_axis(n):
+    # the exact step applies it to stacked (re, im) planes, each on its own
     rng = np.random.default_rng(50 + n)
-    drv = DriverHamiltonian(n, 1.0)
-    op = InstantaneousHamiltonian(0.0, DiagonalHamiltonian(n, np.zeros(3**n)), drv)
-    dense = drv.dense()
+    dense = DriverHamiltonian(n, 1.0).dense()
     # a complex vector is test_sum_sx_apply_matches_dense_driver's case
     planes = rng.normal(size=(2, 3**n))
     batch = rng.normal(size=(3, 3**n)) + 1j * rng.normal(size=(3, 3**n))
     for v in (planes, batch):
-        got = op.matvec(v)
+        got = kron_sum_apply(v, n)
         assert got.shape == v.shape and got.dtype == v.dtype
         np.testing.assert_allclose(got, v @ dense, rtol=0, atol=1e-13)
 
@@ -416,10 +420,8 @@ def test_sum_sx_apply_matches_per_axis_formula_at_register_cap():
     n = 7
     rng = np.random.default_rng(37)
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
-    drv = DriverHamiltonian(n, 1.0)
-    op = InstantaneousHamiltonian(0.0, DiagonalHamiltonian(n, np.zeros(3**n)), drv)
     # same terms summed in another order: a few ulps of the largest entry
-    np.testing.assert_allclose(op.matvec(v), _sum_sx_per_axis(v, n), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(kron_sum_apply(v, n), _sum_sx_per_axis(v, n), rtol=0, atol=1e-13)
 
 
 def test_driver_on_all_zero_projection_state():

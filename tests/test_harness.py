@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import forbid_expansion
 from qutrit_anneal.clustering import (
     ORACLE_MAX_POINTS,
     Partition,
@@ -740,6 +741,27 @@ def test_run_oracle_guard():
     assert spec.register_qutrits == 6
     with pytest.raises(SizeGuardError, match="oracle"):
         run(spec)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"points": [[0, 0], [0, 1], [10, 10]], "method": "one-hot-multispin", "K": 4, "penalty": 1e12},
+        {"points": [[1e150, 0], [-1e150, 0], [0, 1e150]], "method": "one-hot-K3"},
+    ],
+    ids=["penalty-1e12", "points-1e150"],
+)
+def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data):
+    # dt * r is 1.5e11 and 4.8e149: a Bessel table that size cannot be built,
+    # so the run must stop before its first expansion
+    forbid_expansion(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="Chebyshev terms .*'penalty'.* split-step mode"):
+        run(spec_from_dict(data))
+    assert time.perf_counter() - t0 < 1.0
+    # split-step has no degree, and runs the same spec
+    result = run(spec_from_dict({**data, "anneal": {"M": 20, "mode": "split-step"}}))
+    assert abs(result.final_norm - 1.0) < 1e-9
 
 
 def test_build_final_hamiltonian_adds_penalty_for_partial_blocks(tiny_spec_dict):
