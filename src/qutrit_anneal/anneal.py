@@ -25,11 +25,17 @@ one real matrix product on the state's float view, transposing the state
 once per substep; the half phases of neighbouring substeps are applied as
 one full phase.
 
-States are plain complex arrays of the 3**n basis amplitudes, from
-``initial_state`` through ``step`` and ``anneal`` to ``decode``.  ``decode``
-groups the rows of the encoding's label table by ``partition_keys`` in
-numpy, builds one ``Partition`` per distinct partition, and is the one place
-that ranks them: its per-state rank is the CSV's partition id.
+A final Hamiltonian of C blocks of w qutrits (``DiagonalHamiltonian.blocks``)
+has no term that couples two blocks, and the driver acts site by site, so
+the annealed state stays a product over the blocks.  Both steppers evolve
+it as a (C, 3**w) stack of block amplitudes, each block under its own row
+of Hf and the w-site driver; a coupled register is the one block C = 1.
+States are plain complex arrays: ``anneal`` starts C copies of the
+w-qutrit ``initial_state`` and hands ``decode`` their Kronecker product,
+the 3**n basis amplitudes of the register.  ``decode`` groups the rows of
+the encoding's label table by ``partition_keys`` in numpy, builds one
+``Partition`` per distinct partition, and is the one place that ranks them:
+its per-state rank is the CSV's partition id.
 """
 
 from __future__ import annotations
@@ -215,29 +221,35 @@ def step(
 ) -> np.ndarray:
     """Advance the amplitudes by exp(-i dt H(s)), expanding H(s) mapped onto [-2, 2].
 
-    H(s) has its spectrum in [lo, hi] = [s min Hf - (1 - s) h n,
-    s max Hf + (1 - s) h n], which is exact at s = 0 and s = 1 (S^x has
-    eigenvalues -1, 0, 1 on every site).  With c and r its centre and
-    half-width, H(s) = c + (r/2) H~ for H~ = 2 (H(s) - c) / r: the step is
-    exp(-i dt c) exp(-i (r dt / 2) H~), and each Chebyshev term one apply of
-    H~.  A zero-width H(s) is c times the identity and makes no matvec.
+    The amplitudes are the register's 3**n, or for ``hf`` of C blocks of w
+    qutrits a (C, 3**w) stack of block amplitudes, each block evolved by its
+    own row of Hf and the w-site driver.  Block b's H_b(s) has its spectrum
+    in [lo_b, hi_b] = [s min row_b - (1 - s) h w, s max row_b + (1 - s) h w],
+    which is exact at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on every
+    site).  With c_b its centre and r the largest half-width over the
+    blocks, H_b(s) = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r: the
+    step is exp(-i dt c_b) exp(-i (r dt / 2) H~_b), one expansion of one
+    degree for all blocks, and each Chebyshev term one apply of the H~_b.
+    Where every block has zero width, each H_b(s) is c_b times the identity
+    and the step makes no matvec.
     """
     if hf.n != drv.n:
         raise ValueError(f"register mismatch: diagonal spans {hf.n} qutrits, driver {drv.n}")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
-    if np.shape(amplitudes) != (hf.dim,):
-        raise ValueError(f"amplitudes of shape {np.shape(amplitudes)} do not fit 3**{hf.n}")
+    shape, w = np.shape(amplitudes), hf.n // hf.blocks
+    if shape[-1:] != (3**w,) or np.size(amplitudes) != hf.blocks * 3**w:
+        raise ValueError(f"amplitudes of shape {shape} do not fit 3**{w} in {hf.blocks} block(s)")
     field = (1.0 - s) * drv.h
-    a, b = driver_factors(hf.n)
-    diag = (s * hf.diag).reshape(a.shape[0], b.shape[0])
-    spread = field * hf.n
-    lo, hi = float(diag.min()) - spread, float(diag.max()) + spread
-    centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    a, b = driver_factors(w)
+    diag = (s * hf.rows).reshape(hf.blocks, a.shape[0], b.shape[0])
+    spread = field * w
+    lo, hi = diag.min(axis=(1, 2)) - spread, diag.max(axis=(1, 2)) + spread
+    centre, radius = 0.5 * (hi + lo), float((0.5 * (hi - lo)).max())
     scale = 2.0 / radius if radius else 1.0
-    # H~ applies to (re, im) planes as grids of 3**(n // 2) rows: the mapped
-    # diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
-    planes = np.stack([scale * (diag - centre)] * 2)
+    # H~ applies to (re, im) planes of block grids of 3**(w // 2) rows: the
+    # mapped diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
+    planes = np.stack([scale * (diag - centre[:, None, None])] * 2)
     fa, fb = scale * (field * a), scale * (field * b)
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -248,8 +260,9 @@ def step(
             out += grid @ fb
         return out.reshape(x.shape)
 
-    amplitudes = expm_multiply_hermitian(matvec, amplitudes, 0.5 * radius * dt)
-    return np.exp(-1j * dt * centre) * amplitudes
+    stack = np.reshape(amplitudes, (hf.blocks, -1))
+    stack = expm_multiply_hermitian(matvec, stack, 0.5 * radius * dt)
+    return (np.exp(-1j * dt * centre)[:, None] * stack).reshape(shape)
 
 
 def _site_rotation(theta: float) -> np.ndarray:
@@ -306,64 +319,72 @@ def _split_step(
 ) -> np.ndarray:
     """Strang substeps of exp(-i dt H(s)) on computational-basis amplitudes.
 
-    Each substep is a half phase of the diagonal, the driver factor and
-    another half phase.  The driver factor is F^{(x)n} R^{(x)n} F^{(x)n}^dagger
-    with R the real site rotation; F^{(x)n} is diagonal, so it commutes with
-    the phases, and only the first and last half phase carry it.  R^{(x)n} is
-    left (x) right, on the state as a grid with the first n // 2 sites as
-    rows.  Each factor contracts the grid's outer axis as one real product
-    on its float view, so the layout alternates between (rows, cols) and
+    The amplitudes are shaped as for ``step``: for ``hf`` of C blocks of w
+    qutrits, a (C, 3**w) stack, each block under its own row of Hf.  Each
+    substep is a half phase of the diagonal, the driver factor and another
+    half phase.  The driver factor is F^{(x)w} R^{(x)w} F^{(x)w}^dagger with R
+    the real site rotation; F^{(x)w} is diagonal, so it commutes with the
+    phases, and only the first and last half phase carry it.  R^{(x)w} is
+    left (x) right, on each block as a grid with its first w // 2 sites as
+    rows.  Each factor contracts the grids' outer axis as one real product
+    on their float view, so the layout alternates between (rows, cols) and
     (cols, rows), with one transposed copy per substep.
     """
     tau = dt / substeps
-    half = np.exp(-0.5j * tau * s * hf.diag)
-    frame = _frame(hf.n)
+    half = np.exp(-0.5j * tau * s * hf.rows)
+    w = hf.n // hf.blocks
+    frame = _frame(w)
     gate = _site_rotation(tau * (1.0 - s) * drv.h)
-    a = hf.n // 2
+    a = w // 2
     left = _kron_power(gate, a)
-    right = left if hf.n == 2 * a else _kron(gate, left)
+    right = left if w == 2 * a else _kron(gate, left)
     # the closing half phase of one substep and the opening one of the next
     # are one full phase, held in both layouts
-    full = (half * half).reshape(left.shape[0], right.shape[0])
-    layouts = ((left, right, full.T.copy()), (right, left, full))
-    grid = (half * frame.conj() * amplitudes).reshape(full.shape)
+    full = (half * half).reshape(hf.blocks, left.shape[0], right.shape[0])
+    layouts = ((left, right, full.swapaxes(1, 2).copy()), (right, left, full))
+    grid = (half * frame.conj() * np.reshape(amplitudes, half.shape)).reshape(full.shape)
     for k in range(substeps):
         outer, inner, phase = layouts[k % 2]
-        grid = (outer @ grid.view(float)).view(complex).T.copy()
+        grid = (outer @ grid.view(float)).view(complex).swapaxes(1, 2).copy()
         grid = (inner @ grid.view(float)).view(complex)
         if k + 1 < substeps:
             grid *= phase
     if substeps % 2:
-        grid = grid.T
-    return half * frame * grid.reshape(-1)
+        grid = grid.swapaxes(1, 2)
+    return (half * frame * grid.reshape(half.shape)).reshape(np.shape(amplitudes))
 
 
 def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> np.ndarray:
     """The final amplitudes of the full schedule from the driver ground state.
 
     Applies one step per l = 0 .. M (M + 1 factors; the l = 0 factor only
-    rephases the initial state).
+    rephases the initial state).  A final Hamiltonian of C blocks of w
+    qutrits is annealed as C copies of the w-qutrit initial state, one per
+    block, and the register's amplitudes are the Kronecker product of the
+    blocks in register order.
     """
     drv = DriverHamiltonian(n=hf.n, h=cfg.h)
+    w = hf.n // hf.blocks
     if cfg.mode == MODE_EXACT:
-        # the half-width r of H(s) is affine in s, so it peaks at s = 0 or 1
-        width = float(hf.diag.max()) - float(hf.diag.min())
-        x = cfg.dt * max(cfg.h * hf.n, 0.5 * width)
+        # each block's half-width r_b(s) is affine in s, so the largest
+        # peaks at s = 0 or 1
+        width = float((hf.rows.max(axis=1) - hf.rows.min(axis=1)).max())
+        x = cfg.dt * max(cfg.h * w, 0.5 * width)
         if not x <= _MAX_DT_RADIUS:
             raise SizeGuardError(
                 f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
-                f"the {_MAX_DT_RADIUS:g} guard (final Hamiltonian width {width:.3g}, "
-                f"dt = {cfg.dt:g}); lower the 'penalty' or the points' spread, or use "
-                "split-step mode"
+                f"the {_MAX_DT_RADIUS:g} guard (width {width:.3g} of the final Hamiltonian's "
+                f"widest block, dt = {cfg.dt:g}); lower the 'penalty' or the points' "
+                "spread, or use split-step mode"
             )
-    amps = initial_state(hf.n, cfg.h)
+    amps = np.stack([initial_state(w, cfg.h)] * hf.blocks)
     for l in range(cfg.M + 1):
         s = l / cfg.M
         if cfg.mode == MODE_SPLIT:
             amps = _split_step(amps, s, hf, drv, cfg.dt)
         else:
             amps = step(amps, s, hf, drv, cfg.dt)
-    return amps
+    return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 
 @dataclass(frozen=True, eq=False)

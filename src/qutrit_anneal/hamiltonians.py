@@ -95,10 +95,17 @@ def pinned_method(method: str, pinned: bool) -> str:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalHamiltonian:
-    """A Hamiltonian term stored as its computational-basis diagonal."""
+    """A Hamiltonian term stored as its computational-basis diagonal.
+
+    ``blocks`` declares the register as that many blocks of n // blocks
+    qutrits, block 0 on the leading digits, with the diagonal a sum of one
+    term per block: no term couples two blocks.  ``rows`` holds those
+    terms, and the anneal then evolves each block on its own.
+    """
 
     n: int
     diag: np.ndarray
+    blocks: int = 1
 
     def __post_init__(self) -> None:
         diag = np.array(self.diag, dtype=float)
@@ -108,12 +115,29 @@ class DiagonalHamiltonian:
             )
         if not np.all(np.isfinite(diag)):
             raise ValueError("diagonal entries must be finite")
+        if not (is_int(self.blocks) and self.blocks >= 1 and self.n % self.blocks == 0):
+            raise ValueError(f"{self.blocks!r} blocks do not split {self.n} qutrits evenly")
         diag.flags.writeable = False
         object.__setattr__(self, "diag", diag)
 
     @property
     def dim(self) -> int:
         return self.diag.shape[0]
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The per-block terms, shape (blocks, 3**(n // blocks)); they sum to ``diag``.
+
+        Row b is the diagonal at block b's states with every other block in
+        its first state; rows past the first subtract the diagonal at state
+        0, so the constant stays in row 0.
+        """
+        size = 3 ** (self.n // self.blocks)
+        strides = size ** np.arange(self.blocks - 1, -1, -1)
+        rows = self.diag[strides[:, None] * np.arange(size)]
+        rows[1:] -= self.diag[0]
+        rows.flags.writeable = False
+        return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,7 +311,9 @@ class Encoding:
     ``scheme.spins_per_point`` qutrits each; a pinned point 0 and the
     centroids sit at fixed labels off it, and ``fixed`` gives the centroids'
     labels to the oracle.  The label table is built on first use, so a
-    register past the size guard costs nothing until it is run.
+    register past the size guard costs nothing until it is run.  Where no
+    pair joins two of ``points``, each term of the final Hamiltonian depends
+    on one point's block, and ``hamiltonian`` declares one block per point.
     """
 
     def __init__(
@@ -401,5 +427,7 @@ class Encoding:
         diag = self.pair_sum(dm.d)
         if self.invalid.any():
             diag = diag + self.penalty_sum(self.penalty_weights(dm))
-        return DiagonalHamiltonian(self.n_qutrits, diag)
+        on = set(self.points)
+        coupled = any(i in on and j in on for i, j in self.pairs)
+        return DiagonalHamiltonian(self.n_qutrits, diag, 1 if coupled else len(self.points))
 

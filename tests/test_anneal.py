@@ -8,6 +8,7 @@ from scipy.special import jv
 
 from conftest import ground_states
 from qutrit_anneal.anneal import (
+    MODE_EXACT,
     MODE_SPLIT,
     AnnealConfig,
     _bessel_j,
@@ -22,6 +23,7 @@ from qutrit_anneal.anneal import (
 )
 from qutrit_anneal.clustering import Partition, distance_matrix
 from qutrit_anneal.errors import SizeGuardError
+from qutrit_anneal.harness import generate_instance
 from qutrit_anneal.hamiltonians import (
     METHOD_KMEANSPP,
     METHOD_ONEHOT_K2_PENALTY,
@@ -275,6 +277,28 @@ def test_step_rejects_amplitudes_of_the_wrong_shape():
     for amps in (np.ones((9, 2)), np.ones(18)):
         with pytest.raises(ValueError, match=re.escape(f"shape {amps.shape} do not fit 3**2")):
             step(amps, 0.5, hf, drv, 0.1)
+
+
+def test_steps_evolve_each_block_of_a_stack():
+    # two commuting blocks: the Kronecker product of the evolved blocks is
+    # the evolved register, for both steppers
+    rng = np.random.default_rng(80)
+    rows = rng.uniform(-20.0, 20.0, (2, 3))
+    hf = DiagonalHamiltonian(2, np.add.outer(*rows).reshape(-1), blocks=2)
+    drv, s, dt = DriverHamiltonian(2, 3.0), 0.4, 0.2
+    stack = np.array([unit_vector(rng, 3), unit_vector(rng, 3)])
+    register = np.kron(*stack)
+    expected = expm(-1j * dt * dense_h(s, hf, drv)) @ register
+    np.testing.assert_allclose(np.kron(*step(stack, s, hf, drv, dt)), expected, rtol=0, atol=1e-12)
+    one = DiagonalHamiltonian(2, hf.diag)
+    np.testing.assert_allclose(
+        np.kron(*_split_step(stack, s, hf, drv, dt)),
+        _split_step(register, s, one, drv, dt),
+        rtol=0,
+        atol=1e-13,
+    )
+    with pytest.raises(ValueError, match=re.escape("shape (9,) do not fit 3**1 in 2 block(s)")):
+        step(register, s, hf, drv, dt)
 
 
 def test_dimension_mismatch_rejected():
@@ -560,23 +584,39 @@ def test_anneal_with_zero_final_hamiltonian_keeps_ground_state():
     assert fidelity > 1.0 - 1e-9
 
 
-def test_fig3_matvec_count_is_pinned(monkeypatch):
-    # guards the a-priori degree (tail 1e-15) and the spectral bounds: any
-    # change to where the expansion is truncated moves this count
+def preset_matvecs(monkeypatch, name) -> int:
+    """Matvecs of a preset's exact-step anneal at M = 100.
+
+    The count guards the a-priori degree (tail 1e-15) and the spectral
+    bounds: any change to where the expansion is truncated moves it.
+    """
     from qutrit_anneal.harness import build_final_hamiltonian
     from qutrit_anneal.presets import get_preset
 
-    spec = get_preset("fig3")
+    spec = get_preset(name)
     hf = build_final_hamiltonian(spec)
     calls = count_matvecs(monkeypatch)
     anneal(AnnealConfig(h=spec.anneal.h, M=100, dt=spec.anneal.dt), hf)
-    assert len(calls) == 2528
+    return len(calls)
 
 
-@pytest.mark.parametrize("side", ["width", "driver"])
+def test_fig1_matvec_count_is_pinned(monkeypatch):
+    # one block: the bounds of the whole register
+    assert preset_matvecs(monkeypatch, "fig1") == 3100
+
+
+def test_fig3_matvec_count_is_pinned(monkeypatch):
+    # six one-qutrit blocks: each block's own centre, and the largest of
+    # their half-widths sets the one degree
+    assert preset_matvecs(monkeypatch, "fig3") == 1370
+
+
+@pytest.mark.parametrize("side", ["width", "driver", "blocks-width", "blocks-driver"])
 def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h n);
-    # just under the guard every step runs (a stub here), just over none does
+    # just under the guard every step runs (a stub here), just over none does.
+    # With two one-qutrit blocks it is the wider block's: block 1 spans 2 r
+    # and block 0 r / 2, while the whole register spans 2.5 r; and h w, not h n
     cap, dt = anneal_module._MAX_DT_RADIUS, 0.1
     steps = []
     monkeypatch.setattr(anneal_module, "step", lambda amps, *args: steps.append(1) or amps)
@@ -584,8 +624,13 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
         r = factor * cap / dt
         if side == "width":
             hf, h = DiagonalHamiltonian(1, np.array([-r, 0.0, r])), 1.0
-        else:
+        elif side == "driver":
             hf, h = DiagonalHamiltonian(2, np.zeros(9)), 0.5 * r
+        elif side == "blocks-width":
+            rows = np.array([0.0, 0.5 * r, 0.0]), np.array([-r, 0.0, r])
+            hf, h = DiagonalHamiltonian(2, np.add.outer(*rows).reshape(-1), blocks=2), 1.0
+        else:
+            hf, h = DiagonalHamiltonian(2, np.zeros(9), blocks=2), r
         steps.clear()
         cfg = AnnealConfig(h=h, M=3, dt=dt)
         if refused:
@@ -688,6 +733,26 @@ def test_split_mode_agrees_with_exact_on_presets(name, preset_result):
         exact.report.basis_probabilities,
         atol=1e-3,
     )
+
+
+#: kmeanspp shapes (K, free points): one-qutrit blocks at K = 3, two-qutrit at K = 4
+BLOCK_SHAPES = [(3, 5), (3, 6), (3, 7), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
+@pytest.mark.parametrize("K, free", BLOCK_SHAPES)
+def test_block_anneal_matches_the_one_register_anneal(K, free, mode):
+    # the same diagonal declared as one block runs the whole register
+    points = generate_instance(K + free, seed=3000 + 10 * K + free)
+    encoding = Encoding(EncodingScheme(method=METHOD_KMEANSPP, K=K), K + free, centroids=range(K))
+    hf = encoding.hamiltonian(distance_matrix(points))
+    assert hf.blocks == free
+    cfg = AnnealConfig(h=8.0, M=200, dt=0.1, mode=mode)
+    blocks = anneal(cfg, hf)
+    register = anneal(cfg, DiagonalHamiltonian(hf.n, hf.diag))
+    assert blocks.shape == register.shape == (3**hf.n,)
+    np.testing.assert_allclose(np.abs(blocks) ** 2, np.abs(register) ** 2, rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(blocks) - 1.0) < 1e-9
 
 
 # ------------------------------------------------------------------- decode

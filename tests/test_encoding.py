@@ -5,6 +5,8 @@ one by hand and prices it with ``Partition`` and ``cost``; it shares no
 code with the library's label tables or pair sums.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qutrit_anneal.clustering import (
     distance_matrix,
     oracle_min,
 )
+from qutrit_anneal.hamiltonians import DiagonalHamiltonian
 from qutrit_anneal.harness import build_final_hamiltonian, generate_instance, spec_from_dict
 from qutrit_anneal.spin import digit_table
 
@@ -121,6 +124,24 @@ def test_final_diagonal_matches_per_state_reference(shape, seed):
     assert diag.shape == expected.shape
     scale = 1.0 + np.abs(expected).max()
     np.testing.assert_allclose(diag, expected, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("shape", range(len(DIAGONAL_SHAPES)))
+@pytest.mark.parametrize("seed", range(3))
+def test_blocks_are_declared_where_no_pair_joins_two_register_points(shape, seed):
+    spec = _spec(*DIAGONAL_SHAPES[shape], seed=100 * shape + seed)
+    encoding, hf = spec.encoding, build_final_hamiltonian(spec)
+    on = set(encoding.points)
+    joined = any(i in on and j in on for i, j in encoding.pairs)
+    assert (hf.blocks > 1) == (not joined)
+    assert joined == (spec.scheme.method != "kmeanspp")
+    per_point = hf if hf.blocks > 1 else DiagonalHamiltonian(hf.n, hf.diag, len(on))
+    assert per_point.blocks == len(on)
+    # the block rows, broadcast over their blocks, sum to the diagonal; a
+    # joined register is not such a sum, so it must anneal as one block
+    total = functools.reduce(np.add.outer, per_point.rows).reshape(-1)
+    close = np.abs(total - hf.diag) <= 1e-12 * (1.0 + np.abs(hf.diag))
+    assert close.all() != joined
 
 
 def _ground_space_in_argmin(spec):

@@ -451,6 +451,19 @@ def test_diagonal_hamiltonian_validation():
         DiagonalHamiltonian(2, np.zeros(8))
     with pytest.raises(ValueError):
         DiagonalHamiltonian(1, np.array([0.0, np.inf, 1.0]))
+    for blocks in (2, 0, True, 1.0):
+        with pytest.raises(ValueError, match="do not split 3 qutrits evenly"):
+            DiagonalHamiltonian(3, np.zeros(27), blocks)
+
+
+def test_diagonal_hamiltonian_rows_split_the_diagonal_by_block():
+    # block 0 is the leading digit; row 1 is measured from block 0's first state
+    diag = np.add.outer([1.0, 2.0, 3.0], [10.0, 20.0, 40.0]).reshape(-1)
+    h = DiagonalHamiltonian(2, diag, blocks=2)
+    np.testing.assert_array_equal(h.rows, [[11.0, 12.0, 13.0], [0.0, 10.0, 30.0]])
+    with pytest.raises(ValueError):
+        h.rows[0, 0] = 0.0
+    np.testing.assert_array_equal(DiagonalHamiltonian(2, diag).rows, [diag])
 
 
 def test_diagonal_hamiltonian_is_immutable():
