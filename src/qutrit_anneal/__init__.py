@@ -38,8 +38,6 @@ from .hamiltonians import (
     METHOD_ONEHOT_K3_PINNED,
     METHOD_ONEHOT_MULTISPIN,
     METHODS,
-    DiagonalHamiltonian,
-    DriverHamiltonian,
     Encoding,
     EncodingScheme,
     block_state_index,

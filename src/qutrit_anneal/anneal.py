@@ -1,18 +1,21 @@
 """State preparation, stepped evolution, and readout of the schedule.
 
-The schedule interpolates H(s) = (1 - s) * H0 + s * Hf for s = l/M,
-l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  The
-exact-step mode evaluates each exponential by a Chebyshev expansion
-(Tal-Ezer & Kosloff, 1984).  ``step`` is the one place that maps H(s) onto
-[-2, 2]: its spectral bounds come free from the extremes of the diagonal
-and the driver's -h n .. h n, and the scale and shift fold into the mapped
-diagonal and driver factors.  ``expm_multiply_hermitian`` expands any real
-symmetric operator on [-2, 2], each term one apply and one subtraction, to
-a degree fixed a priori where the Bessel coefficients fall below 1e-15.
-The recurrence runs in real arithmetic on the real and imaginary parts of
-the state, and each apply takes the driver as a Kronecker sum: two matrix
-products on the state viewed as a grid.  ``anneal`` refuses an exact-step
-schedule whose degree would pass about 1e4 terms a step before it starts.
+The schedule interpolates H(s) = (1 - s) * h * sum_i S_i^x + s * Hf for
+s = l/M, l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  Hf
+is diagonal, and a run takes it as the read-only (C, 3**w) array of block
+rows that ``Encoding.hamiltonian`` returns; the driver is its field h alone,
+from ``AnnealConfig``.  The exact-step mode evaluates each exponential by a
+Chebyshev expansion (Tal-Ezer & Kosloff, 1984).  ``step`` is the one place
+that maps H(s) onto [-2, 2]: its spectral bounds come free from the extremes
+of the diagonal and the driver's -h n .. h n, and the scale and shift fold
+into the mapped diagonal and driver factors.  ``expm_multiply_hermitian``
+expands any real symmetric operator on [-2, 2], each term one apply and one
+subtraction, to a degree fixed a priori where the Bessel coefficients fall
+below 1e-15.  The recurrence runs in real arithmetic on the real and
+imaginary parts of the state, and each apply takes the driver as a Kronecker
+sum of the two ``driver_factors``: two matrix products on the state viewed
+as a grid.  ``anneal`` refuses an exact-step schedule whose degree would
+pass about 1e4 terms a step before it starts.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -25,11 +28,11 @@ one real matrix product on the state's float view, transposing the state
 once per substep; the half phases of neighbouring substeps are applied as
 one full phase.
 
-A final Hamiltonian of C blocks of w qutrits (``DiagonalHamiltonian.blocks``)
-has no term that couples two blocks, and the driver acts site by site, so
-the annealed state stays a product over the blocks.  Both steppers evolve
-it as a (C, 3**w) stack of block amplitudes, each block under its own row
-of Hf and the w-site driver; a coupled register is the one block C = 1.
+A final Hamiltonian of C block rows of 3**w entries has no term that
+couples two blocks, and the driver acts site by site, so the annealed state
+stays a product over the blocks.  Both steppers evolve it as a (C, 3**w)
+stack of block amplitudes, each block under its own row of Hf and the
+w-site driver; a coupled register is the one block C = 1.
 States are plain complex arrays: ``anneal`` starts C copies of the
 w-qutrit ``initial_state`` and hands ``decode`` their Kronecker product,
 the 3**n basis amplitudes of the register.  ``decode`` groups the rows of
@@ -49,13 +52,8 @@ import numpy as np
 
 from .clustering import Partition, partition_keys
 from .errors import SizeGuardError, SpecError, is_int, is_positive_finite
-from .hamiltonians import (
-    DiagonalHamiltonian,
-    DriverHamiltonian,
-    Encoding,
-    driver_factors,
-)
-from .spin import digit_table
+from .hamiltonians import Encoding
+from .spin import digit_table, spin_operator
 
 MODE_EXACT = "exact-step"
 MODE_SPLIT = "split-step"
@@ -94,10 +92,11 @@ class AnnealConfig:
             raise SpecError(f"unknown anneal 'mode' {self.mode!r}, expected one of {MODES}")
 
 
-def initial_state(n: int, h: float) -> np.ndarray:
-    """Ground state of the driver: a product of single-site S^x ground states."""
-    if not h > 0:
-        raise ValueError("field strength h must be positive")
+def initial_state(n: int) -> np.ndarray:
+    """Ground state of the driver h * sum_i S_i^x, the same for every h > 0.
+
+    It is a product of single-site S^x ground states.
+    """
     if n < 1:
         raise ValueError("register needs at least one qutrit")
     amps = np.array([1.0])
@@ -212,37 +211,52 @@ def expm_multiply_hermitian(
     return (even_re + odd_im) + 1j * (even_im - odd_re)
 
 
-def step(
-    amplitudes: np.ndarray,
-    s: float,
-    hf: DiagonalHamiltonian,
-    drv: DriverHamiltonian,
-    dt: float,
-) -> np.ndarray:
+def _qutrits(size: int) -> int:
+    """w for 3**w states."""
+    return round(math.log(size, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense sum_i S_i^x on the first n // 2 sites and on the remaining ones.
+
+    The driver on n sites is their Kronecker sum A (x) I + I (x) B; at the
+    7-qutrit cap the larger factor is 81 x 81, and A on no sites is [[0]].
+    """
+    sums, sx = [np.zeros((1, 1))], spin_operator("x")
+    for k in range(n - n // 2):
+        # on k + 1 sites: the sum on the first k, and S^x on the last
+        sums.append(_kron(sums[k], np.eye(3)) + _kron(np.eye(3**k), sx))
+    first, rest = sums[n // 2], sums[n - n // 2]
+    first.flags.writeable = rest.flags.writeable = False
+    return first, rest
+
+
+def step(amplitudes: np.ndarray, s: float, hf: np.ndarray, h: float, dt: float) -> np.ndarray:
     """Advance the amplitudes by exp(-i dt H(s)), expanding H(s) mapped onto [-2, 2].
 
-    The amplitudes are the register's 3**n, or for ``hf`` of C blocks of w
-    qutrits a (C, 3**w) stack of block amplitudes, each block evolved by its
-    own row of Hf and the w-site driver.  Block b's H_b(s) has its spectrum
-    in [lo_b, hi_b] = [s min row_b - (1 - s) h w, s max row_b + (1 - s) h w],
-    which is exact at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on every
-    site).  With c_b its centre and r the largest half-width over the
-    blocks, H_b(s) = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r: the
-    step is exp(-i dt c_b) exp(-i (r dt / 2) H~_b), one expansion of one
+    For ``hf`` of C block rows of 3**w entries the amplitudes are a
+    (C, 3**w) stack of block amplitudes, or for C = 1 the register's 3**w,
+    each block evolved by its own row of Hf and the w-site driver of field
+    h.  Block b's H_b(s) has its spectrum in [lo_b, hi_b] =
+    [s min row_b - (1 - s) h w, s max row_b + (1 - s) h w], which is exact
+    at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on every site).  With
+    c_b its centre and r the largest half-width over the blocks,
+    H_b(s) = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r: the step is
+    exp(-i dt c_b) exp(-i (r dt / 2) H~_b), one expansion of one
     degree for all blocks, and each Chebyshev term one apply of the H~_b.
     Where every block has zero width, each H_b(s) is c_b times the identity
     and the step makes no matvec.
     """
-    if hf.n != drv.n:
-        raise ValueError(f"register mismatch: diagonal spans {hf.n} qutrits, driver {drv.n}")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
-    shape, w = np.shape(amplitudes), hf.n // hf.blocks
-    if shape[-1:] != (3**w,) or np.size(amplitudes) != hf.blocks * 3**w:
-        raise ValueError(f"amplitudes of shape {shape} do not fit 3**{w} in {hf.blocks} block(s)")
-    field = (1.0 - s) * drv.h
+    (blocks, size), shape = hf.shape, np.shape(amplitudes)
+    w = _qutrits(size)
+    if shape[-1:] != (size,) or np.size(amplitudes) != hf.size:
+        raise ValueError(f"amplitudes of shape {shape} do not fit 3**{w} in {blocks} block(s)")
+    field = (1.0 - s) * h
     a, b = driver_factors(w)
-    diag = (s * hf.rows).reshape(hf.blocks, a.shape[0], b.shape[0])
+    diag = (s * hf).reshape(blocks, a.shape[0], b.shape[0])
     spread = field * w
     lo, hi = diag.min(axis=(1, 2)) - spread, diag.max(axis=(1, 2)) + spread
     centre, radius = 0.5 * (hi + lo), float((0.5 * (hi - lo)).max())
@@ -256,11 +270,12 @@ def step(
         grid = x.reshape(planes.shape)
         out = planes * grid
         if field:
-            out += fa @ grid
+            if w > 1:  # a one-qutrit block has no first-half site
+                out += fa @ grid
             out += grid @ fb
         return out.reshape(x.shape)
 
-    stack = np.reshape(amplitudes, (hf.blocks, -1))
+    stack = np.reshape(amplitudes, (blocks, -1))
     stack = expm_multiply_hermitian(matvec, stack, 0.5 * radius * dt)
     return (np.exp(-1j * dt * centre)[:, None] * stack).reshape(shape)
 
@@ -312,15 +327,15 @@ def _kron_power(gate: np.ndarray, k: int) -> np.ndarray:
 def _split_step(
     amplitudes: np.ndarray,
     s: float,
-    hf: DiagonalHamiltonian,
-    drv: DriverHamiltonian,
+    hf: np.ndarray,
+    h: float,
     dt: float,
     substeps: int = _SPLIT_SUBSTEPS,
 ) -> np.ndarray:
     """Strang substeps of exp(-i dt H(s)) on computational-basis amplitudes.
 
-    The amplitudes are shaped as for ``step``: for ``hf`` of C blocks of w
-    qutrits, a (C, 3**w) stack, each block under its own row of Hf.  Each
+    The amplitudes are shaped as for ``step``: for ``hf`` of C block rows of
+    3**w entries, a (C, 3**w) stack, each block under its own row of Hf.  Each
     substep is a half phase of the diagonal, the driver factor and another
     half phase.  The driver factor is F^{(x)w} R^{(x)w} F^{(x)w}^dagger with R
     the real site rotation; F^{(x)w} is diagonal, so it commutes with the
@@ -328,25 +343,30 @@ def _split_step(
     left (x) right, on each block as a grid with its first w // 2 sites as
     rows.  Each factor contracts the grids' outer axis as one real product
     on their float view, so the layout alternates between (rows, cols) and
-    (cols, rows), with one transposed copy per substep.
+    (cols, rows), with one transposed copy per substep.  A one-qutrit block
+    has no rows to rotate: its 1 x 1 factor is skipped, and its two layouts
+    share one memory order, so the transpose copies nothing.
     """
     tau = dt / substeps
-    half = np.exp(-0.5j * tau * s * hf.rows)
-    w = hf.n // hf.blocks
+    half = np.exp(-0.5j * tau * s * hf)
+    w = _qutrits(hf.shape[1])
     frame = _frame(w)
-    gate = _site_rotation(tau * (1.0 - s) * drv.h)
+    gate = _site_rotation(tau * (1.0 - s) * h)
     a = w // 2
     left = _kron_power(gate, a)
     right = left if w == 2 * a else _kron(gate, left)
     # the closing half phase of one substep and the opening one of the next
     # are one full phase, held in both layouts
-    full = (half * half).reshape(hf.blocks, left.shape[0], right.shape[0])
+    full = (half * half).reshape(len(hf), left.shape[0], right.shape[0])
     layouts = ((left, right, full.swapaxes(1, 2).copy()), (right, left, full))
     grid = (half * frame.conj() * np.reshape(amplitudes, half.shape)).reshape(full.shape)
     for k in range(substeps):
         outer, inner, phase = layouts[k % 2]
-        grid = (outer @ grid.view(float)).view(complex).swapaxes(1, 2).copy()
-        grid = (inner @ grid.view(float)).view(complex)
+        if len(outer) > 1:
+            grid = (outer @ grid.view(float)).view(complex)
+        grid = np.ascontiguousarray(grid.swapaxes(1, 2))
+        if len(inner) > 1:
+            grid = (inner @ grid.view(float)).view(complex)
         if k + 1 < substeps:
             grid *= phase
     if substeps % 2:
@@ -354,36 +374,40 @@ def _split_step(
     return (half * frame * grid.reshape(half.shape)).reshape(np.shape(amplitudes))
 
 
-def anneal(cfg: AnnealConfig, hf: DiagonalHamiltonian) -> np.ndarray:
+def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     """The final amplitudes of the full schedule from the driver ground state.
 
     Applies one step per l = 0 .. M (M + 1 factors; the l = 0 factor only
-    rephases the initial state).  A final Hamiltonian of C blocks of w
-    qutrits is annealed as C copies of the w-qutrit initial state, one per
-    block, and the register's amplitudes are the Kronecker product of the
-    blocks in register order.
+    rephases the initial state).  ``hf`` is the final Hamiltonian as C block
+    rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
+    state, one per block, and the register's amplitudes are the Kronecker
+    product of the blocks in register order.  Rows that are not a finite 2-D
+    array of length 3**w, w >= 1, are a ``ValueError``.
     """
-    drv = DriverHamiltonian(n=hf.n, h=cfg.h)
-    w = hf.n // hf.blocks
+    shape = np.shape(hf)
+    w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
+    if not w or shape[1] != 3**w:
+        raise ValueError(f"final Hamiltonian rows of shape {shape} are not (C, 3**w), C, w >= 1")
+    if not np.isfinite(hf).all():
+        raise ValueError("final Hamiltonian entries must be finite")
     if cfg.mode == MODE_EXACT:
         # each block's half-width r_b(s) is affine in s, so the largest
         # peaks at s = 0 or 1
-        width = float((hf.rows.max(axis=1) - hf.rows.min(axis=1)).max())
+        width = float((hf.max(axis=1) - hf.min(axis=1)).max())
         x = cfg.dt * max(cfg.h * w, 0.5 * width)
         if not x <= _MAX_DT_RADIUS:
             raise SizeGuardError(
                 f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
                 f"the {_MAX_DT_RADIUS:g} guard (width {width:.3g} of the final Hamiltonian's "
-                f"widest block, dt = {cfg.dt:g}); lower the 'penalty' or the points' "
-                "spread, or use split-step mode"
+                f"widest block, dt = {cfg.dt:g}); lower the 'penalty' or the points' spread"
             )
-    amps = np.stack([initial_state(w, cfg.h)] * hf.blocks)
+    amps = np.stack([initial_state(w)] * len(hf))
     for l in range(cfg.M + 1):
         s = l / cfg.M
         if cfg.mode == MODE_SPLIT:
-            amps = _split_step(amps, s, hf, drv, cfg.dt)
+            amps = _split_step(amps, s, hf, cfg.h, cfg.dt)
         else:
-            amps = step(amps, s, hf, drv, cfg.dt)
+            amps = step(amps, s, hf, cfg.h, cfg.dt)
     return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 

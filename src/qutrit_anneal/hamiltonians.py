@@ -1,13 +1,13 @@
-"""Problem Hamiltonians (diagonal in the computational basis) and the driver.
+"""The clustering encodings and their final Hamiltonians.
 
-Every final Hamiltonian produced here is stored as a plain real vector of
-length 3**n: each clustering encoding only ever needs projector products
-that are diagonal in the z basis.  All of them are one pair sum and one
-penalty sum over an ``Encoding``'s per-basis-state label table, and
-``METHOD_TRAITS`` holds all that sets the methods apart.  The
-transverse-field driver is applied
-as the Kronecker sum of two small dense factors, one per half of the
-register (at most 81 x 81), so no 3**n x 3**n matrix is ever formed.
+Every final Hamiltonian produced here is diagonal in the computational
+basis: each clustering encoding only ever needs projector products that are
+diagonal in the z basis.  All of them are one pair sum and one penalty sum
+over an ``Encoding``'s per-basis-state label table, and ``METHOD_TRAITS``
+holds all that sets the methods apart.  ``Encoding.hamiltonian`` returns the
+diagonal as a read-only (C, 3**w) array of block rows: one row for a
+coupled register, one row per point where no pair joins two points on the
+register.  The driver is its field h alone, which ``anneal`` applies.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 
 from .clustering import DistanceMatrix
 from .errors import SpecError, is_int, is_positive_finite
-from .spin import (
-    PROJECTIONS,
-    block_values,
-    digit_from_projection,
-    projection_from_digit,
-    spin_operator,
-)
+from .spin import PROJECTIONS, block_values, digit_from_projection, projection_from_digit
 
 METHOD_ONEHOT_K3 = "one-hot-K3"
 METHOD_ONEHOT_K3_PINNED = "one-hot-K3-pinned"
@@ -91,98 +85,6 @@ def pinned_method(method: str, pinned: bool) -> str:
             f"method {method!r} has no pinned variant, so 'pinned' must be false"
         )
     return traits.variant
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalHamiltonian:
-    """A Hamiltonian term stored as its computational-basis diagonal.
-
-    ``blocks`` declares the register as that many blocks of n // blocks
-    qutrits, block 0 on the leading digits, with the diagonal a sum of one
-    term per block: no term couples two blocks.  ``rows`` holds those
-    terms, and the anneal then evolves each block on its own.
-    """
-
-    n: int
-    diag: np.ndarray
-    blocks: int = 1
-
-    def __post_init__(self) -> None:
-        diag = np.array(self.diag, dtype=float)
-        if diag.ndim != 1 or diag.shape[0] != 3**self.n:
-            raise ValueError(
-                f"diagonal of length {diag.shape} does not match 3**{self.n}"
-            )
-        if not np.all(np.isfinite(diag)):
-            raise ValueError("diagonal entries must be finite")
-        if not (is_int(self.blocks) and self.blocks >= 1 and self.n % self.blocks == 0):
-            raise ValueError(f"{self.blocks!r} blocks do not split {self.n} qutrits evenly")
-        diag.flags.writeable = False
-        object.__setattr__(self, "diag", diag)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """The per-block terms, shape (blocks, 3**(n // blocks)); they sum to ``diag``.
-
-        Row b is the diagonal at block b's states with every other block in
-        its first state; rows past the first subtract the diagonal at state
-        0, so the constant stays in row 0.
-        """
-        size = 3 ** (self.n // self.blocks)
-        strides = size ** np.arange(self.blocks - 1, -1, -1)
-        rows = self.diag[strides[:, None] * np.arange(size)]
-        rows[1:] -= self.diag[0]
-        rows.flags.writeable = False
-        return rows
-
-
-@functools.lru_cache(maxsize=None)
-def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense sum_i S_i^x on the first n // 2 sites and on the remaining ones.
-
-    The driver on n sites is their Kronecker sum A (x) I + I (x) B; at the
-    7-qutrit cap the larger factor is 81 x 81.
-    """
-    first, rest = (
-        DriverHamiltonian(k, 1.0).dense() if k else np.zeros((1, 1))
-        for k in (n // 2, n - n // 2)
-    )
-    first.flags.writeable = rest.flags.writeable = False
-    return first, rest
-
-
-@dataclass(frozen=True)
-class DriverHamiltonian:
-    """Transverse-field driver h * sum_i S_i^x on an n-qutrit register."""
-
-    n: int
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("register needs at least one qutrit")
-        if not self.h > 0:
-            raise ValueError("field strength h must be positive")
-        object.__setattr__(self, "h", float(self.h))
-
-    @property
-    def dim(self) -> int:
-        return 3**self.n
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix form, intended for small registers and tests."""
-        sx = spin_operator("x")
-        out = np.zeros((self.dim, self.dim))
-        for site in range(self.n):
-            term = np.kron(
-                np.kron(np.eye(3**site), sx), np.eye(3 ** (self.n - site - 1))
-            )
-            out += term
-        return self.h * out
 
 
 def spins_per_point(K: int) -> int:
@@ -313,7 +215,7 @@ class Encoding:
     labels to the oracle.  The label table is built on first use, so a
     register past the size guard costs nothing until it is run.  Where no
     pair joins two of ``points``, each term of the final Hamiltonian depends
-    on one point's block, and ``hamiltonian`` declares one block per point.
+    on one point's block, and ``hamiltonian`` gives one row per point.
     """
 
     def __init__(
@@ -422,12 +324,26 @@ class Encoding:
             out += w * (self.labels[:, p] >= self.K)
         return out
 
-    def hamiltonian(self, dm: DistanceMatrix) -> DiagonalHamiltonian:
-        """The final Hamiltonian: the pair sum, plus the penalty sum where states go unused."""
+    def hamiltonian(self, dm: DistanceMatrix) -> np.ndarray:
+        """The final Hamiltonian's diagonal as read-only block rows, shape (C, 3**w).
+
+        The diagonal is the pair sum, plus the penalty sum where states go
+        unused.  A coupled register is the one row C = 1, its whole diagonal.
+        Otherwise row b is the diagonal at point b's block states with every
+        other block in its first state; rows past the first subtract the
+        diagonal at state 0, so the constant stays in row 0, and the rows sum
+        to the diagonal as ``functools.reduce(np.add.outer, rows)``.
+        """
         diag = self.pair_sum(dm.d)
         if self.invalid.any():
             diag = diag + self.penalty_sum(self.penalty_weights(dm))
         on = set(self.points)
-        coupled = any(i in on and j in on for i, j in self.pairs)
-        return DiagonalHamiltonian(self.n_qutrits, diag, 1 if coupled else len(self.points))
-
+        if any(i in on and j in on for i, j in self.pairs):
+            rows = diag[None]
+        else:
+            size = 3**self.scheme.spins_per_point
+            strides = size ** np.arange(len(self.points) - 1, -1, -1)
+            rows = diag[strides[:, None] * np.arange(size)]
+            rows[1:] -= diag[0]
+        rows.flags.writeable = False
+        return rows

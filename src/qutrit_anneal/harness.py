@@ -39,7 +39,6 @@ from .clustering import (
 from .errors import SizeGuardError, SpecError, is_int
 from .hamiltonians import (
     REGISTER_MAX_QUTRITS,
-    DiagonalHamiltonian,
     Encoding,
     EncodingScheme,
     method_traits,
@@ -248,10 +247,8 @@ def load_spec(path: str | Path) -> ProblemSpec:
     return spec_from_dict(data, default_name=path.stem)
 
 
-def build_final_hamiltonian(
-    spec: ProblemSpec, dm: DistanceMatrix | None = None
-) -> DiagonalHamiltonian:
-    """Final Hamiltonian for the spec, penalties included where they apply."""
+def build_final_hamiltonian(spec: ProblemSpec, dm: DistanceMatrix | None = None) -> np.ndarray:
+    """Final Hamiltonian for the spec as (C, 3**w) block rows, with its penalties."""
     if dm is None:
         dm = distance_matrix(spec.points)
     return spec.encoding.hamiltonian(dm)

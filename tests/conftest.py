@@ -1,4 +1,5 @@
 import copy
+import functools
 import importlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qutrit_anneal.harness import run, spec_from_dict
 from qutrit_anneal.presets import get_preset
+from qutrit_anneal.spin import spin_operator
 
 # four points whose three-cluster optimum must pair the two near the origin
 TINY_SPEC = {
@@ -16,11 +18,23 @@ TINY_SPEC = {
 }
 
 
-def ground_states(h) -> np.ndarray:
+def full_diagonal(rows) -> np.ndarray:
+    """The register's 3**n diagonal from a final Hamiltonian's (C, 3**w) block rows."""
+    return functools.reduce(np.add.outer, rows).reshape(-1)
+
+
+def ground_states(rows) -> np.ndarray:
     """Basis indices where a final Hamiltonian's diagonal is within 1e-9 (relative) of its minimum."""
-    diag = h.diag
+    diag = full_diagonal(rows)
     mn = float(diag.min())
     return np.flatnonzero(diag <= mn + 1e-9 * (1.0 + abs(mn)))
+
+
+def dense_driver(n: int, h: float) -> np.ndarray:
+    """The driver h * sum_i S_i^x on n sites as a dense matrix, for small registers."""
+    sx = spin_operator("x")
+    terms = (np.kron(np.kron(np.eye(3**i), sx), np.eye(3 ** (n - i - 1))) for i in range(n))
+    return h * sum(terms)
 
 
 def forbid_expansion(monkeypatch) -> None:

@@ -6,7 +6,7 @@ lines alongside the pytest verdicts.
 
 import numpy as np
 
-from conftest import ground_states
+from conftest import dense_driver, ground_states
 from qutrit_anneal.anneal import initial_state, step
 from qutrit_anneal.clustering import (
     Partition,
@@ -18,8 +18,6 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_K3,
     METHOD_ONEHOT_K3_PINNED,
     METHOD_ONEHOT_MULTISPIN,
-    DiagonalHamiltonian,
-    DriverHamiltonian,
     Encoding,
     EncodingScheme,
     block_state_index,
@@ -146,7 +144,7 @@ def test_a5_diagonal_identity_on_random_instances():
         digits = digit_table(n)
         for idx in range(3**n):
             w = cost(dm, Partition(digits[idx], 3))
-            worst = max(worst, abs(h.diag[idx] - (2.0 * w - total)))
+            worst = max(worst, abs(h[0, idx] - (2.0 * w - total)))
     _criterion(
         "A5",
         "three-cluster diagonal equals 2*cost - total pair sum on 50 seeded instances",
@@ -180,13 +178,12 @@ def test_a7_unitarity_and_step_accuracy(preset_result):
         all(d < 1e-9 for d in drifts.values()),
         ", ".join(f"{k}={v:.1e}" for k, v in drifts.items()),
     )
-    hf = DiagonalHamiltonian(1, np.array([3.0, -1.0, 0.5]))
-    drv = DriverHamiltonian(1, 2.0)
-    psi = initial_state(1, 2.0)
+    hf, h = np.array([[3.0, -1.0, 0.5]]), 2.0
+    psi = initial_state(1)
     s, dt = 0.45, 0.1
-    lam, vecs = np.linalg.eigh(np.diag(s * hf.diag) + (1.0 - s) * drv.dense())
+    lam, vecs = np.linalg.eigh(np.diag(s * hf[0]) + (1.0 - s) * dense_driver(1, h))
     exact = vecs @ (np.exp(-1j * dt * lam) * (vecs.conj().T @ psi))
-    got = step(psi, s, hf, drv, dt)
+    got = step(psi, s, hf, h, dt)
     err = float(np.linalg.norm(got - exact))
     _criterion(
         "A7s",

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from conftest import ground_states
+from conftest import dense_driver, full_diagonal, ground_states
 from qutrit_anneal.anneal import (
     MODE_EXACT,
     MODE_SPLIT,
@@ -30,8 +30,6 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_K3,
     METHOD_ONEHOT_K3_PINNED,
     METHOD_ONEHOT_MULTISPIN,
-    DiagonalHamiltonian,
-    DriverHamiltonian,
     Encoding,
     EncodingScheme,
     block_state_index,
@@ -45,7 +43,13 @@ SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
 
 
 def random_diag(rng, n, scale=20.0):
-    return DiagonalHamiltonian(n, rng.uniform(-scale, scale, 3**n))
+    """A random final Hamiltonian on n coupled qutrits: one row of 3**n entries."""
+    return rng.uniform(-scale, scale, (1, 3**n))
+
+
+def n_qutrits(hf) -> int:
+    """The register's qutrit count for final Hamiltonian rows of shape (C, 3**w)."""
+    return len(hf) * round(np.log(hf.shape[1]) / np.log(3))
 
 
 def counting(fn):
@@ -139,62 +143,63 @@ def test_config_accepts_numpy_integer_steps():
 
 
 def test_initial_state_single_site():
-    psi = initial_state(1, 2.0)
+    psi = initial_state(1)
     np.testing.assert_allclose(
         psi, [0.5, -1.0 / np.sqrt(2.0), 0.5], atol=1e-15
     )
 
 
 def test_initial_state_is_product_state():
-    one = initial_state(1, 1.0)
-    two = initial_state(2, 1.0)
+    one = initial_state(1)
+    two = initial_state(2)
     np.testing.assert_allclose(two, np.kron(one, one), atol=1e-15)
-    assert np.linalg.norm(initial_state(2, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(initial_state(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_state_is_driver_ground_state():
-    n, h = 3, 1.7
-    drv = DriverHamiltonian(n, h)
-    psi = initial_state(n, h)
-    energy = np.vdot(psi, drv.dense() @ psi).real
-    assert energy == pytest.approx(-n * h, abs=1e-12)
+    # one state for every field h > 0
+    n = 3
+    psi = initial_state(n)
+    for h in (0.1, 1.7, 8.0):
+        energy = np.vdot(psi, dense_driver(n, h) @ psi).real
+        assert energy == pytest.approx(-n * h, abs=1e-12)
 
 
-def test_initial_state_rejects_bad_field():
-    with pytest.raises(ValueError):
-        initial_state(2, 0.0)
+def test_initial_state_rejects_an_empty_register():
+    with pytest.raises(ValueError, match="at least one qutrit"):
+        initial_state(0)
 
 
 # ------------------------------------------------ H(s) mapped onto [-2, 2]
 
 
-def dense_h(s, hf, drv):
-    """H(s) = (1 - s) H0 + s Hf as a dense matrix, for small registers."""
-    return np.diag(s * hf.diag) + (1.0 - s) * drv.dense()
+def dense_h(s, hf, h):
+    """H(s) = (1 - s) h sum_i S_i^x + s Hf as a dense matrix, for small registers."""
+    return np.diag(s * full_diagonal(hf)) + (1.0 - s) * dense_driver(n_qutrits(hf), h)
 
 
-def spectral_bounds(s, hf, drv):
+def spectral_bounds(s, hf, h):
     """[s min Hf - (1 - s) h n, s max Hf + (1 - s) h n], worked out here on its own."""
-    spread = (1.0 - s) * drv.h * drv.n
-    return s * hf.diag.min() - spread, s * hf.diag.max() + spread
+    spread = (1.0 - s) * h * n_qutrits(hf)
+    return s * hf.min() - spread, s * hf.max() + spread
 
 
-def expansion_args(s, hf, drv, dt=0.1):
+def expansion_args(s, hf, h, dt=0.1):
     """The matvec ``step`` hands the expansion, and the dt it passes with it."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(anneal_module, "expm_multiply_hermitian", lambda m, v, dt: seen.append((m, dt)) or v)
-        step(np.ones(hf.dim, dtype=complex), s, hf, drv, dt)
+        step(np.ones(hf.size, dtype=complex), s, hf, h, dt)
     (args,) = seen
     return args
 
 
-def mapped_operator(s, hf, drv, dt=0.1):
+def mapped_operator(s, hf, h, dt=0.1):
     """The dense operator ``step`` expands, and the dt it expands it for."""
-    matvec, dt_mapped = expansion_args(s, hf, drv, dt)
+    matvec, dt_mapped = expansion_args(s, hf, h, dt)
     # column k is the operator on e_k, in the real plane; the imaginary plane is zero
-    planes = np.zeros((hf.dim, 2, hf.dim))
-    planes[np.arange(hf.dim), 0, np.arange(hf.dim)] = 1.0
+    planes = np.zeros((hf.size, 2, hf.size))
+    planes[np.arange(hf.size), 0, np.arange(hf.size)] = 1.0
     cols = np.array([matvec(p) for p in planes])
     assert not cols[:, 1].any()
     return cols[:, 0].T, dt_mapped
@@ -204,26 +209,24 @@ def test_endpoint_s1_is_diagonal():
     rng = np.random.default_rng(0)
     hf = random_diag(rng, 2)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    got = step(v, 1.0, hf, DriverHamiltonian(2, 3.0), 0.2)
-    np.testing.assert_allclose(got, np.exp(-0.2j * hf.diag) * v, atol=1e-12)
+    got = step(v, 1.0, hf, 3.0, 0.2)
+    np.testing.assert_allclose(got, np.exp(-0.2j * hf[0]) * v, atol=1e-12)
 
 
 def test_endpoint_s0_is_driver():
     rng = np.random.default_rng(1)
     hf = random_diag(rng, 2)
-    drv = DriverHamiltonian(2, 3.0)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    got = step(v, 0.0, hf, drv, 0.2)
-    np.testing.assert_allclose(got, expm(-0.2j * drv.dense()) @ v, atol=1e-12)
+    got = step(v, 0.0, hf, 3.0, 0.2)
+    np.testing.assert_allclose(got, expm(-0.2j * dense_driver(2, 3.0)) @ v, atol=1e-12)
 
 
 def test_midpoint_linearity():
     rng = np.random.default_rng(2)
     hf = random_diag(rng, 2)
-    drv = DriverHamiltonian(2, 4.0)
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    expected = expm(-0.2j * (0.5 * np.diag(hf.diag) + 0.5 * drv.dense())) @ v
-    np.testing.assert_allclose(step(v, 0.5, hf, drv, 0.2), expected, atol=1e-12)
+    expected = expm(-0.2j * (0.5 * np.diag(hf[0]) + 0.5 * dense_driver(2, 4.0))) @ v
+    np.testing.assert_allclose(step(v, 0.5, hf, 4.0, 0.2), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -233,8 +236,7 @@ def test_bounds_contain_spectrum(n):
     rng = np.random.default_rng(20 + n)
     for s in [0.0, 1.0, *rng.uniform(0, 1, 3)]:
         hf = random_diag(rng, n, scale=30.0)
-        drv = DriverHamiltonian(n, rng.uniform(0.5, 8.0))
-        lam = np.linalg.eigvalsh(mapped_operator(s, hf, drv)[0])
+        lam = np.linalg.eigvalsh(mapped_operator(s, hf, rng.uniform(0.5, 8.0))[0])
         assert -2.0 - 1e-12 <= lam[0] and lam[-1] <= 2.0 + 1e-12
         if s in (0.0, 1.0):
             np.testing.assert_allclose(lam[[0, -1]], [-2.0, 2.0], rtol=0, atol=1e-12)
@@ -247,23 +249,23 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     rng = np.random.default_rng(40 + n)
     hf = random_diag(rng, n)
     h, dt = 2.5, 0.1
-    mapped, dt_mapped = mapped_operator(s, hf, DriverHamiltonian(n, h), dt)
-    lo, hi = spectral_bounds(s, hf, DriverHamiltonian(n, h))
+    mapped, dt_mapped = mapped_operator(s, hf, h, dt)
+    lo, hi = spectral_bounds(s, hf, h)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     assert dt_mapped == pytest.approx(0.5 * radius * dt, rel=1e-15)
     got = centre * np.eye(3**n) + 0.5 * radius * mapped
-    expected = np.diag(s * hf.diag) + (1.0 - s) * h * DriverHamiltonian(n, 1.0).dense()
+    expected = np.diag(s * hf[0]) + (1.0 - s) * h * dense_driver(n, 1.0)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.4, 1.0])
 def test_step_maps_h_affinely_onto_minus_two_two(s):
     rng = np.random.default_rng(50)
-    hf, drv = random_diag(rng, 3), DriverHamiltonian(3, 2.5)
-    lo, hi = spectral_bounds(s, hf, drv)
+    hf, h = random_diag(rng, 3), 2.5
+    lo, hi = spectral_bounds(s, hf, h)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    expected = (2.0 / radius) * (dense_h(s, hf, drv) - centre * np.eye(27))
-    matvec, _ = expansion_args(s, hf, drv)
+    expected = (2.0 / radius) * (dense_h(s, hf, h) - centre * np.eye(27))
+    matvec, _ = expansion_args(s, hf, h)
     # the two planes are mapped each on its own, into a new array
     planes = rng.normal(size=(2, 27))
     kept = planes.copy()
@@ -273,40 +275,39 @@ def test_step_maps_h_affinely_onto_minus_two_two(s):
 
 def test_step_rejects_amplitudes_of_the_wrong_shape():
     # 18 entries would reshape into two 3 x 3 grids without the check
-    hf, drv = DiagonalHamiltonian(2, np.zeros(9)), DriverHamiltonian(2, 1.0)
+    hf = np.zeros((1, 9))
     for amps in (np.ones((9, 2)), np.ones(18)):
         with pytest.raises(ValueError, match=re.escape(f"shape {amps.shape} do not fit 3**2")):
-            step(amps, 0.5, hf, drv, 0.1)
+            step(amps, 0.5, hf, 1.0, 0.1)
 
 
 def test_steps_evolve_each_block_of_a_stack():
     # two commuting blocks: the Kronecker product of the evolved blocks is
     # the evolved register, for both steppers
     rng = np.random.default_rng(80)
-    rows = rng.uniform(-20.0, 20.0, (2, 3))
-    hf = DiagonalHamiltonian(2, np.add.outer(*rows).reshape(-1), blocks=2)
-    drv, s, dt = DriverHamiltonian(2, 3.0), 0.4, 0.2
+    hf = rng.uniform(-20.0, 20.0, (2, 3))
+    h, s, dt = 3.0, 0.4, 0.2
     stack = np.array([unit_vector(rng, 3), unit_vector(rng, 3)])
     register = np.kron(*stack)
-    expected = expm(-1j * dt * dense_h(s, hf, drv)) @ register
-    np.testing.assert_allclose(np.kron(*step(stack, s, hf, drv, dt)), expected, rtol=0, atol=1e-12)
-    one = DiagonalHamiltonian(2, hf.diag)
+    expected = expm(-1j * dt * dense_h(s, hf, h)) @ register
+    np.testing.assert_allclose(np.kron(*step(stack, s, hf, h, dt)), expected, rtol=0, atol=1e-12)
+    one = full_diagonal(hf)[None]
     np.testing.assert_allclose(
-        np.kron(*_split_step(stack, s, hf, drv, dt)),
-        _split_step(register, s, one, drv, dt),
+        np.kron(*_split_step(stack, s, hf, h, dt)),
+        _split_step(register, s, one, h, dt),
         rtol=0,
         atol=1e-13,
     )
     with pytest.raises(ValueError, match=re.escape("shape (9,) do not fit 3**1 in 2 block(s)")):
-        step(register, s, hf, drv, dt)
+        step(register, s, hf, h, dt)
 
 
 def test_dimension_mismatch_rejected():
-    hf = DiagonalHamiltonian(2, np.zeros(9))
-    with pytest.raises(ValueError, match="register mismatch"):
-        step(np.ones(9), 0.5, hf, DriverHamiltonian(3, 1.0), 0.1)
+    hf = np.zeros((1, 9))
+    with pytest.raises(ValueError, match=re.escape("shape (27,) do not fit 3**2 in 1 block(s)")):
+        step(np.ones(27), 0.5, hf, 1.0, 0.1)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
-        step(np.ones(9), 1.5, hf, DriverHamiltonian(2, 1.0), 0.1)
+        step(np.ones(9), 1.5, hf, 1.0, 0.1)
 
 
 # -------------------------------------------------------- matrix exponential
@@ -342,11 +343,11 @@ def test_expm_multiply_matches_dense(seed):
     rng = np.random.default_rng(seed)
     n = 2
     hf = random_diag(rng, n, scale=40.0)
-    drv = DriverHamiltonian(n, 6.0)
+    h = 6.0
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
-    expected = expm(-1j * 0.1 * dense_h(0.4, hf, drv)) @ v
-    got = step(v, 0.4, hf, drv, 0.1)
+    expected = expm(-1j * 0.1 * dense_h(0.4, hf, h)) @ v
+    got = step(v, 0.4, hf, h, 0.1)
     assert np.linalg.norm(got - expected) < 1e-9
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12
 
@@ -356,11 +357,11 @@ def test_expm_multiply_matches_dense_wide_spectrum():
     rng = np.random.default_rng(12)
     n = 5
     hf = random_diag(rng, n, scale=330.0)
-    drv = DriverHamiltonian(n, 8.0)
+    h = 8.0
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     v /= np.linalg.norm(v)
-    expected = expm(-1j * 0.1 * dense_h(0.5, hf, drv)) @ v
-    got = step(v, 0.5, hf, drv, 0.1)
+    expected = expm(-1j * 0.1 * dense_h(0.5, hf, h)) @ v
+    got = step(v, 0.5, hf, h, 0.1)
     assert np.linalg.norm(got - expected) < 1e-9
 
 
@@ -370,47 +371,47 @@ def test_expm_multiply_long_steps(dt):
     rng = np.random.default_rng(13)
     n = 5
     hf = random_diag(rng, n, scale=330.0)
-    drv = DriverHamiltonian(n, 8.0)
+    h = 8.0
     v = unit_vector(rng, 3**n)
-    got = step(v, 0.5, hf, drv, dt)
-    assert np.linalg.norm(got - expm(-1j * dt * dense_h(0.5, hf, drv)) @ v) < 1e-9
-    assert np.linalg.norm(step(got, 0.5, hf, drv, -dt) - v) < 1e-9
+    got = step(v, 0.5, hf, h, dt)
+    assert np.linalg.norm(got - expm(-1j * dt * dense_h(0.5, hf, h)) @ v) < 1e-9
+    assert np.linalg.norm(step(got, 0.5, hf, h, -dt) - v) < 1e-9
 
 
 def test_expm_multiply_dt_zero_is_identity():
     rng = np.random.default_rng(3)
     hf = random_diag(rng, 1)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    got = step(v, 0.5, hf, DriverHamiltonian(1, 1.0), 0.0)
+    got = step(v, 0.5, hf, 1.0, 0.0)
     np.testing.assert_allclose(got, v, atol=1e-14)
 
 
 def test_expm_multiply_eigenvector_phase():
-    hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
-    drv = DriverHamiltonian(1, 1.5)
-    lam, vecs = np.linalg.eigh(dense_h(0.6, hf, drv))
+    hf = np.array([[2.0, 0.5, -1.0]])
+    h = 1.5
+    lam, vecs = np.linalg.eigh(dense_h(0.6, hf, h))
     dt = 0.3
     for k in range(3):
         v = vecs[:, k].astype(complex)
         expected = np.exp(-1j * dt * lam[k]) * v
-        got = step(v, 0.6, hf, drv, dt)
+        got = step(v, 0.6, hf, h, dt)
         assert np.linalg.norm(got - expected) < 1e-12
 
 
 def test_expm_multiply_single_qutrit_long_step():
-    hf = DiagonalHamiltonian(1, np.array([2.0, 0.5, -1.0]))
-    drv = DriverHamiltonian(1, 1.5)
+    hf = np.array([[2.0, 0.5, -1.0]])
+    h = 1.5
     v = np.array([1.0, 0.3 - 0.2j, -0.5])
-    got = step(v, 0.6, hf, drv, 2.0)
-    np.testing.assert_allclose(got, expm(-2j * dense_h(0.6, hf, drv)) @ v, rtol=0, atol=1e-12)
+    got = step(v, 0.6, hf, h, 2.0)
+    np.testing.assert_allclose(got, expm(-2j * dense_h(0.6, hf, h)) @ v, rtol=0, atol=1e-12)
 
 
 def test_expm_multiply_constant_hamiltonian_needs_no_matvec(monkeypatch):
     # zero-width bounds: H is the centre times the identity
-    hf = DiagonalHamiltonian(2, np.full(9, 1.5))
+    hf = np.full((1, 9), 1.5)
     calls = count_matvecs(monkeypatch)
     v = unit_vector(np.random.default_rng(8), 9)
-    got = step(v, 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
+    got = step(v, 1.0, hf, 1.0, 0.4)
     assert not calls
     np.testing.assert_allclose(got, np.exp(-0.6j) * v, rtol=0, atol=1e-15)
 
@@ -431,13 +432,13 @@ def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
     # leave a partial last block with 4 or 8 rows, and fit one of 10,000
     rng = np.random.default_rng(14)
     hf = random_diag(rng, 3, scale=100.0)
-    drv = DriverHamiltonian(3, 8.0)
+    h = 8.0
     v = unit_vector(rng, 27)
     calls = count_matvecs(monkeypatch)
     monkeypatch.setattr(anneal_module, "_ROWS", rows)
-    got = step(v, 0.5, hf, drv, 0.8)
+    got = step(v, 0.5, hf, h, 0.8)
     assert len(calls) == 86
-    expected = expm(-0.8j * dense_h(0.5, hf, drv)) @ v
+    expected = expm(-0.8j * dense_h(0.5, hf, h)) @ v
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -454,31 +455,31 @@ def test_expm_multiply_rejects_complex_hamiltonian():
 def test_step_on_pure_diagonal_applies_exact_phases():
     rng = np.random.default_rng(4)
     hf = random_diag(rng, 2)
-    drv = DriverHamiltonian(2, 1.0)
+    h = 1.0
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
-    out = step(amps, 1.0, hf, drv, dt=0.25)
-    expected = np.exp(-1j * 0.25 * hf.diag) * amps
+    out = step(amps, 1.0, hf, h, dt=0.25)
+    expected = np.exp(-1j * 0.25 * hf[0]) * amps
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_step_preserves_norm():
     rng = np.random.default_rng(5)
     hf = random_diag(rng, 3, scale=50.0)
-    drv = DriverHamiltonian(3, 8.0)
-    psi = initial_state(3, 8.0)
-    out = step(psi, 0.5, hf, drv, dt=0.1)
+    h = 8.0
+    psi = initial_state(3)
+    out = step(psi, 0.5, hf, h, dt=0.1)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_single_qutrit_step_matches_analytic_diagonalization():
-    hf = DiagonalHamiltonian(1, np.array([3.0, -1.0, 0.5]))
-    drv = DriverHamiltonian(1, 2.0)
-    psi = initial_state(1, 2.0)
+    hf = np.array([[3.0, -1.0, 0.5]])
+    h = 2.0
+    psi = initial_state(1)
     s, dt = 0.7, 0.1
-    lam, vecs = np.linalg.eigh(dense_h(s, hf, drv))
+    lam, vecs = np.linalg.eigh(dense_h(s, hf, h))
     exact = vecs @ (np.exp(-1j * dt * lam) * (vecs.conj().T @ psi))
-    got = step(psi, s, hf, drv, dt)
+    got = step(psi, s, hf, h, dt)
     assert np.linalg.norm(got - exact) < 1e-9
 
 
@@ -487,10 +488,10 @@ def test_single_qutrit_step_matches_analytic_diagonalization():
 def test_step_matches_dense_expm(n, s):
     rng = np.random.default_rng(60 + n)
     hf = random_diag(rng, n, scale=60.0)
-    drv = DriverHamiltonian(n, 6.0)
+    h = 6.0
     v = unit_vector(rng, 3**n)
-    got = step(v, s, hf, drv, 0.1)
-    np.testing.assert_allclose(got, expm(-0.1j * dense_h(s, hf, drv)) @ v, rtol=0, atol=1e-12)
+    got = step(v, s, hf, h, 0.1)
+    np.testing.assert_allclose(got, expm(-0.1j * dense_h(s, hf, h)) @ v, rtol=0, atol=1e-12)
 
 
 def test_step_at_the_register_cap_matches_site_gates_and_phases():
@@ -498,24 +499,24 @@ def test_step_at_the_register_cap_matches_site_gates_and_phases():
     # site, applied here axis by axis; at s = 1 it is one phase per state
     n, h, dt = 7, 8.0, 0.1
     rng = np.random.default_rng(80)
-    hf, drv = random_diag(rng, n, scale=300.0), DriverHamiltonian(n, h)
+    hf = random_diag(rng, n, scale=300.0)
     v = unit_vector(rng, 3**n)
     gate = expm(-1j * dt * h * spin_operator("x"))
     expected = v.reshape((3,) * n)
     for axis in range(n):
         expected = np.moveaxis(np.tensordot(gate, expected, axes=(1, axis)), 0, axis)
-    np.testing.assert_allclose(step(v, 0.0, hf, drv, dt), expected.reshape(-1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(step(v, 0.0, hf, h, dt), expected.reshape(-1), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        step(v, 1.0, hf, drv, dt), np.exp(-1j * dt * hf.diag) * v, rtol=0, atol=1e-12
+        step(v, 1.0, hf, h, dt), np.exp(-1j * dt * hf[0]) * v, rtol=0, atol=1e-12
     )
 
 
 def test_step_of_zero_width_hamiltonian_is_one_phase(monkeypatch):
     # a constant Hf at s = 1: H(s) is 1.5 times the identity
-    hf = DiagonalHamiltonian(2, np.full(9, 1.5))
+    hf = np.full((1, 9), 1.5)
     calls = count_matvecs(monkeypatch)
     v = unit_vector(np.random.default_rng(9), 9)
-    got = step(v, 1.0, hf, DriverHamiltonian(2, 1.0), 0.4)
+    got = step(v, 1.0, hf, 1.0, 0.4)
     assert not calls
     np.testing.assert_array_equal(got, np.exp(-1j * 0.4 * 1.5) * v)
 
@@ -525,16 +526,16 @@ def test_step_makes_the_a_priori_degree_of_matvecs(monkeypatch, s):
     # the degree is the last k with 2 |J_k(dt r)| >= 1e-15, r the half-width
     # of [lo, hi]; that interval holds the spectrum, exactly so at s = 0, 1
     rng = np.random.default_rng(70)
-    hf, drv, dt = random_diag(rng, 3, scale=80.0), DriverHamiltonian(3, 5.0), 0.1
-    lo, hi = spectral_bounds(s, hf, drv)
-    lam = np.linalg.eigvalsh(dense_h(s, hf, drv))
+    hf, h, dt = random_diag(rng, 3, scale=80.0), 5.0, 0.1
+    lo, hi = spectral_bounds(s, hf, h)
+    lam = np.linalg.eigvalsh(dense_h(s, hf, h))
     assert lo - 1e-12 <= lam[0] and lam[-1] <= hi + 1e-12
     if s in (0.0, 1.0):
         np.testing.assert_allclose([lo, hi], lam[[0, -1]], rtol=0, atol=1e-12)
     j = jv(np.arange(200), dt * 0.5 * (hi - lo))
     degree = np.flatnonzero(2.0 * np.abs(j) >= 1e-15)[-1]
     calls = count_matvecs(monkeypatch)
-    step(initial_state(3, 5.0), s, hf, drv, dt)
+    step(initial_state(3), s, hf, h, dt)
     assert len(calls) == degree > 0
 
 
@@ -545,8 +546,8 @@ def test_anneal_single_step_unrolls():
     rng = np.random.default_rng(6)
     hf = random_diag(rng, 2)
     cfg = AnnealConfig(h=2.0, M=1, dt=0.05)
-    drv = DriverHamiltonian(2, 2.0)
-    expected = step(step(initial_state(2, 2.0), 0.0, hf, drv, 0.05), 1.0, hf, drv, 0.05)
+    h = 2.0
+    expected = step(step(initial_state(2), 0.0, hf, h, 0.05), 1.0, hf, h, 0.05)
     got = anneal(cfg, hf)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -555,8 +556,8 @@ def test_anneal_steps_are_bitwise_those_of_step():
     # anneal and step share one exact-step path
     rng = np.random.default_rng(16)
     hf = random_diag(rng, 4, scale=40.0)
-    drv = DriverHamiltonian(4, 3.0)
-    expected = step(step(initial_state(4, 3.0), 0.0, hf, drv, 0.1), 1.0, hf, drv, 0.1)
+    h = 3.0
+    expected = step(step(initial_state(4), 0.0, hf, h, 0.1), 1.0, hf, h, 0.1)
     got = anneal(AnnealConfig(h=3.0, M=1, dt=0.1), hf)
     np.testing.assert_array_equal(got, expected)
 
@@ -566,10 +567,9 @@ def test_anneal_matches_dense_factor_product():
     rng = np.random.default_rng(7)
     hf = random_diag(rng, 2)
     M, dt, h = 5, 0.07, 1.3
-    drv = DriverHamiltonian(2, h)
-    psi = initial_state(2, h)
+    psi = initial_state(2)
     for l in range(M + 1):
-        H = dense_h(l / M, hf, drv)
+        H = dense_h(l / M, hf, h)
         psi = expm(-1j * dt * H) @ psi
     got = anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
     assert np.linalg.norm(got - psi) < 1e-9
@@ -577,11 +577,24 @@ def test_anneal_matches_dense_factor_product():
 
 def test_anneal_with_zero_final_hamiltonian_keeps_ground_state():
     n, h = 2, 3.0
-    hf = DiagonalHamiltonian(n, np.zeros(3**n))
+    hf = np.zeros((1, 3**n))
     got = anneal(AnnealConfig(h=h, M=100, dt=0.1), hf)
-    psi0 = initial_state(n, h)
+    psi0 = initial_state(n)
     fidelity = abs(np.vdot(psi0, got)) ** 2
     assert fidelity > 1.0 - 1e-9
+
+
+def test_anneal_refuses_malformed_final_hamiltonian_rows():
+    # rows must be one 2-D array of C >= 1 rows, each 3**w long for a w >= 1
+    malformed = [np.zeros(shape) for shape in ((1, 8), (27,), (1, 3, 9), (0, 27), (1, 1))]
+    for mode in (MODE_EXACT, MODE_SPLIT):
+        cfg = AnnealConfig(h=1.0, M=1, mode=mode)
+        for hf in malformed:
+            message = f"rows of shape {hf.shape} are not (C, 3**w)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                anneal(cfg, hf)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            anneal(cfg, np.array([[0.0, np.inf, 1.0]]))
 
 
 def preset_matvecs(monkeypatch, name) -> int:
@@ -623,19 +636,19 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     for factor, refused in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
         r = factor * cap / dt
         if side == "width":
-            hf, h = DiagonalHamiltonian(1, np.array([-r, 0.0, r])), 1.0
+            hf, h = np.array([[-r, 0.0, r]]), 1.0
         elif side == "driver":
-            hf, h = DiagonalHamiltonian(2, np.zeros(9)), 0.5 * r
+            hf, h = np.zeros((1, 9)), 0.5 * r
         elif side == "blocks-width":
-            rows = np.array([0.0, 0.5 * r, 0.0]), np.array([-r, 0.0, r])
-            hf, h = DiagonalHamiltonian(2, np.add.outer(*rows).reshape(-1), blocks=2), 1.0
+            hf, h = np.array([[0.0, 0.5 * r, 0.0], [-r, 0.0, r]]), 1.0
         else:
-            hf, h = DiagonalHamiltonian(2, np.zeros(9), blocks=2), r
+            hf, h = np.zeros((2, 3)), r
         steps.clear()
         cfg = AnnealConfig(h=h, M=3, dt=dt)
         if refused:
-            with pytest.raises(SizeGuardError, match="split-step mode"):
+            with pytest.raises(SizeGuardError, match="lower the 'penalty'") as refusal:
                 anneal(cfg, hf)
+            assert "split-step" not in str(refusal.value)
             assert not steps
             # split-step has no degree to bound
             monkeypatch.setattr(anneal_module, "_split_step", lambda amps, *args: amps)
@@ -693,20 +706,20 @@ def test_split_step_matches_per_axis_product(n, substeps):
     # site at a time by tensordot and moveaxis
     rng = np.random.default_rng(n)
     hf = random_diag(rng, n)
-    drv = DriverHamiltonian(n=n, h=3.0)
+    h = 3.0
     amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     amps /= np.linalg.norm(amps)
     s, dt = 0.3, 0.1
     tau = dt / substeps
-    half = np.exp(-0.5j * tau * s * hf.diag)
-    gate = expm(-1j * tau * (1.0 - s) * drv.h * spin_operator("x"))
+    half = np.exp(-0.5j * tau * s * hf[0])
+    gate = expm(-1j * tau * (1.0 - s) * h * spin_operator("x"))
     expected = amps
     for _ in range(substeps):
         psi = (half * expected).reshape((3,) * n)
         for axis in range(n):
             psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, axis)), 0, axis)
         expected = half * psi.reshape(-1)
-    got = _split_step(amps, s, hf, drv, dt, substeps)
+    got = _split_step(amps, s, hf, h, dt, substeps)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
@@ -742,15 +755,15 @@ BLOCK_SHAPES = [(3, 5), (3, 6), (3, 7), (4, 2), (4, 3)]
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
 @pytest.mark.parametrize("K, free", BLOCK_SHAPES)
 def test_block_anneal_matches_the_one_register_anneal(K, free, mode):
-    # the same diagonal declared as one block runs the whole register
+    # the same diagonal as one row of 3**n entries runs the whole register
     points = generate_instance(K + free, seed=3000 + 10 * K + free)
     encoding = Encoding(EncodingScheme(method=METHOD_KMEANSPP, K=K), K + free, centroids=range(K))
     hf = encoding.hamiltonian(distance_matrix(points))
-    assert hf.blocks == free
+    assert len(hf) == free
     cfg = AnnealConfig(h=8.0, M=200, dt=0.1, mode=mode)
     blocks = anneal(cfg, hf)
-    register = anneal(cfg, DiagonalHamiltonian(hf.n, hf.diag))
-    assert blocks.shape == register.shape == (3**hf.n,)
+    register = anneal(cfg, full_diagonal(hf)[None])
+    assert blocks.shape == register.shape == (3 ** n_qutrits(hf),)
     np.testing.assert_allclose(np.abs(blocks) ** 2, np.abs(register) ** 2, rtol=0, atol=1e-12)
     assert abs(np.linalg.norm(blocks) - 1.0) < 1e-9
 
@@ -775,7 +788,7 @@ def test_decode_merges_degenerate_argmin_states():
     h = encoding.hamiltonian(dm)
     ground = ground_states(h)
     assert len(ground) == 2
-    amps = np.zeros(h.dim, dtype=complex)
+    amps = np.zeros(h.size, dtype=complex)
     amps[ground] = 1.0 / np.sqrt(2.0)
     rep = decode(amps, encoding)
     # the two degenerate states decode to the same set partition
@@ -861,9 +874,9 @@ def test_decode_matches_per_state_loop(case):
 def test_decode_argument_validation():
     scheme_k2 = EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2)
     with pytest.raises(ValueError, match="1-qutrit register"):
-        decode(initial_state(2, 1.0), Encoding(scheme_k2, 2, pinned=True))
+        decode(initial_state(2), Encoding(scheme_k2, 2, pinned=True))
     with pytest.raises(ValueError, match="shape"):
-        decode(initial_state(2, 1.0).reshape(3, 3), Encoding(scheme_k2, 3, pinned=True))
+        decode(initial_state(2).reshape(3, 3), Encoding(scheme_k2, 3, pinned=True))
     scheme_kpp = EncodingScheme(method=METHOD_KMEANSPP, K=3)
     with pytest.raises(ValueError):
         Encoding(scheme_kpp, 6)  # centroid indices required

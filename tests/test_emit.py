@@ -307,7 +307,7 @@ def test_cli_exact_step_degree_guard_exit_code(monkeypatch, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: exact-step needs about dt * r = 1.5e+11")
-    assert "'penalty'" in err and "split-step mode" in err
+    assert "'penalty'" in err and "split-step" not in err
 
 
 def test_cli_mismatch_exit_code(monkeypatch, tmp_path, tiny_spec_dict, tiny_result):

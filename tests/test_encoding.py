@@ -5,12 +5,10 @@ one by hand and prices it with ``Partition`` and ``cost``; it shares no
 code with the library's label tables or pair sums.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
-from conftest import ground_states
+from conftest import full_diagonal, ground_states
 from qutrit_anneal.anneal import decode
 from qutrit_anneal.clustering import (
     DistanceMatrix,
@@ -19,7 +17,6 @@ from qutrit_anneal.clustering import (
     distance_matrix,
     oracle_min,
 )
-from qutrit_anneal.hamiltonians import DiagonalHamiltonian
 from qutrit_anneal.harness import build_final_hamiltonian, generate_instance, spec_from_dict
 from qutrit_anneal.spin import digit_table
 
@@ -119,7 +116,7 @@ def _reference_diagonal(spec, dm):
 def test_final_diagonal_matches_per_state_reference(shape, seed):
     spec = _spec(*DIAGONAL_SHAPES[shape], seed=100 * shape + seed)
     dm = distance_matrix(spec.points)
-    diag = build_final_hamiltonian(spec, dm).diag
+    diag = full_diagonal(build_final_hamiltonian(spec, dm))
     expected = _reference_diagonal(spec, dm)
     assert diag.shape == expected.shape
     scale = 1.0 + np.abs(expected).max()
@@ -133,14 +130,19 @@ def test_blocks_are_declared_where_no_pair_joins_two_register_points(shape, seed
     encoding, hf = spec.encoding, build_final_hamiltonian(spec)
     on = set(encoding.points)
     joined = any(i in on and j in on for i, j in encoding.pairs)
-    assert (hf.blocks > 1) == (not joined)
+    assert (len(hf) > 1) == (not joined)
     assert joined == (spec.scheme.method != "kmeanspp")
-    per_point = hf if hf.blocks > 1 else DiagonalHamiltonian(hf.n, hf.diag, len(on))
-    assert per_point.blocks == len(on)
+    # split by point: row b is the diagonal at point b's block states with
+    # every other block in its first state, less the diagonal at state 0
+    diag, size = full_diagonal(hf), 3**spec.scheme.spins_per_point
+    per_point = diag[size ** np.arange(len(on) - 1, -1, -1)[:, None] * np.arange(size)]
+    per_point[1:] -= diag[0]
+    if not joined:
+        np.testing.assert_allclose(per_point, hf, rtol=0, atol=1e-12 * (1.0 + np.abs(diag).max()))
     # the block rows, broadcast over their blocks, sum to the diagonal; a
     # joined register is not such a sum, so it must anneal as one block
-    total = functools.reduce(np.add.outer, per_point.rows).reshape(-1)
-    close = np.abs(total - hf.diag) <= 1e-12 * (1.0 + np.abs(hf.diag))
+    total = full_diagonal(per_point)
+    close = np.abs(total - diag) <= 1e-12 * (1.0 + np.abs(diag))
     assert close.all() != joined
 
 
@@ -148,7 +150,7 @@ def _ground_space_in_argmin(spec):
     """Whether an equal superposition of the ground states of the spec's Hf
     decodes only into valid partitions that the oracle finds optimal."""
     hf = build_final_hamiltonian(spec)
-    amps = np.zeros(hf.dim)
+    amps = np.zeros(3**spec.encoding.n_qutrits)
     amps[ground_states(hf)] = 1.0
     report = decode(amps / np.linalg.norm(amps), spec.encoding)
     fixed = None

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import ground_states
+from conftest import dense_driver, ground_states
+from qutrit_anneal.anneal import AnnealConfig, driver_factors
 from qutrit_anneal.clustering import (
     DistanceMatrix,
     Partition,
@@ -18,13 +19,10 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_K3,
     METHOD_ONEHOT_K3_PINNED,
     METHOD_ONEHOT_MULTISPIN,
-    DiagonalHamiltonian,
-    DriverHamiltonian,
     Encoding,
     EncodingScheme,
     block_state_index,
     block_state_list,
-    driver_factors,
     spins_per_point,
 )
 from qutrit_anneal.spin import digit_table, group_projector_diagonal
@@ -43,8 +41,8 @@ def random_instance(rng, n_points):
 def test_onehot_k3_two_points():
     dm = distance_matrix([(0, 0), (3, 4)])
     h = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm)
-    assert h.diag[block_state_index((1, 1))] == 5.0
-    assert h.diag[block_state_index((1, 0))] == -5.0
+    assert h[0, block_state_index((1, 1))] == 5.0
+    assert h[0, block_state_index((1, 0))] == -5.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -58,7 +56,7 @@ def test_onehot_k3_diagonal_identity(seed):
     digits = digit_table(n)
     for idx in range(3**n):
         w = cost(dm, Partition(digits[idx], 3))
-        assert abs(h.diag[idx] - (2.0 * w - total)) <= 1e-12
+        assert abs(h[0, idx] - (2.0 * w - total)) <= 1e-12
 
 
 def test_onehot_k3_min_matches_oracle():
@@ -66,7 +64,7 @@ def test_onehot_k3_min_matches_oracle():
     h = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm)
     orc = oracle_min(dm, 3)
     expected = 2.0 * orc.min_cost - cost(dm, Partition([0] * 6, 1))
-    assert h.diag.min() == pytest.approx(expected, rel=1e-12)
+    assert h.min() == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(3)))[1:])
@@ -75,7 +73,7 @@ def test_onehot_k3_label_symmetry(perm):
     rng = np.random.default_rng(42)
     n = 4
     dm = random_instance(rng, n)
-    diag = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm).diag
+    (diag,) = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm)
     digits = digit_table(n)
     perm = np.asarray(perm)
     permuted_index = (perm[digits] * 3 ** np.arange(n - 1, -1, -1)).sum(axis=1)
@@ -90,14 +88,14 @@ def test_pinned_is_exact_slice_of_full_diagonal():
     dm = distance_matrix(SIX_POINTS)
     full = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm)
     pinned = Encoding(EncodingScheme(METHOD_ONEHOT_K3_PINNED, 3), dm.n_points).hamiltonian(dm)
-    assert pinned.n == full.n - 1
-    np.testing.assert_array_equal(pinned.diag, full.diag[: 3**pinned.n])
+    assert 3 * pinned.size == full.size
+    np.testing.assert_array_equal(pinned[0], full[0, : pinned.size])
 
 
 def test_pinned_two_points():
     dm = distance_matrix([(0, 0), (3, 4)])
     h = Encoding(EncodingScheme(METHOD_ONEHOT_K3_PINNED, 3), dm.n_points).hamiltonian(dm)
-    np.testing.assert_array_equal(h.diag, [5.0, -5.0, -5.0])
+    np.testing.assert_array_equal(h, [[5.0, -5.0, -5.0]])
 
 
 def test_pinned_argmin_count_six_points():
@@ -111,11 +109,11 @@ def test_pinned_argmin_agrees_with_full_slice():
     dm = random_instance(rng, 5)
     full = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm)
     pinned = Encoding(EncodingScheme(METHOD_ONEHOT_K3_PINNED, 3), dm.n_points).hamiltonian(dm)
-    slice_min = full.diag[: 3**pinned.n].min()
-    assert pinned.diag.min() == slice_min
+    slice_min = full[0, : pinned.size].min()
+    assert pinned.min() == slice_min
     np.testing.assert_array_equal(
-        np.flatnonzero(pinned.diag == pinned.diag.min()),
-        np.flatnonzero(full.diag[: 3**pinned.n] == slice_min),
+        np.flatnonzero(pinned[0] == pinned.min()),
+        np.flatnonzero(full[0, : pinned.size] == slice_min),
     )
 
 
@@ -132,17 +130,17 @@ def test_k2_penalty_two_points_unpinned():
     d = 5.0
     dm = distance_matrix([(0, 0), (3, 4)])
     h = build_k2_penalty(dm, pinned=False)
-    assert h.diag[block_state_index((-1, -1))] == 5.0 * d
-    assert h.diag[block_state_index((1, 0))] == -d
-    assert h.diag[block_state_index((1, 1))] == d
+    assert h[0, block_state_index((-1, -1))] == 5.0 * d
+    assert h[0, block_state_index((1, 0))] == -d
+    assert h[0, block_state_index((1, 1))] == d
 
 
 def test_k2_penalty_pinned_is_exact_slice():
     dm = distance_matrix(SIX_POINTS)
     unpinned = build_k2_penalty(dm, pinned=False)
     pinned = build_k2_penalty(dm, pinned=True)
-    assert pinned.n == unpinned.n - 1
-    np.testing.assert_array_equal(pinned.diag, unpinned.diag[: 3**pinned.n])
+    assert 3 * pinned.size == unpinned.size
+    np.testing.assert_array_equal(pinned[0], unpinned[0, : pinned.size])
 
 
 def test_k2_penalty_argmin_decodes_to_k2_oracle():
@@ -151,7 +149,7 @@ def test_k2_penalty_argmin_decodes_to_k2_oracle():
     h = build_k2_penalty(dm, pinned=False)
     orc = oracle_min(dm, 2)
     for idx in ground_states(h):
-        projections = (1 - digit_table(h.n)[idx]).tolist()
+        projections = (1 - digit_table(len(pts))[idx]).tolist()
         assert all(m in (1, 0) for m in projections)
         labels = [0 if m == 1 else 1 for m in projections]
         assert Partition(labels, 2) in set(orc.argmin_partitions)
@@ -163,17 +161,18 @@ def test_k2_penalty_argmin_decodes_to_k2_oracle():
 def test_multispin_k9_examples():
     dm = distance_matrix([(0, 0), (3, 4)])
     h = Encoding(EncodingScheme(METHOD_ONEHOT_MULTISPIN, 9), 2).hamiltonian(dm)
-    assert h.n == 4
+    assert h.shape == (1, 3**4)
     both_psi5 = block_state_index((0, 0, 0, 0))
-    assert h.diag[both_psi5] == 5.0
+    assert h[0, both_psi5] == 5.0
     psi1_psi2 = block_state_index((1, 1, 1, 0))
-    assert h.diag[psi1_psi2] == -5.0
+    assert h[0, psi1_psi2] == -5.0
 
 
 def test_multispin_k3_reduces_to_onehot():
     dm = distance_matrix(SIX_POINTS)
     multispin = Encoding(EncodingScheme(METHOD_ONEHOT_MULTISPIN, 3), dm.n_points)
-    np.testing.assert_array_equal(multispin.hamiltonian(dm).diag, Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points).hamiltonian(dm).diag)
+    onehot = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points)
+    np.testing.assert_array_equal(multispin.hamiltonian(dm), onehot.hamiltonian(dm))
 
 
 def test_multispin_agrees_with_projector_algebra():
@@ -224,15 +223,15 @@ def test_penalty_onehot_single_point():
     h = Encoding(scheme, 1).hamiltonian(DistanceMatrix(np.zeros((1, 1))))
     psi5 = block_state_index((0, 0))
     psi4 = block_state_index((0, 1))
-    assert h.diag[psi5] == 7.0
-    assert h.diag[psi4] == 0.0
+    assert h[0, psi5] == 7.0
+    assert h[0, psi4] == 0.0
 
 
 def test_penalty_onehot_additive_over_points():
     scheme = EncodingScheme(METHOD_ONEHOT_MULTISPIN, K=4, penalty_constant=3.0)
     h = Encoding(scheme, 2).hamiltonian(DistanceMatrix(np.zeros((2, 2))))
     both_forbidden = block_state_index((0, 0, 0, 0))
-    assert h.diag[both_forbidden] == 6.0
+    assert h[0, both_forbidden] == 6.0
 
 
 def test_penalty_onehot_validation():
@@ -266,7 +265,7 @@ def kmeanspp_scheme(K, centroid_states=None):
 
 
 def build_kmeanspp(d_centroid_point, scheme):
-    """kmeanspp pair sum for centroid-to-free distances (K x free points).
+    """kmeanspp pair sum for centroid-to-free distances (K x free points), as one row.
 
     Centroid c is point c and free point j is point K + j.
     """
@@ -275,23 +274,23 @@ def build_kmeanspp(d_centroid_point, scheme):
     d[:K, K:] = d_centroid_point
     d[K:, :K] = np.transpose(d_centroid_point)
     encoding = Encoding(scheme, K + n_free, centroids=range(K))
-    return DiagonalHamiltonian(encoding.n_qutrits, encoding.pair_sum(d))
+    return encoding.pair_sum(d)[None]
 
 
 def build_penalty_kmeanspp(n_free_points, scheme, b):
-    """Constant penalty b per free point in a block state no centroid uses."""
+    """Constant penalty b per free point in a block state no centroid uses, as one row."""
     scheme = dataclasses.replace(scheme, penalty_constant=b)
     n_points = scheme.K + n_free_points
     encoding = Encoding(scheme, n_points, centroids=range(scheme.K))
     diag = encoding.penalty_sum(np.full(n_points, float(b)))
-    return DiagonalHamiltonian(encoding.n_qutrits, diag)
+    return diag[None]
 
 
 def test_kmeanspp_equidistant_point():
     d = 2.5
     scheme = kmeanspp_scheme(3)
     h = build_kmeanspp(np.full((3, 1), d), scheme)
-    np.testing.assert_array_equal(h.diag, [-d, -d, -d])
+    np.testing.assert_array_equal(h, [[-d, -d, -d]])
 
 
 def test_kmeanspp_matches_per_point_nearest_centroid():
@@ -301,7 +300,7 @@ def test_kmeanspp_matches_per_point_nearest_centroid():
     h = build_kmeanspp(d, scheme)
     ground = ground_states(h)
     assert len(ground) == 1
-    for j, m in enumerate((1 - digit_table(h.n)[ground[0]]).tolist()):
+    for j, m in enumerate((1 - digit_table(2)[ground[0]]).tolist()):
         chosen = block_state_index((m,))
         assert chosen == int(np.argmin(d[:, j]))
 
@@ -323,11 +322,11 @@ def test_penalty_kmeanspp_examples():
     scheme = kmeanspp_scheme(4)
     b = 11.0
     h = build_penalty_kmeanspp(1, scheme, b)
-    assert h.diag[block_state_index((0, 0))] == b
-    assert h.diag[block_state_index((1, -1))] == 0.0
+    assert h[0, block_state_index((0, 0))] == b
+    assert h[0, block_state_index((1, -1))] == 0.0
     h3 = build_penalty_kmeanspp(3, scheme, b)
     all_forbidden = block_state_index((0, 0, 0, 0, 0, 0))
-    assert h3.diag[all_forbidden] == 3 * b
+    assert h3[0, all_forbidden] == 3 * b
 
 
 def test_penalty_kmeanspp_validation():
@@ -342,18 +341,15 @@ def test_penalty_kmeanspp_validation():
 
 
 def test_driver_ground_energy():
-    drv = DriverHamiltonian(3, 1.5)
-    assert np.linalg.eigvalsh(drv.dense())[0] == pytest.approx(-4.5, abs=1e-12)
+    assert np.linalg.eigvalsh(dense_driver(3, 1.5))[0] == pytest.approx(-4.5, abs=1e-12)
 
 
 def test_driver_ground_energy_matches_diagonalization():
-    drv = DriverHamiltonian(2, 1.5)
-    assert np.linalg.eigvalsh(drv.dense())[0] == pytest.approx(-3.0, abs=1e-12)
+    assert np.linalg.eigvalsh(dense_driver(2, 1.5))[0] == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_driver_single_site_ground_state():
-    drv = DriverHamiltonian(1, 2.0)
-    vals, vecs = np.linalg.eigh(drv.dense())
+    vals, vecs = np.linalg.eigh(dense_driver(1, 2.0))
     assert vals[0] == pytest.approx(-2.0, abs=1e-14)
     ground = vecs[:, 0]
     expected = np.array([1.0, -np.sqrt(2.0), 1.0]) / 2.0
@@ -371,9 +367,8 @@ def kron_sum_apply(v, n):
 
 def test_driver_apply_matches_dense():
     rng = np.random.default_rng(17)
-    drv = DriverHamiltonian(3, 3.7)
     v = rng.normal(size=27) + 1j * rng.normal(size=27)
-    np.testing.assert_allclose(3.7 * kron_sum_apply(v, 3), drv.dense() @ v, atol=1e-12)
+    np.testing.assert_allclose(3.7 * kron_sum_apply(v, 3), dense_driver(3, 3.7) @ v, atol=1e-12)
 
 
 # sum_i S_i^x applied as the Kronecker sum of driver_factors(n), against its
@@ -384,15 +379,14 @@ def test_driver_apply_matches_dense():
 def test_sum_sx_apply_matches_dense_driver(n):
     rng = np.random.default_rng(30 + n)
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
-    drv = DriverHamiltonian(n, 1.0)
-    np.testing.assert_allclose(kron_sum_apply(v, n), drv.dense() @ v, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(kron_sum_apply(v, n), dense_driver(n, 1.0) @ v, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sum_sx_apply_works_along_the_last_axis(n):
     # the exact step applies it to stacked (re, im) planes, each on its own
     rng = np.random.default_rng(50 + n)
-    dense = DriverHamiltonian(n, 1.0).dense()
+    dense = dense_driver(n, 1.0)
     # a complex vector is test_sum_sx_apply_matches_dense_driver's case
     planes = rng.normal(size=(2, 3**n))
     batch = rng.normal(size=(3, 3**n)) + 1j * rng.normal(size=(3, 3**n))
@@ -426,10 +420,9 @@ def test_sum_sx_apply_matches_per_axis_formula_at_register_cap():
 
 def test_driver_on_all_zero_projection_state():
     h = 2.0
-    drv = DriverHamiltonian(2, h)
     psi = np.zeros(9)
     psi[block_state_index((0, 0))] = 1.0
-    out = drv.dense() @ psi
+    out = dense_driver(2, h) @ psi
     amp = h / np.sqrt(2.0)
     for ms in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
         assert out[block_state_index(ms)] == pytest.approx(amp, abs=1e-15)
@@ -437,42 +430,45 @@ def test_driver_on_all_zero_projection_state():
 
 
 def test_driver_rejects_nonpositive_field():
+    # the driver is the schedule's field h, which AnnealConfig holds
     with pytest.raises(ValueError):
-        DriverHamiltonian(2, 0.0)
+        AnnealConfig(h=0.0)
     with pytest.raises(ValueError):
-        DriverHamiltonian(2, -1.0)
+        AnnealConfig(h=-1.0)
 
 
 # ------------------------------------------------------------------ records
 
 
-def test_diagonal_hamiltonian_validation():
-    with pytest.raises(ValueError):
-        DiagonalHamiltonian(2, np.zeros(8))
-    with pytest.raises(ValueError):
-        DiagonalHamiltonian(1, np.array([0.0, np.inf, 1.0]))
-    for blocks in (2, 0, True, 1.0):
-        with pytest.raises(ValueError, match="do not split 3 qutrits evenly"):
-            DiagonalHamiltonian(3, np.zeros(27), blocks)
-
-
 def test_diagonal_hamiltonian_rows_split_the_diagonal_by_block():
-    # block 0 is the leading digit; row 1 is measured from block 0's first state
+    # block 0 is the leading digit; row 1 is measured from block 0's first
+    # state.  Two free kmeanspp points share no pair, so they are two blocks
     diag = np.add.outer([1.0, 2.0, 3.0], [10.0, 20.0, 40.0]).reshape(-1)
-    h = DiagonalHamiltonian(2, diag, blocks=2)
-    np.testing.assert_array_equal(h.rows, [[11.0, 12.0, 13.0], [0.0, 10.0, 30.0]])
-    with pytest.raises(ValueError):
-        h.rows[0, 0] = 0.0
-    np.testing.assert_array_equal(DiagonalHamiltonian(2, diag).rows, [diag])
+    encoding = Encoding(EncodingScheme(METHOD_KMEANSPP, 3), 5, centroids=range(3))
+    encoding.pair_sum = lambda d: diag.copy()
+    dm = distance_matrix(SIX_POINTS[:5])
+    h = encoding.hamiltonian(dm)
+    np.testing.assert_array_equal(h, [[11.0, 12.0, 13.0], [0.0, 10.0, 30.0]])
+    # a coupled register is one row, its whole diagonal
+    coupled = Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), 2)
+    coupled.pair_sum = lambda d: diag.copy()
+    np.testing.assert_array_equal(coupled.hamiltonian(dm), [diag])
 
 
 def test_diagonal_hamiltonian_is_immutable():
-    source = np.array([1.0, 2.0, 3.0])
-    a = DiagonalHamiltonian(1, source)
-    with pytest.raises(ValueError):
-        a.diag[0] = 9.0
-    source[0] = 9.0  # the diagonal is a copy
-    np.testing.assert_array_equal(a.diag, [1.0, 2.0, 3.0])
+    # both shapes of rows, a coupled register's one row and a split batch of
+    # blocks, are read-only, and each call builds its own array
+    dm = distance_matrix(SIX_POINTS[:5])
+    for encoding in (
+        Encoding(EncodingScheme(METHOD_ONEHOT_K3, 3), dm.n_points),
+        Encoding(EncodingScheme(METHOD_KMEANSPP, 3), dm.n_points, centroids=range(3)),
+    ):
+        rows = encoding.hamiltonian(dm)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+        again = encoding.hamiltonian(dm)
+        np.testing.assert_array_equal(again, rows)
+        assert not np.shares_memory(again, rows)
 
 
 def test_every_builder_yields_real_power_of_three_diagonal():
@@ -492,9 +488,9 @@ def test_every_builder_yields_real_power_of_three_diagonal():
         build_penalty_kmeanspp(2, scheme4, 5.0),
     ]
     for h in outputs:
-        assert h.diag.dtype == np.float64
-        assert h.diag.shape == (3**h.n,)
-        assert np.all(np.isfinite(h.diag))
+        assert h.dtype == np.float64
+        assert h.ndim == 2 and 3 ** round(np.log(h.shape[1]) / np.log(3)) == h.shape[1]
+        assert np.all(np.isfinite(h))
 
 
 def test_encoding_scheme_validation():

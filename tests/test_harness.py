@@ -245,7 +245,7 @@ def test_spec_coincident_points_need_explicit_penalty(
         spec_from_dict(tiny_spec_dict)
     tiny_spec_dict["penalty"] = 5.0
     spec = spec_from_dict(tiny_spec_dict)
-    assert build_final_hamiltonian(spec).diag.max() > 0.0
+    assert build_final_hamiltonian(spec).max() > 0.0
 
 
 def test_spec_coincident_points_without_penalty_states_accepted(tiny_spec_dict):
@@ -584,8 +584,8 @@ def test_mutated_spec_is_rejected_or_builds_finite(base):
         if spec.register_qutrits <= REGISTER_MAX_QUTRITS and len(spec.points) <= ORACLE_MAX_POINTS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                diag = _timed(build_final_hamiltonian, spec).diag
-            assert np.isfinite(diag).all(), data
+                rows = _timed(build_final_hamiltonian, spec)
+            assert np.isfinite(rows).all(), data
             built += 1
     assert built > 50
 
@@ -756,10 +756,13 @@ def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data):
     # so the run must stop before its first expansion
     forbid_expansion(monkeypatch)
     t0 = time.perf_counter()
-    with pytest.raises(SizeGuardError, match="Chebyshev terms .*'penalty'.* split-step mode"):
+    advice = "Chebyshev terms .*'penalty' or the points' spread$"
+    with pytest.raises(SizeGuardError, match=advice) as refusal:
         run(spec_from_dict(data))
     assert time.perf_counter() - t0 < 1.0
-    # split-step has no degree, and runs the same spec
+    # split-step mismatches on such specs, so the refusal must not suggest it
+    assert "split-step" not in str(refusal.value)
+    # split-step has no degree to bound, and runs the same spec
     result = run(spec_from_dict({**data, "anneal": {"M": 20, "mode": "split-step"}}))
     assert abs(result.final_norm - 1.0) < 1e-9
 
@@ -775,7 +778,7 @@ def test_build_final_hamiltonian_adds_penalty_for_partial_blocks(tiny_spec_dict)
     expected = encoding.pair_sum(dm.d) + encoding.penalty_sum(
         np.full(4, 2.0 * dm.max_distance)
     )
-    np.testing.assert_array_equal(hf.diag, expected)
+    np.testing.assert_array_equal(hf, [expected])
 
 
 def test_penalty_constant_override(tiny_spec_dict):
@@ -785,7 +788,7 @@ def test_penalty_constant_override(tiny_spec_dict):
     spec = spec_from_dict(tiny_spec_dict)
     assert spec.scheme.penalty_constant == 99.0
     hf = build_final_hamiltonian(spec)
-    assert hf.diag.max() >= 99.0
+    assert hf.max() >= 99.0
 
 
 @pytest.mark.parametrize(

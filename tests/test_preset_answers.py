@@ -1,0 +1,43 @@
+"""The presets' answers at M = 2000 against those recorded in ``data/``.
+
+``data/record_preset_answers.py`` wrote the file; see its docstring for the
+fields.  Exact-step probabilities must agree to 1e-12 (the Chebyshev tail
+keeps them within 2.2e-13 of an adaptive Lanczos stepper's) and split-step
+ones to 1e-9; the top partition and ``match`` must be equal.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qutrit_anneal.anneal import MODE_EXACT, MODE_SPLIT
+from qutrit_anneal.harness import run, with_overrides
+from qutrit_anneal.presets import PRESET_NAMES, get_preset
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "preset_answers.json").read_text())
+
+TOLERANCE = {MODE_EXACT: 1e-12, MODE_SPLIT: 1e-9}
+
+
+def canonical_key(partition) -> str:
+    return ",".join(map(str, partition.canonical))
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_answers_match_the_recorded_ones(preset_result, name, mode):
+    if mode == MODE_EXACT:
+        result = preset_result(name)
+    else:
+        result = run(with_overrides(get_preset(name), mode=mode))
+    want = RECORDED[f"{name}/{mode}"]
+    got = {canonical_key(p): q for p, q in result.report.partition_probabilities.items()}
+    assert got.keys() == want["partition_probabilities"].keys()
+    tol = TOLERANCE[mode]
+    for key, p in want["partition_probabilities"].items():
+        assert got[key] == pytest.approx(p, rel=0, abs=tol), key
+    assert result.invalid_probability == pytest.approx(want["invalid_probability"], rel=0, abs=tol)
+    assert result.final_norm == pytest.approx(want["final_norm"], rel=0, abs=tol)
+    assert canonical_key(result.top_partition) == want["top_partition"]
+    assert result.match == want["match"]
