@@ -21,12 +21,16 @@ The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
 under 1e-3; it is not used where exact-step accuracy is contractual.  In
 the frame F = diag(1, i, -1) on each site the 3x3 driver gate is a real
-rotation, and F^{(x)n} is diagonal, so it folds into the first and last
-half phase of a step.  Each step builds the rotation's n-fold Kronecker
-power as two Kronecker powers, by repeated squaring, and applies each as
-one real matrix product on the state's float view, transposing the state
-once per substep; the half phases of neighbouring substeps are applied as
-one full phase.
+rotation, and F^{(x)n} is diagonal, so it commutes with the phases of Hf:
+a run enters the frame before its first step and leaves it after its last.
+Each step builds the rotation's n-fold Kronecker power as two Kronecker
+powers, by repeated squaring, and applies each as one real matrix product
+on the state's float view, transposing the state once per substep; the
+half phases of neighbouring substeps are applied as one full phase, and
+those of neighbouring steps as one fixed phase.  The full phases of
+consecutive steps differ by a fixed factor, so each step's is the last
+one's times it, computed afresh by ``np.exp`` every ``_PHASE_REFRESH``
+steps.
 
 A final Hamiltonian of C block rows of 3**w entries has no term that
 couples two blocks, and the driver acts site by site, so the annealed state
@@ -280,6 +284,11 @@ def step(amplitudes: np.ndarray, s: float, hf: np.ndarray, h: float, dt: float) 
     return (np.exp(-1j * dt * centre)[:, None] * stack).reshape(shape)
 
 
+#: The identity the site rotation is built on, allocated once.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 def _site_rotation(theta: float) -> np.ndarray:
     """exp(theta * Ks), real and orthogonal: exp(-i theta S^x) in the frame F.
 
@@ -287,7 +296,7 @@ def _site_rotation(theta: float) -> np.ndarray:
     with 1 - cos(theta) taken as 2 sin(theta / 2)^2 to keep its digits at
     small theta.
     """
-    return np.eye(3) + math.sin(theta) * _KS + 2.0 * math.sin(0.5 * theta) ** 2 * _KS2
+    return _EYE3 + math.sin(theta) * _KS + 2.0 * math.sin(0.5 * theta) ** 2 * _KS2
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,41 +334,31 @@ def _kron_power(gate: np.ndarray, k: int) -> np.ndarray:
 
 
 def _split_step(
-    amplitudes: np.ndarray,
-    s: float,
-    hf: np.ndarray,
-    h: float,
-    dt: float,
-    substeps: int = _SPLIT_SUBSTEPS,
+    grid: np.ndarray, gate: np.ndarray, phases: np.ndarray, substeps: int
 ) -> np.ndarray:
-    """Strang substeps of exp(-i dt H(s)) on computational-basis amplitudes.
+    """The Strang substeps of one schedule step on framed block grids.
 
-    The amplitudes are shaped as for ``step``: for ``hf`` of C block rows of
-    3**w entries, a (C, 3**w) stack, each block under its own row of Hf.  Each
-    substep is a half phase of the diagonal, the driver factor and another
-    half phase.  The driver factor is F^{(x)w} R^{(x)w} F^{(x)w}^dagger with R
-    the real site rotation; F^{(x)w} is diagonal, so it commutes with the
-    phases, and only the first and last half phase carry it.  R^{(x)w} is
-    left (x) right, on each block as a grid with its first w // 2 sites as
-    rows.  Each factor contracts the grids' outer axis as one real product
-    on their float view, so the layout alternates between (rows, cols) and
-    (cols, rows), with one transposed copy per substep.  A one-qutrit block
-    has no rows to rotate: its 1 x 1 factor is skipped, and its two layouts
-    share one memory order, so the transpose copies nothing.
+    ``grid`` holds each block's amplitudes in the frame F^{(x)w}, as a grid
+    with the block's first a = w // 2 sites as rows: a (C, 3**a, 3**(w - a))
+    stack.  Each substep applies the driver factor, the real rotation
+    ``gate`` on every site, then the step's full phase exp(-i tau s Hf);
+    ``phases`` holds that phase as (C, 3**w) entries in the grids' layout
+    (row 0) and in the transposed one (row 1).  The half phases at the ends
+    of the step are the caller's (``_split_anneal``).  gate^{(x)w} is
+    left (x) right, on the rows and on the columns.  Each factor contracts
+    the grids' outer axis as one real product on their float view, so the
+    layout alternates between (rows, cols) and (cols, rows), with one
+    transposed copy per substep; an odd count transposes back at the end.  A
+    one-qutrit block has no rows to rotate: its 1 x 1 factor is skipped, and
+    its two layouts share one memory order, so the transpose copies nothing.
     """
-    tau = dt / substeps
-    half = np.exp(-0.5j * tau * s * hf)
-    w = _qutrits(hf.shape[1])
-    frame = _frame(w)
-    gate = _site_rotation(tau * (1.0 - s) * h)
-    a = w // 2
-    left = _kron_power(gate, a)
-    right = left if w == 2 * a else _kron(gate, left)
-    # the closing half phase of one substep and the opening one of the next
-    # are one full phase, held in both layouts
-    full = (half * half).reshape(len(hf), left.shape[0], right.shape[0])
-    layouts = ((left, right, full.swapaxes(1, 2).copy()), (right, left, full))
-    grid = (half * frame.conj() * np.reshape(amplitudes, half.shape)).reshape(full.shape)
+    blocks, rows, cols = grid.shape
+    left = _kron_power(gate, _qutrits(rows))
+    right = left if rows == cols else _kron(gate, left)
+    layouts = (
+        (left, right, phases[1].reshape(blocks, cols, rows)),
+        (right, left, phases[0].reshape(grid.shape)),
+    )
     for k in range(substeps):
         outer, inner, phase = layouts[k % 2]
         if len(outer) > 1:
@@ -367,11 +366,57 @@ def _split_step(
         grid = np.ascontiguousarray(grid.swapaxes(1, 2))
         if len(inner) > 1:
             grid = (inner @ grid.view(float)).view(complex)
-        if k + 1 < substeps:
-            grid *= phase
-    if substeps % 2:
-        grid = grid.swapaxes(1, 2)
-    return (half * frame * grid.reshape(half.shape)).reshape(np.shape(amplitudes))
+        grid *= phase
+    return np.ascontiguousarray(grid.swapaxes(1, 2)) if substeps % 2 else grid
+
+
+#: Each split step's full phase exp(-i tau s Hf) is the previous step's times
+#: the fixed ratio exp(-i tau Hf / M), and every this many steps it is
+#: computed afresh by ``np.exp``.  The rounded ratio's modulus differs from 1
+#: by up to about 1e-16, the same at every multiply, so without the refresh
+#: that error adds up with M: fig4's norm then drifts 6.8e-10 at M = 2000,
+#: against 3.9e-12 with it.
+_PHASE_REFRESH = 16
+
+
+def _split_anneal(cfg: AnnealConfig, hf: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The split-step schedule on a (C, 3**w) stack of block amplitudes.
+
+    Step l is the Strang product half_l D P D ... P D half_l of k driver
+    substeps D, with P = exp(-i tau s_l Hf), half_l = exp(-i tau s_l Hf / 2)
+    and tau = dt / k.  ``_split_step`` applies (P D)^k, and half_l P^-1 =
+    conj(half_l), so between steps l and l + 1 the phase is
+    half_{l+1} conj(half_l) = exp(-i tau Hf / (2 M)), the same at every
+    step.  The opening half phase at s = 0 is 1, and after the last step
+    conj(half_M) closes it.  F^{(x)w} commutes with all the phases, so the
+    run enters the frame once before step 0 and leaves it after step M.  No
+    step calls ``np.exp``: P is carried from step to step by one multiply,
+    and refreshed every ``_PHASE_REFRESH`` steps.  The run holds a few
+    arrays of 3**w entries per block, whatever M.
+    """
+    M, substeps = cfg.M, _SPLIT_SUBSTEPS
+    tau = cfg.dt / substeps
+    blocks, w = len(hf), _qutrits(hf.shape[1])
+    shape = (blocks, 3 ** (w // 2), 3 ** (w - w // 2))
+
+    def layouts(x: np.ndarray) -> np.ndarray:
+        """(C, 3**w) entries in the grids' layout and in the transposed one."""
+        return np.stack([x, x.reshape(shape).swapaxes(1, 2).reshape(x.shape)])
+
+    ratio = layouts(np.exp(-1j * tau / M * hf))
+    between = np.exp(-0.5j * tau / M * hf).reshape(shape)
+    frame = _frame(w)
+    grid = (frame.conj() * amps).reshape(shape)
+    for l in range(M + 1):
+        s = l / M
+        if l % _PHASE_REFRESH:
+            phases *= ratio
+        else:
+            phases = layouts(np.exp(-1j * tau * s * hf))
+        if l:
+            grid *= between
+        grid = _split_step(grid, _site_rotation(tau * (1.0 - s) * cfg.h), phases, substeps)
+    return frame * np.exp(0.5j * tau * hf) * grid.reshape(hf.shape)
 
 
 def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
@@ -382,7 +427,10 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
     state, one per block, and the register's amplitudes are the Kronecker
     product of the blocks in register order.  Rows that are not a finite 2-D
-    array of length 3**w, w >= 1, are a ``ValueError``.
+    array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step calls
+    ``step`` once per step; split-step hands the whole schedule to
+    ``_split_anneal``, which works out before step 0 what no step changes
+    and calls ``_split_step`` once per step.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -402,12 +450,11 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
                 f"widest block, dt = {cfg.dt:g}); lower the 'penalty' or the points' spread"
             )
     amps = np.stack([initial_state(w)] * len(hf))
-    for l in range(cfg.M + 1):
-        s = l / cfg.M
-        if cfg.mode == MODE_SPLIT:
-            amps = _split_step(amps, s, hf, cfg.h, cfg.dt)
-        else:
-            amps = step(amps, s, hf, cfg.h, cfg.dt)
+    if cfg.mode == MODE_SPLIT:
+        amps = _split_anneal(cfg, hf, amps)
+    else:
+        for l in range(cfg.M + 1):
+            amps = step(amps, l / cfg.M, hf, cfg.h, cfg.dt)
     return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 

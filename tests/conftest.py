@@ -5,7 +5,8 @@ import importlib
 import numpy as np
 import pytest
 
-from qutrit_anneal.harness import run, spec_from_dict
+from qutrit_anneal.anneal import MODE_EXACT
+from qutrit_anneal.harness import run, spec_from_dict, with_overrides
 from qutrit_anneal.presets import get_preset
 from qutrit_anneal.spin import spin_operator
 
@@ -58,12 +59,12 @@ def tiny_result():
 
 @pytest.fixture(scope="session")
 def preset_result():
-    """Memoized full-schedule preset runs, shared across test modules."""
+    """Memoized full-schedule preset runs in either mode, shared across test modules."""
     cache = {}
 
-    def get(name):
-        if name not in cache:
-            cache[name] = run(get_preset(name))
-        return cache[name]
+    def get(name, mode=MODE_EXACT):
+        if (name, mode) not in cache:
+            cache[name, mode] = run(with_overrides(get_preset(name), mode=mode))
+        return cache[name, mode]
 
     return get

@@ -14,7 +14,6 @@ from qutrit_anneal.anneal import (
     _bessel_j,
     _frame,
     _site_rotation,
-    _split_step,
     anneal,
     decode,
     expm_multiply_hermitian,
@@ -291,12 +290,11 @@ def test_steps_evolve_each_block_of_a_stack():
     register = np.kron(*stack)
     expected = expm(-1j * dt * dense_h(s, hf, h)) @ register
     np.testing.assert_allclose(np.kron(*step(stack, s, hf, h, dt)), expected, rtol=0, atol=1e-12)
-    one = full_diagonal(hf)[None]
+    # split-step: a whole run of the stack against the same run of the
+    # register, with steps that compute the full phase and steps that carry it
+    cfg = AnnealConfig(h=h, M=anneal_module._PHASE_REFRESH, dt=dt, mode=MODE_SPLIT)
     np.testing.assert_allclose(
-        np.kron(*_split_step(stack, s, hf, h, dt)),
-        _split_step(register, s, one, h, dt),
-        rtol=0,
-        atol=1e-13,
+        anneal(cfg, hf), anneal(cfg, full_diagonal(hf)[None]), rtol=0, atol=1e-13
     )
     with pytest.raises(ValueError, match=re.escape("shape (9,) do not fit 3**1 in 2 block(s)")):
         step(register, s, hf, h, dt)
@@ -691,36 +689,78 @@ def test_site_rotation_is_the_real_driver_gate_in_the_frame(theta):
         np.testing.assert_array_equal(_frame(n), register)
 
 
-#: Odd substep counts end in the transposed layout; the default count keeps
-#: the plain register size as its id.
+def strang_reference(hf, cfg, substeps):
+    """A whole split-step run on the register, one dense 3 x 3 gate per site.
+
+    Each of a step's substeps is a half phase of the register's diagonal,
+    exp(-i tau (1 - s) h S^x) on every site by tensordot and moveaxis, and
+    another half phase, from the register's initial state.
+    """
+    diag, n = full_diagonal(hf), n_qutrits(hf)
+    tau = cfg.dt / substeps
+    amps = initial_state(n)
+    for l in range(cfg.M + 1):
+        s = l / cfg.M
+        half = np.exp(-0.5j * tau * s * diag)
+        gate = expm(-1j * tau * (1.0 - s) * cfg.h * spin_operator("x"))
+        for _ in range(substeps):
+            psi = (half * amps).reshape((3,) * n)
+            for axis in range(n):
+                psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, axis)), 0, axis)
+            amps = half * psi.reshape(-1)
+    return amps
+
+
+#: (blocks, qutrits per block, substeps).  Odd substep counts end in the
+#: transposed layout; the default count on one block keeps the plain
+#: register size as its id.
 SPLIT_CASES = [
-    pytest.param(n, k, id=str(n) if k == 8 else f"{n}-substeps{k}")
+    pytest.param(1, n, k, id=str(n) if k == 8 else f"{n}-substeps{k}")
     for k in (8, 1, 2, 3)
     for n in range(1, 8)
-]
+] + [pytest.param(c, w, 8, id=f"{c}-blocks-of-{w}") for c, w in ((2, 1), (3, 1), (2, 2), (3, 2))]
 
 
-@pytest.mark.parametrize("n, substeps", SPLIT_CASES)
-def test_split_step_matches_per_axis_product(n, substeps):
-    # reference: the same Strang substeps with the driver factor applied one
-    # site at a time by tensordot and moveaxis
-    rng = np.random.default_rng(n)
-    hf = random_diag(rng, n)
-    h = 3.0
-    amps = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
-    amps /= np.linalg.norm(amps)
-    s, dt = 0.3, 0.1
-    tau = dt / substeps
-    half = np.exp(-0.5j * tau * s * hf[0])
-    gate = expm(-1j * tau * (1.0 - s) * h * spin_operator("x"))
-    expected = amps
-    for _ in range(substeps):
-        psi = (half * expected).reshape((3,) * n)
-        for axis in range(n):
-            psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, axis)), 0, axis)
-        expected = half * psi.reshape(-1)
-    got = _split_step(amps, s, hf, h, dt, substeps)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+@pytest.mark.parametrize("blocks, w, substeps", SPLIT_CASES)
+def test_split_step_matches_per_axis_product(blocks, w, substeps, monkeypatch):
+    # M passes _PHASE_REFRESH, so steps that compute the full phase afresh
+    # and steps that carry it from the last one both run
+    monkeypatch.setattr(anneal_module, "_SPLIT_SUBSTEPS", substeps)
+    rng = np.random.default_rng(10 * blocks + w)
+    hf = rng.uniform(-20.0, 20.0, (blocks, 3**w))
+    cfg = AnnealConfig(h=3.0, M=40, dt=0.1, mode=MODE_SPLIT)
+    assert cfg.M > anneal_module._PHASE_REFRESH
+    expected = strang_reference(hf, cfg, substeps)
+    np.testing.assert_allclose(anneal(cfg, hf), expected, rtol=0, atol=1e-13)
+
+
+def test_split_phases_track_np_exp_at_every_step(monkeypatch):
+    # each step's full phase, carried from the last one by one multiply,
+    # against np.exp at that step's s, in both layouts, over a long run.
+    # The rows reach |Hf| = 1e5, the half-width the exact-step guard allows
+    # at dt = 0.1; np.exp's own rounding of tau s Hf passes 1e-12 near 2e5
+    M, dt = 2000, 0.1
+    tau = dt / anneal_module._SPLIT_SUBSTEPS
+    hf = np.linspace(-1e5, 1e5, 2 * 27).reshape(2, 27)
+    errors = []
+
+    def check(grid, gate, phases, *args):
+        want = np.exp(-1j * tau * (len(errors) / M) * hf)
+        transposed = want.reshape(2, 3, 9).swapaxes(1, 2).reshape(2, 27)
+        errors.append(max(np.abs(phases[0] - want).max(), np.abs(phases[1] - transposed).max()))
+        return grid
+
+    monkeypatch.setattr(anneal_module, "_split_step", check)
+    anneal(AnnealConfig(h=1.0, M=M, dt=dt, mode=MODE_SPLIT), hf)
+    assert len(errors) == M + 1
+    assert max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_split_norm_drift_on_presets(name, preset_result):
+    # the carried phases keep their modulus only because they are refreshed:
+    # without it fig4 drifts 6.8e-10 at M = 2000
+    assert abs(preset_result(name, MODE_SPLIT).final_norm - 1.0) < 1e-10
 
 
 def test_split_anneal_calls_the_split_step_seam_once_per_step(monkeypatch):
@@ -735,11 +775,8 @@ def test_split_anneal_calls_the_split_step_seam_once_per_step(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 def test_split_mode_agrees_with_exact_on_presets(name, preset_result):
-    from qutrit_anneal.harness import run, with_overrides
-    from qutrit_anneal.presets import get_preset
-
     exact = preset_result(name)
-    split = run(with_overrides(get_preset(name), mode=MODE_SPLIT))
+    split = preset_result(name, MODE_SPLIT)
     assert split.top_partition == exact.top_partition
     np.testing.assert_allclose(
         split.report.basis_probabilities,

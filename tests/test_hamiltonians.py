@@ -357,6 +357,17 @@ def test_driver_single_site_ground_state():
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+def test_driver_on_all_zero_projection_state():
+    h = 2.0
+    psi = np.zeros(9)
+    psi[block_state_index((0, 0))] = 1.0
+    out = dense_driver(2, h) @ psi
+    amp = h / np.sqrt(2.0)
+    for ms in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
+        assert out[block_state_index(ms)] == pytest.approx(amp, abs=1e-15)
+    assert out[block_state_index((0, 0))] == 0.0
+
+
 def kron_sum_apply(v, n):
     """sum_i S_i^x along the last axis of v, as A (x) I + I (x) B on the state's grid."""
     a, b = driver_factors(n)
@@ -416,17 +427,6 @@ def test_sum_sx_apply_matches_per_axis_formula_at_register_cap():
     v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
     # same terms summed in another order: a few ulps of the largest entry
     np.testing.assert_allclose(kron_sum_apply(v, n), _sum_sx_per_axis(v, n), rtol=0, atol=1e-13)
-
-
-def test_driver_on_all_zero_projection_state():
-    h = 2.0
-    psi = np.zeros(9)
-    psi[block_state_index((0, 0))] = 1.0
-    out = dense_driver(2, h) @ psi
-    amp = h / np.sqrt(2.0)
-    for ms in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        assert out[block_state_index(ms)] == pytest.approx(amp, abs=1e-15)
-    assert out[block_state_index((0, 0))] == 0.0
 
 
 def test_driver_rejects_nonpositive_field():

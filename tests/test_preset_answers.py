@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from qutrit_anneal.anneal import MODE_EXACT, MODE_SPLIT
-from qutrit_anneal.harness import run, with_overrides
-from qutrit_anneal.presets import PRESET_NAMES, get_preset
+from qutrit_anneal.presets import PRESET_NAMES
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "preset_answers.json").read_text())
 
@@ -27,10 +26,7 @@ def canonical_key(partition) -> str:
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_answers_match_the_recorded_ones(preset_result, name, mode):
-    if mode == MODE_EXACT:
-        result = preset_result(name)
-    else:
-        result = run(with_overrides(get_preset(name), mode=mode))
+    result = preset_result(name, mode)
     want = RECORDED[f"{name}/{mode}"]
     got = {canonical_key(p): q for p, q in result.report.partition_probabilities.items()}
     assert got.keys() == want["partition_probabilities"].keys()
