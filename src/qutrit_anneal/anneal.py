@@ -5,17 +5,22 @@ s = l/M, l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  Hf
 is diagonal, and a run takes it as the read-only (C, 3**w) array of block
 rows that ``Encoding.hamiltonian`` returns; the driver is its field h alone,
 from ``AnnealConfig``.  The exact-step mode evaluates each exponential by a
-Chebyshev expansion (Tal-Ezer & Kosloff, 1984).  ``step`` is the one place
-that maps H(s) onto [-2, 2]: its spectral bounds come free from the extremes
-of the diagonal and the driver's -h n .. h n, and the scale and shift fold
-into the mapped diagonal and driver factors.  ``expm_multiply_hermitian``
-expands any real symmetric operator on [-2, 2], each term one apply and one
-subtraction, to a degree fixed a priori where the Bessel coefficients fall
+Chebyshev expansion (Tal-Ezer & Kosloff, 1984), from a plan a run works out
+before step 0 (``_ExactPlan``), the one place that maps H(s) onto [-2, 2].
+The spectral bounds of H(s) come free from the extremes of the diagonal and
+the driver's -h n .. h n, and they are affine in s, so the plan holds every
+step's centres, half-width r, dt r and phases as arrays; each step's
+Chebyshev weights come from Bessel tables that one vectorized Miller
+recurrence computes a bounded window of steps at a time.  Each step folds
+its scale and shift into the mapped diagonal and driver factors, in buffers
+allocated once per run.  ``expm_multiply_hermitian`` expands any real
+symmetric operator on [-2, 2] from the weights it is given, each term one
+apply and one subtraction, to the degree where the Bessel coefficients fall
 below 1e-15.  The recurrence runs in real arithmetic on the real and
 imaginary parts of the state, and each apply takes the driver as a Kronecker
 sum of the two ``driver_factors``: two matrix products on the state viewed
-as a grid.  ``anneal`` refuses an exact-step schedule whose degree would
-pass about 1e4 terms a step before it starts.
+as a grid.  ``anneal`` refuses an exact-step schedule whose plan reaches
+dt r above 1e4, about 1e4 terms a step, before any Bessel window.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -50,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -129,81 +134,136 @@ _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _ROWS = 8
 
 #: ``anneal`` refuses an exact-step schedule whose dt times the half-width
-#: of H(s) exceeds this: the Bessel table then holds at most 82 kB and a step
-#: makes at most about 10,300 matvecs.  The presets peak at 31.5 (fig2).
+#: of H(s) exceeds this, before it computes any Bessel window: a table row
+#: then holds at most about 10,300 entries (82 kB), a window fits at least
+#: one row, and a step makes at most about 10,300 matvecs.  The presets peak
+#: at 31.5 (fig2).
 _MAX_DT_RADIUS = 1e4
+
+#: A run computes its Bessel tables a window of steps at a time, each window
+#: at most this many table entries (128 kB), or one row where a row is
+#: longer: as many steps as fit, whatever M.  The presets' rows hold at
+#: most 100 entries, so M = 100 takes one window and M = 2000 at most 13.
+_WINDOW = 2**14
+
+
+def _bessel_top(x: float) -> int:
+    """Where Miller's recurrence for J_k(x) starts: N = |x| + 12 |x|^(1/3) + 30."""
+    return int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30.0)
+
+
+def _bessel_window(xs: np.ndarray) -> np.ndarray:
+    """J_0(x) .. J_N(x) for each real |x| >= 1e-100 of ``xs``, one row each.
+
+    Miller's backward recurrence runs on the whole window at once.  Each
+    row starts at its own N = ``_bessel_top(x)`` and is zero past it; the
+    last term with 2 |J_k| >= _TAIL lies near |x| + 10.5 |x|^(1/3), and
+    J_N(x) at least five decades below _TAIL for 1e-3 <= |x| <= 1e6.  A row
+    is rescaled on its own when one of its values passes _BESSEL_BIG, and
+    normalized by J_0 + 2 sum_k J_2k = 1 over its own entries 0 .. N, so it
+    is bitwise the row the recurrence gives on its argument alone.
+    """
+    xs = np.asarray(xs, dtype=float)
+    tops = [_bessel_top(x) for x in xs.tolist()]
+    starts: dict[int, list[int]] = {}
+    for row, top in enumerate(tops):
+        starts.setdefault(top, []).append(row)
+    vals = np.zeros((len(xs), max(tops) + 1))
+    two_over_x = 2.0 / xs
+    above, j = np.zeros(len(xs)), np.zeros(len(xs))  # J_{k+1}, J_k up to a factor per row
+    for k in range(max(tops), 0, -1):
+        if k in starts:
+            j[starts[k]] = 1.0
+        vals[:, k] = j
+        above, j = j, k * two_over_x * j - above
+        big = np.abs(j) > _BESSEL_BIG
+        if big.any():
+            vals[big, k:] /= _BESSEL_BIG
+            above[big] /= _BESSEL_BIG
+            j[big] /= _BESSEL_BIG
+    vals[:, 0] = j
+    for row, top in zip(vals, tops):
+        row /= row[0] + 2.0 * row[2 : top + 1 : 2].sum()
+    return vals
 
 
 def _bessel_j(x: float) -> np.ndarray:
-    """J_0(x) .. J_N(x) for real |x| >= 1e-100 by Miller's backward recurrence.
+    """J_0(x) .. J_N(x) for one real |x| >= 1e-100: a window of one row."""
+    return _bessel_window(np.array([x]))[0]
 
-    The recurrence starts at N = |x| + 12 |x|^(1/3) + 30; the last term with
-    2 |J_k| >= _TAIL lies near |x| + 10.5 |x|^(1/3), and J_N(x) at least five
-    decades below _TAIL for 1e-3 <= |x| <= 1e6.  The values are normalized by
-    J_0 + 2 sum_k J_2k = 1.
+
+def _chebyshev_weights(xs: np.ndarray) -> Iterator[np.ndarray]:
+    """The Chebyshev weights of exp(-i (x / 2) H) for each x of ``xs``, in order.
+
+    For x's degree d, the last k with 2 |J_k(x)| >= _TAIL, they are the
+    (2, d + 1) coefficients (2 - [k = 0]) (-i)^k J_k(x) of the T_k: real
+    for even k, in row 0, and the imaginary parts for odd k, in row 1, each
+    zero in the other row.  Below the tail, |x| < _TAIL, J_0(x) rounds to 1
+    and no other term is kept: degree 0.  The Bessel tables are computed a
+    window of ``_WINDOW`` entries at a time, so the weights of only one
+    window are held at once, whatever the number of steps.
     """
-    top = int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30.0)
-    vals = np.empty(top + 1)
-    two_over_x = 2.0 / x
-    above, j = 0.0, 1.0  # J_{k+1}, J_k up to a common factor
-    for k in range(top, 0, -1):
-        vals[k] = j
-        above, j = j, k * two_over_x * j - above
-        if abs(j) > _BESSEL_BIG:
-            vals[k:] /= _BESSEL_BIG
-            above /= _BESSEL_BIG
-            j /= _BESSEL_BIG
-    vals[0] = j
-    return vals / (j + 2.0 * vals[2::2].sum())
+    rows = max(1, _WINDOW // (_bessel_top(np.abs(xs).max()) + 1))
+    for start in range(0, len(xs), rows):
+        x = xs[start : start + rows]
+        live = np.abs(x) >= _TAIL
+        table = _bessel_window(x[live]) if live.any() else np.ones((0, 1))
+        kept = (table >= 0.5 * _TAIL) | (table <= -0.5 * _TAIL)
+        degrees = np.zeros(len(x), dtype=int)
+        degrees[live] = table.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1)
+        coefs = table[:, : degrees.max() + 1]  # J_k, then the coefficients in place
+        coefs[:, 1:] *= 2.0 * _SIGNS[np.arange(1, coefs.shape[1]) % 4]
+        weights = np.zeros((len(x), 2, coefs.shape[1]))
+        weights[:, 0, 0] = 1.0  # J_0 below the tail
+        weights[live, 0, ::2], weights[live, 1, 1::2] = coefs[:, ::2], coefs[:, 1::2]
+        for row, degree in zip(weights, degrees.tolist()):
+            yield row[:, : degree + 1]
 
 
 def expm_multiply_hermitian(
-    matvec: Callable[[np.ndarray], np.ndarray], v: np.ndarray, dt: float
+    matvec: Callable[[np.ndarray], np.ndarray],
+    v: np.ndarray,
+    weights: np.ndarray,
+    block: np.ndarray,
+    sums: np.ndarray,
 ) -> np.ndarray:
-    """Compute exp(-i * dt * H) @ v for real symmetric H with spectrum in [-2, 2].
+    """Compute exp(-i (x / 2) H) @ v for real symmetric H with spectrum in [-2, 2].
 
-    On [-2, 2], exp(-i dt H) = sum_k (2 - [k = 0]) (-i)^k J_k(2 dt) T_k(H / 2)
+    On [-2, 2], exp(-i (x / 2) H) = sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k(H / 2)
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), and the three-term
     recurrence of the T_k is T_{k+1} = H T_k - T_{k-1}, with T_1 = H v / 2:
-    one matvec and one subtraction a term.  The degree is fixed before the
-    first matvec by the tail of the Bessel coefficients.
+    one matvec and one subtraction a term.  ``weights`` are the series'
+    coefficients for x, as ``_chebyshev_weights`` gives them, so the degree
+    is fixed before the first matvec; degree 0, or a zero v, makes none.
 
     H must be real: the recurrence runs in real arithmetic on the (2, N)
     array of v's real and imaginary parts, and ``matvec`` must map such an
     array row by row to a new real one (the recurrence updates it in
     place); a complex result raises ``TypeError``.
-    The T_k are kept in blocks of ``_ROWS`` and each block is summed with
-    its coefficients by one matrix product.  The coefficients are real for
-    even k and imaginary for odd k, so the terms go to two real sums,
-    combined into the complex result at the end.
+    The T_k are kept in the caller's ``block`` of at least two (2, *v.shape)
+    rows, reused from call to call: each full block is summed with its
+    coefficients by one matrix product into the caller's (2, 2 v.size)
+    ``sums``.  The coefficients are real for even k and imaginary for odd k,
+    so the terms go to two real sums, combined into the complex result at
+    the end.
     """
     v = np.asarray(v, dtype=complex)
-    x = 2.0 * dt
-    if abs(x) < _TAIL or not v.any():
-        # below the tail J_0(x) rounds to 1 and no other term is kept: exact
-        # for dt = 0, and no matvec for a zero vector
+    degree = weights.shape[1] - 1
+    if not degree or not v.any():
+        # J_0(x) rounds to 1 and no other term is kept: exact for x = 0, and
+        # no matvec for a zero vector
         return v.copy()
-    j = _bessel_j(x)
-    degree = int(np.flatnonzero(np.abs(j) >= 0.5 * _TAIL)[-1])
-    coefs = 2.0 * _SIGNS[np.arange(degree + 1) % 4] * j[: degree + 1]
-    coefs[0] = j[0]
-    weights = np.zeros((2, degree + 1))  # even k in row 0, odd k in row 1
-    weights[0, ::2], weights[1, 1::2] = coefs[::2], coefs[1::2]
-    size = min(degree + 1, _ROWS)
-    block = np.empty((size, 2, *v.shape))  # T_k in block[k % size]
-    rows = list(block)
+    size = min(degree + 1, len(block))  # T_k in block[k % size]
+    rows = list(block[:size])
     prev = rows[0]
     prev[:] = v.real, v.imag
-    if degree:
-        cur = matvec(prev)
-        if np.iscomplexobj(cur):
-            raise TypeError(
-                "matvec returned complex values on a real input: H must be real symmetric"
-            )
-        cur = np.divide(cur, 2.0, out=rows[1])
-    sums = np.zeros((2, prev.size))
+    cur = matvec(prev)
+    if np.iscomplexobj(cur):
+        raise TypeError("matvec returned complex values on a real input: H must be real symmetric")
+    cur = np.divide(cur, 2.0, out=rows[1])
+    sums[...] = 0.0
     summed = 0  # T_0 .. T_{summed - 1} are in sums
-    flat = block.reshape(size, -1)
+    flat = block[:size].reshape(size, -1)
     for k in range(2, degree + 1):
         slot = k % size
         prev, cur = cur, np.subtract(matvec(cur), prev, out=rows[slot])
@@ -236,41 +296,62 @@ def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, rest
 
 
-def step(amplitudes: np.ndarray, s: float, hf: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """Advance the amplitudes by exp(-i dt H(s)), expanding H(s) mapped onto [-2, 2].
+@dataclass(frozen=True, eq=False)
+class _ExactPlan:
+    """Every step's numbers of an exact-step schedule, worked out before step 0.
 
-    For ``hf`` of C block rows of 3**w entries the amplitudes are a
-    (C, 3**w) stack of block amplitudes, or for C = 1 the register's 3**w,
-    each block evolved by its own row of Hf and the w-site driver of field
-    h.  Block b's H_b(s) has its spectrum in [lo_b, hi_b] =
-    [s min row_b - (1 - s) h w, s max row_b + (1 - s) h w], which is exact
-    at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on every site).  With
-    c_b its centre and r the largest half-width over the blocks,
-    H_b(s) = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r: the step is
-    exp(-i dt c_b) exp(-i (r dt / 2) H~_b), one expansion of one
-    degree for all blocks, and each Chebyshev term one apply of the H~_b.
-    Where every block has zero width, each H_b(s) is c_b times the identity
-    and the step makes no matvec.
+    Step l at s_l maps block b's H_b(s_l) onto [-2, 2].  Its spectrum lies in
+    [lo_b, hi_b] = [s min row_b - (1 - s) h w, s max row_b + (1 - s) h w],
+    which is exact at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on
+    every site) and affine in s, so all steps' bounds come from the rows'
+    extremes at once.  With c_b the centre and r the largest half-width over
+    the blocks, H_b(s) = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r:
+    the step is exp(-i dt c_b) exp(-i (dt r / 2) H~_b), one expansion of one
+    degree for all blocks.  The plan holds, per step, the field (1 - s) h,
+    each block's centre, the shared r, x = dt r and each block's phase
+    exp(-i dt c_b), all of it O(steps x blocks) numbers; ``_chebyshev_weights``
+    turns the x into each step's Chebyshev weights, a Bessel window at a time.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
-    (blocks, size), shape = hf.shape, np.shape(amplitudes)
-    w = _qutrits(size)
-    if shape[-1:] != (size,) or np.size(amplitudes) != hf.size:
-        raise ValueError(f"amplitudes of shape {shape} do not fit 3**{w} in {blocks} block(s)")
-    field = (1.0 - s) * h
+
+    s: np.ndarray
+    field: np.ndarray
+    centre: np.ndarray
+    radius: np.ndarray
+    x: np.ndarray
+    phase: np.ndarray
+
+    @classmethod
+    def build(cls, s: np.ndarray, hf: np.ndarray, h: float, dt: float) -> "_ExactPlan":
+        """The plan of steps at the schedule parameters ``s`` for rows ``hf``."""
+        field = (1.0 - s) * h
+        spread = (field * _qutrits(hf.shape[1]))[:, None]
+        lo = s[:, None] * hf.min(axis=1) - spread
+        hi = s[:, None] * hf.max(axis=1) + spread
+        centre, radius = 0.5 * (hi + lo), (0.5 * (hi - lo)).max(axis=1)
+        return cls(s, field, centre, radius, dt * radius, np.exp(-1j * dt * centre))
+
+
+def _exact_anneal(plan: _ExactPlan, hf: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The steps of ``plan`` on a (C, 3**w) stack of block amplitudes.
+
+    Each step fills the mapped diagonal and driver factors of its H~ into
+    buffers allocated once per run, and calls ``expm_multiply_hermitian``
+    once, with the step's weights and the run's recurrence buffers; where
+    every block has zero width, H_b(s) is c_b times the identity, the
+    degree is 0 and the step makes no matvec.  Then each block takes its
+    phase exp(-i dt c_b).
+    """
+    w = _qutrits(hf.shape[1])
     a, b = driver_factors(w)
-    diag = (s * hf).reshape(blocks, a.shape[0], b.shape[0])
-    spread = field * w
-    lo, hi = diag.min(axis=(1, 2)) - spread, diag.max(axis=(1, 2)) + spread
-    centre, radius = 0.5 * (hi + lo), float((0.5 * (hi - lo)).max())
-    scale = 2.0 / radius if radius else 1.0
     # H~ applies to (re, im) planes of block grids of 3**(w // 2) rows: the
     # mapped diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
-    planes = np.stack([scale * (diag - centre[:, None, None])] * 2)
-    fa, fb = scale * (field * a), scale * (field * b)
+    planes = np.empty((2, len(hf), len(a), len(b)))
+    mapped = planes[0].reshape(hf.shape)
+    fa, fb = np.empty_like(a), np.empty_like(b)
+    block, sums = np.empty((_ROWS, 2, *hf.shape)), np.empty((2, 2 * hf.size))
 
     def matvec(x: np.ndarray) -> np.ndarray:
+        # the current step's planes, factors and field
         grid = x.reshape(planes.shape)
         out = planes * grid
         if field:
@@ -279,9 +360,41 @@ def step(amplitudes: np.ndarray, s: float, hf: np.ndarray, h: float, dt: float) 
             out += grid @ fb
         return out.reshape(x.shape)
 
-    stack = np.reshape(amplitudes, (blocks, -1))
-    stack = expm_multiply_hermitian(matvec, stack, 0.5 * radius * dt)
-    return (np.exp(-1j * dt * centre)[:, None] * stack).reshape(shape)
+    steps = zip(
+        plan.s.tolist(), plan.field.tolist(), plan.radius.tolist(), plan.centre, plan.phase,
+        _chebyshev_weights(plan.x),
+    )
+    for s, field, radius, centre, phase, weights in steps:
+        scale = 2.0 / radius if radius else 1.0
+        np.multiply(hf, s, out=mapped)
+        mapped -= centre[:, None]
+        mapped *= scale
+        planes[1] = planes[0]
+        np.multiply(a, field, out=fa)
+        fa *= scale
+        np.multiply(b, field, out=fb)
+        fb *= scale
+        amps = phase[:, None] * expm_multiply_hermitian(matvec, amps, weights, block, sums)
+    return amps
+
+
+def step(amplitudes: np.ndarray, s: float, hf: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """Advance the amplitudes by exp(-i dt H(s)): an exact-step plan of one step.
+
+    For ``hf`` of C block rows of 3**w entries the amplitudes are a
+    (C, 3**w) stack of block amplitudes, or for C = 1 the register's 3**w,
+    each block evolved by its own row of Hf and the w-site driver of field
+    h, on the path ``anneal`` takes (``_ExactPlan``, ``_exact_anneal``).
+    """
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
+    (blocks, size), shape = hf.shape, np.shape(amplitudes)
+    if shape[-1:] != (size,) or np.size(amplitudes) != hf.size:
+        raise ValueError(
+            f"amplitudes of shape {shape} do not fit 3**{_qutrits(size)} in {blocks} block(s)"
+        )
+    plan = _ExactPlan.build(np.array([float(s)]), hf, h, dt)
+    return _exact_anneal(plan, hf, np.reshape(amplitudes, (blocks, -1))).reshape(shape)
 
 
 #: The identity the site rotation is built on, allocated once.
@@ -427,10 +540,12 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
     state, one per block, and the register's amplitudes are the Kronecker
     product of the blocks in register order.  Rows that are not a finite 2-D
-    array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step calls
-    ``step`` once per step; split-step hands the whole schedule to
-    ``_split_anneal``, which works out before step 0 what no step changes
-    and calls ``_split_step`` once per step.
+    array of length 3**w, w >= 1, are a ``ValueError``.  Both modes work out
+    before step 0 what no step changes.  Exact-step builds the plan of all
+    M + 1 steps, checks the guard on its largest dt r, and hands it to
+    ``_exact_anneal``, which calls ``expm_multiply_hermitian`` once per
+    step; split-step hands the whole schedule to ``_split_anneal``, which
+    calls ``_split_step`` once per step.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -439,11 +554,10 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
     if cfg.mode == MODE_EXACT:
-        # each block's half-width r_b(s) is affine in s, so the largest
-        # peaks at s = 0 or 1
-        width = float((hf.max(axis=1) - hf.min(axis=1)).max())
-        x = cfg.dt * max(cfg.h * w, 0.5 * width)
+        plan = _ExactPlan.build(np.arange(cfg.M + 1) / cfg.M, hf, cfg.h, cfg.dt)
+        x = float(plan.x.max())
         if not x <= _MAX_DT_RADIUS:
+            width = float((hf.max(axis=1) - hf.min(axis=1)).max())
             raise SizeGuardError(
                 f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
                 f"the {_MAX_DT_RADIUS:g} guard (width {width:.3g} of the final Hamiltonian's "
@@ -453,8 +567,7 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if cfg.mode == MODE_SPLIT:
         amps = _split_anneal(cfg, hf, amps)
     else:
-        for l in range(cfg.M + 1):
-            amps = step(amps, l / cfg.M, hf, cfg.h, cfg.dt)
+        amps = _exact_anneal(plan, hf, amps)
     return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 

@@ -62,10 +62,18 @@ def counting(fn):
     return counted, calls
 
 
+def expand(matvec, v, x):
+    """exp(-i (x / 2) H) v by the expansion, with the weights and buffers a run gives it."""
+    v = np.asarray(v)
+    (weights,) = anneal_module._chebyshev_weights(np.array([float(x)]))
+    block = np.empty((anneal_module._ROWS, 2, *v.shape))
+    return expm_multiply_hermitian(matvec, v, weights, block, np.empty((2, 2 * v.size)))
+
+
 def count_matvecs(monkeypatch) -> list:
     """A list that grows by one per matvec of every exact-step expansion.
 
-    Wraps the module-global ``expm_multiply_hermitian`` that ``step`` calls,
+    Wraps the module-global ``expm_multiply_hermitian`` that every exact step calls,
     and counts calls of the matvec it receives, as the benchmark's tracer does.
     """
     expm, calls = anneal_module.expm_multiply_hermitian, []
@@ -184,24 +192,28 @@ def spectral_bounds(s, hf, h):
 
 
 def expansion_args(s, hf, h, dt=0.1):
-    """The matvec ``step`` hands the expansion, and the dt it passes with it."""
+    """The matvec ``step`` hands the expansion, and the weights it passes with it."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(anneal_module, "expm_multiply_hermitian", lambda m, v, dt: seen.append((m, dt)) or v)
+        mp.setattr(
+            anneal_module,
+            "expm_multiply_hermitian",
+            lambda m, v, weights, *buffers: seen.append((m, weights)) or v,
+        )
         step(np.ones(hf.size, dtype=complex), s, hf, h, dt)
     (args,) = seen
     return args
 
 
 def mapped_operator(s, hf, h, dt=0.1):
-    """The dense operator ``step`` expands, and the dt it expands it for."""
-    matvec, dt_mapped = expansion_args(s, hf, h, dt)
+    """The dense operator ``step`` expands, and the weights it expands it with."""
+    matvec, weights = expansion_args(s, hf, h, dt)
     # column k is the operator on e_k, in the real plane; the imaginary plane is zero
     planes = np.zeros((hf.size, 2, hf.size))
     planes[np.arange(hf.size), 0, np.arange(hf.size)] = 1.0
     cols = np.array([matvec(p) for p in planes])
     assert not cols[:, 1].any()
-    return cols[:, 0].T, dt_mapped
+    return cols[:, 0].T, weights
 
 
 def test_endpoint_s1_is_diagonal():
@@ -248,10 +260,14 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     rng = np.random.default_rng(40 + n)
     hf = random_diag(rng, n)
     h, dt = 2.5, 0.1
-    mapped, dt_mapped = mapped_operator(s, hf, h, dt)
+    mapped, weights = mapped_operator(s, hf, h, dt)
     lo, hi = spectral_bounds(s, hf, h)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    assert dt_mapped == pytest.approx(0.5 * radius * dt, rel=1e-15)
+    # the step expands exp(-i (x / 2) H~) for x = dt r, and hands the
+    # expansion the weights of that x
+    (x,) = anneal_module._ExactPlan.build(np.array([s]), hf, h, dt).x
+    assert x == pytest.approx(radius * dt, rel=1e-15)
+    np.testing.assert_array_equal(weights, next(anneal_module._chebyshev_weights(np.array([x]))))
     got = centre * np.eye(3**n) + 0.5 * radius * mapped
     expected = np.diag(s * hf[0]) + (1.0 - s) * h * dense_driver(n, 1.0)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -324,6 +340,36 @@ def test_bessel_j_matches_scipy(x):
     assert np.abs(j[-5:]).max() < 1e-20
 
 
+def miller_reference(x):
+    """J_0(x) .. J_N(x) by Miller's backward recurrence on x alone, a scalar loop."""
+    top = int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30.0)
+    vals = np.empty(top + 1)
+    above, j = 0.0, 1.0
+    for k in range(top, 0, -1):
+        vals[k] = j
+        above, j = j, k * (2.0 / x) * j - above
+        if abs(j) > 1e150:
+            vals[k:] /= 1e150
+            above /= 1e150
+            j /= 1e150
+    vals[0] = j
+    return vals / (j + 2.0 * vals[2::2].sum())
+
+
+def test_bessel_window_rows_are_bitwise_those_of_each_argument():
+    # a window mixing the rescale path (1e-9), short and long rows and one
+    # just under the guard: each row starts at its own top, is rescaled and
+    # normalized on its own, and is zero past its top
+    xs = np.array([37.5, 1e-9, 0.3, 9999.99, 500.0, -3.0])
+    window = anneal_module._bessel_window(xs)
+    assert window.shape == (len(xs), anneal_module._bessel_top(9999.99) + 1)
+    for x, row in zip(xs, window):
+        j = _bessel_j(x)
+        np.testing.assert_array_equal(row[: j.size], j)
+        np.testing.assert_array_equal(row[: j.size], miller_reference(x))
+        assert not row[j.size :].any()
+
+
 @pytest.mark.parametrize("dt", [0.3, 5.0, -2.0])
 def test_expm_multiply_matches_dense_on_minus_two_two(dt):
     # a random real symmetric operator whose spectrum spans [-2, 2]
@@ -332,7 +378,7 @@ def test_expm_multiply_matches_dense_on_minus_two_two(dt):
     h = (q * np.r_[-2.0, 2.0, rng.uniform(-2.0, 2.0, 18)]) @ q.T
     h = 0.5 * (h + h.T)
     v = unit_vector(rng, 20)
-    got = expm_multiply_hermitian(lambda x: x @ h, v, dt)
+    got = expand(lambda x: x @ h, v, 2.0 * dt)
     np.testing.assert_allclose(got, expm(-1j * dt * h) @ v, rtol=0, atol=1e-12)
 
 
@@ -417,7 +463,7 @@ def test_expm_multiply_constant_hamiltonian_needs_no_matvec(monkeypatch):
 def test_expm_multiply_zero_vector_needs_no_matvec():
     matvec, calls = counting(lambda x: x)
     v = np.zeros(9, dtype=complex)
-    got = expm_multiply_hermitian(matvec, v, 0.1)
+    got = expand(matvec, v, 0.2)
     assert not calls
     np.testing.assert_array_equal(got, np.zeros(9, dtype=complex))
     # a fresh array, not the caller's
@@ -444,7 +490,7 @@ def test_expm_multiply_rejects_complex_hamiltonian():
     # Hermitian but not real: the real-arithmetic recurrence cannot apply it
     h = np.array([[0.0, 1j], [-1j, 0.0]])
     with pytest.raises(TypeError, match="real symmetric"):
-        expm_multiply_hermitian(lambda x: x @ h.T, np.ones(2), 0.1)
+        expand(lambda x: x @ h.T, np.ones(2), 0.2)
 
 
 # --------------------------------------------------------------------- step
@@ -622,15 +668,62 @@ def test_fig3_matvec_count_is_pinned(monkeypatch):
     assert preset_matvecs(monkeypatch, "fig3") == 1370
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_plan_degree_is_the_scalar_degree_at_every_step(name):
+    # each step's degree is the last k with 2 |J_k(dt r)| >= 1e-15, from the
+    # scalar recurrence on that step's own bounds: per block, w qutrits
+    from qutrit_anneal.harness import build_final_hamiltonian
+    from qutrit_anneal.presets import get_preset
+
+    spec = get_preset(name)
+    hf, h, dt, M = build_final_hamiltonian(spec), spec.anneal.h, spec.anneal.dt, 2000
+    w = round(np.log(hf.shape[1]) / np.log(3))
+    expected = []
+    for l in range(M + 1):
+        s = l / M
+        spread = (1.0 - s) * h * w
+        r = max(0.5 * ((s * row.max() + spread) - (s * row.min() - spread)) for row in hf)
+        expected.append(np.flatnonzero(np.abs(miller_reference(dt * r)) >= 5e-16)[-1])
+    plan = anneal_module._ExactPlan.build(np.arange(M + 1) / M, hf, h, dt)
+    degrees = [weights.shape[1] - 1 for weights in anneal_module._chebyshev_weights(plan.x)]
+    assert degrees == expected
+
+
+def test_zero_width_steps_make_no_matvec(monkeypatch):
+    # Hf of zeros: every block has zero width at s = 1, where H(1) = 0, so
+    # that step's degree is 0; every other step is the driver's
+    expm, per_step = anneal_module.expm_multiply_hermitian, []
+
+    def counted_expm(matvec, v, *args):
+        per_step.append(0)
+
+        def counted(x):
+            per_step[-1] += 1
+            return matvec(x)
+
+        return expm(counted, v, *args)
+
+    monkeypatch.setattr(anneal_module, "expm_multiply_hermitian", counted_expm)
+    for hf in (np.zeros((1, 9)), np.zeros((3, 3))):
+        per_step.clear()
+        anneal(AnnealConfig(h=2.0, M=4, dt=0.1), hf)
+        assert len(per_step) == 5 and per_step[-1] == 0 and all(per_step[:-1])
+
+
 @pytest.mark.parametrize("side", ["width", "driver", "blocks-width", "blocks-driver"])
 def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h n);
-    # just under the guard every step runs (a stub here), just over none does.
+    # just under the guard every step runs (its expansion a stub here), just
+    # over none does, and no Bessel window is computed.
     # With two one-qutrit blocks it is the wider block's: block 1 spans 2 r
     # and block 0 r / 2, while the whole register spans 2.5 r; and h w, not h n
     cap, dt = anneal_module._MAX_DT_RADIUS, 0.1
     steps = []
-    monkeypatch.setattr(anneal_module, "step", lambda amps, *args: steps.append(1) or amps)
+    monkeypatch.setattr(
+        anneal_module, "expm_multiply_hermitian", lambda matvec, v, *args: steps.append(1) or v
+    )
+    window, windows = counting(anneal_module._bessel_window)
+    monkeypatch.setattr(anneal_module, "_bessel_window", window)
     for factor, refused in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
         r = factor * cap / dt
         if side == "width":
@@ -642,18 +735,19 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
         else:
             hf, h = np.zeros((2, 3)), r
         steps.clear()
+        windows.clear()
         cfg = AnnealConfig(h=h, M=3, dt=dt)
         if refused:
             with pytest.raises(SizeGuardError, match="lower the 'penalty'") as refusal:
                 anneal(cfg, hf)
             assert "split-step" not in str(refusal.value)
-            assert not steps
+            assert not steps and not windows
             # split-step has no degree to bound
             monkeypatch.setattr(anneal_module, "_split_step", lambda amps, *args: amps)
             anneal(AnnealConfig(h=h, M=3, dt=dt, mode=MODE_SPLIT), hf)
         else:
             anneal(cfg, hf)
-            assert len(steps) == 4
+            assert len(steps) == 4 and windows
 
 
 def test_split_mode_tracks_exact_mode():
