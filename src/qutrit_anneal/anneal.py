@@ -45,9 +45,10 @@ w-site driver; a coupled register is the one block C = 1.
 States are plain complex arrays: ``anneal`` starts C copies of the
 w-qutrit ``initial_state`` and hands ``decode`` their Kronecker product,
 the 3**n basis amplitudes of the register.  ``decode`` groups the rows of
-the encoding's label table by ``partition_keys`` in numpy, builds one
-``Partition`` per distinct partition, and is the one place that ranks them:
-its per-state rank is the CSV's partition id.
+the encoding's label table by ``partition_keys`` in numpy and is the one
+place that ranks them: its per-state rank is the CSV's partition id.  It
+builds a ``Partition`` for the top partition alone; the report builds the
+others on first read of ``partition_probabilities``.
 """
 
 from __future__ import annotations
@@ -575,28 +576,42 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
 class ReadoutReport:
     """Probabilities of the decoded set partitions, most probable first.
 
-    ``partition_probabilities`` runs in rank order: descending probability,
-    exact ties to the larger ``Partition.canonical`` tuple, so its first
-    entry is ``top_partition``.  ``partition_index`` gives, per basis state,
-    the rank of its partition, or -1 for states whose blocks sit in states
-    no cluster uses (possible under penalty encodings); those never
-    contribute to ``partition_probabilities`` and are summed in
+    The partitions are held in rank order: descending probability, exact
+    ties to the larger ``Partition.canonical`` tuple.  ``keys`` holds their
+    int64 ``partition_keys``, ``probabilities`` their probabilities and
+    ``labels`` one label row each, from the encoding's table; only the first,
+    ``top_partition``, is built as a ``Partition``.  ``partition_probabilities``
+    maps each partition of ``n_clusters`` labels to its probability, in rank
+    order, and is built on first read.  ``partition_index`` gives, per basis
+    state, the rank of its partition, or -1 for states whose blocks sit in
+    states no cluster uses (possible under penalty encodings); those never
+    contribute to the partitions' probabilities and are summed in
     ``invalid_probability``.
     """
 
     basis_probabilities: np.ndarray
-    partition_probabilities: Mapping[Partition, float]
+    keys: np.ndarray
+    probabilities: np.ndarray
+    labels: np.ndarray
+    n_clusters: int
     partition_index: np.ndarray
     top_partition: Partition
     top_probability: float
     invalid_probability: float
+
+    @functools.cached_property
+    def partition_probabilities(self) -> Mapping[Partition, float]:
+        rows, probs = self.labels.tolist(), self.probabilities.tolist()
+        return {Partition(row, self.n_clusters): p for row, p in zip(rows, probs)}
 
 
 def decode(amplitudes: np.ndarray, encoding: Encoding) -> ReadoutReport:
     """Aggregate basis probabilities into ranked set-partition probabilities.
 
     Each basis state decodes to the partition of its row of the encoding's
-    label table; the rows the encoding marks invalid decode to none.
+    label table; the rows the encoding marks invalid decode to none.  The
+    partitions are grouped and ranked by their ``partition_keys`` in numpy,
+    and only the top one becomes a ``Partition`` here.
     """
     size = 3**encoding.n_qutrits
     if np.shape(amplitudes) != (size,):
@@ -610,7 +625,7 @@ def decode(amplitudes: np.ndarray, encoding: Encoding) -> ReadoutReport:
     if not valid.size:
         raise ValueError("no valid basis states to decode")
     # unique numbers the partitions in canonical order
-    _, first, inverse = np.unique(
+    keys, first, inverse = np.unique(
         partition_keys(labels[valid]), return_index=True, return_inverse=True
     )
     # bincount adds in basis order, as a running sum over the states would
@@ -621,16 +636,15 @@ def decode(amplitudes: np.ndarray, encoding: Encoding) -> ReadoutReport:
     rank[order] = np.arange(order.size)
     index = np.full(size, -1)
     index[valid] = rank[inverse]
-    partition_probs = {
-        Partition(row, encoding.K): p
-        for row, p in zip(labels[valid[first[order]]].tolist(), sums[order].tolist())
-    }
-    top_partition, top_probability = next(iter(partition_probs.items()))
+    ranked = labels[valid[first[order]]]
     return ReadoutReport(
         basis_probabilities=probs,
-        partition_probabilities=partition_probs,
+        keys=keys[order],
+        probabilities=sums[order],
+        labels=ranked,
+        n_clusters=encoding.K,
         partition_index=index,
-        top_partition=top_partition,
-        top_probability=top_probability,
+        top_partition=Partition(ranked[0], encoding.K),
+        top_probability=float(sums[order[0]]),
         invalid_probability=float(probs[invalid].sum()),
     )

@@ -3,19 +3,21 @@
 The oracle, ``oracle_min``, enumerates every cluster assignment of a small
 instance and is the classical reference that annealing results are
 certified against; its ``OracleResult`` holds the exact minimum and the
-optimal ``Partition``s.  It costs in numpy chunks by broadcasting: the last
-free points (3**9 assignments at most) are the axes of one cost tensor, and
-each assignment of the others is a chunk.  Only assignments near the minimum
-become label rows; they are deduplicated by their ``partition_keys`` and
-re-costed exactly, and only the optimal ones become ``Partition``s.  At its
-guard (12 points) it takes about 0.02 s for K = 3 (531,441 assignments) and
-0.09 s for K = 4 with one point fixed (4,194,304); 12 coincident points at
-K = 3, where all 88,574 partitions tie, take 1.2-1.5 s.  Ties are every
-assignment within one relative window of the exact minimum.
+optimal partitions' ``partition_keys``.  It costs in numpy chunks by
+broadcasting: the last free points (3**9 assignments at most) are the axes
+of one cost tensor, and each assignment of the others is a chunk.  Only
+assignments near the minimum become label rows; they are deduplicated by
+their keys and re-costed exactly, and the optimal ones become ``Partition``s
+only when read.  At its guard (12 points) it takes about 0.02 s for K = 3
+(531,441 assignments) and 0.09 s for K = 4 with one point fixed (4,194,304);
+12 coincident points, where every assignment ties, take about 0.4 s at K = 3
+(88,574 partitions) and 3 s at K = 4 with one point fixed (700,075).
+Ties are every assignment within one relative window of the exact minimum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -308,16 +310,24 @@ def _cost_chunks(
     return map(chunk, itertools.product(range(K), repeat=len(head)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Exact minimum found by enumeration.
 
-    ``argmin_partitions`` holds the optimal assignments deduplicated up to
-    cluster relabeling.
+    The argmin, deduplicated up to cluster relabeling, is held as the sorted
+    int64 ``argmin_keys`` of ``partition_keys`` and one label row each,
+    ``argmin_labels``.  ``argmin_partitions`` builds their ``Partition``s of
+    ``n_clusters`` labels on first read, in the keys' (canonical) order.
     """
 
     min_cost: float
-    argmin_partitions: tuple[Partition, ...] = ()
+    argmin_keys: np.ndarray
+    argmin_labels: np.ndarray
+    n_clusters: int
+
+    @functools.cached_property
+    def argmin_partitions(self) -> tuple[Partition, ...]:
+        return tuple(Partition(row, self.n_clusters) for row in self.argmin_labels.tolist())
 
 
 def oracle_min(
@@ -329,14 +339,15 @@ def oracle_min(
     """Exact minimum of the cost over all assignments of K <= 128 labels, by brute force.
 
     Assignments are costed in numpy chunks; the ones near the minimum become
-    label rows, deduplicated by partition and re-costed with ``math.fsum`` as
-    :func:`cost` does, so ``min_cost`` is the exact minimum.
+    label rows, deduplicated by ``partition_keys`` and re-costed with
+    ``math.fsum`` as :func:`cost` does, so ``min_cost`` is the exact minimum.
     The argmin is every assignment whose ``cost`` lies within
     ``rel_tol * (1 + |min_cost|)`` of ``min_cost``: one window around the
     final minimum.  (A running-best scan could also keep an early member of
     a chain of near-ties lying up to two windows above it; this one does
-    not.)  It lists one ``Partition`` per set partition, in canonical order,
-    with the labels of its first assignment in enumeration order.
+    not.)  It holds one sorted key per set partition, in canonical order,
+    with the labels of its first assignment in enumeration order; no
+    ``Partition`` is built until ``argmin_partitions`` is read.
     """
     chunks = _cost_chunks(dm, K, dict(fixed or {}))
     pi, pj = np.triu_indices(dm.n_points, 1)
@@ -362,11 +373,14 @@ def oracle_min(
         kept.append((costs[near], chunk_rows(near)))
 
     # one row per distinct partition, its first in enumeration order, in
-    # canonical order; keys and pair masks are taken a chunk at a time, so a
-    # mostly tied instance needs no more memory than its kept rows
-    keys = np.concatenate([partition_keys(rows) for _, rows in kept])
-    rows = np.concatenate([rows for _, rows in kept])
-    _, first = np.unique(keys, return_index=True)
+    # canonical order; the numpy costs are dropped first, and keys and pair
+    # masks are taken a chunk at a time, so a mostly tied instance needs
+    # little more memory than its kept rows
+    kept = [rows for _, rows in kept]
+    keys = np.concatenate([partition_keys(rows) for rows in kept])
+    rows = np.concatenate(kept)
+    del kept
+    unique, first = np.unique(keys, return_index=True)
     rows = rows[first]
     # fsum is correctly rounded, so summing the row's pair weights in any
     # order gives exactly ``cost``
@@ -379,6 +393,5 @@ def oracle_min(
     min_cost = min(exact)
     limit = min_cost + rel_tol * (1.0 + abs(min_cost))
     near = np.array(exact) <= limit
-    argmin = [Partition(row, K) for row in rows[near].tolist()]
-    return OracleResult(min_cost=min_cost, argmin_partitions=tuple(argmin))
+    return OracleResult(min_cost, unique[near], rows[near], K)
 

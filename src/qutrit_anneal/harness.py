@@ -30,6 +30,7 @@ from .anneal import AnnealConfig, ReadoutReport, anneal, decode
 from .clustering import (
     ORACLE_MAX_POINTS,
     DistanceMatrix,
+    OracleResult,
     Partition,
     PointSet,
     cost,
@@ -116,19 +117,30 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of one annealing run plus its oracle certification."""
+    """Outcome of one annealing run plus its oracle certification.
+
+    ``oracle_min_cost`` and ``oracle_partitions`` are read through
+    ``oracle``, whose ``Partition``s are built on first read.
+    """
 
     spec: ProblemSpec
     top_partition: Partition
     top_probability: float
     top_cost: float
-    oracle_min_cost: float
-    oracle_partitions: tuple[Partition, ...]
+    oracle: OracleResult
     match: bool
     invalid_probability: float
     final_norm: float
     wall_time_s: float
     report: ReadoutReport
+
+    @property
+    def oracle_min_cost(self) -> float:
+        return self.oracle.min_cost
+
+    @property
+    def oracle_partitions(self) -> tuple[Partition, ...]:
+        return self.oracle.argmin_partitions
 
 
 def generate_instance(n_points: int, seed: int) -> PointSet:
@@ -272,15 +284,16 @@ def run(spec: ProblemSpec) -> RunResult:
     amps = anneal(spec.anneal, hf)
     report = decode(amps, spec.encoding)
     oracle = oracle_min(dm, spec.scheme.K, fixed=spec.encoding.fixed)
-    match = report.top_partition in set(oracle.argmin_partitions)
+    # keys of tables of the same width (at most 12 points) compare
+    top, argmin = report.keys[0], oracle.argmin_keys
+    at = np.searchsorted(argmin, top)
     return RunResult(
         spec=spec,
         top_partition=report.top_partition,
         top_probability=report.top_probability,
         top_cost=cost(dm, report.top_partition),
-        oracle_min_cost=oracle.min_cost,
-        oracle_partitions=oracle.argmin_partitions,
-        match=match,
+        oracle=oracle,
+        match=bool(at < argmin.size and argmin[at] == top),
         invalid_probability=report.invalid_probability,
         final_norm=float(np.linalg.norm(amps)),
         wall_time_s=time.perf_counter() - t0,

@@ -447,6 +447,29 @@ def test_oracle_coincident_points_keep_every_partition_in_order():
     assert [p.labels for p in res.argmin_partitions] == [p.labels for p in expected]
 
 
+def test_oracle_argmin_keys_agree_with_the_partitions_built_on_read():
+    # every partition of 8 coincident points into at most 3 blocks ties
+    dm = distance_matrix([(2, 5)] * 8)
+    res = oracle_min(dm, 3)
+    keys = res.argmin_keys
+    assert keys.dtype == np.int64
+    assert len(keys) == _stirling2(8, 1) + _stirling2(8, 2) + _stirling2(8, 3) == 1094
+    assert (np.diff(keys) > 0).all()  # sorted and unique
+    np.testing.assert_array_equal(partition_keys(res.argmin_labels), keys)
+    assert "argmin_partitions" not in vars(res)  # not built until read
+    # the eager build: the first labeling of each partition in product
+    # order, in canonical order
+    first = {}
+    for labels in itertools.product(range(3), repeat=8):
+        first.setdefault(Partition(labels, 3), labels)
+    eager = sorted(first, key=lambda p: p.canonical)
+    lazy = res.argmin_partitions
+    assert lazy == tuple(eager)
+    assert [p.labels for p in lazy] == [p.labels for p in eager]
+    assert {p.n_clusters for p in lazy} == {3}
+    assert res.argmin_partitions is lazy  # built once
+
+
 @pytest.mark.parametrize("cols, n_labels", [(1, 1), (6, 3), (12, 4), (30, 27)])
 def test_partition_keys_match_canonical_labels(cols, n_labels):
     # 30 columns of 27 labels overflow int64 digits, so keys are re-ranked

@@ -67,6 +67,43 @@ def test_csv_id_zero_is_the_top_partition_on_a_tie(tiny_result):
     assert top_p == pytest.approx(result.top_probability, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "method, n, extra, decoded",
+    [
+        # one 7-qutrit block: S(8,1) + S(8,2) + S(8,3) partitions decoded
+        ("one-hot-K3-pinned", 8, {}, 1094),
+        # seven free points at three centroids: every state its own partition
+        ("kmeanspp", 10, {"centroids": [0, 1, 2]}, 3**7),
+    ],
+)
+def test_run_and_emit_build_partitions_only_for_the_top_and_the_argmin(
+    monkeypatch, tmp_path, method, n, extra, decoded
+):
+    built = []
+    init = Partition.__init__
+
+    def counting(self, labels, n_clusters):
+        built.append(n_clusters)
+        init(self, labels, n_clusters)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    spec = spec_from_dict({
+        "points": [list(p) for p in generate_instance(n, 1).points],
+        "method": method,
+        "anneal": {"M": 50, "h": 8.0, "mode": "split-step"},
+        **extra,
+    })
+    result = run(spec)
+    assert len(result.report.keys) == decoded
+    assert len(built) == 1  # the top partition
+    emit(result, ("table", "csv", "svg"), tmp_path)
+    optimal = len(result.oracle.argmin_keys)
+    assert len(built) == 1 + optimal  # and the argmin, which the table prints
+    # the report builds the others when they are read
+    assert len(result.report.partition_probabilities) == decoded
+    assert len(built) == 1 + optimal + decoded
+
+
 def test_csv_marks_invalid_states(preset_result):
     result = preset_result("fig4")
     rows = list(csv.DictReader(io.StringIO(render_csv(result))))

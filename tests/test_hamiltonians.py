@@ -340,16 +340,30 @@ def test_penalty_kmeanspp_validation():
 # -------------------------------------------------------------------- driver
 
 
+def kron_sum_apply(v, n):
+    """sum_i S_i^x along the last axis of v, as A (x) I + I (x) B on the state's grid."""
+    a, b = driver_factors(n)
+    grid = v.reshape(*v.shape[:-1], a.shape[0], b.shape[0])
+    # B is symmetric, so grid @ B applies I (x) B
+    return (a @ grid + grid @ b).reshape(v.shape)
+
+
+def kron_sum_driver(n, h):
+    """The driver as the steppers apply it, the Kronecker sum of driver_factors,
+    applied to each basis state."""
+    return h * kron_sum_apply(np.eye(3**n), n)
+
+
 def test_driver_ground_energy():
-    assert np.linalg.eigvalsh(dense_driver(3, 1.5))[0] == pytest.approx(-4.5, abs=1e-12)
+    assert np.linalg.eigvalsh(kron_sum_driver(3, 1.5))[0] == pytest.approx(-4.5, abs=1e-12)
 
 
 def test_driver_ground_energy_matches_diagonalization():
-    assert np.linalg.eigvalsh(dense_driver(2, 1.5))[0] == pytest.approx(-3.0, abs=1e-12)
+    assert np.linalg.eigvalsh(kron_sum_driver(2, 1.5))[0] == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_driver_single_site_ground_state():
-    vals, vecs = np.linalg.eigh(dense_driver(1, 2.0))
+    vals, vecs = np.linalg.eigh(kron_sum_driver(1, 2.0))
     assert vals[0] == pytest.approx(-2.0, abs=1e-14)
     ground = vecs[:, 0]
     expected = np.array([1.0, -np.sqrt(2.0), 1.0]) / 2.0
@@ -361,19 +375,11 @@ def test_driver_on_all_zero_projection_state():
     h = 2.0
     psi = np.zeros(9)
     psi[block_state_index((0, 0))] = 1.0
-    out = dense_driver(2, h) @ psi
+    out = kron_sum_driver(2, h) @ psi
     amp = h / np.sqrt(2.0)
     for ms in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
         assert out[block_state_index(ms)] == pytest.approx(amp, abs=1e-15)
     assert out[block_state_index((0, 0))] == 0.0
-
-
-def kron_sum_apply(v, n):
-    """sum_i S_i^x along the last axis of v, as A (x) I + I (x) B on the state's grid."""
-    a, b = driver_factors(n)
-    grid = v.reshape(*v.shape[:-1], a.shape[0], b.shape[0])
-    # B is symmetric, so grid @ B applies I (x) B
-    return (a @ grid + grid @ b).reshape(v.shape)
 
 
 def test_driver_apply_matches_dense():

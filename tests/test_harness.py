@@ -709,6 +709,39 @@ def test_run_match_flag_definition(tiny_result):
     )
 
 
+#: (method, points, extra spec fields) of seeded runs short enough that some
+#: miss the oracle: kmeanspp often misses by its encoding, the others by the
+#: short schedule
+MATCH_SHAPES = (
+    ("one-hot-K3", 5, {}),
+    ("one-hot-K3-pinned", 6, {}),
+    ("one-hot-K2-penalty", 6, {"pinned": True}),
+    ("one-hot-multispin", 3, {"K": 4}),
+    ("kmeanspp", 8, {"centroids": [0, 1, 2]}),
+)
+
+
+def _seeded_match_spec(seed):
+    method, n, extra = MATCH_SHAPES[seed % len(MATCH_SHAPES)]
+    return spec_from_dict({
+        "points": [list(p) for p in generate_instance(n, 1000 + seed).points],
+        "method": method,
+        "anneal": {"M": 40, "h": 8.0, "mode": "split-step"},
+        **extra,
+    })
+
+
+def test_run_match_on_keys_is_set_membership(preset_result):
+    # run checks the top partition's key against the oracle's argmin keys;
+    # on the presets and on seeded runs that both match and miss, that is
+    # membership of the top Partition in the set of optimal Partitions
+    results = [preset_result(name) for name in PRESET_NAMES]
+    results += [run(_seeded_match_spec(seed)) for seed in range(20)]
+    for result in results:
+        assert result.match == (result.top_partition in set(result.oracle_partitions))
+    assert {r.match for r in results[len(PRESET_NAMES):]} == {True, False}
+
+
 def test_run_is_numerically_reproducible(tiny_result, tiny_spec_dict):
     again = run(spec_from_dict(tiny_spec_dict))
     np.testing.assert_array_equal(
