@@ -28,11 +28,11 @@ under 1e-3; it is not used where exact-step accuracy is contractual.  In
 the frame F = diag(1, i, -1) on each site the 3x3 driver gate is a real
 rotation, and F^{(x)n} is diagonal, so it commutes with the phases of Hf:
 a run enters the frame before its first step and leaves it after its last.
-Each step builds the rotation's n-fold Kronecker power as two Kronecker
-powers, by repeated squaring, and applies each as one real matrix product
-on the state's float view, transposing the state once per substep; the
-half phases of neighbouring substeps are applied as one full phase, and
-those of neighbouring steps as one fixed phase.  The full phases of
+Each substep rotates the state grid's rows, then its columns, by real
+products with Kronecker powers of the rotation built each step, with one
+transpose between; 4 column sites take two 9 x 9 factors, not one 81 x 81.
+The half phases of neighbouring substeps are applied as one full phase,
+and those of neighbouring steps as one fixed phase.  The full phases of
 consecutive steps differ by a fixed factor, so each step's is the last
 one's times it, computed afresh by ``np.exp`` every ``_PHASE_REFRESH``
 steps.
@@ -116,10 +116,11 @@ def initial_state(n: int) -> np.ndarray:
 
 
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
-#: At 1e-15 the presets' basis probabilities at M = 2000 stay within 2.2e-13
-#: of an adaptive Lanczos stepper's (tolerance 1e-12) and the norm drifts by
-#: at most 1.1e-13; a tail of 2.5e-13 saves 9% of the terms but drifts
-#: 2e-11 and moves the probabilities by 4e-11, too near the 1e-10 checks.
+#: At 1e-15 the presets' basis probabilities at M = 2000 stay within 9.3e-13
+#: (fig3) and 9.5e-13 (fig4) of 30-digit mpmath, 2.5e-13 (fig1) and 2.9e-13
+#: (fig2) of dense eigh, and the norm drifts by at most 4.8e-13; a tail of
+#: 2.5e-13 saves 9% of the terms but drifts 2e-11 and moves the
+#: probabilities by 4e-11, too near the 1e-10 checks.
 _TAIL = 1e-15
 
 #: Miller's recurrence rescales its values whenever one passes this, so a
@@ -186,11 +187,6 @@ def _bessel_window(xs: np.ndarray) -> np.ndarray:
     for row, top in zip(vals, tops):
         row /= row[0] + 2.0 * row[2 : top + 1 : 2].sum()
     return vals
-
-
-def _bessel_j(x: float) -> np.ndarray:
-    """J_0(x) .. J_N(x) for one real |x| >= 1e-100: a window of one row."""
-    return _bessel_window(np.array([x]))[0]
 
 
 def _chebyshev_weights(xs: np.ndarray) -> Iterator[np.ndarray]:
@@ -434,17 +430,22 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _kron_power(gate: np.ndarray, k: int) -> np.ndarray:
-    """gate^{(x)k} by repeated squaring: about log2(k) products, not k.
+def _rotate(factors: tuple[np.ndarray, ...], grid: np.ndarray) -> np.ndarray:
+    """The Kronecker product of one or two ``factors`` on the grids' outer axis.
 
-    Every factor is the same gate, so the odd one goes first, where the
-    broadcast's inner loop runs along the larger factor's columns.
+    Each factor is one real product on the grids' float view.  Two take the
+    axis's sub-axes in turn with no transpose: the first on the
+    (C, d_1, d_2 rest) view, the second broadcast on the (C, d_1, d_2, rest)
+    one.
     """
-    if k <= 1:
-        return gate if k else np.ones((1, 1))
-    half = _kron_power(gate, k // 2)
-    out = _kron(half, half)
-    return _kron(gate, out) if k % 2 else out
+    x = grid.view(float)
+    if len(factors) == 1:
+        return (factors[0] @ x).view(complex)
+    first, second = factors
+    blocks, size, _ = x.shape
+    x = first @ x.reshape(blocks, len(first), -1)
+    x = second @ x.reshape(blocks, len(first), len(second), -1)
+    return x.reshape(blocks, size, -1).view(complex)
 
 
 def _split_step(
@@ -459,27 +460,38 @@ def _split_step(
     ``phases`` holds that phase as (C, 3**w) entries in the grids' layout
     (row 0) and in the transposed one (row 1).  The half phases at the ends
     of the step are the caller's (``_split_anneal``).  gate^{(x)w} is
-    left (x) right, on the rows and on the columns.  Each factor contracts
-    the grids' outer axis as one real product on their float view, so the
-    layout alternates between (rows, cols) and (cols, rows), with one
-    transposed copy per substep; an odd count transposes back at the end.  A
-    one-qutrit block has no rows to rotate: its 1 x 1 factor is skipped, and
-    its two layouts share one memory order, so the transpose copies nothing.
+    left (x) right, on the rows and on the columns, each applied by
+    ``_rotate`` to the grids' outer axis, so the layout alternates between
+    (rows, cols) and (cols, rows), with one transposed copy per substep; an
+    odd count transposes back at the end.  An axis of k > 3 sites takes
+    gate^{(x)2} and gate^{(x)(k - 2)}: at 7 qutrits, two 9 x 9 factors, and
+    no power above 27 x 27 is built.  A one-qutrit block has no rows to
+    rotate, and its two layouts share one memory order, so the transpose
+    copies nothing.
     """
     blocks, rows, cols = grid.shape
-    left = _kron_power(gate, _qutrits(rows))
-    right = left if rows == cols else _kron(gate, left)
+    a, b = _qutrits(rows), _qutrits(cols)
+    powers = [None, gate]  # gate^{(x)k}, as far as the axes need
+    while len(powers) <= max(min(b, 3), b - 2):
+        powers.append(_kron(gate, powers[-1]))
+
+    def factors(k: int) -> tuple[np.ndarray, ...]:
+        if k <= 3:
+            return (powers[k],) if k else ()
+        return powers[2], powers[k - 2]
+
+    left, right = factors(a), factors(b)
     layouts = (
         (left, right, phases[1].reshape(blocks, cols, rows)),
         (right, left, phases[0].reshape(grid.shape)),
     )
     for k in range(substeps):
         outer, inner, phase = layouts[k % 2]
-        if len(outer) > 1:
-            grid = (outer @ grid.view(float)).view(complex)
+        if outer:
+            grid = _rotate(outer, grid)
         grid = np.ascontiguousarray(grid.swapaxes(1, 2))
-        if len(inner) > 1:
-            grid = (inner @ grid.view(float)).view(complex)
+        if inner:
+            grid = _rotate(inner, grid)
         grid *= phase
     return np.ascontiguousarray(grid.swapaxes(1, 2)) if substeps % 2 else grid
 

@@ -11,7 +11,6 @@ from qutrit_anneal.anneal import (
     MODE_EXACT,
     MODE_SPLIT,
     AnnealConfig,
-    _bessel_j,
     _frame,
     _site_rotation,
     anneal,
@@ -327,13 +326,18 @@ def test_dimension_mismatch_rejected():
 # -------------------------------------------------------- matrix exponential
 
 
+def bessel_j(x):
+    """J_0(x) .. J_N(x) for one real x: a ``_bessel_window`` of one row."""
+    return anneal_module._bessel_window(np.array([x]))[0]
+
+
 @pytest.mark.parametrize(
     "x", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.3, 37.5, 100.0, 500.0, -3.0]
 )
 def test_bessel_j_matches_scipy(x):
     # x <= 1e-6 fills the table past 1e150 and takes the rescale path;
     # scipy's jv itself is off by up to 5e-15 at x = 500
-    j = _bessel_j(x)
+    j = bessel_j(x)
     ref = jv(np.arange(j.size), x)
     np.testing.assert_allclose(j, ref, rtol=0, atol=2e-14)
     np.testing.assert_allclose(j[:3], ref[:3], rtol=1e-13)
@@ -364,7 +368,7 @@ def test_bessel_window_rows_are_bitwise_those_of_each_argument():
     window = anneal_module._bessel_window(xs)
     assert window.shape == (len(xs), anneal_module._bessel_top(9999.99) + 1)
     for x, row in zip(xs, window):
-        j = _bessel_j(x)
+        j = bessel_j(x)
         np.testing.assert_array_equal(row[: j.size], j)
         np.testing.assert_array_equal(row[: j.size], miller_reference(x))
         assert not row[j.size :].any()
@@ -826,6 +830,28 @@ def test_split_step_matches_per_axis_product(blocks, w, substeps, monkeypatch):
     assert cfg.M > anneal_module._PHASE_REFRESH
     expected = strang_reference(hf, cfg, substeps)
     np.testing.assert_allclose(anneal(cfg, hf), expected, rtol=0, atol=1e-13)
+
+
+def test_seven_qutrit_split_step_builds_no_power_above_27(monkeypatch):
+    # the 4 column sites of a 7-qutrit block take gate^{(x)2} on each half,
+    # so a step builds gate^{(x)2} and gate^{(x)3} and never the 81 x 81
+    # gate^{(x)4}: in one step, and in each step of a whole run
+    kron, shapes = anneal_module._kron, []
+
+    def recording(a, b):
+        out = kron(a, b)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(anneal_module, "_kron", recording)
+    rng = np.random.default_rng(7)
+    grid = rng.normal(size=(1, 27, 81)) + 1j * rng.normal(size=(1, 27, 81))
+    phases = np.exp(1j * rng.uniform(-3.0, 3.0, (2, 1, 3**7)))
+    anneal_module._split_step(grid, _site_rotation(0.3), phases, 8)
+    assert shapes == [(9, 9), (27, 27)]
+    shapes.clear()
+    anneal(AnnealConfig(h=2.0, M=10, mode=MODE_SPLIT), random_diag(rng, 7))
+    assert shapes == [(9, 9), (27, 27)] * 11
 
 
 def test_split_phases_track_np_exp_at_every_step(monkeypatch):

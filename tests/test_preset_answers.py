@@ -2,8 +2,10 @@
 
 ``data/record_preset_answers.py`` wrote the file; see its docstring for the
 fields.  Exact-step probabilities must agree to 1e-12 (the Chebyshev tail
-keeps them within 2.2e-13 of an adaptive Lanczos stepper's) and split-step
-ones to 1e-9; the top partition and ``match`` must be equal.
+keeps them within 9.3e-13 and 9.5e-13 of a 30-digit mpmath reference on
+fig3 and fig4, and within 2.5e-13 and 2.9e-13 of a float64 stepper by dense
+eigh on fig1 and fig2) and split-step ones to 1e-9; the top partition and
+``match`` must be equal.
 """
 
 import json
