@@ -16,7 +16,6 @@ from .anneal import (
     decode,
     expm_multiply_hermitian,
     initial_state,
-    step,
 )
 from .clustering import (
     ORACLE_MAX_POINTS,
@@ -57,12 +56,6 @@ from .harness import (
     with_overrides,
 )
 from .presets import PRESET_NAMES, get_preset
-from .spin import (
-    PROJECTIONS,
-    digit_table,
-    group_projector_diagonal,
-    projector,
-    spin_operator,
-)
+from .spin import PROJECTIONS, digit_table, spin_operator
 
 __version__ = "0.1.0"

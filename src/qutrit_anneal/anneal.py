@@ -375,25 +375,6 @@ def _exact_anneal(plan: _ExactPlan, hf: np.ndarray, amps: np.ndarray) -> np.ndar
     return amps
 
 
-def step(amplitudes: np.ndarray, s: float, hf: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """Advance the amplitudes by exp(-i dt H(s)): an exact-step plan of one step.
-
-    For ``hf`` of C block rows of 3**w entries the amplitudes are a
-    (C, 3**w) stack of block amplitudes, or for C = 1 the register's 3**w,
-    each block evolved by its own row of Hf and the w-site driver of field
-    h, on the path ``anneal`` takes (``_ExactPlan``, ``_exact_anneal``).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"schedule parameter s must lie in [0, 1], got {s}")
-    (blocks, size), shape = hf.shape, np.shape(amplitudes)
-    if shape[-1:] != (size,) or np.size(amplitudes) != hf.size:
-        raise ValueError(
-            f"amplitudes of shape {shape} do not fit 3**{_qutrits(size)} in {blocks} block(s)"
-        )
-    plan = _ExactPlan.build(np.array([float(s)]), hf, h, dt)
-    return _exact_anneal(plan, hf, np.reshape(amplitudes, (blocks, -1))).reshape(shape)
-
-
 #: The identity the site rotation is built on, allocated once.
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False

@@ -330,20 +330,19 @@ class OracleResult:
         return tuple(Partition(row, self.n_clusters) for row in self.argmin_labels.tolist())
 
 
-def oracle_min(
-    dm: DistanceMatrix,
-    K: int,
-    fixed: Mapping[int, int] | None = None,
-    rel_tol: float = 1e-9,
-) -> OracleResult:
+#: Relative width of the oracle's argmin window, see ``oracle_min``.
+_ARGMIN_REL_TOL = 1e-9
+
+
+def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = None) -> OracleResult:
     """Exact minimum of the cost over all assignments of K <= 128 labels, by brute force.
 
     Assignments are costed in numpy chunks; the ones near the minimum become
     label rows, deduplicated by ``partition_keys`` and re-costed with
     ``math.fsum`` as :func:`cost` does, so ``min_cost`` is the exact minimum.
     The argmin is every assignment whose ``cost`` lies within
-    ``rel_tol * (1 + |min_cost|)`` of ``min_cost``: one window around the
-    final minimum.  (A running-best scan could also keep an early member of
+    ``_ARGMIN_REL_TOL * (1 + |min_cost|)`` of ``min_cost``: one window around
+    the final minimum.  (A running-best scan could also keep an early member of
     a chain of near-ties lying up to two windows above it; this one does
     not.)  It holds one sorted key per set partition, in canonical order,
     with the labels of its first assignment in enumeration order; no
@@ -367,7 +366,7 @@ def oracle_min(
         lo = float(costs.min())
         if lo < best:
             best = lo
-            limit = best + rel_tol * (1.0 + abs(best)) + slack
+            limit = best + _ARGMIN_REL_TOL * (1.0 + abs(best)) + slack
             kept = [(c[c <= limit], rows[c <= limit]) for c, rows in kept]
         near = np.flatnonzero(costs <= limit)
         kept.append((costs[near], chunk_rows(near)))
@@ -391,7 +390,7 @@ def oracle_min(
         same = (block[:, pi] == block[:, pj]).tolist()
         exact += [math.fsum(itertools.compress(weights, row)) for row in same]
     min_cost = min(exact)
-    limit = min_cost + rel_tol * (1.0 + abs(min_cost))
+    limit = min_cost + _ARGMIN_REL_TOL * (1.0 + abs(min_cost))
     near = np.array(exact) <= limit
     return OracleResult(min_cost, unique[near], rows[near], K)
 

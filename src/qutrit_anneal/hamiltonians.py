@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import DistanceMatrix
 from .errors import SpecError, is_int, is_positive_finite
-from .spin import PROJECTIONS, block_values, digit_from_projection, projection_from_digit
+from .spin import PROJECTIONS, block_values, digit_from_projection, digit_table
 
 METHOD_ONEHOT_K3 = "one-hot-K3"
 METHOD_ONEHOT_K3_PINNED = "one-hot-K3-pinned"
@@ -103,11 +103,7 @@ def block_state_list(width: int) -> tuple[tuple[int, ...], ...]:
     The ordering starts at |1,1,...,1> and ends at |-1,-1,...,-1>; cluster q
     is numbered by the q-th tuple of this list.
     """
-    states = []
-    for value in range(3**width):
-        digits = [(value // 3 ** (width - 1 - k)) % 3 for k in range(width)]
-        states.append(tuple(projection_from_digit(d) for d in digits))
-    return tuple(states)
+    return tuple(map(tuple, (1 - digit_table(width)).tolist()))
 
 
 def block_state_index(state: Sequence[int]) -> int:

@@ -256,6 +256,8 @@ def load_spec(path: str | Path) -> ProblemSpec:
         raise SpecError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SpecError(f"{path}: invalid JSON: nested too deeply to parse") from exc
     return spec_from_dict(data, default_name=path.stem)
 
 

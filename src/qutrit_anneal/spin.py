@@ -1,4 +1,4 @@
-"""Spin-1 operators, projectors, and base-3 indexing on qutrit registers.
+"""Spin-1 operators and base-3 indexing on qutrit registers.
 
 The single-qutrit basis is ordered by z projection as (|1>, |0>, |-1>).
 A register state |m_1, ..., m_n> maps to the base-3 integer with digit
@@ -11,8 +11,6 @@ Everything here is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -33,35 +31,11 @@ def spin_operator(kind: str) -> np.ndarray:
     raise ValueError(f"unknown spin operator kind {kind!r}, expected 'x' or 'z'")
 
 
-def projector(m: int) -> np.ndarray:
-    """Single-site projector |m><m| for m in {1, 0, -1}.
-
-    Evaluated as a polynomial in S^z rather than written down as a diagonal,
-    so the test suite can confirm the polynomial identities themselves.
-    """
-    sz = spin_operator("z")
-    eye = np.eye(3)
-    if m == 1:
-        return sz @ (eye + sz) / 2.0
-    if m == 0:
-        return eye - sz @ sz
-    if m == -1:
-        return -sz @ (eye - sz) / 2.0
-    raise ValueError(f"projection must be one of 1, 0, -1, got {m!r}")
-
-
 def digit_from_projection(m: int) -> int:
     """Base-3 digit of a projection: 1 -> 0, 0 -> 1, -1 -> 2."""
     if m not in (1, 0, -1):
         raise ValueError(f"projection must be one of 1, 0, -1, got {m!r}")
     return 1 - m
-
-
-def projection_from_digit(digit: int) -> int:
-    """Inverse of :func:`digit_from_projection`."""
-    if digit not in (0, 1, 2):
-        raise ValueError(f"digit must be 0, 1 or 2, got {digit!r}")
-    return 1 - digit
 
 
 def digit_table(n: int) -> np.ndarray:
@@ -81,17 +55,3 @@ def block_values(n: int, start: int, width: int) -> np.ndarray:
     idx = np.arange(3**n)
     return (idx // 3 ** (n - start - width)) % 3**width
 
-
-def group_projector_diagonal(
-    state: Sequence[int], start: int, n: int
-) -> np.ndarray:
-    """Diagonal of |state><state| on a contiguous block, identity elsewhere.
-
-    ``state`` lists the projections of the block starting at site ``start``.
-    The result is a 0/1 vector of length 3**n with 3**(n - len(state)) ones.
-    """
-    width = len(state)
-    target = 0
-    for m in state:
-        target = target * 3 + digit_from_projection(m)
-    return (block_values(n, start, width) == target).astype(float)

@@ -5,10 +5,10 @@ import importlib
 import numpy as np
 import pytest
 
-from qutrit_anneal.anneal import MODE_EXACT
+from qutrit_anneal.anneal import MODE_EXACT, _exact_anneal, _ExactPlan
 from qutrit_anneal.harness import run, spec_from_dict, with_overrides
 from qutrit_anneal.presets import get_preset
-from qutrit_anneal.spin import spin_operator
+from qutrit_anneal.spin import block_values, digit_from_projection, spin_operator
 
 # four points whose three-cluster optimum must pair the two near the origin
 TINY_SPEC = {
@@ -36,6 +36,30 @@ def dense_driver(n: int, h: float) -> np.ndarray:
     sx = spin_operator("x")
     terms = (np.kron(np.kron(np.eye(3**i), sx), np.eye(3 ** (n - i - 1))) for i in range(n))
     return h * sum(terms)
+
+
+def projector(m: int) -> np.ndarray:
+    """The single-site projector |m><m| for m in {1, 0, -1}, as a polynomial in S^z."""
+    sz, eye = spin_operator("z"), np.eye(3)
+    return {1: sz @ (eye + sz) / 2.0, 0: eye - sz @ sz, -1: -sz @ (eye - sz) / 2.0}[m]
+
+
+def group_projector_diagonal(state, start: int, n: int) -> np.ndarray:
+    """0/1 diagonal of |state><state| on the block of sites from ``start``, identity elsewhere."""
+    target = 0
+    for m in state:
+        target = target * 3 + digit_from_projection(m)
+    return (block_values(n, start, len(state)) == target).astype(float)
+
+
+def step(amplitudes, s, hf, h, dt) -> np.ndarray:
+    """exp(-i dt H(s)) on a (C, 3**w) stack of block amplitudes, or C = 1's 3**w, as ``anneal`` steps.
+
+    A plan of one step, through the module-global ``expm_multiply_hermitian`` that tests patch.
+    """
+    plan = _ExactPlan.build(np.array([float(s)]), hf, h, dt)
+    amps = _exact_anneal(plan, hf, np.reshape(amplitudes, (len(hf), -1)))
+    return amps.reshape(np.shape(amplitudes))
 
 
 def forbid_expansion(monkeypatch) -> None:

@@ -6,8 +6,8 @@ lines alongside the pytest verdicts.
 
 import numpy as np
 
-from conftest import dense_driver, ground_states
-from qutrit_anneal.anneal import initial_state, step
+from conftest import dense_driver, ground_states, projector, step
+from qutrit_anneal.anneal import initial_state
 from qutrit_anneal.clustering import (
     Partition,
     cost,
@@ -23,7 +23,7 @@ from qutrit_anneal.hamiltonians import (
     block_state_index,
 )
 from qutrit_anneal.presets import get_preset
-from qutrit_anneal.spin import digit_table, projector
+from qutrit_anneal.spin import digit_table
 
 
 def _criterion(cid: str, description: str, ok: bool, detail: str = "") -> None:

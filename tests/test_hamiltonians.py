@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import dense_driver, ground_states
+from conftest import dense_driver, ground_states, group_projector_diagonal
 from qutrit_anneal.anneal import AnnealConfig, driver_factors
 from qutrit_anneal.clustering import (
     DistanceMatrix,
@@ -25,7 +25,7 @@ from qutrit_anneal.hamiltonians import (
     block_state_list,
     spins_per_point,
 )
-from qutrit_anneal.spin import digit_table, group_projector_diagonal
+from qutrit_anneal.spin import digit_table
 
 SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
 

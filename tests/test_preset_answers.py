@@ -5,7 +5,8 @@ fields.  Exact-step probabilities must agree to 1e-12 (the Chebyshev tail
 keeps them within 9.3e-13 and 9.5e-13 of a 30-digit mpmath reference on
 fig3 and fig4, and within 2.5e-13 and 2.9e-13 of a float64 stepper by dense
 eigh on fig1 and fig2) and split-step ones to 1e-9; the top partition and
-``match`` must be equal.
+``match`` must be equal.  Exact-step must also agree to 2e-12 with the
+file's dense-eigh reference, which shares no stepping code with it.
 """
 
 import json
@@ -39,3 +40,12 @@ def test_preset_answers_match_the_recorded_ones(preset_result, name, mode):
     assert result.final_norm == pytest.approx(want["final_norm"], rel=0, abs=tol)
     assert canonical_key(result.top_partition) == want["top_partition"]
     assert result.match == want["match"]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_exact_step_agrees_with_the_dense_eigh_reference(preset_result, name):
+    got = preset_result(name, MODE_EXACT).report.partition_probabilities
+    want = RECORDED[f"{name}/dense-eigh"]["partition_probabilities"]
+    assert {canonical_key(p) for p in got} == want.keys()
+    gap = max(abs(q - want[canonical_key(p)]) for p, q in got.items())
+    assert gap <= 2e-12

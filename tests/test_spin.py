@@ -3,15 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from qutrit_anneal.hamiltonians import block_state_index
+from conftest import group_projector_diagonal, projector
+from qutrit_anneal.hamiltonians import block_state_index, block_state_list
 from qutrit_anneal.spin import (
     PROJECTIONS,
     block_values,
     digit_from_projection,
     digit_table,
-    group_projector_diagonal,
-    projection_from_digit,
-    projector,
     spin_operator,
 )
 
@@ -49,11 +47,6 @@ def test_unknown_operator_kind_rejected():
 def test_projector_polynomials_equal_canonical_diagonals(m, expected):
     # the polynomial evaluation must reproduce the diagonals exactly
     np.testing.assert_array_equal(projector(m), np.diag(np.array(expected, float)))
-
-
-def test_projector_invalid_projection():
-    with pytest.raises(ValueError):
-        projector(2)
 
 
 def test_projector_completeness_exact():
@@ -98,8 +91,8 @@ def test_basis_index_rejects_bad_input():
 
 
 def test_digit_projection_maps_are_inverse():
-    for m in PROJECTIONS:
-        assert projection_from_digit(digit_from_projection(m)) == m
+    assert block_state_list(1) == tuple((m,) for m in PROJECTIONS)
+    assert [digit_from_projection(m) for (m,) in block_state_list(1)] == [0, 1, 2]
 
 
 def test_digit_table_matches_basis_index():
