@@ -28,14 +28,19 @@ under 1e-3; it is not used where exact-step accuracy is contractual.  In
 the frame F = diag(1, i, -1) on each site the 3x3 driver gate is a real
 rotation, and F^{(x)n} is diagonal, so it commutes with the phases of Hf:
 a run enters the frame before its first step and leaves it after its last.
-Each substep rotates the state grid's rows, then its columns, by real
-products with Kronecker powers of the rotation built each step, with one
-transpose between; 4 column sites take two 9 x 9 factors, not one 81 x 81.
 The half phases of neighbouring substeps are applied as one full phase,
-and those of neighbouring steps as one fixed phase.  The full phases of
-consecutive steps differ by a fixed factor, so each step's is the last
-one's times it, computed afresh by ``np.exp`` every ``_PHASE_REFRESH``
-steps.
+and those of neighbouring steps as one fixed phase.  A run works out its
+steps' rotations and their Kronecker powers a window of steps at a time,
+before the window's first step.  On blocks of one or two qutrits each step
+is one 3 x 3 or 9 x 9 matrix per block, its substeps multiplied by
+squaring; the run multiplies the steps' matrices pairwise and applies the
+product to the state once.  Larger blocks step the state: each substep
+rotates it by real products on its float view, with no transpose, the
+leading sites in one or two groups from the left and the last two sites,
+with the real and imaginary parts, from the right; no factor is above
+27 x 27.  There the full phases of consecutive steps differ by a fixed
+factor, so each step's is the last one's times it, computed afresh by
+``np.exp`` every ``_PHASE_REFRESH`` steps.
 
 A final Hamiltonian of C block rows of 3**w entries has no term that
 couples two blocks, and the driver acts site by site, so the annealed state
@@ -380,14 +385,15 @@ _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
-def _site_rotation(theta: float) -> np.ndarray:
+def _site_rotation(theta: float | np.ndarray) -> np.ndarray:
     """exp(theta * Ks), real and orthogonal: exp(-i theta S^x) in the frame F.
 
     Ks^3 = -Ks closes the series as I + sin(theta) Ks + (1 - cos(theta)) Ks^2,
     with 1 - cos(theta) taken as 2 sin(theta / 2)^2 to keep its digits at
-    small theta.
+    small theta.  An array of angles gives the stack of their rotations.
     """
-    return _EYE3 + math.sin(theta) * _KS + 2.0 * math.sin(0.5 * theta) ** 2 * _KS2
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return _EYE3 + np.sin(theta) * _KS + 2.0 * np.sin(0.5 * theta) ** 2 * _KS2
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,86 +409,90 @@ def _frame(n: int) -> np.ndarray:
 #: 3.1e-4 at M = 100 and 7e-5 at M = 2000 (fig1 both times).
 _SPLIT_SUBSTEPS = 8
 
+#: Blocks of at most this many states (one or two qutrits) take each split
+#: step as one d x d matrix; larger ones step the state.  At 27 states the
+#: matrices were slower wherever C > 1: 8.3 ms against 5.3 ms for a run of
+#: two 3-qutrit blocks at M = 200, and 13.3 ms against 6.6 ms for four.
+_SMALL_BLOCK = 9
+
+#: A split run works out its steps' gates this many steps at a time, so its
+#: memory does not grow with M.  Over three passes of the benchmark's sweep,
+#: peak RSS rose 0.9 MB above stepping every block at 32 steps, against
+#: 2.7 MB at 256 and 0.7 MB at 16, where fig3 and fig4 ran 9% slower.
+_SPLIT_WINDOW = 32
+
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices as one broadcast outer product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], -1
-    )
+    """Kronecker products of square matrices, stacked or not, as one broadcast outer product."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
 
-def _rotate(factors: tuple[np.ndarray, ...], grid: np.ndarray) -> np.ndarray:
-    """The Kronecker product of one or two ``factors`` on the grids' outer axis.
+def _tree_product(ops: np.ndarray) -> np.ndarray:
+    """ops[-1] @ ... @ ops[0] of a stack of matrices, neighbouring pairs first."""
+    while len(ops) > 1:
+        pairs = ops[1::2] @ ops[:-1:2]
+        ops = np.concatenate([pairs, ops[-1:]]) if len(ops) % 2 else pairs
+    return ops[0]
 
-    Each factor is one real product on the grids' float view.  Two take the
-    axis's sub-axes in turn with no transpose: the first on the
-    (C, d_1, d_2 rest) view, the second broadcast on the (C, d_1, d_2, rest)
-    one.
+
+def _split_windows(cfg: AnnealConfig, tau: float, top: int) -> Iterator[tuple[np.ndarray, list]]:
+    """Steps l = 0 .. M, ``_SPLIT_WINDOW`` at a time, with their rotation powers.
+
+    Yields each window's step numbers l and a list whose entry k, for
+    1 <= k <= ``top``, is the stack of R(theta_l)^{(x)k}, one per step, for
+    theta_l = tau (1 - s_l) h: one vectorized ``_site_rotation`` and
+    top - 1 batched ``_kron``s a window.
     """
-    x = grid.view(float)
-    if len(factors) == 1:
-        return (factors[0] @ x).view(complex)
-    first, second = factors
-    blocks, size, _ = x.shape
-    x = first @ x.reshape(blocks, len(first), -1)
-    x = second @ x.reshape(blocks, len(first), len(second), -1)
-    return x.reshape(blocks, size, -1).view(complex)
+    for start in range(0, cfg.M + 1, _SPLIT_WINDOW):
+        steps = np.arange(start, min(start + _SPLIT_WINDOW, cfg.M + 1))
+        rot = _site_rotation(tau * (1.0 - steps / cfg.M) * cfg.h)
+        powers = [None, rot]
+        while len(powers) <= top:
+            powers.append(_kron(rot, powers[-1]))
+        yield steps, powers
 
 
 def _split_step(
-    grid: np.ndarray, gate: np.ndarray, phases: np.ndarray, substeps: int
+    grid: np.ndarray,
+    left: list[np.ndarray],
+    right: np.ndarray,
+    phase: np.ndarray,
+    substeps: int,
 ) -> np.ndarray:
-    """The Strang substeps of one schedule step on framed block grids.
+    """The Strang substeps of one schedule step on framed blocks of w >= 3 qutrits.
 
-    ``grid`` holds each block's amplitudes in the frame F^{(x)w}, as a grid
-    with the block's first a = w // 2 sites as rows: a (C, 3**a, 3**(w - a))
-    stack.  Each substep applies the driver factor, the real rotation
-    ``gate`` on every site, then the step's full phase exp(-i tau s Hf);
-    ``phases`` holds that phase as (C, 3**w) entries in the grids' layout
-    (row 0) and in the transposed one (row 1).  The half phases at the ends
-    of the step are the caller's (``_split_anneal``).  gate^{(x)w} is
-    left (x) right, on the rows and on the columns, each applied by
-    ``_rotate`` to the grids' outer axis, so the layout alternates between
-    (rows, cols) and (cols, rows), with one transposed copy per substep; an
-    odd count transposes back at the end.  An axis of k > 3 sites takes
-    gate^{(x)2} and gate^{(x)(k - 2)}: at 7 qutrits, two 9 x 9 factors, and
-    no power above 27 x 27 is built.  A one-qutrit block has no rows to
-    rotate, and its two layouts share one memory order, so the transpose
-    copies nothing.
+    ``grid`` holds each block's amplitudes in the frame F^{(x)w}, a (C, 3**w)
+    stack.  Each substep applies the driver factor, the real rotation R on
+    every site, then the step's full phase exp(-i tau s Hf), ``phase``, of
+    the grid's shape; the half phases at the ends of the step are the
+    caller's (``_split_anneal``).  R^{(x)w} is applied to the grid's float
+    view, where each amplitude is its real and imaginary parts, with no
+    transpose.  The leading w - 2 sites form one or two groups, and each of
+    the ``left`` powers R^{(x)g} takes its group of g sites by one real
+    product on the left, on the view where the group is the second-to-last
+    axis.  The last two sites take ``right`` = (R^{(x)2} (x) I_2)^T, 18 x 18,
+    by one real product on the right of the (..., 18) view.  At 7 qutrits the
+    groups are 3 and 2 sites, so no factor above 27 x 27 is applied.
     """
-    blocks, rows, cols = grid.shape
-    a, b = _qutrits(rows), _qutrits(cols)
-    powers = [None, gate]  # gate^{(x)k}, as far as the axes need
-    while len(powers) <= max(min(b, 3), b - 2):
-        powers.append(_kron(gate, powers[-1]))
-
-    def factors(k: int) -> tuple[np.ndarray, ...]:
-        if k <= 3:
-            return (powers[k],) if k else ()
-        return powers[2], powers[k - 2]
-
-    left, right = factors(a), factors(b)
-    layouts = (
-        (left, right, phases[1].reshape(blocks, cols, rows)),
-        (right, left, phases[0].reshape(grid.shape)),
-    )
-    for k in range(substeps):
-        outer, inner, phase = layouts[k % 2]
-        if outer:
-            grid = _rotate(outer, grid)
-        grid = np.ascontiguousarray(grid.swapaxes(1, 2))
-        if inner:
-            grid = _rotate(inner, grid)
+    blocks = len(grid)
+    for _ in range(substeps):
+        x, outer = grid.view(float), 1
+        for factor in left:
+            x = factor @ x.reshape(blocks, outer, len(factor), -1)
+            outer *= len(factor)
+        grid = (x.reshape(-1, len(right)) @ right).reshape(blocks, -1).view(complex)
         grid *= phase
-    return np.ascontiguousarray(grid.swapaxes(1, 2)) if substeps % 2 else grid
+    return grid
 
 
-#: Each split step's full phase exp(-i tau s Hf) is the previous step's times
-#: the fixed ratio exp(-i tau Hf / M), and every this many steps it is
-#: computed afresh by ``np.exp``.  The rounded ratio's modulus differs from 1
-#: by up to about 1e-16, the same at every multiply, so without the refresh
-#: that error adds up with M: fig4's norm then drifts 6.8e-10 at M = 2000,
-#: against 3.9e-12 with it.
+#: On blocks above ``_SMALL_BLOCK`` states, each split step's full phase
+#: exp(-i tau s Hf) is the previous step's times the fixed ratio
+#: exp(-i tau Hf / M), and every this many steps it is computed afresh by
+#: ``np.exp``.  The rounded ratio's modulus differs from 1 by up to about
+#: 1e-16, the same at every multiply, so without the refresh that error adds
+#: up with M: fig2's norm then drifts 3.5e-10 at M = 2000, against 1.9e-12
+#: with it.
 _PHASE_REFRESH = 16
 
 
@@ -490,40 +500,55 @@ def _split_anneal(cfg: AnnealConfig, hf: np.ndarray, amps: np.ndarray) -> np.nda
     """The split-step schedule on a (C, 3**w) stack of block amplitudes.
 
     Step l is the Strang product half_l D P D ... P D half_l of k driver
-    substeps D, with P = exp(-i tau s_l Hf), half_l = exp(-i tau s_l Hf / 2)
-    and tau = dt / k.  ``_split_step`` applies (P D)^k, and half_l P^-1 =
-    conj(half_l), so between steps l and l + 1 the phase is
-    half_{l+1} conj(half_l) = exp(-i tau Hf / (2 M)), the same at every
-    step.  The opening half phase at s = 0 is 1, and after the last step
-    conj(half_M) closes it.  F^{(x)w} commutes with all the phases, so the
-    run enters the frame once before step 0 and leaves it after step M.  No
-    step calls ``np.exp``: P is carried from step to step by one multiply,
-    and refreshed every ``_PHASE_REFRESH`` steps.  The run holds a few
-    arrays of 3**w entries per block, whatever M.
+    substeps D = R(theta_l)^{(x)w}, with P = exp(-i tau s_l Hf),
+    half_l = exp(-i tau s_l Hf / 2) and tau = dt / k: (P D)^k between two
+    half phases.  half_l P^-1 = conj(half_l), so between steps l and l + 1
+    the phase is B = half_{l+1} conj(half_l) = exp(-i tau Hf / (2 M)), the
+    same at every step.  The opening half phase at s = 0 is 1, and after
+    the last step conj(half_M) closes it.  F^{(x)w} commutes with all the
+    phases, so the run enters the frame once before step 0 and leaves it
+    after step M.  Every step's gates are worked out a window of
+    ``_SPLIT_WINDOW`` steps at a time, before the window's first step
+    (``_split_windows``).
+
+    On blocks of d <= ``_SMALL_BLOCK`` states each step is one (C, d, d)
+    matrix: the window's phases by one ``np.exp``, times its rotations,
+    raised to the k-th power by squaring, with B folded into every step
+    after step 0.  The window's steps are multiplied in a pairwise tree,
+    and the product of all windows applies to the framed initial state
+    once.  Larger blocks make one ``_split_step`` call per step, and carry
+    P from step to step by one multiply, refreshed every ``_PHASE_REFRESH``
+    steps.  Either way the run holds a few arrays of 3**w entries per
+    block, and a window's gates, whatever M.
     """
     M, substeps = cfg.M, _SPLIT_SUBSTEPS
     tau = cfg.dt / substeps
-    blocks, w = len(hf), _qutrits(hf.shape[1])
-    shape = (blocks, 3 ** (w // 2), 3 ** (w - w // 2))
-
-    def layouts(x: np.ndarray) -> np.ndarray:
-        """(C, 3**w) entries in the grids' layout and in the transposed one."""
-        return np.stack([x, x.reshape(shape).swapaxes(1, 2).reshape(x.shape)])
-
-    ratio = layouts(np.exp(-1j * tau / M * hf))
-    between = np.exp(-0.5j * tau / M * hf).reshape(shape)
+    size, w = hf.shape[1], _qutrits(hf.shape[1])
+    between = np.exp(-0.5j * tau / M * hf)
     frame = _frame(w)
-    grid = (frame.conj() * amps).reshape(shape)
-    for l in range(M + 1):
-        s = l / M
-        if l % _PHASE_REFRESH:
-            phases *= ratio
-        else:
-            phases = layouts(np.exp(-1j * tau * s * hf))
-        if l:
-            grid *= between
-        grid = _split_step(grid, _site_rotation(tau * (1.0 - s) * cfg.h), phases, substeps)
-    return frame * np.exp(0.5j * tau * hf) * grid.reshape(hf.shape)
+    grid = frame.conj() * amps
+    if size <= _SMALL_BLOCK:
+        total = np.eye(size)
+        for steps, powers in _split_windows(cfg, tau, w):
+            phases = np.exp(-1j * tau * (steps / M)[:, None, None] * hf)
+            ops = np.linalg.matrix_power(phases[..., None] * powers[w][:, None], substeps)
+            ops[int(steps[0] == 0) :] *= between[:, None, :]
+            total = _tree_product(ops) @ total
+        grid = (total @ grid[..., None])[..., 0]
+    else:
+        groups = (w - 2,) if w <= 5 else (w - 4, 2)
+        ratio = np.exp(-1j * tau / M * hf)
+        for steps, powers in _split_windows(cfg, tau, max(groups + (2,))):
+            right = _kron(powers[2].swapaxes(1, 2), np.eye(2))
+            for i, l in enumerate(steps.tolist()):
+                if l % _PHASE_REFRESH:
+                    phase *= ratio
+                else:
+                    phase = np.exp(-1j * tau * (l / M) * hf)
+                if l:
+                    grid *= between
+                grid = _split_step(grid, [powers[g][i] for g in groups], right[i], phase, substeps)
+    return frame * np.exp(0.5j * tau * hf) * grid
 
 
 def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
@@ -539,7 +564,7 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     M + 1 steps, checks the guard on its largest dt r, and hands it to
     ``_exact_anneal``, which calls ``expm_multiply_hermitian`` once per
     step; split-step hands the whole schedule to ``_split_anneal``, which
-    calls ``_split_step`` once per step.
+    calls ``_split_step`` once per step on blocks of three or more qutrits.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0

@@ -297,8 +297,8 @@ def test_steps_evolve_each_block_of_a_stack():
     expected = expm(-1j * dt * dense_h(s, hf, h)) @ register
     np.testing.assert_allclose(np.kron(*step(stack, s, hf, h, dt)), expected, rtol=0, atol=1e-12)
     # split-step: a whole run of the stack against the same run of the
-    # register, with steps that compute the full phase and steps that carry it
-    cfg = AnnealConfig(h=h, M=anneal_module._PHASE_REFRESH, dt=dt, mode=MODE_SPLIT)
+    # register, both as one matrix a step, over two windows of steps
+    cfg = AnnealConfig(h=h, M=anneal_module._SPLIT_WINDOW + 1, dt=dt, mode=MODE_SPLIT)
     np.testing.assert_allclose(
         anneal(cfg, hf), anneal(cfg, full_diagonal(hf)[None]), rtol=0, atol=1e-13
     )
@@ -790,54 +790,60 @@ def strang_reference(hf, cfg, substeps):
     return amps
 
 
-#: (blocks, qutrits per block, substeps).  Odd substep counts end in the
-#: transposed layout; the default count on one block keeps the plain
-#: register size as its id.
-SPLIT_CASES = [
-    pytest.param(1, n, k, id=str(n) if k == 8 else f"{n}-substeps{k}")
-    for k in (8, 1, 2, 3)
-    for n in range(1, 8)
-] + [pytest.param(c, w, 8, id=f"{c}-blocks-of-{w}") for c, w in ((2, 1), (3, 1), (2, 2), (3, 2))]
+#: (blocks, qutrits per block, substeps, steps M).  One and two qutrits take
+#: each step as one matrix, three or more step the state; the default count
+#: on one block keeps the plain register size as its id.  Two blocks of
+#: three qutrits step C > 1 blocks, and M = 70 spans three windows of steps.
+SPLIT_CASES = (
+    [
+        pytest.param(1, n, k, 40, id=str(n) if k == 8 else f"{n}-substeps{k}")
+        for k in (8, 1, 2, 3)
+        for n in range(1, 8)
+    ]
+    + [
+        pytest.param(c, w, 8, 40, id=f"{c}-blocks-of-{w}")
+        for c, w in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
+    ]
+    + [pytest.param(c, w, 8, 70, id=f"{c}-blocks-of-{w}-M70") for c, w in ((2, 2), (2, 3))]
+)
 
 
-@pytest.mark.parametrize("blocks, w, substeps", SPLIT_CASES)
-def test_split_step_matches_per_axis_product(blocks, w, substeps, monkeypatch):
-    # M passes _PHASE_REFRESH, so steps that compute the full phase afresh
-    # and steps that carry it from the last one both run
+@pytest.mark.parametrize("blocks, w, substeps, M", SPLIT_CASES)
+def test_split_step_matches_per_axis_product(blocks, w, substeps, M, monkeypatch):
+    # M passes _PHASE_REFRESH, so where the state is stepped, steps that
+    # compute the full phase afresh and steps that carry it both run
     monkeypatch.setattr(anneal_module, "_SPLIT_SUBSTEPS", substeps)
     rng = np.random.default_rng(10 * blocks + w)
     hf = rng.uniform(-20.0, 20.0, (blocks, 3**w))
-    cfg = AnnealConfig(h=3.0, M=40, dt=0.1, mode=MODE_SPLIT)
+    cfg = AnnealConfig(h=3.0, M=M, dt=0.1, mode=MODE_SPLIT)
     assert cfg.M > anneal_module._PHASE_REFRESH
+    assert (cfg.M + 1 > 2 * anneal_module._SPLIT_WINDOW) == (M == 70)
     expected = strang_reference(hf, cfg, substeps)
     np.testing.assert_allclose(anneal(cfg, hf), expected, rtol=0, atol=1e-13)
 
 
 def test_seven_qutrit_split_step_builds_no_power_above_27(monkeypatch):
-    # the 4 column sites of a 7-qutrit block take gate^{(x)2} on each half,
-    # so a step builds gate^{(x)2} and gate^{(x)3} and never the 81 x 81
-    # gate^{(x)4}: in one step, and in each step of a whole run
-    kron, shapes = anneal_module._kron, []
+    # every step of a 7-qutrit run gets rotation factors that cover its 7
+    # sites, the last two with the real and imaginary parts, and none of
+    # them is above 27 x 27: never the 81 x 81 gate^{(x)4}
+    split_step, sides = anneal_module._split_step, []
 
-    def recording(a, b):
-        out = kron(a, b)
-        shapes.append(out.shape)
-        return out
+    def recording(grid, left, right, *args):
+        sides.append([f.shape for f in left] + [right.shape])
+        return split_step(grid, left, right, *args)
 
-    monkeypatch.setattr(anneal_module, "_kron", recording)
+    monkeypatch.setattr(anneal_module, "_split_step", recording)
     rng = np.random.default_rng(7)
-    grid = rng.normal(size=(1, 27, 81)) + 1j * rng.normal(size=(1, 27, 81))
-    phases = np.exp(1j * rng.uniform(-3.0, 3.0, (2, 1, 3**7)))
-    anneal_module._split_step(grid, _site_rotation(0.3), phases, 8)
-    assert shapes == [(9, 9), (27, 27)]
-    shapes.clear()
     anneal(AnnealConfig(h=2.0, M=10, mode=MODE_SPLIT), random_diag(rng, 7))
-    assert shapes == [(9, 9), (27, 27)] * 11
+    assert len(sides) == 11
+    for shapes in sides:
+        assert all(rows == cols <= 27 for rows, cols in shapes)
+        assert np.prod([rows for rows, _ in shapes]) == 2 * 3**7
 
 
 def test_split_phases_track_np_exp_at_every_step(monkeypatch):
     # each step's full phase, carried from the last one by one multiply,
-    # against np.exp at that step's s, in both layouts, over a long run.
+    # against np.exp at that step's s, over a long run of stepped blocks.
     # The rows reach |Hf| = 1e5, the half-width the exact-step guard allows
     # at dt = 0.1; np.exp's own rounding of tau s Hf passes 1e-12 near 2e5
     M, dt = 2000, 0.1
@@ -845,10 +851,9 @@ def test_split_phases_track_np_exp_at_every_step(monkeypatch):
     hf = np.linspace(-1e5, 1e5, 2 * 27).reshape(2, 27)
     errors = []
 
-    def check(grid, gate, phases, *args):
+    def check(grid, left, right, phase, *args):
         want = np.exp(-1j * tau * (len(errors) / M) * hf)
-        transposed = want.reshape(2, 3, 9).swapaxes(1, 2).reshape(2, 27)
-        errors.append(max(np.abs(phases[0] - want).max(), np.abs(phases[1] - transposed).max()))
+        errors.append(np.abs(phase - want).max())
         return grid
 
     monkeypatch.setattr(anneal_module, "_split_step", check)
@@ -857,21 +862,37 @@ def test_split_phases_track_np_exp_at_every_step(monkeypatch):
     assert max(errors) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
-def test_split_norm_drift_on_presets(name, preset_result):
-    # the carried phases keep their modulus only because they are refreshed:
-    # without it fig4 drifts 6.8e-10 at M = 2000
-    assert abs(preset_result(name, MODE_SPLIT).final_norm - 1.0) < 1e-10
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        pytest.param(name, bound, id=name)
+        for name, bound in (("fig1", 1e-10), ("fig2", 1e-10), ("fig3", 1e-12), ("fig4", 1e-12))
+    ],
+)
+def test_split_norm_drift_on_presets(name, bound, preset_result):
+    # fig1 and fig2 step one block, whose carried phases keep their modulus
+    # only because they are refreshed; fig3 and fig4 multiply one matrix a
+    # step on one- and two-qutrit blocks, with every phase from np.exp
+    assert abs(preset_result(name, MODE_SPLIT).final_norm - 1.0) < bound
 
 
-def test_split_anneal_calls_the_split_step_seam_once_per_step(monkeypatch):
+@pytest.mark.parametrize(
+    "shape, stepped",
+    [
+        pytest.param((1, 9), False, id="9-states"),
+        pytest.param((3, 3), False, id="3-blocks-of-3-states"),
+        pytest.param((1, 27), True, id="27-states"),
+    ],
+)
+def test_split_anneal_calls_the_split_step_seam_once_per_step(shape, stepped, monkeypatch):
     # perfbench's tracer times split-step by wrapping the module global
-    # _split_step, so anneal must call it by that name at every step
-    hf = random_diag(np.random.default_rng(9), 3)
+    # _split_step, so anneal must call it by that name at every step where
+    # it steps the state; blocks of at most 9 states are one matrix a step
+    hf = np.random.default_rng(9).uniform(-20.0, 20.0, shape)
     split_step, calls = counting(anneal_module._split_step)
     monkeypatch.setattr(anneal_module, "_split_step", split_step)
     anneal(AnnealConfig(h=2.0, M=7, mode=MODE_SPLIT), hf)
-    assert len(calls) == 8
+    assert len(calls) == (8 if stepped else 0)
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
