@@ -4,23 +4,26 @@ The schedule interpolates H(s) = (1 - s) * h * sum_i S_i^x + s * Hf for
 s = l/M, l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  Hf
 is diagonal, and a run takes it as the read-only (C, 3**w) array of block
 rows that ``Encoding.hamiltonian`` returns; the driver is its field h alone,
-from ``AnnealConfig``.  The exact-step mode evaluates each exponential by a
-Chebyshev expansion (Tal-Ezer & Kosloff, 1984), from a plan a run works out
-before step 0 (``_ExactPlan``), the one place that maps H(s) onto [-2, 2].
-The spectral bounds of H(s) come free from the extremes of the diagonal and
-the driver's -h n .. h n, and they are affine in s, so the plan holds every
-step's centres, half-width r, dt r and phases as arrays; each step's
-Chebyshev weights come from Bessel tables that one vectorized Miller
-recurrence computes a bounded window of steps at a time.  Each step folds
-its scale and shift into the mapped diagonal and driver factors, in buffers
-allocated once per run.  ``expm_multiply_hermitian`` expands any real
+from ``AnnealConfig``.
+
+Both modes work out a bounded window of steps before the window's first
+step, then apply each step to the state, so memory does not grow with M.
+The exact-step mode evaluates each exponential by a Chebyshev expansion
+(Tal-Ezer & Kosloff, 1984).  ``_bounds`` is the one place that maps H(s)
+onto [-2, 2]: the spectral bounds of H(s) come free from the extremes of
+the diagonal and the driver's -h n .. h n, and they are affine in s, so a
+window's centres, half-widths r, dt r and phases are arrays, and its
+Chebyshev weights come from one Bessel table of a vectorized Miller
+recurrence.  Each step folds its scale and shift into the mapped diagonal
+and driver factors, in buffers allocated once per window.
+``expm_multiply_hermitian`` expands any real
 symmetric operator on [-2, 2] from the weights it is given, each term one
 apply and one subtraction, to the degree where the Bessel coefficients fall
 below 1e-15.  The recurrence runs in real arithmetic on the real and
 imaginary parts of the state, and each apply takes the driver as a Kronecker
 sum of the two ``driver_factors``: two matrix products on the state viewed
-as a grid.  ``anneal`` refuses an exact-step schedule whose plan reaches
-dt r above 1e4, about 1e4 terms a step, before any Bessel window.
+as a grid.  ``anneal`` refuses an exact-step schedule whose dt r exceeds
+1e4, about 1e4 terms a step, before any Bessel window.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -29,16 +32,14 @@ the frame F = diag(1, i, -1) on each site the 3x3 driver gate is a real
 rotation, and F^{(x)n} is diagonal, so it commutes with the phases of Hf:
 a run enters the frame before its first step and leaves it after its last.
 The half phases of neighbouring substeps are applied as one full phase,
-and those of neighbouring steps as one fixed phase.  A run works out its
-steps' rotations and their Kronecker powers a window of steps at a time,
-before the window's first step.  On blocks of one or two qutrits each step
-is one 3 x 3 or 9 x 9 matrix per block, its substeps multiplied by
-squaring; the run multiplies the steps' matrices pairwise and applies the
-product to the state once.  Larger blocks step the state: each substep
-rotates it by real products on its float view, with no transpose, the
-leading sites in one or two groups from the left and the last two sites,
-with the real and imaginary parts, from the right; no factor is above
-27 x 27.  There the full phases of consecutive steps differ by a fixed
+and those of neighbouring steps as one fixed phase.  A window holds its
+steps' rotations and their Kronecker powers.  On blocks of one or two
+qutrits each step is one 3 x 3 or 9 x 9 matrix per block, its substeps
+multiplied by squaring, applied to the state.  On larger blocks each
+substep rotates the state by real products on its float view, with no
+transpose, the leading sites in one or two groups from the left and the
+last two sites, with the real and imaginary parts, from the right; no
+factor is above 27 x 27.  There the full phases of consecutive steps differ by a fixed
 factor, so each step's is the last one's times it, computed afresh by
 ``np.exp`` every ``_PHASE_REFRESH`` steps.
 
@@ -147,10 +148,11 @@ _ROWS = 8
 #: at 31.5 (fig2).
 _MAX_DT_RADIUS = 1e4
 
-#: A run computes its Bessel tables a window of steps at a time, each window
-#: at most this many table entries (128 kB), or one row where a row is
-#: longer: as many steps as fit, whatever M.  The presets' rows hold at
-#: most 100 entries, so M = 100 takes one window and M = 2000 at most 13.
+#: An exact-step run takes its steps a window at a time, as many as fit
+#: their Bessel table in this many entries (128 kB), or one step where a row
+#: is longer, whatever M.  The rows are as long as the run's largest dt r
+#: gives, and the presets' hold at most 100 entries, so M = 100 takes one
+#: window and M = 2000 at most 13.
 _WINDOW = 2**14
 
 
@@ -201,25 +203,21 @@ def _chebyshev_weights(xs: np.ndarray) -> Iterator[np.ndarray]:
     (2, d + 1) coefficients (2 - [k = 0]) (-i)^k J_k(x) of the T_k: real
     for even k, in row 0, and the imaginary parts for odd k, in row 1, each
     zero in the other row.  Below the tail, |x| < _TAIL, J_0(x) rounds to 1
-    and no other term is kept: degree 0.  The Bessel tables are computed a
-    window of ``_WINDOW`` entries at a time, so the weights of only one
-    window are held at once, whatever the number of steps.
+    and no other term is kept: degree 0.  The Bessel tables of all of ``xs``
+    are one ``_bessel_window``, so the caller bounds its length.
     """
-    rows = max(1, _WINDOW // (_bessel_top(np.abs(xs).max()) + 1))
-    for start in range(0, len(xs), rows):
-        x = xs[start : start + rows]
-        live = np.abs(x) >= _TAIL
-        table = _bessel_window(x[live]) if live.any() else np.ones((0, 1))
-        kept = (table >= 0.5 * _TAIL) | (table <= -0.5 * _TAIL)
-        degrees = np.zeros(len(x), dtype=int)
-        degrees[live] = table.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1)
-        coefs = table[:, : degrees.max() + 1]  # J_k, then the coefficients in place
-        coefs[:, 1:] *= 2.0 * _SIGNS[np.arange(1, coefs.shape[1]) % 4]
-        weights = np.zeros((len(x), 2, coefs.shape[1]))
-        weights[:, 0, 0] = 1.0  # J_0 below the tail
-        weights[live, 0, ::2], weights[live, 1, 1::2] = coefs[:, ::2], coefs[:, 1::2]
-        for row, degree in zip(weights, degrees.tolist()):
-            yield row[:, : degree + 1]
+    live = np.abs(xs) >= _TAIL
+    table = _bessel_window(xs[live]) if live.any() else np.ones((0, 1))
+    kept = (table >= 0.5 * _TAIL) | (table <= -0.5 * _TAIL)
+    degrees = np.zeros(len(xs), dtype=int)
+    degrees[live] = table.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1)
+    coefs = table[:, : degrees.max() + 1]  # J_k, then the coefficients in place
+    coefs[:, 1:] *= 2.0 * _SIGNS[np.arange(1, coefs.shape[1]) % 4]
+    weights = np.zeros((len(xs), 2, coefs.shape[1]))
+    weights[:, 0, 0] = 1.0  # J_0 below the tail
+    weights[live, 0, ::2], weights[live, 1, 1::2] = coefs[:, ::2], coefs[:, 1::2]
+    for row, degree in zip(weights, degrees.tolist()):
+        yield row[:, : degree + 1]
 
 
 def expm_multiply_hermitian(
@@ -298,50 +296,36 @@ def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, rest
 
 
-@dataclass(frozen=True, eq=False)
-class _ExactPlan:
-    """Every step's numbers of an exact-step schedule, worked out before step 0.
+def _bounds(s: np.ndarray, hf: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's centre and the largest half-width of H(s) at the points ``s``.
 
-    Step l at s_l maps block b's H_b(s_l) onto [-2, 2].  Its spectrum lies in
-    [lo_b, hi_b] = [s min row_b - (1 - s) h w, s max row_b + (1 - s) h w],
-    which is exact at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on
-    every site) and affine in s, so all steps' bounds come from the rows'
-    extremes at once.  With c_b the centre and r the largest half-width over
-    the blocks, H_b(s) = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r:
-    the step is exp(-i dt c_b) exp(-i (dt r / 2) H~_b), one expansion of one
-    degree for all blocks.  The plan holds, per step, the field (1 - s) h,
-    each block's centre, the shared r, x = dt r and each block's phase
-    exp(-i dt c_b), all of it O(steps x blocks) numbers; ``_chebyshev_weights``
-    turns the x into each step's Chebyshev weights, a Bessel window at a time.
+    Block b's H_b(s) has its spectrum in [lo_b, hi_b] = [s min row_b -
+    (1 - s) h w, s max row_b + (1 - s) h w], which is exact at s = 0 and
+    s = 1 (S^x has eigenvalues -1, 0, 1 on every site) and affine in s.
+    With c_b the centre and r the largest half-width over the blocks, H_b(s)
+    = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r maps every block onto
+    [-2, 2]: the step is exp(-i dt c_b) exp(-i (dt r / 2) H~_b), one
+    expansion of one degree for all blocks.  Returns the (len(s), C) centres
+    and the len(s) radii r.
     """
-
-    s: np.ndarray
-    field: np.ndarray
-    centre: np.ndarray
-    radius: np.ndarray
-    x: np.ndarray
-    phase: np.ndarray
-
-    @classmethod
-    def build(cls, s: np.ndarray, hf: np.ndarray, h: float, dt: float) -> "_ExactPlan":
-        """The plan of steps at the schedule parameters ``s`` for rows ``hf``."""
-        field = (1.0 - s) * h
-        spread = (field * _qutrits(hf.shape[1]))[:, None]
-        lo = s[:, None] * hf.min(axis=1) - spread
-        hi = s[:, None] * hf.max(axis=1) + spread
-        centre, radius = 0.5 * (hi + lo), (0.5 * (hi - lo)).max(axis=1)
-        return cls(s, field, centre, radius, dt * radius, np.exp(-1j * dt * centre))
+    spread = ((1.0 - s) * h * _qutrits(hf.shape[1]))[:, None]
+    lo = s[:, None] * hf.min(axis=1) - spread
+    hi = s[:, None] * hf.max(axis=1) + spread
+    return 0.5 * (hi + lo), (0.5 * (hi - lo)).max(axis=1)
 
 
-def _exact_anneal(plan: _ExactPlan, hf: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """The steps of ``plan`` on a (C, 3**w) stack of block amplitudes.
+def _exact_anneal(
+    s: np.ndarray, hf: np.ndarray, h: float, dt: float, amps: np.ndarray
+) -> np.ndarray:
+    """The exact steps at the schedule points ``s`` on a (C, 3**w) stack of block amplitudes.
 
+    The points' ``_bounds`` give each step's x = dt r and phases exp(-i dt
+    c_b), and ``_chebyshev_weights`` their weights from one Bessel window.
     Each step fills the mapped diagonal and driver factors of its H~ into
-    buffers allocated once per run, and calls ``expm_multiply_hermitian``
-    once, with the step's weights and the run's recurrence buffers; where
-    every block has zero width, H_b(s) is c_b times the identity, the
-    degree is 0 and the step makes no matvec.  Then each block takes its
-    phase exp(-i dt c_b).
+    buffers allocated once per call, and calls ``expm_multiply_hermitian``
+    once, with the step's weights and the recurrence buffers; where every
+    block has zero width, H_b(s) is c_b times the identity, the degree is 0
+    and the step makes no matvec.  Then each block takes its phase.
     """
     w = _qutrits(hf.shape[1])
     a, b = driver_factors(w)
@@ -362,13 +346,14 @@ def _exact_anneal(plan: _ExactPlan, hf: np.ndarray, amps: np.ndarray) -> np.ndar
             out += grid @ fb
         return out.reshape(x.shape)
 
+    centres, radii = _bounds(s, hf, h)
     steps = zip(
-        plan.s.tolist(), plan.field.tolist(), plan.radius.tolist(), plan.centre, plan.phase,
-        _chebyshev_weights(plan.x),
+        s.tolist(), ((1.0 - s) * h).tolist(), radii.tolist(), centres,
+        np.exp(-1j * dt * centres), _chebyshev_weights(dt * radii),
     )
-    for s, field, radius, centre, phase, weights in steps:
+    for point, field, radius, centre, phase, weights in steps:
         scale = 2.0 / radius if radius else 1.0
-        np.multiply(hf, s, out=mapped)
+        np.multiply(hf, point, out=mapped)
         mapped -= centre[:, None]
         mapped *= scale
         planes[1] = planes[0]
@@ -426,14 +411,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products of square matrices, stacked or not, as one broadcast outer product."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-1] * b.shape[-1], -1)
-
-
-def _tree_product(ops: np.ndarray) -> np.ndarray:
-    """ops[-1] @ ... @ ops[0] of a stack of matrices, neighbouring pairs first."""
-    while len(ops) > 1:
-        pairs = ops[1::2] @ ops[:-1:2]
-        ops = np.concatenate([pairs, ops[-1:]]) if len(ops) % 2 else pairs
-    return ops[0]
 
 
 def _split_windows(cfg: AnnealConfig, tau: float, top: int) -> Iterator[tuple[np.ndarray, list]]:
@@ -514,9 +491,8 @@ def _split_anneal(cfg: AnnealConfig, hf: np.ndarray, amps: np.ndarray) -> np.nda
     On blocks of d <= ``_SMALL_BLOCK`` states each step is one (C, d, d)
     matrix: the window's phases by one ``np.exp``, times its rotations,
     raised to the k-th power by squaring, with B folded into every step
-    after step 0.  The window's steps are multiplied in a pairwise tree,
-    and the product of all windows applies to the framed initial state
-    once.  Larger blocks make one ``_split_step`` call per step, and carry
+    after step 0, and each step's matrix is applied to the framed state in
+    turn.  Larger blocks make one ``_split_step`` call per step, and carry
     P from step to step by one multiply, refreshed every ``_PHASE_REFRESH``
     steps.  Either way the run holds a few arrays of 3**w entries per
     block, and a window's gates, whatever M.
@@ -528,13 +504,14 @@ def _split_anneal(cfg: AnnealConfig, hf: np.ndarray, amps: np.ndarray) -> np.nda
     frame = _frame(w)
     grid = frame.conj() * amps
     if size <= _SMALL_BLOCK:
-        total = np.eye(size)
+        grid = grid[..., None]
         for steps, powers in _split_windows(cfg, tau, w):
             phases = np.exp(-1j * tau * (steps / M)[:, None, None] * hf)
             ops = np.linalg.matrix_power(phases[..., None] * powers[w][:, None], substeps)
             ops[int(steps[0] == 0) :] *= between[:, None, :]
-            total = _tree_product(ops) @ total
-        grid = (total @ grid[..., None])[..., 0]
+            for op in ops:
+                grid = op @ grid
+        grid = grid[..., 0]
     else:
         groups = (w - 2,) if w <= 5 else (w - 4, 2)
         ratio = np.exp(-1j * tau / M * hf)
@@ -559,12 +536,12 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
     state, one per block, and the register's amplitudes are the Kronecker
     product of the blocks in register order.  Rows that are not a finite 2-D
-    array of length 3**w, w >= 1, are a ``ValueError``.  Both modes work out
-    before step 0 what no step changes.  Exact-step builds the plan of all
-    M + 1 steps, checks the guard on its largest dt r, and hands it to
-    ``_exact_anneal``, which calls ``expm_multiply_hermitian`` once per
-    step; split-step hands the whole schedule to ``_split_anneal``, which
-    calls ``_split_step`` once per step on blocks of three or more qutrits.
+    array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step checks
+    the guard on the largest dt r, at s = 0 or s = 1, and hands the steps
+    to ``_exact_anneal`` a window at a time, which calls
+    ``expm_multiply_hermitian`` once per step; split-step hands the whole
+    schedule to ``_split_anneal``, which calls ``_split_step`` once per step
+    on blocks of three or more qutrits.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -573,8 +550,8 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
     if cfg.mode == MODE_EXACT:
-        plan = _ExactPlan.build(np.arange(cfg.M + 1) / cfg.M, hf, cfg.h, cfg.dt)
-        x = float(plan.x.max())
+        # r(s) is affine in s per block, so its maximum over the blocks is at an end
+        x = cfg.dt * float(_bounds(np.array([0.0, 1.0]), hf, cfg.h)[1].max())
         if not x <= _MAX_DT_RADIUS:
             width = float((hf.max(axis=1) - hf.min(axis=1)).max())
             raise SizeGuardError(
@@ -586,7 +563,10 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if cfg.mode == MODE_SPLIT:
         amps = _split_anneal(cfg, hf, amps)
     else:
-        amps = _exact_anneal(plan, hf, amps)
+        window = max(1, _WINDOW // (_bessel_top(x) + 1))
+        for start in range(0, cfg.M + 1, window):
+            s = np.arange(start, min(start + window, cfg.M + 1)) / cfg.M
+            amps = _exact_anneal(s, hf, cfg.h, cfg.dt, amps)
     return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 

@@ -200,12 +200,7 @@ def cost(dm: DistanceMatrix, partition: Partition) -> float:
         raise ValueError(
             f"partition covers {len(labels)} points, distance matrix has {n}"
         )
-    return math.fsum(
-        dm.d[i, j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if labels[i] == labels[j]
-    )
+    return _exact_costs(dm, np.array([labels]))[0]
 
 
 def partition_keys(labels: np.ndarray) -> np.ndarray:
@@ -245,6 +240,22 @@ def partition_keys(labels: np.ndarray) -> np.ndarray:
 
 #: Most assignments in one oracle chunk: its memory stays flat at any size.
 _CHUNK_ROWS = 3**9
+
+
+def _exact_costs(dm: DistanceMatrix, rows: np.ndarray) -> list[float]:
+    """The cost of each label row: its same-cluster pair distances summed by ``math.fsum``.
+
+    fsum is correctly rounded, so the order of the terms cannot change a
+    cost.  The pair masks are taken ``_CHUNK_ROWS`` rows at a time.
+    """
+    pi, pj = np.triu_indices(dm.n_points, 1)
+    weights = dm.d[pi, pj].tolist()
+    exact = []
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        block = rows[start : start + _CHUNK_ROWS]
+        same = (block[:, pi] == block[:, pj]).tolist()
+        exact += [math.fsum(itertools.compress(weights, row)) for row in same]
+    return exact
 
 
 def _cost_chunks(
@@ -338,8 +349,8 @@ def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = Non
     """Exact minimum of the cost over all assignments of K <= 128 labels, by brute force.
 
     Assignments are costed in numpy chunks; the ones near the minimum become
-    label rows, deduplicated by ``partition_keys`` and re-costed with
-    ``math.fsum`` as :func:`cost` does, so ``min_cost`` is the exact minimum.
+    label rows, deduplicated by ``partition_keys`` and re-costed by the
+    ``math.fsum`` of :func:`cost`, so ``min_cost`` is the exact minimum.
     The argmin is every assignment whose ``cost`` lies within
     ``_ARGMIN_REL_TOL * (1 + |min_cost|)`` of ``min_cost``: one window around
     the final minimum.  (A running-best scan could also keep an early member of
@@ -349,8 +360,7 @@ def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = Non
     ``Partition`` is built until ``argmin_partitions`` is read.
     """
     chunks = _cost_chunks(dm, K, dict(fixed or {}))
-    pi, pj = np.triu_indices(dm.n_points, 1)
-    w = dm.d[pi, pj]
+    w = dm.d[np.triu_indices(dm.n_points, 1)]
     # A row's numpy cost sums at most 66 non-negative terms of w and exact
     # zeros (weights times 0 or 1).  In any order that sum is within
     # 65 * 2**-53 * sum(w) < 1e-14 * sum(w) of the exact value (Higham,
@@ -381,14 +391,7 @@ def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = Non
     del kept
     unique, first = np.unique(keys, return_index=True)
     rows = rows[first]
-    # fsum is correctly rounded, so summing the row's pair weights in any
-    # order gives exactly ``cost``
-    weights = w.tolist()
-    exact = []
-    for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        block = rows[start : start + _CHUNK_ROWS]
-        same = (block[:, pi] == block[:, pj]).tolist()
-        exact += [math.fsum(itertools.compress(weights, row)) for row in same]
+    exact = _exact_costs(dm, rows)  # as ``cost`` sums them
     min_cost = min(exact)
     limit = min_cost + _ARGMIN_REL_TOL * (1.0 + abs(min_cost))
     near = np.array(exact) <= limit

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from qutrit_anneal.anneal import MODE_EXACT, _exact_anneal, _ExactPlan
+from qutrit_anneal.anneal import MODE_EXACT, _exact_anneal
 from qutrit_anneal.harness import run, spec_from_dict, with_overrides
 from qutrit_anneal.presets import get_preset
 from qutrit_anneal.spin import block_values, digit_from_projection, spin_operator
@@ -55,10 +55,9 @@ def group_projector_diagonal(state, start: int, n: int) -> np.ndarray:
 def step(amplitudes, s, hf, h, dt) -> np.ndarray:
     """exp(-i dt H(s)) on a (C, 3**w) stack of block amplitudes, or C = 1's 3**w, as ``anneal`` steps.
 
-    A plan of one step, through the module-global ``expm_multiply_hermitian`` that tests patch.
+    A window of one step, through the module-global ``expm_multiply_hermitian`` that tests patch.
     """
-    plan = _ExactPlan.build(np.array([float(s)]), hf, h, dt)
-    amps = _exact_anneal(plan, hf, np.reshape(amplitudes, (len(hf), -1)))
+    amps = _exact_anneal(np.array([float(s)]), hf, h, dt, np.reshape(amplitudes, (len(hf), -1)))
     return amps.reshape(np.shape(amplitudes))
 
 

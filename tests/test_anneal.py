@@ -263,7 +263,7 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     # the step expands exp(-i (x / 2) H~) for x = dt r, and hands the
     # expansion the weights of that x
-    (x,) = anneal_module._ExactPlan.build(np.array([s]), hf, h, dt).x
+    (x,) = dt * anneal_module._bounds(np.array([s]), hf, h)[1]
     assert x == pytest.approx(radius * dt, rel=1e-15)
     np.testing.assert_array_equal(weights, next(anneal_module._chebyshev_weights(np.array([x]))))
     got = centre * np.eye(3**n) + 0.5 * radius * mapped
@@ -669,8 +669,8 @@ def test_plan_degree_is_the_scalar_degree_at_every_step(name):
         spread = (1.0 - s) * h * w
         r = max(0.5 * ((s * row.max() + spread) - (s * row.min() - spread)) for row in hf)
         expected.append(np.flatnonzero(np.abs(miller_reference(dt * r)) >= 5e-16)[-1])
-    plan = anneal_module._ExactPlan.build(np.arange(M + 1) / M, hf, h, dt)
-    degrees = [weights.shape[1] - 1 for weights in anneal_module._chebyshev_weights(plan.x)]
+    x = dt * anneal_module._bounds(np.arange(M + 1) / M, hf, h)[1]
+    degrees = [weights.shape[1] - 1 for weights in anneal_module._chebyshev_weights(x)]
     assert degrees == expected
 
 
@@ -733,6 +733,34 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
         else:
             anneal(cfg, hf)
             assert len(steps) == 4 and windows
+
+
+@pytest.mark.parametrize("M, half_width", [(10**6, 1.0), (5, 8e4)])
+def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
+    # each window's Bessel tables hold at most _WINDOW entries, or one row,
+    # whatever M; the windows' points are the schedule's, bitwise, in order
+    h, dt = 0.5, 0.1
+    hf = np.array([[-half_width, 0.0, half_width]])
+    points = []
+
+    def stub(s, hf, h, dt, amps):
+        points.append(s)
+        return amps
+
+    monkeypatch.setattr(anneal_module, "_exact_anneal", stub)
+    anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
+    x = dt * max(h, half_width)  # r(s) at s = 0 or s = 1, one qutrit
+    window = max(1, anneal_module._WINDOW // (anneal_module._bessel_top(x) + 1))
+    assert max(len(s) for s in points) == min(window, M + 1)
+    assert len(points) == -(-(M + 1) // window)
+    np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
+    # a refused run computes no Bessel window and steps no window
+    counted, windows = counting(anneal_module._bessel_window)
+    monkeypatch.setattr(anneal_module, "_bessel_window", counted)
+    points.clear()
+    with pytest.raises(SizeGuardError):
+        anneal(AnnealConfig(h=h, M=M, dt=dt), 2e5 / dt * hf / half_width)
+    assert not points and not windows
 
 
 def test_split_mode_tracks_exact_mode():

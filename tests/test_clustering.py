@@ -471,6 +471,35 @@ def test_oracle_argmin_keys_agree_with_the_partitions_built_on_read():
     assert res.argmin_partitions is lazy  # built once
 
 
+def assert_point_zero_fixes_nothing(dm, K):
+    # cluster labels are interchangeable, so every partition has a labeling
+    # that puts point 0 in cluster 0: fixing it keeps the minimum and argmin
+    free, pinned = oracle_min(dm, K), oracle_min(dm, K, fixed={0: 0})
+    assert pinned.min_cost == free.min_cost
+    np.testing.assert_array_equal(pinned.argmin_keys, free.argmin_keys)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_oracle_fixing_point_zero_keeps_the_argmin_on_seeded_instances(K, n):
+    for seed in range(2):
+        assert_point_zero_fixes_nothing(distance_matrix(generate_instance(n, 100 * K + seed)), K)
+
+
+@pytest.mark.parametrize(
+    "points, K",
+    [
+        ([(0, 0)] * 8, 3),
+        ([(0, 0)] * 7, 4),
+        ([(0, 0)] * 4 + [(10, 0)] * 4, 2),
+        ([(0, 0)] * 4 + [(10, 0)] * 4, 3),
+        ([(3, 1)] * 3 + [(-5, 2)] * 4, 4),
+    ],
+)
+def test_oracle_fixing_point_zero_keeps_every_tied_partition(points, K):
+    assert_point_zero_fixes_nothing(distance_matrix(points), K)
+
+
 @pytest.mark.parametrize("cols, n_labels", [(1, 1), (6, 3), (12, 4), (30, 27)])
 def test_partition_keys_match_canonical_labels(cols, n_labels):
     # 30 columns of 27 labels overflow int64 digits, so keys are re-ranked
