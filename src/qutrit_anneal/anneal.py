@@ -9,21 +9,21 @@ from ``AnnealConfig``.
 Both modes work out a bounded window of steps before the window's first
 step, then apply each step to the state, so memory does not grow with M.
 The exact-step mode evaluates each exponential by a Chebyshev expansion
-(Tal-Ezer & Kosloff, 1984).  ``_bounds`` is the one place that maps H(s)
-onto [-2, 2]: the spectral bounds of H(s) come free from the extremes of
-the diagonal and the driver's -h n .. h n, and they are affine in s, so a
-window's centres, half-widths r, dt r and phases are arrays, and its
-Chebyshev weights come from one Bessel table of a vectorized Miller
-recurrence.  Each step folds its scale and shift into the mapped diagonal
-and driver factors, in buffers allocated once per window.
-``expm_multiply_hermitian`` expands any real
-symmetric operator on [-2, 2] from the weights it is given, each term one
-apply and one subtraction, to the degree where the Bessel coefficients fall
-below 1e-15.  The recurrence runs in real arithmetic on the real and
-imaginary parts of the state, and each apply takes the driver as a Kronecker
-sum of the two ``driver_factors``: two matrix products on the state viewed
-as a grid.  ``anneal`` refuses an exact-step schedule whose dt r exceeds
-1e4, about 1e4 terms a step, before any Bessel window.
+(Tal-Ezer & Kosloff, 1984).  Each block row is centred once on its
+midpoint, which leaves the row's constant to one phase per block; the
+half-width r of H(s) then comes free from the rows' widths and the
+driver's h w, and it is affine in s (``_radii``), so a window's dt r are
+one array and its Chebyshev weights come from one Bessel table of a
+vectorized Miller recurrence.  Each step maps its H(s) onto [-2, 2] by one
+multiply of the centred diagonal and of each driver factor.
+``expm_multiply_hermitian`` expands any real symmetric operator on
+[-2, 2] from the weights it is given, each term one apply and one
+subtraction, to the degree where the Bessel coefficients fall below
+1e-15.  The recurrence runs in real arithmetic on the real and imaginary
+parts of the state, and each apply takes the driver as a Kronecker sum of
+the two ``driver_factors``: two matrix products on the state viewed as a
+grid.  ``anneal`` refuses an exact-step schedule whose dt r exceeds 1e4,
+about 1e4 terms a step, before any Bessel window.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -122,11 +122,11 @@ def initial_state(n: int) -> np.ndarray:
 
 
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
-#: At 1e-15 the presets' basis probabilities at M = 2000 stay within 9.3e-13
-#: (fig3) and 9.5e-13 (fig4) of 30-digit mpmath, 2.5e-13 (fig1) and 2.9e-13
-#: (fig2) of dense eigh, and the norm drifts by at most 4.8e-13; a tail of
-#: 2.5e-13 saves 9% of the terms but drifts 2e-11 and moves the
-#: probabilities by 4e-11, too near the 1e-10 checks.
+#: At 1e-15 the presets' partition probabilities at M = 2000 stay within
+#: 8.7e-13 (fig3) and 9.4e-13 (fig4) of 30-digit mpmath, and 2.8e-13 (fig1)
+#: and 3.3e-13 (fig2) of dense eigh, and the norm drifts by at most 4.7e-13;
+#: a tail of 2.5e-13 saves 9% of the terms but drifts up to 9e-11 and moves
+#: the probabilities by up to 1.8e-10 (fig3), past the 1e-10 checks.
 _TAIL = 1e-15
 
 #: Miller's recurrence rescales its values whenever one passes this, so a
@@ -221,11 +221,7 @@ def _chebyshev_weights(xs: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def expm_multiply_hermitian(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    v: np.ndarray,
-    weights: np.ndarray,
-    block: np.ndarray,
-    sums: np.ndarray,
+    matvec: Callable[[np.ndarray], np.ndarray], v: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Compute exp(-i (x / 2) H) @ v for real symmetric H with spectrum in [-2, 2].
 
@@ -240,12 +236,10 @@ def expm_multiply_hermitian(
     array of v's real and imaginary parts, and ``matvec`` must map such an
     array row by row to a new real one (the recurrence updates it in
     place); a complex result raises ``TypeError``.
-    The T_k are kept in the caller's ``block`` of at least two (2, *v.shape)
-    rows, reused from call to call: each full block is summed with its
-    coefficients by one matrix product into the caller's (2, 2 v.size)
-    ``sums``.  The coefficients are real for even k and imaginary for odd k,
-    so the terms go to two real sums, combined into the complex result at
-    the end.
+    The T_k are kept in a ring of at most ``_ROWS`` of them: each time it is
+    full it is summed with its coefficients by one matrix product.  The
+    coefficients are real for even k and imaginary for odd k, so the terms
+    go to two real sums, combined into the complex result at the end.
     """
     v = np.asarray(v, dtype=complex)
     degree = weights.shape[1] - 1
@@ -253,21 +247,21 @@ def expm_multiply_hermitian(
         # J_0(x) rounds to 1 and no other term is kept: exact for x = 0, and
         # no matvec for a zero vector
         return v.copy()
-    size = min(degree + 1, len(block))  # T_k in block[k % size]
-    rows = list(block[:size])
-    prev = rows[0]
+    size = min(degree + 1, _ROWS)  # T_k in ring[k % size]
+    ring = np.empty((size, 2, *v.shape))
+    prev = ring[0]
     prev[:] = v.real, v.imag
     cur = matvec(prev)
     if np.iscomplexobj(cur):
         raise TypeError("matvec returned complex values on a real input: H must be real symmetric")
-    cur = np.divide(cur, 2.0, out=rows[1])
-    sums[...] = 0.0
+    cur = np.divide(cur, 2.0, out=ring[1])
+    sums = np.zeros((2, 2 * v.size))
     summed = 0  # T_0 .. T_{summed - 1} are in sums
-    flat = block[:size].reshape(size, -1)
+    flat = ring.reshape(size, -1)
     for k in range(2, degree + 1):
         slot = k % size
-        prev, cur = cur, np.subtract(matvec(cur), prev, out=rows[slot])
-        if slot == size - 1:  # block holds T_summed .. T_k in order
+        prev, cur = cur, np.subtract(matvec(cur), prev, out=ring[slot])
+        if slot == size - 1:  # the ring holds T_summed .. T_k in order
             sums += weights[:, summed : k + 1] @ flat
             summed = k + 1
     sums += weights[:, summed:] @ flat[: degree + 1 - summed]
@@ -296,22 +290,17 @@ def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, rest
 
 
-def _bounds(s: np.ndarray, hf: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each block's centre and the largest half-width of H(s) at the points ``s``.
+def _radii(s: np.ndarray, hf: np.ndarray, h: float) -> np.ndarray:
+    """The largest half-width of H(s) over the blocks, at the points ``s``.
 
-    Block b's H_b(s) has its spectrum in [lo_b, hi_b] = [s min row_b -
-    (1 - s) h w, s max row_b + (1 - s) h w], which is exact at s = 0 and
-    s = 1 (S^x has eigenvalues -1, 0, 1 on every site) and affine in s.
-    With c_b the centre and r the largest half-width over the blocks, H_b(s)
-    = c_b + (r/2) H~_b for H~_b = 2 (H_b(s) - c_b) / r maps every block onto
-    [-2, 2]: the step is exp(-i dt c_b) exp(-i (dt r / 2) H~_b), one
-    expansion of one degree for all blocks.  Returns the (len(s), C) centres
-    and the len(s) radii r.
+    Block b's H_b(s) has its spectrum within r_b(s) = (1 - s) h w + s (max
+    row_b - min row_b) / 2 of s m_b, m_b the midpoint of row_b, exactly so
+    at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on every site).  The
+    driver's term is the same for every block, so the largest r_b(s) is
+    affine in s.  Halving before the difference keeps r finite.
     """
-    spread = ((1.0 - s) * h * _qutrits(hf.shape[1]))[:, None]
-    lo = s[:, None] * hf.min(axis=1) - spread
-    hi = s[:, None] * hf.max(axis=1) + spread
-    return 0.5 * (hi + lo), (0.5 * (hi - lo)).max(axis=1)
+    half = float((0.5 * hf.max(axis=1) - 0.5 * hf.min(axis=1)).max())
+    return (1.0 - s) * h * _qutrits(hf.shape[1]) + s * half
 
 
 def _exact_anneal(
@@ -319,25 +308,26 @@ def _exact_anneal(
 ) -> np.ndarray:
     """The exact steps at the schedule points ``s`` on a (C, 3**w) stack of block amplitudes.
 
-    The points' ``_bounds`` give each step's x = dt r and phases exp(-i dt
-    c_b), and ``_chebyshev_weights`` their weights from one Bessel window.
-    Each step fills the mapped diagonal and driver factors of its H~ into
-    buffers allocated once per call, and calls ``expm_multiply_hermitian``
-    once, with the step's weights and the recurrence buffers; where every
-    block has zero width, H_b(s) is c_b times the identity, the degree is 0
-    and the step makes no matvec.  Then each block takes its phase.
+    Each row is centred once on its midpoint m_b: H_b(s) = s m_b + (r/2) H~_b
+    with H~_b = (2/r) (s (row_b - m_b) + (1 - s) h D_w) and r = ``_radii``,
+    so every block maps onto [-2, 2] and one expansion of one degree, with
+    the weights of x = dt r from one Bessel window, serves them all.  Each
+    step fills H~'s mapped diagonal and driver factors by one multiply each
+    and calls ``expm_multiply_hermitian`` once; where every block has zero
+    width the degree is 0 and the step makes no matvec.  The s m_b commute
+    with every step, so block b takes one phase exp(-i dt m_b sum s) last.
     """
     w = _qutrits(hf.shape[1])
     a, b = driver_factors(w)
+    mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
+    centred = hf - mid[:, None]
     # H~ applies to (re, im) planes of block grids of 3**(w // 2) rows: the
     # mapped diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
     planes = np.empty((2, len(hf), len(a), len(b)))
     mapped = planes[0].reshape(hf.shape)
-    fa, fb = np.empty_like(a), np.empty_like(b)
-    block, sums = np.empty((_ROWS, 2, *hf.shape)), np.empty((2, 2 * hf.size))
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        # the current step's planes, factors and field
+        # the current step's planes and driver factors
         grid = x.reshape(planes.shape)
         out = planes * grid
         if field:
@@ -346,23 +336,15 @@ def _exact_anneal(
             out += grid @ fb
         return out.reshape(x.shape)
 
-    centres, radii = _bounds(s, hf, h)
-    steps = zip(
-        s.tolist(), ((1.0 - s) * h).tolist(), radii.tolist(), centres,
-        np.exp(-1j * dt * centres), _chebyshev_weights(dt * radii),
-    )
-    for point, field, radius, centre, phase, weights in steps:
+    radii = _radii(s, hf, h)
+    for point, radius, weights in zip(s.tolist(), radii.tolist(), _chebyshev_weights(dt * radii)):
         scale = 2.0 / radius if radius else 1.0
-        np.multiply(hf, point, out=mapped)
-        mapped -= centre[:, None]
-        mapped *= scale
+        field = (1.0 - point) * h
+        np.multiply(centred, point * scale, out=mapped)
         planes[1] = planes[0]
-        np.multiply(a, field, out=fa)
-        fa *= scale
-        np.multiply(b, field, out=fb)
-        fb *= scale
-        amps = phase[:, None] * expm_multiply_hermitian(matvec, amps, weights, block, sums)
-    return amps
+        fa, fb = a * (field * scale), b * (field * scale)
+        amps = expm_multiply_hermitian(matvec, amps, weights)
+    return np.exp(-1j * dt * s.sum() * mid)[:, None] * amps
 
 
 #: The identity the site rotation is built on, allocated once.
@@ -537,11 +519,11 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     state, one per block, and the register's amplitudes are the Kronecker
     product of the blocks in register order.  Rows that are not a finite 2-D
     array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step checks
-    the guard on the largest dt r, at s = 0 or s = 1, and hands the steps
-    to ``_exact_anneal`` a window at a time, which calls
-    ``expm_multiply_hermitian`` once per step; split-step hands the whole
-    schedule to ``_split_anneal``, which calls ``_split_step`` once per step
-    on blocks of three or more qutrits.
+    the guard on ``_radii`` at s = 0 and s = 1, and a refusal names the end
+    past it, h or Hf's width; it hands the steps to ``_exact_anneal`` a
+    window at a time, which calls ``expm_multiply_hermitian`` once per step;
+    split-step hands the whole schedule to ``_split_anneal``, which calls
+    ``_split_step`` once per step on blocks of three or more qutrits.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -550,14 +532,18 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
     if cfg.mode == MODE_EXACT:
-        # r(s) is affine in s per block, so its maximum over the blocks is at an end
-        x = cfg.dt * float(_bounds(np.array([0.0, 1.0]), hf, cfg.h)[1].max())
+        # r(s) is affine in s, so its largest value is at an end
+        r0, r1 = _radii(np.array([0.0, 1.0]), hf, cfg.h).tolist()
+        x = cfg.dt * max(r0, r1)
         if not x <= _MAX_DT_RADIUS:
-            width = float((hf.max(axis=1) - hf.min(axis=1)).max())
+            if r0 >= r1:
+                cause, advice = f"driver h = {cfg.h:g} on {w}-qutrit blocks", "lower 'h'"
+            else:
+                cause = f"width {2.0 * r1:.3g} of the final Hamiltonian's widest block"
+                advice = "lower the 'penalty' or the points' spread"
             raise SizeGuardError(
                 f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
-                f"the {_MAX_DT_RADIUS:g} guard (width {width:.3g} of the final Hamiltonian's "
-                f"widest block, dt = {cfg.dt:g}); lower the 'penalty' or the points' spread"
+                f"the {_MAX_DT_RADIUS:g} guard ({cause}, dt = {cfg.dt:g}); {advice}"
             )
     amps = np.stack([initial_state(w)] * len(hf))
     if cfg.mode == MODE_SPLIT:

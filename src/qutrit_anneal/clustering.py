@@ -200,7 +200,7 @@ def cost(dm: DistanceMatrix, partition: Partition) -> float:
         raise ValueError(
             f"partition covers {len(labels)} points, distance matrix has {n}"
         )
-    return _exact_costs(dm, np.array([labels]))[0]
+    return _exact_costs(dm, np.array([labels]), np.triu_indices(n, 1))[0]
 
 
 def partition_keys(labels: np.ndarray) -> np.ndarray:
@@ -242,13 +242,16 @@ def partition_keys(labels: np.ndarray) -> np.ndarray:
 _CHUNK_ROWS = 3**9
 
 
-def _exact_costs(dm: DistanceMatrix, rows: np.ndarray) -> list[float]:
+def _exact_costs(
+    dm: DistanceMatrix, rows: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
+) -> list[float]:
     """The cost of each label row: its same-cluster pair distances summed by ``math.fsum``.
 
+    ``pairs`` are the point pairs i < j, as ``np.triu_indices`` gives them.
     fsum is correctly rounded, so the order of the terms cannot change a
     cost.  The pair masks are taken ``_CHUNK_ROWS`` rows at a time.
     """
-    pi, pj = np.triu_indices(dm.n_points, 1)
+    pi, pj = pairs
     weights = dm.d[pi, pj].tolist()
     exact = []
     for start in range(0, rows.shape[0], _CHUNK_ROWS):
@@ -360,7 +363,8 @@ def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = Non
     ``Partition`` is built until ``argmin_partitions`` is read.
     """
     chunks = _cost_chunks(dm, K, dict(fixed or {}))
-    w = dm.d[np.triu_indices(dm.n_points, 1)]
+    pairs = np.triu_indices(dm.n_points, 1)
+    w = dm.d[pairs]
     # A row's numpy cost sums at most 66 non-negative terms of w and exact
     # zeros (weights times 0 or 1).  In any order that sum is within
     # 65 * 2**-53 * sum(w) < 1e-14 * sum(w) of the exact value (Higham,
@@ -391,7 +395,7 @@ def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = Non
     del kept
     unique, first = np.unique(keys, return_index=True)
     rows = rows[first]
-    exact = _exact_costs(dm, rows)  # as ``cost`` sums them
+    exact = _exact_costs(dm, rows, pairs)  # as ``cost`` sums them
     min_cost = min(exact)
     limit = min_cost + _ARGMIN_REL_TOL * (1.0 + abs(min_cost))
     near = np.array(exact) <= limit

@@ -9,6 +9,11 @@ that shares no stepping code with the program: a float64 stepper that
 diagonalizes each step's block H_b(s) by dense ``np.linalg.eigh`` and
 applies V exp(-i dt lambda) V^T, from its own S^x and driver ground state,
 with only ``build_final_hamiltonian`` and ``decode`` taken from the program.
+For fig3 and fig4, whose blocks are 3 x 3 and 9 x 9, ``<name>/mpmath-30``
+holds the same stepper's partition probabilities in 30-digit mpmath
+arithmetic (``mpmath.mp.eigsy`` per step and block), which takes most of
+the 2 minutes a full recording takes on a 2-CPU host.
+mpmath is needed only to record; the tests read the file alone.
 ``json`` writes each float with ``repr``, so it loads back bit for bit.
 ``tests/test_preset_answers.py`` compares every run against the file.
 
@@ -24,6 +29,7 @@ import functools
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from qutrit_anneal.anneal import MODES, decode
@@ -71,6 +77,46 @@ def dense_eigh_probabilities(spec) -> dict:
     return {canonical_key(p): prob for p, prob in report.partition_probabilities.items()}
 
 
+def mpmath_probabilities(spec, dps: int = 30) -> dict:
+    """Partition probabilities of the schedule stepped by ``dps``-digit mpmath eigsy, block by block.
+
+    Every float the program is given (the rows of Hf, h and dt) is taken at
+    its exact binary value; s = l / M, S^x and the driver ground state are
+    computed in ``dps`` digits.  Only the blocks' final amplitudes are
+    rounded to float64, before the Kronecker product and ``decode``.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    hf, cfg = build_final_hamiltonian(spec), spec.anneal
+    w = round(np.log(hf.shape[1]) / np.log(3))
+    # S^x on each site has entries 0 or 1/sqrt 2, so the driver's pattern is 0/1
+    pattern = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    eye = functools.partial(np.eye, dtype=int)
+    sites = sum(np.kron(np.kron(eye(3**i), pattern), eye(3 ** (w - i - 1))) for i in range(w))
+    driver = mp.matrix(sites.tolist()) * mp.sqrt(mp.mpf(0.5))
+    site = [mp.mpf(0.5), -mp.sqrt(mp.mpf(0.5)), mp.mpf(0.5)]
+    ground = functools.reduce(lambda out, _: [a * b for a in out for b in site], range(w), [mp.mpf(1)])
+    h, dt = mp.mpf(cfg.h), mp.mpf(cfg.dt)
+    blocks = []
+    for row in hf:
+        diag = [mp.mpf(x) for x in row.tolist()]
+        psi = mp.matrix(ground)
+        for l in range(cfg.M + 1):
+            s = mp.mpf(l) / cfg.M
+            H = (1 - s) * h * driver
+            for i, x in enumerate(diag):
+                H[i, i] += s * x
+            lam, v = mp.eigsy(H)
+            y = v.T * psi
+            for i in range(len(diag)):
+                y[i] *= mp.expj(-dt * lam[i])
+            psi = v * y
+        blocks.append(np.array([complex(z) for z in psi]))
+    amps = functools.reduce(lambda out, b: np.multiply.outer(out, b).reshape(-1), blocks)
+    report = decode(amps, spec.encoding)
+    return {canonical_key(p): prob for p, prob in report.partition_probabilities.items()}
+
+
 def main() -> None:
     runs = {}
     for name in PRESET_NAMES:
@@ -80,6 +126,10 @@ def main() -> None:
         runs[f"{name}/dense-eigh"] = {
             "partition_probabilities": dense_eigh_probabilities(get_preset(name))
         }
+        if name in ("fig3", "fig4"):
+            runs[f"{name}/mpmath-30"] = {
+                "partition_probabilities": mpmath_probabilities(get_preset(name))
+            }
     PATH.write_text(json.dumps(runs, indent=1) + "\n")
 
 

@@ -61,11 +61,9 @@ def counting(fn):
 
 
 def expand(matvec, v, x):
-    """exp(-i (x / 2) H) v by the expansion, with the weights and buffers a run gives it."""
-    v = np.asarray(v)
+    """exp(-i (x / 2) H) v by the expansion, with the weights a run gives it."""
     (weights,) = anneal_module._chebyshev_weights(np.array([float(x)]))
-    block = np.empty((anneal_module._ROWS, 2, *v.shape))
-    return expm_multiply_hermitian(matvec, v, weights, block, np.empty((2, 2 * v.size)))
+    return expm_multiply_hermitian(matvec, v, weights)
 
 
 def count_matvecs(monkeypatch) -> list:
@@ -196,7 +194,7 @@ def expansion_args(s, hf, h, dt=0.1):
         mp.setattr(
             anneal_module,
             "expm_multiply_hermitian",
-            lambda m, v, weights, *buffers: seen.append((m, weights)) or v,
+            lambda m, v, weights: seen.append((m, weights)) or v,
         )
         step(np.ones(hf.size, dtype=complex), s, hf, h, dt)
     (args,) = seen
@@ -263,7 +261,7 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     # the step expands exp(-i (x / 2) H~) for x = dt r, and hands the
     # expansion the weights of that x
-    (x,) = dt * anneal_module._bounds(np.array([s]), hf, h)[1]
+    (x,) = dt * anneal_module._radii(np.array([s]), hf, h)
     assert x == pytest.approx(radius * dt, rel=1e-15)
     np.testing.assert_array_equal(weights, next(anneal_module._chebyshev_weights(np.array([x]))))
     got = centre * np.eye(3**n) + 0.5 * radius * mapped
@@ -302,6 +300,20 @@ def test_steps_evolve_each_block_of_a_stack():
     np.testing.assert_allclose(
         anneal(cfg, hf), anneal(cfg, full_diagonal(hf)[None]), rtol=0, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("blocks, w", [(1, 3), (3, 2), (6, 1)])
+def test_a_constant_on_a_block_row_only_sets_that_blocks_phase(blocks, w):
+    # rows of eighths and constants that add to them exactly: each row is
+    # centred on its midpoint, so the shifted run expands the same operators
+    # and the constants reach the amplitudes only as one phase per block
+    rng = np.random.default_rng(90 + w)
+    hf = rng.integers(-160, 160, (blocks, 3**w)) / 8.0
+    offsets = np.array([64.0, -256.0, 1024.0, 8.0, -32.0, 512.0])[:blocks, None]
+    cfg = AnnealConfig(h=3.0, M=200)
+    want = np.abs(anneal(cfg, hf)) ** 2
+    got = np.abs(anneal(cfg, hf + offsets)) ** 2
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 # -------------------------------------------------------- matrix exponential
@@ -669,7 +681,7 @@ def test_plan_degree_is_the_scalar_degree_at_every_step(name):
         spread = (1.0 - s) * h * w
         r = max(0.5 * ((s * row.max() + spread) - (s * row.min() - spread)) for row in hf)
         expected.append(np.flatnonzero(np.abs(miller_reference(dt * r)) >= 5e-16)[-1])
-    x = dt * anneal_module._bounds(np.arange(M + 1) / M, hf, h)[1]
+    x = dt * anneal_module._radii(np.arange(M + 1) / M, hf, h)
     degrees = [weights.shape[1] - 1 for weights in anneal_module._chebyshev_weights(x)]
     assert degrees == expected
 
@@ -723,7 +735,12 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
         windows.clear()
         cfg = AnnealConfig(h=h, M=3, dt=dt)
         if refused:
-            with pytest.raises(SizeGuardError, match="lower the 'penalty'") as refusal:
+            # the refusal names the end that exceeds the guard
+            advice = {
+                "driver": r"driver h = \S+ on 2-qutrit blocks, dt = 0.1\); lower 'h'$",
+                "blocks-driver": r"driver h = \S+ on 1-qutrit blocks, dt = 0.1\); lower 'h'$",
+            }.get(side, r"widest block, dt = 0.1\); lower the 'penalty' or the points' spread$")
+            with pytest.raises(SizeGuardError, match=advice) as refusal:
                 anneal(cfg, hf)
             assert "split-step" not in str(refusal.value)
             assert not steps and not windows

@@ -776,27 +776,39 @@ def test_run_oracle_guard():
         run(spec)
 
 
+WIDTH_ADVICE = "Chebyshev terms .*widest block.*'penalty' or the points' spread$"
+
+
 @pytest.mark.parametrize(
-    "data",
+    "data, advice",
     [
-        {"points": [[0, 0], [0, 1], [10, 10]], "method": "one-hot-multispin", "K": 4, "penalty": 1e12},
-        {"points": [[1e150, 0], [-1e150, 0], [0, 1e150]], "method": "one-hot-K3"},
+        (
+            {"points": [[0, 0], [0, 1], [10, 10]], "method": "one-hot-multispin", "K": 4, "penalty": 1e12},
+            WIDTH_ADVICE,
+        ),
+        ({"points": [[1e150, 0], [-1e150, 0], [0, 1e150]], "method": "one-hot-K3"}, WIDTH_ADVICE),
+        (
+            {"points": [[0, 0], [1, 1], [5, 5]], "method": "one-hot-K3", "anneal": {"h": 50000}},
+            "Chebyshev terms .*driver h = 50000 on 3-qutrit blocks.*; lower 'h'$",
+        ),
     ],
-    ids=["penalty-1e12", "points-1e150"],
+    ids=["penalty-1e12", "points-1e150", "h-50000"],
 )
-def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data):
-    # dt * r is 1.5e11 and 4.8e149: a Bessel table that size cannot be built,
-    # so the run must stop before its first expansion
+def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data, advice):
+    # dt * r is 1.5e11, 4.8e149 and 1.5e4: a Bessel table that size cannot
+    # be built, so the run must stop before its first expansion.  The
+    # refusal names the end past the guard: the final Hamiltonian's width
+    # at s = 1, or h at s = 0, where h = 50000's width of 28.3 is 1.4 terms
     forbid_expansion(monkeypatch)
     t0 = time.perf_counter()
-    advice = "Chebyshev terms .*'penalty' or the points' spread$"
     with pytest.raises(SizeGuardError, match=advice) as refusal:
         run(spec_from_dict(data))
     assert time.perf_counter() - t0 < 1.0
     # split-step mismatches on such specs, so the refusal must not suggest it
     assert "split-step" not in str(refusal.value)
     # split-step has no degree to bound, and runs the same spec
-    result = run(spec_from_dict({**data, "anneal": {"M": 20, "mode": "split-step"}}))
+    anneal = {**data.get("anneal", {}), "M": 20, "mode": "split-step"}
+    result = run(spec_from_dict({**data, "anneal": anneal}))
     assert abs(result.final_norm - 1.0) < 1e-9
 
 

@@ -2,11 +2,11 @@
 
 ``data/record_preset_answers.py`` wrote the file; see its docstring for the
 fields.  Exact-step probabilities must agree to 1e-12 (the Chebyshev tail
-keeps them within 9.3e-13 and 9.5e-13 of a 30-digit mpmath reference on
-fig3 and fig4, and within 2.5e-13 and 2.9e-13 of a float64 stepper by dense
-eigh on fig1 and fig2) and split-step ones to 1e-9; the top partition and
-``match`` must be equal.  Exact-step must also agree to 2e-12 with the
-file's dense-eigh reference, which shares no stepping code with it.
+keeps them within 8.7e-13 and 9.4e-13 of the file's 30-digit mpmath
+reference on fig3 and fig4, and within 2.8e-13 and 3.3e-13 of its float64
+stepper by dense eigh on fig1 and fig2) and split-step ones to 1e-9; the
+top partition and ``match`` must be equal.  Exact-step must also agree to
+2e-12 with both references, which share no stepping code with it.
 """
 
 import json
@@ -42,10 +42,19 @@ def test_preset_answers_match_the_recorded_ones(preset_result, name, mode):
     assert result.match == want["match"]
 
 
+def gap_to_reference(preset_result, name, reference) -> float:
+    """The largest gap between exact-step's partition probabilities and a recorded reference's."""
+    got = preset_result(name, MODE_EXACT).report.partition_probabilities
+    want = RECORDED[f"{name}/{reference}"]["partition_probabilities"]
+    assert {canonical_key(p) for p in got} == want.keys()
+    return max(abs(q - want[canonical_key(p)]) for p, q in got.items())
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_exact_step_agrees_with_the_dense_eigh_reference(preset_result, name):
-    got = preset_result(name, MODE_EXACT).report.partition_probabilities
-    want = RECORDED[f"{name}/dense-eigh"]["partition_probabilities"]
-    assert {canonical_key(p) for p in got} == want.keys()
-    gap = max(abs(q - want[canonical_key(p)]) for p, q in got.items())
-    assert gap <= 2e-12
+    assert gap_to_reference(preset_result, name, "dense-eigh") <= 2e-12
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_exact_step_agrees_with_the_mpmath_reference(preset_result, name):
+    assert gap_to_reference(preset_result, name, "mpmath-30") <= 2e-12
