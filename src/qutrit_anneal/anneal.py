@@ -22,8 +22,12 @@ subtraction, to the degree where the Bessel coefficients fall below
 1e-15.  The recurrence runs in real arithmetic on the real and imaginary
 parts of the state, and each apply takes the driver as a Kronecker sum of
 the two ``driver_factors``: two matrix products on the state viewed as a
-grid.  ``anneal`` refuses an exact-step schedule whose dt r exceeds 1e4,
-about 1e4 terms a step, before any Bessel window.
+grid.  On blocks of at most ``_SMALL_BLOCK`` states (one or two qutrits)
+such a matvec is mostly call overhead, so there one expansion a window, on
+the window's (steps, C, d, d) stack of dense mapped H(s) from the identity
+and at the window's largest r, gives every step's propagator, and each is
+applied to the state in turn.  ``anneal`` refuses an exact-step schedule
+whose dt r exceeds 1e4, about 1e4 terms a step, before any Bessel window.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -147,6 +151,22 @@ _ROWS = 8
 #: one row, and a step makes at most about 10,300 matvecs.  The presets peak
 #: at 31.5 (fig2).
 _MAX_DT_RADIUS = 1e4
+
+#: Blocks of at most this many states (one or two qutrits) take each step
+#: as one d x d matrix per block, in both modes; larger ones step the
+#: state.  A matrix product costs d^3, so the bound keeps d small: in
+#: split-step at 27 states the matrices were slower wherever C > 1, 8.3 ms
+#: against 5.3 ms for a run of two 3-qutrit blocks at M = 200, and 13.3 ms
+#: against 6.6 ms for four.
+_SMALL_BLOCK = 9
+
+#: An exact-step run on blocks of at most ``_SMALL_BLOCK`` states works out
+#: its steps' propagators as many steps at a time as fit (steps, C, d, d) in
+#: this many entries (32 kB), or one step, whatever M: 75 steps of fig3's
+#: six 3-state blocks, 16 of fig4's three 9-state ones.  The benchmark's
+#: presets-exact peaked at 35.9 MB at this bound and 38.7 MB at 2**14,
+#: against 35.4 MB with one expansion a step, for 1% more speed at 2**14.
+_PROPAGATORS = 2**12
 
 #: An exact-step run takes its steps a window at a time, as many as fit
 #: their Bessel table in this many entries (128 kB), or one step where a row
@@ -300,7 +320,8 @@ def _radii(s: np.ndarray, hf: np.ndarray, h: float) -> np.ndarray:
     affine in s.  Halving before the difference keeps r finite.
     """
     half = float((0.5 * hf.max(axis=1) - 0.5 * hf.min(axis=1)).max())
-    return (1.0 - s) * h * _qutrits(hf.shape[1]) + s * half
+    with np.errstate(over="ignore"):  # h w past the float range is inf, which the guard refuses
+        return (1.0 - s) * h * _qutrits(hf.shape[1]) + s * half
 
 
 def _exact_anneal(
@@ -347,6 +368,36 @@ def _exact_anneal(
     return np.exp(-1j * dt * s.sum() * mid)[:, None] * amps
 
 
+def _small_propagators(s: np.ndarray, centred: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """exp(-i dt (H_b(s) - s m_b)) at the points ``s``, a (len(s), C, d, d) stack.
+
+    The rows are centred on their midpoints m_b.  A window's half-width r
+    is its largest ``_radii``, at its first or last point, so one weight
+    vector, of x = dt r, serves every step: one ``expm_multiply_hermitian``
+    call expands the window's stack of H~ = (2/r) (s (row_b - m_b) + (1 - s)
+    h D_w), D_w the dense driver, from the identity stack, by right
+    products.  H~ is real symmetric, so each propagator is symmetric too.
+    """
+    d = centred.shape[1]
+    a, b = driver_factors(_qutrits(d))
+    driver = _kron(a, np.eye(len(b))) + _kron(np.eye(len(a)), b)
+    radius = float(_radii(s[[0, -1]], centred, h).max())
+    scale = 2.0 / radius if radius else 1.0
+    ham = (s * scale)[:, None, None, None] * (centred[..., None] * np.eye(d))
+    ham += ((1.0 - s) * (h * scale))[:, None, None, None] * driver
+    (weights,) = _chebyshev_weights(np.array([dt * radius]))
+    identity = np.broadcast_to(np.eye(d), ham.shape)
+    return expm_multiply_hermitian(lambda x: x @ ham, identity, weights)
+
+
+def _apply_in_turn(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """A (C, d) stack of block amplitudes after each (C, d, d) matrix of ``ops`` in turn."""
+    grid = amps[..., None]
+    for op in ops:
+        grid = op @ grid
+    return grid[..., 0]
+
+
 #: The identity the site rotation is built on, allocated once.
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -375,12 +426,6 @@ def _frame(n: int) -> np.ndarray:
 #: split-step and exact-step partition probabilities over the presets is
 #: 3.1e-4 at M = 100 and 7e-5 at M = 2000 (fig1 both times).
 _SPLIT_SUBSTEPS = 8
-
-#: Blocks of at most this many states (one or two qutrits) take each split
-#: step as one d x d matrix; larger ones step the state.  At 27 states the
-#: matrices were slower wherever C > 1: 8.3 ms against 5.3 ms for a run of
-#: two 3-qutrit blocks at M = 200, and 13.3 ms against 6.6 ms for four.
-_SMALL_BLOCK = 9
 
 #: A split run works out its steps' gates this many steps at a time, so its
 #: memory does not grow with M.  Over three passes of the benchmark's sweep,
@@ -486,14 +531,11 @@ def _split_anneal(cfg: AnnealConfig, hf: np.ndarray, amps: np.ndarray) -> np.nda
     frame = _frame(w)
     grid = frame.conj() * amps
     if size <= _SMALL_BLOCK:
-        grid = grid[..., None]
         for steps, powers in _split_windows(cfg, tau, w):
             phases = np.exp(-1j * tau * (steps / M)[:, None, None] * hf)
             ops = np.linalg.matrix_power(phases[..., None] * powers[w][:, None], substeps)
             ops[int(steps[0] == 0) :] *= between[:, None, :]
-            for op in ops:
-                grid = op @ grid
-        grid = grid[..., 0]
+            grid = _apply_in_turn(ops, grid)
     else:
         groups = (w - 2,) if w <= 5 else (w - 4, 2)
         ratio = np.exp(-1j * tau / M * hf)
@@ -520,10 +562,15 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     product of the blocks in register order.  Rows that are not a finite 2-D
     array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step checks
     the guard on ``_radii`` at s = 0 and s = 1, and a refusal names the end
-    past it, h or Hf's width; it hands the steps to ``_exact_anneal`` a
-    window at a time, which calls ``expm_multiply_hermitian`` once per step;
-    split-step hands the whole schedule to ``_split_anneal``, which calls
-    ``_split_step`` once per step on blocks of three or more qutrits.
+    past it, h or Hf's width.  On rows of at most ``_SMALL_BLOCK`` states
+    it works out the steps' propagators ``_PROPAGATORS`` entries at a time,
+    by one ``expm_multiply_hermitian`` call a window in
+    ``_small_propagators``, applies them in turn and takes each block's
+    phase once, after the last window; on wider rows it hands the steps to
+    ``_exact_anneal`` a window at a time, which calls
+    ``expm_multiply_hermitian`` once per step.  Split-step hands the whole
+    schedule to ``_split_anneal``, which calls ``_split_step`` once per step
+    on the wider rows.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -548,6 +595,15 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     amps = np.stack([initial_state(w)] * len(hf))
     if cfg.mode == MODE_SPLIT:
         amps = _split_anneal(cfg, hf, amps)
+    elif shape[1] <= _SMALL_BLOCK:
+        # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
+        mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
+        centred = hf - mid[:, None]
+        window = max(1, _PROPAGATORS // (hf.size * shape[1]))
+        for start in range(0, cfg.M + 1, window):
+            s = np.arange(start, min(start + window, cfg.M + 1)) / cfg.M
+            amps = _apply_in_turn(_small_propagators(s, centred, cfg.h, cfg.dt), amps)
+        amps *= np.exp(-0.5j * cfg.dt * (cfg.M + 1) * mid)[:, None]
     else:
         window = max(1, _WINDOW // (_bessel_top(x) + 1))
         for start in range(0, cfg.M + 1, window):

@@ -116,37 +116,45 @@ def _execute(spec, emit_arg: str | None, out_arg: str | None) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            points = generate_instance(args.n, args.seed)
-            skeleton = {
-                "name": f"random-n{args.n}-seed{args.seed}",
-                "points": [[int(x), int(y)] for x, y in points.points],
-                "method": "one-hot-K3-pinned",
-                "seed": args.seed,
-            }
-            text = json.dumps(skeleton, indent=2) + "\n"
-            sys.stdout.write(text)
-            if args.out is not None:
-                path = Path(args.out) / (skeleton["name"] + ".json")
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text(text)
-                except OSError as exc:
-                    return _write_failed(exc)
-                print(f"wrote {path}", file=sys.stderr)
-            return EXIT_MATCH
-        if args.command == "preset":
-            spec = get_preset(args.name)
-        else:
-            spec = load_spec(args.spec_path)
-        spec = with_overrides(spec, pinned=args.pinned, mode=_mode_name(args.mode))
-        return _execute(spec, args.emit, args.out)
+        code = _command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit's own flush
+        return code
+    except BrokenPipeError as exc:  # the reader closed stdout: not a mismatch
+        return _write_failed(exc)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+
+
+def _command(args: argparse.Namespace) -> int:
+    if args.command == "generate":
+        points = generate_instance(args.n, args.seed)
+        skeleton = {
+            "name": f"random-n{args.n}-seed{args.seed}",
+            "points": [[int(x), int(y)] for x, y in points.points],
+            "method": "one-hot-K3-pinned",
+            "seed": args.seed,
+        }
+        text = json.dumps(skeleton, indent=2) + "\n"
+        sys.stdout.write(text)
+        if args.out is not None:
+            path = Path(args.out) / (skeleton["name"] + ".json")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+            except OSError as exc:
+                return _write_failed(exc)
+            print(f"wrote {path}", file=sys.stderr)
+        return EXIT_MATCH
+    if args.command == "preset":
+        spec = get_preset(args.name)
+    else:
+        spec = load_spec(args.spec_path)
+    spec = with_overrides(spec, pinned=args.pinned, mode=_mode_name(args.mode))
+    return _execute(spec, args.emit, args.out)
 
 
 def _mode_name(cli_mode: str | None) -> str | None:

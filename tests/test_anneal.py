@@ -1,3 +1,4 @@
+import functools
 import importlib
 import re
 
@@ -638,19 +639,24 @@ def test_anneal_refuses_malformed_final_hamiltonian_rows():
             anneal(cfg, np.array([[0.0, np.inf, 1.0]]))
 
 
-def preset_matvecs(monkeypatch, name) -> int:
+def preset_matvecs(monkeypatch, name, per_step=False) -> int:
     """Matvecs of a preset's exact-step anneal at M = 100.
 
     The count guards the a-priori degree (tail 1e-15) and the spectral
-    bounds: any change to where the expansion is truncated moves it.
+    bounds: any change to where the expansion is truncated moves it.  With
+    ``per_step`` the 101 steps go to ``_exact_anneal`` as one window, one
+    expansion a step, as ``anneal`` takes rows wider than 9 states.
     """
     from qutrit_anneal.harness import build_final_hamiltonian
     from qutrit_anneal.presets import get_preset
 
     spec = get_preset(name)
-    hf = build_final_hamiltonian(spec)
+    hf, h, dt = build_final_hamiltonian(spec), spec.anneal.h, spec.anneal.dt
     calls = count_matvecs(monkeypatch)
-    anneal(AnnealConfig(h=spec.anneal.h, M=100, dt=spec.anneal.dt), hf)
+    if per_step:
+        anneal_module._exact_anneal(np.arange(101) / 100, hf, h, dt, np.ones(hf.shape, complex))
+    else:
+        anneal(AnnealConfig(h=h, M=100, dt=dt), hf)
     return len(calls)
 
 
@@ -660,9 +666,17 @@ def test_fig1_matvec_count_is_pinned(monkeypatch):
 
 
 def test_fig3_matvec_count_is_pinned(monkeypatch):
-    # six one-qutrit blocks: each block's own centre, and the largest of
-    # their half-widths sets the one degree
-    assert preset_matvecs(monkeypatch, "fig3") == 1370
+    # six one-qutrit blocks, one expansion a step: each block's own centre,
+    # and the largest of their half-widths sets the one degree
+    assert preset_matvecs(monkeypatch, "fig3", per_step=True) == 1370
+
+
+@pytest.mark.parametrize("name, matvecs", [("fig3", 2 * 14), ("fig4", 7 * 16)])
+def test_small_block_matvec_counts_are_pinned(monkeypatch, name, matvecs):
+    # blocks of at most 9 states: one expansion per window of propagators,
+    # 2 windows of fig3's 6 x 3 x 3 stacks and 7 of fig4's 3 x 9 x 9, each
+    # of the degree of the window's largest dt r
+    assert preset_matvecs(monkeypatch, name) == matvecs
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
@@ -688,7 +702,9 @@ def test_plan_degree_is_the_scalar_degree_at_every_step(name):
 
 def test_zero_width_steps_make_no_matvec(monkeypatch):
     # Hf of zeros: every block has zero width at s = 1, where H(1) = 0, so
-    # that step's degree is 0; every other step is the driver's
+    # that step's degree is 0; every other step is the driver's.  Rows wider
+    # than 9 states take one expansion a step; smaller ones one a window,
+    # here of one step
     expm, per_step = anneal_module.expm_multiply_hermitian, []
 
     def counted_expm(matvec, v, *args):
@@ -701,19 +717,31 @@ def test_zero_width_steps_make_no_matvec(monkeypatch):
         return expm(counted, v, *args)
 
     monkeypatch.setattr(anneal_module, "expm_multiply_hermitian", counted_expm)
+    for hf in (np.zeros((1, 27)), np.zeros((2, 27))):
+        per_step.clear()
+        anneal(AnnealConfig(h=2.0, M=4, dt=0.1), hf)
+        assert len(per_step) == 5 and per_step[-1] == 0 and all(per_step[:-1])
+    monkeypatch.setattr(anneal_module, "_PROPAGATORS", 1)
     for hf in (np.zeros((1, 9)), np.zeros((3, 3))):
         per_step.clear()
         anneal(AnnealConfig(h=2.0, M=4, dt=0.1), hf)
         assert len(per_step) == 5 and per_step[-1] == 0 and all(per_step[:-1])
+    # a window that also holds a step of nonzero width makes matvecs for all its steps
+    monkeypatch.setattr(anneal_module, "_PROPAGATORS", 3 * 9)
+    per_step.clear()
+    anneal(AnnealConfig(h=2.0, M=4, dt=0.1), np.zeros((1, 3)))
+    assert len(per_step) == 2 and all(per_step)
 
 
 @pytest.mark.parametrize("side", ["width", "driver", "blocks-width", "blocks-driver"])
 def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
-    # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h n);
+    # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h w);
     # just under the guard every step runs (its expansion a stub here), just
     # over none does, and no Bessel window is computed.
-    # With two one-qutrit blocks it is the wider block's: block 1 spans 2 r
-    # and block 0 r / 2, while the whole register spans 2.5 r; and h w, not h n
+    # With two blocks it is the wider block's: block 1 spans 2 r and block 0
+    # r / 2, while the whole register spans 2.5 r; and h w, not h n.  Rows of
+    # 3 and 9 states take their 4 steps as one window, one expansion; rows of
+    # 27 one expansion a step
     cap, dt = anneal_module._MAX_DT_RADIUS, 0.1
     steps = []
     monkeypatch.setattr(
@@ -721,43 +749,52 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     )
     window, windows = counting(anneal_module._bessel_window)
     monkeypatch.setattr(anneal_module, "_bessel_window", window)
-    for factor, refused in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
-        r = factor * cap / dt
-        if side == "width":
-            hf, h = np.array([[-r, 0.0, r]]), 1.0
-        elif side == "driver":
-            hf, h = np.zeros((1, 9)), 0.5 * r
-        elif side == "blocks-width":
-            hf, h = np.array([[0.0, 0.5 * r, 0.0], [-r, 0.0, r]]), 1.0
-        else:
-            hf, h = np.zeros((2, 3)), r
-        steps.clear()
-        windows.clear()
-        cfg = AnnealConfig(h=h, M=3, dt=dt)
-        if refused:
-            # the refusal names the end that exceeds the guard
-            advice = {
-                "driver": r"driver h = \S+ on 2-qutrit blocks, dt = 0.1\); lower 'h'$",
-                "blocks-driver": r"driver h = \S+ on 1-qutrit blocks, dt = 0.1\); lower 'h'$",
-            }.get(side, r"widest block, dt = 0.1\); lower the 'penalty' or the points' spread$")
-            with pytest.raises(SizeGuardError, match=advice) as refusal:
+    # split-step has no degree to bound
+    monkeypatch.setattr(anneal_module, "_split_step", lambda amps, *args: amps)
+    for w in (2 if side == "driver" else 1, 3):
+
+        def row(*values):
+            return np.pad(values, (0, 3**w - len(values)))
+
+        for factor, refused in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            r = factor * cap / dt
+            if side == "width":
+                hf, h = np.array([row(-r, 0.0, r)]), 1.0
+            elif side == "driver":
+                hf, h = np.zeros((1, 3**w)), r / w
+            elif side == "blocks-width":
+                hf, h = np.array([row(0.0, 0.5 * r, 0.0), row(-r, 0.0, r)]), 1.0
+            else:
+                hf, h = np.zeros((2, 3**w)), r / w
+            steps.clear()
+            windows.clear()
+            cfg = AnnealConfig(h=h, M=3, dt=dt)
+            if refused:
+                # the refusal names the end that exceeds the guard
+                if side.endswith("driver"):
+                    advice = rf"driver h = \S+ on {w}-qutrit blocks, dt = 0.1\); lower 'h'$"
+                else:
+                    advice = r"widest block, dt = 0.1\); lower the 'penalty' or the points' spread$"
+                with pytest.raises(SizeGuardError, match=advice) as refusal:
+                    anneal(cfg, hf)
+                assert "split-step" not in str(refusal.value)
+                assert not steps and not windows
+                anneal(AnnealConfig(h=h, M=3, dt=dt, mode=MODE_SPLIT), hf)
+            else:
                 anneal(cfg, hf)
-            assert "split-step" not in str(refusal.value)
-            assert not steps and not windows
-            # split-step has no degree to bound
-            monkeypatch.setattr(anneal_module, "_split_step", lambda amps, *args: amps)
-            anneal(AnnealConfig(h=h, M=3, dt=dt, mode=MODE_SPLIT), hf)
-        else:
-            anneal(cfg, hf)
-            assert len(steps) == 4 and windows
+                assert len(steps) == (4 if w == 3 else 1) and windows
 
 
 @pytest.mark.parametrize("M, half_width", [(10**6, 1.0), (5, 8e4)])
 def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
-    # each window's Bessel tables hold at most _WINDOW entries, or one row,
-    # whatever M; the windows' points are the schedule's, bitwise, in order
+    # rows wider than 9 states: each window's Bessel tables hold at most
+    # _WINDOW entries, or one row; rows of at most 9: each window's
+    # propagators hold at most _PROPAGATORS entries, or one step.  Either
+    # way whatever M, and the windows' points are the schedule's, bitwise,
+    # in order
     h, dt = 0.5, 0.1
-    hf = np.array([[-half_width, 0.0, half_width]])
+    wide = np.array([np.pad([-half_width, 0.0, half_width], (0, 24))])
+    small = np.array([[-half_width, 0.0, half_width], [0.0, half_width, 0.0]])
     points = []
 
     def stub(s, hf, h, dt, amps):
@@ -765,19 +802,56 @@ def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
         return amps
 
     monkeypatch.setattr(anneal_module, "_exact_anneal", stub)
-    anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
-    x = dt * max(h, half_width)  # r(s) at s = 0 or s = 1, one qutrit
-    window = max(1, anneal_module._WINDOW // (anneal_module._bessel_top(x) + 1))
-    assert max(len(s) for s in points) == min(window, M + 1)
-    assert len(points) == -(-(M + 1) // window)
-    np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
-    # a refused run computes no Bessel window and steps no window
-    counted, windows = counting(anneal_module._bessel_window)
-    monkeypatch.setattr(anneal_module, "_bessel_window", counted)
-    points.clear()
-    with pytest.raises(SizeGuardError):
-        anneal(AnnealConfig(h=h, M=M, dt=dt), 2e5 / dt * hf / half_width)
-    assert not points and not windows
+    monkeypatch.setattr(anneal_module, "_small_propagators", lambda s, *args: points.append(s))
+    monkeypatch.setattr(anneal_module, "_apply_in_turn", lambda ops, amps: amps)
+    x = dt * max(3 * h, half_width)  # r(s) at s = 0 or s = 1, three qutrits
+    wide_window = max(1, anneal_module._WINDOW // (anneal_module._bessel_top(x) + 1))
+    small_window = anneal_module._PROPAGATORS // small.size // 3
+    for hf, window in ((wide, wide_window), (small, small_window)):
+        points.clear()
+        anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
+        assert max(len(s) for s in points) == min(window, M + 1)
+        assert len(points) == -(-(M + 1) // window)
+        np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
+        # a refused run computes no Bessel window and steps no window
+        counted, windows = counting(anneal_module._bessel_window)
+        monkeypatch.setattr(anneal_module, "_bessel_window", counted)
+        points.clear()
+        with pytest.raises(SizeGuardError):
+            anneal(AnnealConfig(h=h, M=M, dt=dt), 2e5 / dt * hf / half_width)
+        assert not points and not windows
+    assert wide_window == (1 if half_width > 1e4 else 442) and small_window == 227
+
+
+def dense_expm_run(hf, cfg):
+    """The exact-step schedule on (C, 3**w) block rows by one dense scipy ``expm`` per step."""
+    blocks, d = hf.shape
+    w = round(np.log(d) / np.log(3))
+    driver, psi = dense_driver(w, cfg.h), np.array([initial_state(w)] * blocks)
+    for l in range(cfg.M + 1):
+        s = l / cfg.M
+        gates = expm(-1j * cfg.dt * (s * hf[:, :, None] * np.eye(d) + (1.0 - s) * driver))
+        psi = np.einsum("bij,bj->bi", gates, psi)
+    return functools.reduce(np.kron, psi)
+
+
+@pytest.mark.parametrize("blocks, w, M", [(4, 1, 358), (3, 2, 52)])
+def test_small_block_windows_match_a_dense_expm_stepper(monkeypatch, blocks, w, M):
+    # seeded rows with large constants, over 4 windows of propagators, the
+    # last one partial (113 and 16 steps a window): the register's
+    # amplitudes, phases included, against one dense expm per step and
+    # block.  Measured: 1.4e-13 and 1.4e-14
+    rng = np.random.default_rng(300 + w)
+    hf = rng.uniform(-20.0, 20.0, (blocks, 3**w)) + rng.uniform(-50.0, 50.0, (blocks, 1))
+    cfg = AnnealConfig(h=rng.uniform(2.0, 8.0), M=M, dt=0.1)
+    window = anneal_module._PROPAGATORS // hf.size // 3**w
+    assert -(-(M + 1) // window) == 4 and (M + 1) % window
+    got = anneal(cfg, hf)
+    np.testing.assert_allclose(got, dense_expm_run(hf, cfg), rtol=0, atol=5e-13)
+    # one step a window expands each step at its own half-width: the same
+    # steps, to rounding (measured 1.7e-14 and 7.2e-15)
+    monkeypatch.setattr(anneal_module, "_PROPAGATORS", 1)
+    np.testing.assert_allclose(anneal(cfg, hf), got, rtol=0, atol=1e-13)
 
 
 def test_split_mode_tracks_exact_mode():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.dom import minidom
 
@@ -178,6 +179,7 @@ def test_requests_run_with_scipy_blocked(tmp_path):
     code = f"""
 import dataclasses
 import sys
+import warnings
 
 
 class BlockScipy:
@@ -356,6 +358,41 @@ def test_cli_exact_step_degree_guard_exit_code(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: exact-step needs about dt * r = 1.5e+11")
     assert "'penalty'" in err and "split-step" not in err
+
+
+def test_cli_refuses_an_overflowing_driver_with_no_warning(tmp_path, capsys):
+    # h w overflows to inf at s = 0: the same refusal, with no RuntimeWarning
+    spec = {"points": [[0, 0], [1, 1], [5, 5]], "method": "one-hot-K3", "anneal": {"h": 1e308}}
+    path = tmp_path / "h-huge.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: exact-step needs about dt * r = inf Chebyshev terms a step, above the 10000 "
+        "guard (driver h = 1e+308 on 3-qutrit blocks, dt = 0.1); lower 'h'\n"
+    )
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone, as after ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv", [["preset", "fig3", "--mode", "split"], ["generate", "--n", "4", "--seed", "2"]]
+)
+def test_cli_closed_stdout_is_an_output_error(monkeypatch, capsys, argv):
+    # not exit 1, which would read as a mismatch, and no traceback
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_cli_mismatch_exit_code(monkeypatch, tmp_path, tiny_spec_dict, tiny_result):
