@@ -9,25 +9,23 @@ from ``AnnealConfig``.
 Both modes work out a bounded window of steps before the window's first
 step, then apply each step to the state, so memory does not grow with M.
 The exact-step mode evaluates each exponential by a Chebyshev expansion
-(Tal-Ezer & Kosloff, 1984).  Each block row is centred once on its
-midpoint, which leaves the row's constant to one phase per block; the
-half-width r of H(s) then comes free from the rows' widths and the
-driver's h w, and it is affine in s (``_radii``), so a window's dt r are
-one array and its Chebyshev weights come from one Bessel table of a
-vectorized Miller recurrence.  Each step maps its H(s) onto [-2, 2] by one
-multiply of the centred diagonal and of each driver factor.
-``expm_multiply_hermitian`` expands any real symmetric operator on
-[-2, 2] from the weights it is given, each term one apply and one
-subtraction, to the degree where the Bessel coefficients fall below
-1e-15.  The recurrence runs in real arithmetic on the real and imaginary
-parts of the state, and each apply takes the driver as a Kronecker sum of
-the two ``driver_factors``: two matrix products on the state viewed as a
-grid.  On blocks of at most ``_SMALL_BLOCK`` states (one or two qutrits)
-such a matvec is mostly call overhead, so there one expansion a window, on
-the window's (steps, C, d, d) stack of dense mapped H(s) from the identity
-and at the window's largest r, gives every step's propagator, and each is
-applied to the state in turn.  ``anneal`` refuses an exact-step schedule
-whose dt r exceeds 1e4, about 1e4 terms a step, before any Bessel window.
+(Tal-Ezer & Kosloff, 1984).  A run centres each block row once on its
+midpoint, so the row's constant is one phase per block after the last
+step, and the half-width r of H(s), from the rows' widths and the driver's
+h w, is affine in s (``_radii``).  One loop of windows takes the steps for
+every block size; ``_mapping`` maps H(s) onto [-2, 2] by one factor of the
+centred rows and one of the driver, and ``expm_multiply_hermitian``
+expands any real symmetric operator on [-2, 2], each term one apply and
+one subtraction, to where the Bessel coefficients, one vectorized Miller
+table a window, fall below 1e-15.  Above ``_SMALL_BLOCK`` states each step
+is one expansion of the state, in real arithmetic on its real and
+imaginary parts, each apply taking the driver as a Kronecker sum of the
+two ``driver_factors``: two matrix products on the state viewed as a grid.
+On one- and two-qutrit blocks such a matvec is mostly call overhead, so
+one expansion of the real identity stack a window, by the window's (steps,
+C, d, d) stack of dense mapped H(s) at its largest r, gives every step's
+propagator, each applied to the state in turn.  ``anneal`` refuses a
+schedule whose dt r exceeds 1e4 terms a step before any Bessel window.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -168,11 +166,11 @@ _SMALL_BLOCK = 9
 #: against 35.4 MB with one expansion a step, for 1% more speed at 2**14.
 _PROPAGATORS = 2**12
 
-#: An exact-step run takes its steps a window at a time, as many as fit
-#: their Bessel table in this many entries (128 kB), or one step where a row
-#: is longer, whatever M.  The rows are as long as the run's largest dt r
-#: gives, and the presets' hold at most 100 entries, so M = 100 takes one
-#: window and M = 2000 at most 13.
+#: An exact-step run on blocks above ``_SMALL_BLOCK`` states takes as many
+#: steps a window as fit their Bessel table in this many entries (128 kB),
+#: or one step where a row is longer, whatever M.  The rows are as long as
+#: the run's largest dt r gives, and the presets' hold at most 100 entries,
+#: so M = 100 takes one window and M = 2000 at most 13.
 _WINDOW = 2**14
 
 
@@ -250,34 +248,33 @@ def expm_multiply_hermitian(
     recurrence of the T_k is T_{k+1} = H T_k - T_{k-1}, with T_1 = H v / 2:
     one matvec and one subtraction a term.  ``weights`` are the series'
     coefficients for x, as ``_chebyshev_weights`` gives them, so the degree
-    is fixed before the first matvec; degree 0, or a zero v, makes none.
+    is fixed before the first matvec; degree 0 makes none.
 
-    H must be real: the recurrence runs in real arithmetic on the (2, N)
-    array of v's real and imaginary parts, and ``matvec`` must map such an
-    array row by row to a new real one (the recurrence updates it in
-    place); a complex result raises ``TypeError``.
+    H must be real: the recurrence runs in real arithmetic, on a real v's
+    own shape, and on a complex v's (2, *v.shape) real and imaginary parts.
+    ``matvec`` must map such an array, plane by plane, to a new real one (the
+    recurrence updates it in place); a complex result raises ``TypeError``.
     The T_k are kept in a ring of at most ``_ROWS`` of them: each time it is
     full it is summed with its coefficients by one matrix product.  The
     coefficients are real for even k and imaginary for odd k, so the terms
     go to two real sums, combined into the complex result at the end.
     """
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(v)
     degree = weights.shape[1] - 1
-    if not degree or not v.any():
-        # J_0(x) rounds to 1 and no other term is kept: exact for x = 0, and
-        # no matvec for a zero vector
+    if not degree:  # J_0(x) rounds to 1 and no other term is kept: exact for x = 0
         return v.copy()
+    planes = (2,) if np.iscomplexobj(v) else ()
     size = min(degree + 1, _ROWS)  # T_k in ring[k % size]
-    ring = np.empty((size, 2, *v.shape))
+    ring = np.empty((size, *planes, *v.shape))
     prev = ring[0]
-    prev[:] = v.real, v.imag
+    prev[:] = (v.real, v.imag) if planes else v
     cur = matvec(prev)
     if np.iscomplexobj(cur):
         raise TypeError("matvec returned complex values on a real input: H must be real symmetric")
     cur = np.divide(cur, 2.0, out=ring[1])
-    sums = np.zeros((2, 2 * v.size))
-    summed = 0  # T_0 .. T_{summed - 1} are in sums
     flat = ring.reshape(size, -1)
+    sums = np.zeros((2, flat.shape[1]))
+    summed = 0  # T_0 .. T_{summed - 1} are in sums
     for k in range(2, degree + 1):
         slot = k % size
         prev, cur = cur, np.subtract(matvec(cur), prev, out=ring[slot])
@@ -285,6 +282,8 @@ def expm_multiply_hermitian(
             sums += weights[:, summed : k + 1] @ flat
             summed = k + 1
     sums += weights[:, summed:] @ flat[: degree + 1 - summed]
+    if not planes:
+        return (sums[0] - 1j * sums[1]).reshape(v.shape)
     (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, *v.shape)
     return (even_re + odd_im) + 1j * (even_im - odd_re)
 
@@ -324,67 +323,69 @@ def _radii(s: np.ndarray, hf: np.ndarray, h: float) -> np.ndarray:
         return (1.0 - s) * h * _qutrits(hf.shape[1]) + s * half
 
 
-def _exact_anneal(
-    s: np.ndarray, hf: np.ndarray, h: float, dt: float, amps: np.ndarray
-) -> np.ndarray:
-    """The exact steps at the schedule points ``s`` on a (C, 3**w) stack of block amplitudes.
+def _mapping(s: np.ndarray, radii: np.ndarray | float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """H~_b = (2/r) (s (row_b - m_b) + (1 - s) h D_w), on [-2, 2], as its two factors.
 
-    Each row is centred once on its midpoint m_b: H_b(s) = s m_b + (r/2) H~_b
-    with H~_b = (2/r) (s (row_b - m_b) + (1 - s) h D_w) and r = ``_radii``,
-    so every block maps onto [-2, 2] and one expansion of one degree, with
-    the weights of x = dt r from one Bessel window, serves them all.  Each
-    step fills H~'s mapped diagonal and driver factors by one multiply each
-    and calls ``expm_multiply_hermitian`` once; where every block has zero
-    width the degree is 0 and the step makes no matvec.  The s m_b commute
-    with every step, so block b takes one phase exp(-i dt m_b sum s) last.
+    They are 2 s / r of the centred rows and 2 (1 - s) h / r of the driver D_w,
+    each quotient taken before the doubling: r >= s max|row_b - m_b| and r >=
+    (1 - s) h w bound it, so a subnormal r cannot overflow it; a zero r maps by 0.
     """
-    w = _qutrits(hf.shape[1])
-    a, b = driver_factors(w)
-    mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
-    centred = hf - mid[:, None]
+    radii = np.where(radii > 0.0, radii, np.inf)
+    return 2.0 * (s / radii), 2.0 * ((1.0 - s) * h / radii)
+
+
+def _exact_anneal(
+    s: np.ndarray, centred: np.ndarray, h: float, dt: float, amps: np.ndarray
+) -> np.ndarray:
+    """The exact steps at the points ``s`` of (C, 3**w) block amplitudes, without the phases s m_b.
+
+    The rows are centred on their midpoints m_b, so every block maps onto
+    [-2, 2] at r = ``_radii``, and one expansion, with x = dt r's weights
+    from one Bessel window, serves them all.  Each step fills H~'s diagonal
+    and driver factors (a one-qutrit block's first is the 1 x 1 zero) by one
+    multiply each; where every block has zero width it makes no matvec.
+    """
+    a, b = driver_factors(_qutrits(centred.shape[1]))
     # H~ applies to (re, im) planes of block grids of 3**(w // 2) rows: the
     # mapped diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
-    planes = np.empty((2, len(hf), len(a), len(b)))
-    mapped = planes[0].reshape(hf.shape)
+    planes = np.empty((2, len(centred), len(a), len(b)))
+    mapped = planes[0].reshape(centred.shape)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         # the current step's planes and driver factors
         grid = x.reshape(planes.shape)
         out = planes * grid
         if field:
-            if w > 1:  # a one-qutrit block has no first-half site
-                out += fa @ grid
+            out += fa @ grid
             out += grid @ fb
         return out.reshape(x.shape)
 
-    radii = _radii(s, hf, h)
-    for point, radius, weights in zip(s.tolist(), radii.tolist(), _chebyshev_weights(dt * radii)):
-        scale = 2.0 / radius if radius else 1.0
-        field = (1.0 - point) * h
-        np.multiply(centred, point * scale, out=mapped)
+    radii = _radii(s, centred, h)
+    factors = (f.tolist() for f in _mapping(s, radii, h))
+    for diagonal, field, weights in zip(*factors, _chebyshev_weights(dt * radii)):
+        np.multiply(centred, diagonal, out=mapped)
         planes[1] = planes[0]
-        fa, fb = a * (field * scale), b * (field * scale)
+        fa, fb = a * field, b * field
         amps = expm_multiply_hermitian(matvec, amps, weights)
-    return np.exp(-1j * dt * s.sum() * mid)[:, None] * amps
+    return amps
 
 
 def _small_propagators(s: np.ndarray, centred: np.ndarray, h: float, dt: float) -> np.ndarray:
     """exp(-i dt (H_b(s) - s m_b)) at the points ``s``, a (len(s), C, d, d) stack.
 
-    The rows are centred on their midpoints m_b.  A window's half-width r
-    is its largest ``_radii``, at its first or last point, so one weight
-    vector, of x = dt r, serves every step: one ``expm_multiply_hermitian``
-    call expands the window's stack of H~ = (2/r) (s (row_b - m_b) + (1 - s)
-    h D_w), D_w the dense driver, from the identity stack, by right
-    products.  H~ is real symmetric, so each propagator is symmetric too.
+    The rows are centred on their midpoints m_b.  The window's r is its
+    largest ``_radii``, at its first or last point, so one expansion, of x =
+    dt r's weights, takes the real identity stack by right products with the
+    stack of dense ``_mapping`` H~.  H~ is real symmetric, so each
+    propagator is symmetric too.
     """
     d = centred.shape[1]
     a, b = driver_factors(_qutrits(d))
     driver = _kron(a, np.eye(len(b))) + _kron(np.eye(len(a)), b)
     radius = float(_radii(s[[0, -1]], centred, h).max())
-    scale = 2.0 / radius if radius else 1.0
-    ham = (s * scale)[:, None, None, None] * (centred[..., None] * np.eye(d))
-    ham += ((1.0 - s) * (h * scale))[:, None, None, None] * driver
+    diagonals, fields = _mapping(s, radius, h)
+    ham = diagonals[:, None, None, None] * (centred[..., None] * np.eye(d))
+    ham += fields[:, None, None, None] * driver
     (weights,) = _chebyshev_weights(np.array([dt * radius]))
     identity = np.broadcast_to(np.eye(d), ham.shape)
     return expm_multiply_hermitian(lambda x: x @ ham, identity, weights)
@@ -562,15 +563,13 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     product of the blocks in register order.  Rows that are not a finite 2-D
     array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step checks
     the guard on ``_radii`` at s = 0 and s = 1, and a refusal names the end
-    past it, h or Hf's width.  On rows of at most ``_SMALL_BLOCK`` states
-    it works out the steps' propagators ``_PROPAGATORS`` entries at a time,
-    by one ``expm_multiply_hermitian`` call a window in
-    ``_small_propagators``, applies them in turn and takes each block's
-    phase once, after the last window; on wider rows it hands the steps to
-    ``_exact_anneal`` a window at a time, which calls
-    ``expm_multiply_hermitian`` once per step.  Split-step hands the whole
-    schedule to ``_split_anneal``, which calls ``_split_step`` once per step
-    on the wider rows.
+    past it, h or Hf's width.  It centres the rows once and takes the steps
+    in one loop of windows: on rows of at most ``_SMALL_BLOCK`` states,
+    ``_PROPAGATORS`` entries of ``_small_propagators`` a window, applied in
+    turn; on wider rows, ``_WINDOW`` Bessel entries a window, handed to
+    ``_exact_anneal``.  Each block's phase comes once, after the last window.
+    Split-step hands the whole schedule to ``_split_anneal``, which calls
+    ``_split_step`` once per step on the wider rows.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -595,20 +594,20 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     amps = np.stack([initial_state(w)] * len(hf))
     if cfg.mode == MODE_SPLIT:
         amps = _split_anneal(cfg, hf, amps)
-    elif shape[1] <= _SMALL_BLOCK:
+    else:
         # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
         mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
         centred = hf - mid[:, None]
-        window = max(1, _PROPAGATORS // (hf.size * shape[1]))
+        small = shape[1] <= _SMALL_BLOCK
+        fits = _PROPAGATORS // (hf.size * shape[1]) if small else _WINDOW // (_bessel_top(x) + 1)
+        window = max(1, fits)
         for start in range(0, cfg.M + 1, window):
             s = np.arange(start, min(start + window, cfg.M + 1)) / cfg.M
-            amps = _apply_in_turn(_small_propagators(s, centred, cfg.h, cfg.dt), amps)
-        amps *= np.exp(-0.5j * cfg.dt * (cfg.M + 1) * mid)[:, None]
-    else:
-        window = max(1, _WINDOW // (_bessel_top(x) + 1))
-        for start in range(0, cfg.M + 1, window):
-            s = np.arange(start, min(start + window, cfg.M + 1)) / cfg.M
-            amps = _exact_anneal(s, hf, cfg.h, cfg.dt, amps)
+            if small:
+                amps = _apply_in_turn(_small_propagators(s, centred, cfg.h, cfg.dt), amps)
+            else:
+                amps = _exact_anneal(s, centred, cfg.h, cfg.dt, amps)
+        amps = np.exp(-0.5j * cfg.dt * (cfg.M + 1) * mid)[:, None] * amps
     return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 

@@ -10,74 +10,44 @@ with a penalty, respectively).
 
 from __future__ import annotations
 
-from .anneal import AnnealConfig
-from .clustering import PointSet
 from .errors import SpecError
-from .hamiltonians import (
-    METHOD_KMEANSPP,
-    METHOD_ONEHOT_K2_PENALTY,
-    METHOD_ONEHOT_K3_PINNED,
-    EncodingScheme,
-)
-from .harness import ProblemSpec
+from .harness import ProblemSpec, spec_from_dict
 
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4")
 
-_FIG1_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
-_FIG2_POINTS = ((6, 6), (-6, 5), (-3, 9), (4, -10), (-7, 4), (-5, 1))
-_FIG3_POINTS = (
-    (8, -1),
-    (-2, -6),
-    (1, 6),
-    (4, -4),
-    (3, 8),
-    (9, -4),
-    (-5, 8),
-    (-6, -8),
-    (3, -10),
-)
-_FIG4_POINTS = ((-9, 10), (1, 9), (-8, -3), (-2, -9), (4, -2), (8, -8), (10, -5))
+#: Each preset as the spec dict a spec file would hold.
+_PRESETS = {
+    "fig1": {
+        "points": [[4, -2], [-7, 7], [6, -9], [-6, 8], [-2, -6], [-9, 5]],
+        "method": "one-hot-K3-pinned",
+        "anneal": {"h": 2.0},
+    },
+    "fig2": {
+        "points": [[6, 6], [-6, 5], [-3, 9], [4, -10], [-7, 4], [-5, 1]],
+        "method": "one-hot-K2-penalty",
+        "pinned": True,
+        "anneal": {"h": 8.0},
+    },
+    "fig3": {
+        "points": [[8, -1], [-2, -6], [1, 6], [4, -4], [3, 8], [9, -4], [-5, 8], [-6, -8],
+                   [3, -10]],
+        "method": "kmeanspp",
+        "centroids": [0, 1, 2],
+        "centroid_states": [[1], [0], [-1]],
+        "anneal": {"h": 8.0},
+    },
+    "fig4": {
+        "points": [[-9, 10], [1, 9], [-8, -3], [-2, -9], [4, -2], [8, -8], [10, -5]],
+        "method": "kmeanspp",
+        "centroids": [0, 1, 2, 4],
+        "centroid_states": [[1, 1], [1, 0], [1, -1], [0, 1]],
+        "anneal": {"h": 8.0},
+    },
+}
 
 
 def get_preset(name: str) -> ProblemSpec:
-    """Build a fresh ProblemSpec for one of the bundled presets."""
-    if name == "fig1":
-        return ProblemSpec(
-            name="fig1",
-            points=PointSet(points=_FIG1_POINTS),
-            scheme=EncodingScheme(method=METHOD_ONEHOT_K3_PINNED, K=3),
-            anneal=AnnealConfig(h=2.0),
-        )
-    if name == "fig2":
-        return ProblemSpec(
-            name="fig2",
-            points=PointSet(points=_FIG2_POINTS),
-            scheme=EncodingScheme(method=METHOD_ONEHOT_K2_PENALTY, K=2),
-            anneal=AnnealConfig(h=8.0),
-            pinned=True,
-        )
-    if name == "fig3":
-        return ProblemSpec(
-            name="fig3",
-            points=PointSet(points=_FIG3_POINTS),
-            scheme=EncodingScheme(
-                method=METHOD_KMEANSPP,
-                K=3,
-                centroid_states=((1,), (0,), (-1,)),
-            ),
-            anneal=AnnealConfig(h=8.0),
-            centroids=(0, 1, 2),
-        )
-    if name == "fig4":
-        return ProblemSpec(
-            name="fig4",
-            points=PointSet(points=_FIG4_POINTS),
-            scheme=EncodingScheme(
-                method=METHOD_KMEANSPP,
-                K=4,
-                centroid_states=((1, 1), (1, 0), (1, -1), (0, 1)),
-            ),
-            anneal=AnnealConfig(h=8.0),
-            centroids=(0, 1, 2, 4),
-        )
-    raise SpecError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    """Build a fresh ProblemSpec for one of the bundled presets, as from a spec file."""
+    if name not in _PRESETS:
+        raise SpecError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    return spec_from_dict(_PRESETS[name], default_name=name)

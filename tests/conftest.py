@@ -55,10 +55,14 @@ def group_projector_diagonal(state, start: int, n: int) -> np.ndarray:
 def step(amplitudes, s, hf, h, dt) -> np.ndarray:
     """exp(-i dt H(s)) on a (C, 3**w) stack of block amplitudes, or C = 1's 3**w, as ``anneal`` steps.
 
-    A window of one step, through the module-global ``expm_multiply_hermitian`` that tests patch.
+    The rows are centred on their midpoints m_b, the step is a window of one step
+    through the module-global ``expm_multiply_hermitian`` that tests patch, and
+    block b then takes its phase exp(-i dt s m_b).
     """
-    amps = _exact_anneal(np.array([float(s)]), hf, h, dt, np.reshape(amplitudes, (len(hf), -1)))
-    return amps.reshape(np.shape(amplitudes))
+    mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
+    amps = np.reshape(amplitudes, (len(hf), -1))
+    amps = _exact_anneal(np.array([float(s)]), hf - mid[:, None], h, dt, amps)
+    return (np.exp(-1j * dt * float(s) * mid)[:, None] * amps).reshape(np.shape(amplitudes))
 
 
 def forbid_expansion(monkeypatch) -> None:

@@ -458,16 +458,6 @@ def test_expm_multiply_constant_hamiltonian_needs_no_matvec(monkeypatch):
     np.testing.assert_allclose(got, np.exp(-0.6j) * v, rtol=0, atol=1e-15)
 
 
-def test_expm_multiply_zero_vector_needs_no_matvec():
-    matvec, calls = counting(lambda x: x)
-    v = np.zeros(9, dtype=complex)
-    got = expand(matvec, v, 0.2)
-    assert not calls
-    np.testing.assert_array_equal(got, np.zeros(9, dtype=complex))
-    # a fresh array, not the caller's
-    assert not np.shares_memory(got, v)
-
-
 @pytest.mark.parametrize("rows", [3, 4, 8, 29, 10_000])
 def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
     # degree 86: T_0 .. T_86 fill 29 blocks of 3 rows or 3 of 29 exactly,
@@ -482,6 +472,43 @@ def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
     assert len(calls) == 86
     expected = expm(-0.8j * dense_h(0.5, hf, h)) @ v
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_expm_multiply_runs_a_real_operand_on_its_own_array():
+    # a real operand, a stack of matrices as the small-block path expands,
+    # needs no imaginary plane: the same result as the operand + 0j, whose
+    # matvec gets the (2, ...) planes
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    h = (q * rng.uniform(-2.0, 2.0, 9)) @ q.T
+    h = 0.5 * (h + h.T)
+    v = rng.normal(size=(4, 9, 9))
+    shapes = []
+
+    def matvec(x):
+        shapes.append(x.shape)
+        return x @ h
+
+    got = expand(matvec, v, 3.0)
+    assert got.dtype == complex and set(shapes) == {v.shape}
+    shapes.clear()
+    np.testing.assert_array_equal(got, expand(matvec, v + 0j, 3.0))
+    assert set(shapes) == {(2, *v.shape)}
+    np.testing.assert_allclose(got, v @ expm(-1.5j * h), rtol=0, atol=1e-13)
+
+
+def test_small_block_matvec_never_gets_a_plane_axis(monkeypatch):
+    # one window of 16 steps of three 9 x 9 blocks, as fig4's: the matvec takes the
+    # identity stack's own (steps, C, d, d) shape at every term
+    expm, shapes = anneal_module.expm_multiply_hermitian, []
+
+    def recording(matvec, v, *args):
+        return expm(lambda x: shapes.append(x.shape) or matvec(x), v, *args)
+
+    monkeypatch.setattr(anneal_module, "expm_multiply_hermitian", recording)
+    hf = np.random.default_rng(18).uniform(-20.0, 20.0, (3, 9))
+    anneal(AnnealConfig(h=8.0, M=15, dt=0.1), hf)
+    assert shapes and set(shapes) == {(16, 3, 9, 9)}
 
 
 def test_expm_multiply_rejects_complex_hamiltonian():
@@ -644,8 +671,9 @@ def preset_matvecs(monkeypatch, name, per_step=False) -> int:
 
     The count guards the a-priori degree (tail 1e-15) and the spectral
     bounds: any change to where the expansion is truncated moves it.  With
-    ``per_step`` the 101 steps go to ``_exact_anneal`` as one window, one
-    expansion a step, as ``anneal`` takes rows wider than 9 states.
+    ``per_step`` the 101 steps go to ``_exact_anneal`` as one window, on
+    rows centred as ``anneal`` centres them, one expansion a step, as
+    ``anneal`` takes rows wider than 9 states.
     """
     from qutrit_anneal.harness import build_final_hamiltonian
     from qutrit_anneal.presets import get_preset
@@ -654,7 +682,8 @@ def preset_matvecs(monkeypatch, name, per_step=False) -> int:
     hf, h, dt = build_final_hamiltonian(spec), spec.anneal.h, spec.anneal.dt
     calls = count_matvecs(monkeypatch)
     if per_step:
-        anneal_module._exact_anneal(np.arange(101) / 100, hf, h, dt, np.ones(hf.shape, complex))
+        centred = hf - 0.5 * (hf.max(axis=1) + hf.min(axis=1))[:, None]
+        anneal_module._exact_anneal(np.arange(101) / 100, centred, h, dt, np.ones(hf.shape, complex))
     else:
         anneal(AnnealConfig(h=h, M=100, dt=dt), hf)
     return len(calls)
@@ -797,7 +826,7 @@ def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
     small = np.array([[-half_width, 0.0, half_width], [0.0, half_width, 0.0]])
     points = []
 
-    def stub(s, hf, h, dt, amps):
+    def stub(s, centred, h, dt, amps):
         points.append(s)
         return amps
 
@@ -852,6 +881,26 @@ def test_small_block_windows_match_a_dense_expm_stepper(monkeypatch, blocks, w, 
     # steps, to rounding (measured 1.7e-14 and 7.2e-15)
     monkeypatch.setattr(anneal_module, "_PROPAGATORS", 1)
     np.testing.assert_allclose(anneal(cfg, hf), got, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "method, K, n, centroids",
+    [
+        pytest.param(METHOD_ONEHOT_K3, 3, 5, None, id="one-hot-K3-one-243-state-block"),
+        pytest.param(METHOD_ONEHOT_MULTISPIN, 4, 2, None, id="multispin-K4-one-81-state-block"),
+        pytest.param(METHOD_KMEANSPP, 10, 12, range(10), id="kmeanspp-K10-two-27-state-blocks"),
+    ],
+)
+def test_wide_rows_match_a_dense_expm_stepper(method, K, n, centroids):
+    # rows above 9 states, whole schedule: the register's amplitudes, each
+    # block's phase included, against one dense expm per step and block.
+    # Measured: 3.3e-15, 1.2e-15 and 1.1e-14
+    points = generate_instance(n, seed=50 + n)
+    encoding = Encoding(EncodingScheme(method=method, K=K), n, centroids=centroids)
+    hf = encoding.hamiltonian(distance_matrix(points))
+    assert hf.shape[1] > anneal_module._SMALL_BLOCK and (len(hf) > 1) == (centroids is not None)
+    cfg = AnnealConfig(h=8.0, M=30, dt=0.1)
+    np.testing.assert_allclose(anneal(cfg, hf), dense_expm_run(hf, cfg), rtol=0, atol=5e-14)
 
 
 def test_split_mode_tracks_exact_mode():

@@ -375,6 +375,36 @@ def test_cli_refuses_an_overflowing_driver_with_no_warning(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("h", [1e-310, 5e-324])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(
+            {"points": [[0, 0], [0, 1], [10, 10], [3, 4], [5, 5]], "method": "one-hot-K3-pinned"},
+            id="one-block",
+        ),
+        pytest.param(
+            {
+                "points": [[0, 0], [10, 0], [20, 0], [1, 1], [19, 1], [9, 2]],
+                "method": "kmeanspp",
+                "centroids": [0, 1, 2],
+            },
+            id="kmeanspp-small-blocks",
+        ),
+    ],
+)
+def test_cli_runs_a_subnormal_driver_with_no_warning(tmp_path, capsys, spec, h):
+    # at s = 0 the half-width h w is subnormal, and 2 / r overflows: the map
+    # onto [-2, 2] must not make 0 * inf there, on 81-state rows nor on
+    # 3-state blocks
+    path = tmp_path / "h-subnormal.json"
+    path.write_text(json.dumps({**spec, "anneal": {"h": h, "M": 20}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(tmp_path)]) in (0, 1)
+    assert "Warning" not in capsys.readouterr().err
+
+
 class ClosedStdout:
     """A stdout whose reader has gone, as after ``| head -1``."""
 
