@@ -6,44 +6,52 @@ is diagonal, and a run takes it as the read-only (C, 3**w) array of block
 rows that ``Encoding.hamiltonian`` returns; the driver is its field h alone,
 from ``AnnealConfig``.
 
-Both modes work out a bounded window of steps before the window's first
-step, then apply each step to the state, so memory does not grow with M.
+``anneal`` holds the one loop over windows of steps, for both modes and
+every block size, so memory does not grow with M.  Each window goes to one
+of four window bodies: on blocks of at most ``_SMALL_BLOCK`` states it
+returns the window's (steps, C, d, d) stack of step matrices, applied to
+the state in turn; on wider blocks it steps the state.
+
 The exact-step mode evaluates each exponential by a Chebyshev expansion
 (Tal-Ezer & Kosloff, 1984).  A run centres each block row once on its
 midpoint, so the row's constant is one phase per block after the last
 step, and the half-width r of H(s), from the rows' widths and the driver's
-h w, is affine in s (``_radii``).  One loop of windows takes the steps for
-every block size; ``_mapping`` maps H(s) onto [-2, 2] by one factor of the
-centred rows and one of the driver, and ``expm_multiply_hermitian``
-expands any real symmetric operator on [-2, 2], each term one apply and
-one subtraction, to where the Bessel coefficients, one vectorized Miller
-table a window, fall below 1e-15.  Above ``_SMALL_BLOCK`` states each step
-is one expansion of the state, in real arithmetic on its real and
-imaginary parts, each apply taking the driver as a Kronecker sum of the
-two ``driver_factors``: two matrix products on the state viewed as a grid.
-On one- and two-qutrit blocks such a matvec is mostly call overhead, so
-one expansion of the real identity stack a window, by the window's (steps,
-C, d, d) stack of dense mapped H(s) at its largest r, gives every step's
-propagator, each applied to the state in turn.  ``anneal`` refuses a
-schedule whose dt r exceeds 1e4 terms a step before any Bessel window.
+h w, is affine in s (``_radii``).  ``_mapping`` maps H(s) onto [-2, 2] by
+one factor of the centred rows and one of the driver, and
+``expm_multiply_hermitian`` expands any real symmetric operator on [-2, 2],
+each term one apply and one subtraction, to where the Bessel coefficients,
+one vectorized Miller table a window, fall below 1e-15.  Above
+``_SMALL_BLOCK`` states each step is one expansion of the state
+(``_exact_anneal``), in real arithmetic on its real and imaginary parts,
+each apply taking the driver as a Kronecker sum of the two
+``driver_factors``: two matrix products on the state viewed as a grid.  On
+one- and two-qutrit blocks such a matvec is mostly call overhead, so one
+expansion of the real identity stack a window, by the window's stack of
+dense mapped H(s) at its largest r, gives every step's propagator
+(``_small_propagators``).  ``anneal`` refuses a schedule whose dt r
+exceeds 1e4 terms a step before any Bessel window.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
-under 1e-3; it is not used where exact-step accuracy is contractual.  In
-the frame F = diag(1, i, -1) on each site the 3x3 driver gate is a real
-rotation, and F^{(x)n} is diagonal, so it commutes with the phases of Hf:
-a run enters the frame before its first step and leaves it after its last.
-The half phases of neighbouring substeps are applied as one full phase,
-and those of neighbouring steps as one fixed phase.  A window holds its
-steps' rotations and their Kronecker powers.  On blocks of one or two
-qutrits each step is one 3 x 3 or 9 x 9 matrix per block, its substeps
-multiplied by squaring, applied to the state.  On larger blocks each
-substep rotates the state by real products on its float view, with no
-transpose, the leading sites in one or two groups from the left and the
-last two sites, with the real and imaginary parts, from the right; no
-factor is above 27 x 27.  There the full phases of consecutive steps differ by a fixed
-factor, so each step's is the last one's times it, computed afresh by
-``np.exp`` every ``_PHASE_REFRESH`` steps.
+under 1e-3; it is not used where exact-step accuracy is contractual.  Step
+l is half_l D P D ... P D half_l, k driver substeps D = R(theta_l)^{(x)w}
+between full phases P = exp(-i tau s_l Hf), with half_l = exp(-i tau s_l
+Hf / 2) and tau = dt / k.  half_l P^-1 = conj(half_l), so between steps l
+and l + 1 the phase is B = exp(-i tau Hf / (2 M)), the same at every
+step; the opening half phase at s = 0 is 1, and conj(half_M) closes the
+last step.  In the frame F = diag(1, i, -1) on each site the 3x3 driver
+gate is a real rotation R, and F^{(x)n} is diagonal, so it commutes with
+the phases of Hf: a run enters the frame before its first step and leaves
+it after its last.  On blocks of one or two qutrits each step is one 3 x 3
+or 9 x 9 matrix per block, its substeps multiplied by squaring
+(``_split_propagators``).  On larger blocks each step is one
+``_split_step`` call (``_split_steps``): each substep rotates the state by
+real products on its float view, with no transpose, the leading sites in
+one or two groups from the left and the last two sites, with the real and
+imaginary parts, from the right; no factor is above 27 x 27.  There the
+full phases of consecutive steps differ by a fixed factor, so each step's
+is the last one's times it, computed afresh by ``np.exp`` every
+``_PHASE_REFRESH`` steps.
 
 A final Hamiltonian of C block rows of 3**w entries has no term that
 couples two blocks, and the driver acts site by site, so the annealed state
@@ -429,9 +437,9 @@ def _frame(n: int) -> np.ndarray:
 _SPLIT_SUBSTEPS = 8
 
 #: A split run works out its steps' gates this many steps at a time, so its
-#: memory does not grow with M.  Over three passes of the benchmark's sweep,
-#: peak RSS rose 0.9 MB above stepping every block at 32 steps, against
-#: 2.7 MB at 256 and 0.7 MB at 16, where fig3 and fig4 ran 9% slower.
+#: memory does not grow with M.  Over three passes of the benchmark's sweep
+#: (medians, on a shared 2-CPU host), peak RSS was 37.9, 38.0 and 38.5 MB at
+#: 16, 32 and 256 steps, and solve_s 0.304, 0.309 and 0.290 s.
 _SPLIT_WINDOW = 32
 
 
@@ -439,23 +447,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products of square matrices, stacked or not, as one broadcast outer product."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-1] * b.shape[-1], -1)
-
-
-def _split_windows(cfg: AnnealConfig, tau: float, top: int) -> Iterator[tuple[np.ndarray, list]]:
-    """Steps l = 0 .. M, ``_SPLIT_WINDOW`` at a time, with their rotation powers.
-
-    Yields each window's step numbers l and a list whose entry k, for
-    1 <= k <= ``top``, is the stack of R(theta_l)^{(x)k}, one per step, for
-    theta_l = tau (1 - s_l) h: one vectorized ``_site_rotation`` and
-    top - 1 batched ``_kron``s a window.
-    """
-    for start in range(0, cfg.M + 1, _SPLIT_WINDOW):
-        steps = np.arange(start, min(start + _SPLIT_WINDOW, cfg.M + 1))
-        rot = _site_rotation(tau * (1.0 - steps / cfg.M) * cfg.h)
-        powers = [None, rot]
-        while len(powers) <= top:
-            powers.append(_kron(rot, powers[-1]))
-        yield steps, powers
 
 
 def _split_step(
@@ -471,7 +462,7 @@ def _split_step(
     stack.  Each substep applies the driver factor, the real rotation R on
     every site, then the step's full phase exp(-i tau s Hf), ``phase``, of
     the grid's shape; the half phases at the ends of the step are the
-    caller's (``_split_anneal``).  R^{(x)w} is applied to the grid's float
+    caller's (``_split_steps``).  R^{(x)w} is applied to the grid's float
     view, where each amplitude is its real and imaginary parts, with no
     transpose.  The leading w - 2 sites form one or two groups, and each of
     the ``left`` powers R^{(x)g} takes its group of g sites by one real
@@ -501,56 +492,59 @@ def _split_step(
 _PHASE_REFRESH = 16
 
 
-def _split_anneal(cfg: AnnealConfig, hf: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """The split-step schedule on a (C, 3**w) stack of block amplitudes.
+def _split_propagators(
+    s: np.ndarray, hf: np.ndarray, tau: float, h: float, between: np.ndarray
+) -> np.ndarray:
+    """The split steps at the points ``s`` on framed blocks of d <= ``_SMALL_BLOCK`` states.
 
-    Step l is the Strang product half_l D P D ... P D half_l of k driver
-    substeps D = R(theta_l)^{(x)w}, with P = exp(-i tau s_l Hf),
-    half_l = exp(-i tau s_l Hf / 2) and tau = dt / k: (P D)^k between two
-    half phases.  half_l P^-1 = conj(half_l), so between steps l and l + 1
-    the phase is B = half_{l+1} conj(half_l) = exp(-i tau Hf / (2 M)), the
-    same at every step.  The opening half phase at s = 0 is 1, and after
-    the last step conj(half_M) closes it.  F^{(x)w} commutes with all the
-    phases, so the run enters the frame once before step 0 and leaves it
-    after step M.  Every step's gates are worked out a window of
-    ``_SPLIT_WINDOW`` steps at a time, before the window's first step
-    (``_split_windows``).
-
-    On blocks of d <= ``_SMALL_BLOCK`` states each step is one (C, d, d)
-    matrix: the window's phases by one ``np.exp``, times its rotations,
-    raised to the k-th power by squaring, with B folded into every step
-    after step 0, and each step's matrix is applied to the framed state in
-    turn.  Larger blocks make one ``_split_step`` call per step, and carry
-    P from step to step by one multiply, refreshed every ``_PHASE_REFRESH``
-    steps.  Either way the run holds a few arrays of 3**w entries per
-    block, and a window's gates, whatever M.
+    A (len(s), C, d, d) stack: each step's phases exp(-i tau s Hf) times its
+    rotations R(theta)^{(x)w}, a window by one ``np.exp`` and w - 1 batched
+    ``_kron``s, raised to the k-th power by squaring, with the phase B
+    between steps, ``between``, folded into every step after step 0.
     """
-    M, substeps = cfg.M, _SPLIT_SUBSTEPS
-    tau = cfg.dt / substeps
-    size, w = hf.shape[1], _qutrits(hf.shape[1])
-    between = np.exp(-0.5j * tau / M * hf)
-    frame = _frame(w)
-    grid = frame.conj() * amps
-    if size <= _SMALL_BLOCK:
-        for steps, powers in _split_windows(cfg, tau, w):
-            phases = np.exp(-1j * tau * (steps / M)[:, None, None] * hf)
-            ops = np.linalg.matrix_power(phases[..., None] * powers[w][:, None], substeps)
-            ops[int(steps[0] == 0) :] *= between[:, None, :]
-            grid = _apply_in_turn(ops, grid)
-    else:
-        groups = (w - 2,) if w <= 5 else (w - 4, 2)
-        ratio = np.exp(-1j * tau / M * hf)
-        for steps, powers in _split_windows(cfg, tau, max(groups + (2,))):
-            right = _kron(powers[2].swapaxes(1, 2), np.eye(2))
-            for i, l in enumerate(steps.tolist()):
-                if l % _PHASE_REFRESH:
-                    phase *= ratio
-                else:
-                    phase = np.exp(-1j * tau * (l / M) * hf)
-                if l:
-                    grid *= between
-                grid = _split_step(grid, [powers[g][i] for g in groups], right[i], phase, substeps)
-    return frame * np.exp(0.5j * tau * hf) * grid
+    rot = _site_rotation(tau * (1.0 - s) * h)
+    power = rot
+    for _ in range(1, _qutrits(hf.shape[1])):
+        power = _kron(rot, power)
+    phases = np.exp(-1j * tau * s[:, None, None] * hf)
+    ops = np.linalg.matrix_power(phases[..., None] * power[:, None], _SPLIT_SUBSTEPS)
+    ops[int(s[0] == 0) :] *= between[:, None, :]
+    return ops
+
+
+def _split_steps(
+    s: np.ndarray,
+    hf: np.ndarray,
+    tau: float,
+    h: float,
+    between: np.ndarray,
+    ratio: np.ndarray,
+    grid: np.ndarray,
+) -> np.ndarray:
+    """The split steps at the points ``s`` of framed (C, 3**w) block amplitudes, w >= 3.
+
+    The window's rotation powers R(theta)^{(x)g} come first, one vectorized
+    ``_site_rotation`` and a batched ``_kron`` per power.  Each step is then
+    one ``_split_step`` call, after the phase B, ``between``, for every step
+    after step 0.  Its full phase P = exp(-i tau s Hf) is the last step's
+    times ``ratio`` = exp(-i tau Hf / M), computed afresh by ``np.exp`` at
+    the window's first step and every ``_PHASE_REFRESH`` steps after it.
+    """
+    w = _qutrits(hf.shape[1])
+    groups = (w - 2,) if w <= 5 else (w - 4, 2)
+    powers = [None, _site_rotation(tau * (1.0 - s) * h)]
+    while len(powers) <= max(groups + (2,)):
+        powers.append(_kron(powers[1], powers[-1]))
+    right = _kron(powers[2].swapaxes(1, 2), np.eye(2))
+    for i, point in enumerate(s.tolist()):
+        if i % _PHASE_REFRESH:
+            phase *= ratio
+        else:
+            phase = np.exp(-1j * tau * point * hf)
+        if point:
+            grid *= between
+        grid = _split_step(grid, [powers[g][i] for g in groups], right[i], phase, _SPLIT_SUBSTEPS)
+    return grid
 
 
 def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
@@ -561,15 +555,17 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
     state, one per block, and the register's amplitudes are the Kronecker
     product of the blocks in register order.  Rows that are not a finite 2-D
-    array of length 3**w, w >= 1, are a ``ValueError``.  Exact-step checks
-    the guard on ``_radii`` at s = 0 and s = 1, and a refusal names the end
-    past it, h or Hf's width.  It centres the rows once and takes the steps
-    in one loop of windows: on rows of at most ``_SMALL_BLOCK`` states,
-    ``_PROPAGATORS`` entries of ``_small_propagators`` a window, applied in
-    turn; on wider rows, ``_WINDOW`` Bessel entries a window, handed to
-    ``_exact_anneal``.  Each block's phase comes once, after the last window.
-    Split-step hands the whole schedule to ``_split_anneal``, which calls
-    ``_split_step`` once per step on the wider rows.
+    array of length 3**w, w >= 1, are a ``ValueError``.
+
+    Each mode sets up once the run's two ends, its run-constant factors and
+    its window size.  Exact-step checks the guard on ``_radii`` at s = 0 and
+    s = 1, and a refusal names the end past it, h or Hf's width; it centres
+    the rows before the loop and applies each block's phase after it.
+    Split-step refuses a substep angle tau h or phase tau max|Hf| past the
+    float range, naming which; it enters the frame before the loop and
+    leaves it, with the closing half phase, after.  The one loop hands each
+    window of ``_PROPAGATORS`` or ``_WINDOW`` entries, or ``_SPLIT_WINDOW``
+    steps, to the mode's window body for the rows' width.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -577,37 +573,53 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
         raise ValueError(f"final Hamiltonian rows of shape {shape} are not (C, 3**w), C, w >= 1")
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
+    h, dt, M, small = cfg.h, cfg.dt, cfg.M, shape[1] <= _SMALL_BLOCK
     if cfg.mode == MODE_EXACT:
         # r(s) is affine in s, so its largest value is at an end
-        r0, r1 = _radii(np.array([0.0, 1.0]), hf, cfg.h).tolist()
-        x = cfg.dt * max(r0, r1)
+        r0, r1 = _radii(np.array([0.0, 1.0]), hf, h).tolist()
+        x = dt * max(r0, r1)
         if not x <= _MAX_DT_RADIUS:
             if r0 >= r1:
-                cause, advice = f"driver h = {cfg.h:g} on {w}-qutrit blocks", "lower 'h'"
+                cause, advice = f"driver h = {h:g} on {w}-qutrit blocks", "lower 'h'"
             else:
                 cause = f"width {2.0 * r1:.3g} of the final Hamiltonian's widest block"
                 advice = "lower the 'penalty' or the points' spread"
             raise SizeGuardError(
                 f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
-                f"the {_MAX_DT_RADIUS:g} guard ({cause}, dt = {cfg.dt:g}); {advice}"
+                f"the {_MAX_DT_RADIUS:g} guard ({cause}, dt = {dt:g}); {advice}"
             )
-    amps = np.stack([initial_state(w)] * len(hf))
-    if cfg.mode == MODE_SPLIT:
-        amps = _split_anneal(cfg, hf, amps)
-    else:
         # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
         mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
         centred = hf - mid[:, None]
-        small = shape[1] <= _SMALL_BLOCK
+        before, after = 1.0, np.exp(-0.5j * dt * (M + 1) * mid)[:, None]
         fits = _PROPAGATORS // (hf.size * shape[1]) if small else _WINDOW // (_bessel_top(x) + 1)
         window = max(1, fits)
-        for start in range(0, cfg.M + 1, window):
-            s = np.arange(start, min(start + window, cfg.M + 1)) / cfg.M
-            if small:
-                amps = _apply_in_turn(_small_propagators(s, centred, cfg.h, cfg.dt), amps)
+        propagators = lambda s: _small_propagators(s, centred, h, dt)
+        stepper = lambda s, amps: _exact_anneal(s, centred, h, dt, amps)
+    else:
+        tau = dt / _SPLIT_SUBSTEPS
+        # no substep angle is above tau h, and no phase above tau max|Hf|
+        top = float(np.abs(hf).max())
+        if not math.isfinite(tau * max(h, top)):
+            if math.isfinite(tau * h):
+                what, cause, advice = "phase tau * max|Hf|", f"Hf entries up to {top:.3g}", "'dt'"
             else:
-                amps = _exact_anneal(s, centred, cfg.h, cfg.dt, amps)
-        amps = np.exp(-0.5j * cfg.dt * (cfg.M + 1) * mid)[:, None] * amps
+                what, cause, advice = "angle tau * h", f"driver h = {h:g}", "'h' or 'dt'"
+            raise SizeGuardError(
+                f"split-step's substep {what} is past the float range "
+                f"({cause}, dt = {dt:g}, tau = dt / {_SPLIT_SUBSTEPS}); lower {advice}"
+            )
+        between, ratio = np.exp(-0.5j * tau / M * hf), np.exp(-1j * tau / M * hf)
+        frame = _frame(w)
+        before, after = frame.conj(), frame * np.exp(0.5j * tau * hf)
+        window = _SPLIT_WINDOW
+        propagators = lambda s: _split_propagators(s, hf, tau, h, between)
+        stepper = lambda s, amps: _split_steps(s, hf, tau, h, between, ratio, amps)
+    amps = before * np.stack([initial_state(w)] * len(hf))
+    for start in range(0, M + 1, window):
+        s = np.arange(start, min(start + window, M + 1)) / M
+        amps = _apply_in_turn(propagators(s), amps) if small else stepper(s, amps)
+    amps = after * amps
     return functools.reduce(lambda out, row: np.multiply.outer(out, row).reshape(-1), amps)
 
 

@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from conftest import dense_driver, full_diagonal, ground_states, step
@@ -850,6 +852,23 @@ def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
             anneal(AnnealConfig(h=h, M=M, dt=dt), 2e5 / dt * hf / half_width)
         assert not points and not windows
     assert wide_window == (1 if half_width > 1e4 else 442) and small_window == 227
+    # split-step takes its steps in the same loop, _SPLIT_WINDOW a window on
+    # rows of 27 states and of at most 9; a run whose tau h or tau max|Hf|
+    # overflows is refused, and steps no window
+    monkeypatch.setattr(anneal_module, "_split_steps", lambda s, *args: points.append(s) or args[-1])
+    monkeypatch.setattr(anneal_module, "_split_propagators", lambda s, *args: points.append(s))
+    window = anneal_module._SPLIT_WINDOW
+    for hf in (wide, small):
+        points.clear()
+        anneal(AnnealConfig(h=h, M=M, dt=dt, mode=MODE_SPLIT), hf)
+        assert max(len(s) for s in points) == min(window, M + 1)
+        assert len(points) == -(-(M + 1) // window)
+        np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
+        points.clear()
+        for h_huge, rows in ((1e300, hf), (h, 1e300 * hf / half_width)):
+            with pytest.raises(SizeGuardError, match="split-step's substep"):
+                anneal(AnnealConfig(h=h_huge, M=M, dt=1e10, mode=MODE_SPLIT), rows)
+        assert not points
 
 
 def dense_expm_run(hf, cfg):
@@ -883,24 +902,57 @@ def test_small_block_windows_match_a_dense_expm_stepper(monkeypatch, blocks, w, 
     np.testing.assert_allclose(anneal(cfg, hf), got, rtol=0, atol=1e-13)
 
 
+def expm_multiply_run(hf, cfg):
+    """The exact-step schedule on (C, 3**w) block rows by one scipy ``expm_multiply`` per step and block."""
+    blocks, d = hf.shape
+    w = round(np.log(d) / np.log(3))
+    sx, eye = spin_operator("x"), sparse.identity
+    driver = sum(sparse.kron(sparse.kron(eye(3**i), sx), eye(3 ** (w - i - 1))) for i in range(w))
+    psi = np.array([initial_state(w)] * blocks)
+    for l in range(cfg.M + 1):
+        s = l / cfg.M
+        for b in range(blocks):
+            ham = sparse.diags(s * hf[b]) + (1.0 - s) * cfg.h * driver
+            psi[b] = expm_multiply(-1j * cfg.dt * ham.tocsr(), psi[b])
+    return functools.reduce(np.kron, psi)
+
+
 @pytest.mark.parametrize(
-    "method, K, n, centroids",
+    "method, K, n, seed, options, M, reference, atol",
     [
-        pytest.param(METHOD_ONEHOT_K3, 3, 5, None, id="one-hot-K3-one-243-state-block"),
-        pytest.param(METHOD_ONEHOT_MULTISPIN, 4, 2, None, id="multispin-K4-one-81-state-block"),
-        pytest.param(METHOD_KMEANSPP, 10, 12, range(10), id="kmeanspp-K10-two-27-state-blocks"),
+        pytest.param(
+            METHOD_ONEHOT_K3, 3, 5, 55, {}, 30, dense_expm_run, 5e-14,
+            id="one-hot-K3-one-243-state-block",
+        ),
+        pytest.param(
+            METHOD_ONEHOT_MULTISPIN, 4, 2, 52, {}, 30, dense_expm_run, 5e-14,
+            id="multispin-K4-one-81-state-block",
+        ),
+        pytest.param(
+            METHOD_KMEANSPP, 10, 12, 62, {"centroids": range(10)}, 30, dense_expm_run, 5e-14,
+            id="kmeanspp-K10-two-27-state-blocks",
+        ),
+        pytest.param(
+            METHOD_ONEHOT_K2_PENALTY, 2, 7, 67, {"pinned": True}, 20, expm_multiply_run, 1e-13,
+            id="K2-penalty-pinned-one-729-state-block",
+        ),
+        pytest.param(
+            METHOD_ONEHOT_K3, 3, 7, 67, {}, 20, expm_multiply_run, 1e-13,
+            id="one-hot-K3-one-2187-state-block",
+        ),
     ],
 )
-def test_wide_rows_match_a_dense_expm_stepper(method, K, n, centroids):
+def test_wide_rows_match_a_dense_expm_stepper(method, K, n, seed, options, M, reference, atol):
     # rows above 9 states, whole schedule: the register's amplitudes, each
-    # block's phase included, against one dense expm per step and block.
-    # Measured: 3.3e-15, 1.2e-15 and 1.1e-14
-    points = generate_instance(n, seed=50 + n)
-    encoding = Encoding(EncodingScheme(method=method, K=K), n, centroids=centroids)
+    # block's phase included, against one dense expm per step and block, or
+    # on 6- and 7-qutrit blocks one sparse expm_multiply.  Measured: 3.3e-15,
+    # 1.2e-15, 1.1e-14, 3.6e-14 and 9.3e-15
+    points = generate_instance(n, seed=seed)
+    encoding = Encoding(EncodingScheme(method=method, K=K), n, **options)
     hf = encoding.hamiltonian(distance_matrix(points))
-    assert hf.shape[1] > anneal_module._SMALL_BLOCK and (len(hf) > 1) == (centroids is not None)
-    cfg = AnnealConfig(h=8.0, M=30, dt=0.1)
-    np.testing.assert_allclose(anneal(cfg, hf), dense_expm_run(hf, cfg), rtol=0, atol=5e-14)
+    assert hf.shape[1] > anneal_module._SMALL_BLOCK and (len(hf) > 1) == ("centroids" in options)
+    cfg = AnnealConfig(h=8.0, M=M, dt=0.1)
+    np.testing.assert_allclose(anneal(cfg, hf), reference(hf, cfg), rtol=0, atol=atol)
 
 
 def test_split_mode_tracks_exact_mode():

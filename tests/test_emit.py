@@ -405,6 +405,37 @@ def test_cli_runs_a_subnormal_driver_with_no_warning(tmp_path, capsys, spec, h):
     assert "Warning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "anneal, message",
+    [
+        pytest.param(
+            {"h": 1e300, "dt": 1e10},
+            "angle tau * h is past the float range (driver h = 1e+300, dt = 1e+10, "
+            "tau = dt / 8); lower 'h' or 'dt'",
+            id="driver-angle",
+        ),
+        pytest.param(
+            {"h": 2, "dt": 1e308},
+            "phase tau * max|Hf| is past the float range (Hf entries up to 109, dt = 1e+308, "
+            "tau = dt / 8); lower 'dt'",
+            id="diagonal-phase",
+        ),
+    ],
+)
+def test_cli_refuses_a_split_run_past_the_float_range(tmp_path, capsys, anneal, message):
+    # tau h or tau max|Hf| overflows to inf: split-step refuses the run with
+    # exit 3 and names the cause, where it printed NaN with a RuntimeWarning
+    spec = {"points": [[0, 0], [0, 1], [10, 10], [-10, 10], [3, 4]], "method": "one-hot-K3"}
+    path = tmp_path / "split-huge.json"
+    path.write_text(json.dumps({**spec, "anneal": {**anneal, "mode": "split-step"}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: split-step's substep {message}\n"
+    assert "Warning" not in err
+
+
 class ClosedStdout:
     """A stdout whose reader has gone, as after ``| head -1``."""
 
