@@ -20,16 +20,16 @@ h w, is affine in s (``_radii``).  ``_mapping`` maps H(s) onto [-2, 2] by
 one factor of the centred rows and one of the driver, and
 ``expm_multiply_hermitian`` expands any real symmetric operator on [-2, 2],
 each term one apply and one subtraction, to where the Bessel coefficients,
-one vectorized Miller table a window, fall below 1e-15.  Above
-``_SMALL_BLOCK`` states each step is one expansion of the state
-(``_exact_anneal``), in real arithmetic on its real and imaginary parts,
-each apply taking the driver as a Kronecker sum of the two
-``driver_factors``: two matrix products on the state viewed as a grid.  On
-one- and two-qutrit blocks such a matvec is mostly call overhead, so one
-expansion of the real identity stack a window, by the window's stack of
-dense mapped H(s) at its largest r, gives every step's propagator
-(``_small_propagators``).  ``anneal`` refuses a schedule whose dt r
-exceeds 1e4 terms a step before any Bessel window.
+from Miller's recurrence on the expansion's one argument
+(``_chebyshev_weights``), fall below 1e-15.  Above ``_SMALL_BLOCK`` states
+each step is one expansion of the state (``_exact_anneal``), in real
+arithmetic on its real and imaginary parts, each apply taking the driver as
+a Kronecker sum of the two ``driver_factors``: two matrix products on the
+state viewed as a grid.  On one- and two-qutrit blocks such a matvec is
+mostly call overhead, so one expansion of the real identity stack a window,
+by the window's stack of dense mapped H(s) at its largest r, gives every
+step's propagator (``_small_propagators``).  ``anneal`` refuses a schedule
+whose dt r exceeds 1e4 terms a step before it computes any weights.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -72,7 +72,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -125,10 +125,8 @@ def initial_state(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("register needs at least one qutrit")
-    amps = np.array([1.0])
-    for _ in range(n):
-        amps = np.kron(amps, _SITE_GROUND)
-    return amps.astype(complex)
+    kron = lambda out, site: np.multiply.outer(out, site).reshape(-1)
+    return functools.reduce(kron, [_SITE_GROUND] * n).astype(complex)
 
 
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
@@ -152,10 +150,9 @@ _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _ROWS = 8
 
 #: ``anneal`` refuses an exact-step schedule whose dt times the half-width
-#: of H(s) exceeds this, before it computes any Bessel window: a table row
-#: then holds at most about 10,300 entries (82 kB), a window fits at least
-#: one row, and a step makes at most about 10,300 matvecs.  The presets peak
-#: at 31.5 (fig2).
+#: of H(s) exceeds this, before it computes any Chebyshev weights: a step's
+#: Bessel values then number at most about 10,300 (82 kB), and a step makes
+#: at most about 10,300 matvecs.  The presets peak at 31.5 (fig2).
 _MAX_DT_RADIUS = 1e4
 
 #: Blocks of at most this many states (one or two qutrits) take each step
@@ -174,76 +171,50 @@ _SMALL_BLOCK = 9
 #: against 35.4 MB with one expansion a step, for 1% more speed at 2**14.
 _PROPAGATORS = 2**12
 
-#: An exact-step run on blocks above ``_SMALL_BLOCK`` states takes as many
-#: steps a window as fit their Bessel table in this many entries (128 kB),
-#: or one step where a row is longer, whatever M.  The rows are as long as
-#: the run's largest dt r gives, and the presets' hold at most 100 entries,
-#: so M = 100 takes one window and M = 2000 at most 13.
-_WINDOW = 2**14
+#: Split-step runs, and exact-step runs on blocks above ``_SMALL_BLOCK``
+#: states, take this many steps a window, so their memory does not grow
+#: with M.  Over three passes of the benchmark's sweep (medians, on a shared
+#: 2-CPU host), split-step's peak RSS was 37.9, 38.0 and 38.5 MB at 16, 32
+#: and 256 steps, and solve_s 0.304, 0.309 and 0.290 s.
+_STEP_WINDOW = 32
 
 
-def _bessel_top(x: float) -> int:
-    """Where Miller's recurrence for J_k(x) starts: N = |x| + 12 |x|^(1/3) + 30."""
-    return int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30.0)
-
-
-def _bessel_window(xs: np.ndarray) -> np.ndarray:
-    """J_0(x) .. J_N(x) for each real |x| >= 1e-100 of ``xs``, one row each.
-
-    Miller's backward recurrence runs on the whole window at once.  Each
-    row starts at its own N = ``_bessel_top(x)`` and is zero past it; the
-    last term with 2 |J_k| >= _TAIL lies near |x| + 10.5 |x|^(1/3), and
-    J_N(x) at least five decades below _TAIL for 1e-3 <= |x| <= 1e6.  A row
-    is rescaled on its own when one of its values passes _BESSEL_BIG, and
-    normalized by J_0 + 2 sum_k J_2k = 1 over its own entries 0 .. N, so it
-    is bitwise the row the recurrence gives on its argument alone.
-    """
-    xs = np.asarray(xs, dtype=float)
-    tops = [_bessel_top(x) for x in xs.tolist()]
-    starts: dict[int, list[int]] = {}
-    for row, top in enumerate(tops):
-        starts.setdefault(top, []).append(row)
-    vals = np.zeros((len(xs), max(tops) + 1))
-    two_over_x = 2.0 / xs
-    above, j = np.zeros(len(xs)), np.zeros(len(xs))  # J_{k+1}, J_k up to a factor per row
-    for k in range(max(tops), 0, -1):
-        if k in starts:
-            j[starts[k]] = 1.0
-        vals[:, k] = j
-        above, j = j, k * two_over_x * j - above
-        big = np.abs(j) > _BESSEL_BIG
-        if big.any():
-            vals[big, k:] /= _BESSEL_BIG
-            above[big] /= _BESSEL_BIG
-            j[big] /= _BESSEL_BIG
-    vals[:, 0] = j
-    for row, top in zip(vals, tops):
-        row /= row[0] + 2.0 * row[2 : top + 1 : 2].sum()
-    return vals
-
-
-def _chebyshev_weights(xs: np.ndarray) -> Iterator[np.ndarray]:
-    """The Chebyshev weights of exp(-i (x / 2) H) for each x of ``xs``, in order.
+def _chebyshev_weights(x: float) -> np.ndarray:
+    """The Chebyshev weights of exp(-i (x / 2) H) for one real x.
 
     For x's degree d, the last k with 2 |J_k(x)| >= _TAIL, they are the
     (2, d + 1) coefficients (2 - [k = 0]) (-i)^k J_k(x) of the T_k: real
     for even k, in row 0, and the imaginary parts for odd k, in row 1, each
     zero in the other row.  Below the tail, |x| < _TAIL, J_0(x) rounds to 1
-    and no other term is kept: degree 0.  The Bessel tables of all of ``xs``
-    are one ``_bessel_window``, so the caller bounds its length.
+    and no other term is kept: degree 0.
+
+    The J_k(x) come from Miller's backward recurrence on Python floats,
+    from N = |x| + 12 |x|^(1/3) + 30 down: the last term kept lies near |x|
+    + 10.5 |x|^(1/3), and J_N(x) at least five decades below _TAIL for 1e-3
+    <= |x| <= 1e6.  The values are rescaled whenever one passes _BESSEL_BIG,
+    and normalized by J_0 + 2 sum_k J_2k = 1.
     """
-    live = np.abs(xs) >= _TAIL
-    table = _bessel_window(xs[live]) if live.any() else np.ones((0, 1))
-    kept = (table >= 0.5 * _TAIL) | (table <= -0.5 * _TAIL)
-    degrees = np.zeros(len(xs), dtype=int)
-    degrees[live] = table.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1)
-    coefs = table[:, : degrees.max() + 1]  # J_k, then the coefficients in place
-    coefs[:, 1:] *= 2.0 * _SIGNS[np.arange(1, coefs.shape[1]) % 4]
-    weights = np.zeros((len(xs), 2, coefs.shape[1]))
-    weights[:, 0, 0] = 1.0  # J_0 below the tail
-    weights[live, 0, ::2], weights[live, 1, 1::2] = coefs[:, ::2], coefs[:, 1::2]
-    for row, degree in zip(weights, degrees.tolist()):
-        yield row[:, : degree + 1]
+    if not abs(x) >= _TAIL:
+        return np.array([[1.0], [0.0]])
+    top = int(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30.0)
+    vals = [0.0] * (top + 1)
+    two_over_x, above, j = 2.0 / x, 0.0, 1.0  # J_{k+1}, J_k up to a common factor
+    for k in range(top, 0, -1):
+        vals[k] = j
+        above, j = j, k * two_over_x * j - above
+        if abs(j) > _BESSEL_BIG:
+            vals[k:] = [v / _BESSEL_BIG for v in vals[k:]]
+            above /= _BESSEL_BIG
+            j /= _BESSEL_BIG
+    vals[0] = j
+    table = np.array(vals)
+    table /= table[0] + 2.0 * table[2::2].sum()
+    degree = np.flatnonzero((table >= 0.5 * _TAIL) | (table <= -0.5 * _TAIL))[-1]
+    coefs = table[: degree + 1]  # J_k, then the coefficients in place
+    coefs[1:] *= 2.0 * _SIGNS[np.arange(1, degree + 1) % 4]
+    weights = np.zeros((2, degree + 1))
+    weights[0, ::2], weights[1, 1::2] = coefs[::2], coefs[1::2]
+    return weights
 
 
 def expm_multiply_hermitian(
@@ -348,10 +319,11 @@ def _exact_anneal(
     """The exact steps at the points ``s`` of (C, 3**w) block amplitudes, without the phases s m_b.
 
     The rows are centred on their midpoints m_b, so every block maps onto
-    [-2, 2] at r = ``_radii``, and one expansion, with x = dt r's weights
-    from one Bessel window, serves them all.  Each step fills H~'s diagonal
-    and driver factors (a one-qutrit block's first is the 1 x 1 zero) by one
-    multiply each; where every block has zero width it makes no matvec.
+    [-2, 2] at r = ``_radii``, and one expansion, with the weights of x = dt
+    r computed as the step is taken, serves them all.  Each step fills H~'s
+    diagonal and driver factors (a one-qutrit block's first is the 1 x 1
+    zero) by one multiply each; where every block has zero width it makes
+    no matvec.
     """
     a, b = driver_factors(_qutrits(centred.shape[1]))
     # H~ applies to (re, im) planes of block grids of 3**(w // 2) rows: the
@@ -370,11 +342,11 @@ def _exact_anneal(
 
     radii = _radii(s, centred, h)
     factors = (f.tolist() for f in _mapping(s, radii, h))
-    for diagonal, field, weights in zip(*factors, _chebyshev_weights(dt * radii)):
+    for diagonal, field, x in zip(*factors, (dt * radii).tolist()):
         np.multiply(centred, diagonal, out=mapped)
         planes[1] = planes[0]
         fa, fb = a * field, b * field
-        amps = expm_multiply_hermitian(matvec, amps, weights)
+        amps = expm_multiply_hermitian(matvec, amps, _chebyshev_weights(x))
     return amps
 
 
@@ -394,9 +366,8 @@ def _small_propagators(s: np.ndarray, centred: np.ndarray, h: float, dt: float) 
     diagonals, fields = _mapping(s, radius, h)
     ham = diagonals[:, None, None, None] * (centred[..., None] * np.eye(d))
     ham += fields[:, None, None, None] * driver
-    (weights,) = _chebyshev_weights(np.array([dt * radius]))
     identity = np.broadcast_to(np.eye(d), ham.shape)
-    return expm_multiply_hermitian(lambda x: x @ ham, identity, weights)
+    return expm_multiply_hermitian(lambda x: x @ ham, identity, _chebyshev_weights(dt * radius))
 
 
 def _apply_in_turn(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -435,12 +406,6 @@ def _frame(n: int) -> np.ndarray:
 #: split-step and exact-step partition probabilities over the presets is
 #: 3.1e-4 at M = 100 and 7e-5 at M = 2000 (fig1 both times).
 _SPLIT_SUBSTEPS = 8
-
-#: A split run works out its steps' gates this many steps at a time, so its
-#: memory does not grow with M.  Over three passes of the benchmark's sweep
-#: (medians, on a shared 2-CPU host), peak RSS was 37.9, 38.0 and 38.5 MB at
-#: 16, 32 and 256 steps, and solve_s 0.304, 0.309 and 0.290 s.
-_SPLIT_WINDOW = 32
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -564,8 +529,9 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     Split-step refuses a substep angle tau h or phase tau max|Hf| past the
     float range, naming which; it enters the frame before the loop and
     leaves it, with the closing half phase, after.  The one loop hands each
-    window of ``_PROPAGATORS`` or ``_WINDOW`` entries, or ``_SPLIT_WINDOW``
-    steps, to the mode's window body for the rows' width.
+    window, of ``_PROPAGATORS`` entries for exact-step on small blocks and
+    ``_STEP_WINDOW`` steps otherwise, to the mode's window body for the
+    rows' width.
     """
     shape = np.shape(hf)
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
@@ -592,8 +558,7 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
         mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
         centred = hf - mid[:, None]
         before, after = 1.0, np.exp(-0.5j * dt * (M + 1) * mid)[:, None]
-        fits = _PROPAGATORS // (hf.size * shape[1]) if small else _WINDOW // (_bessel_top(x) + 1)
-        window = max(1, fits)
+        window = max(1, _PROPAGATORS // (hf.size * shape[1])) if small else _STEP_WINDOW
         propagators = lambda s: _small_propagators(s, centred, h, dt)
         stepper = lambda s, amps: _exact_anneal(s, centred, h, dt, amps)
     else:
@@ -612,7 +577,7 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
         between, ratio = np.exp(-0.5j * tau / M * hf), np.exp(-1j * tau / M * hf)
         frame = _frame(w)
         before, after = frame.conj(), frame * np.exp(0.5j * tau * hf)
-        window = _SPLIT_WINDOW
+        window = _STEP_WINDOW
         propagators = lambda s: _split_propagators(s, hf, tau, h, between)
         stepper = lambda s, amps: _split_steps(s, hf, tau, h, between, ratio, amps)
     amps = before * np.stack([initial_state(w)] * len(hf))

@@ -65,8 +65,7 @@ def counting(fn):
 
 def expand(matvec, v, x):
     """exp(-i (x / 2) H) v by the expansion, with the weights a run gives it."""
-    (weights,) = anneal_module._chebyshev_weights(np.array([float(x)]))
-    return expm_multiply_hermitian(matvec, v, weights)
+    return expm_multiply_hermitian(matvec, v, anneal_module._chebyshev_weights(float(x)))
 
 
 def count_matvecs(monkeypatch) -> list:
@@ -266,7 +265,7 @@ def test_dense_is_diagonal_plus_scaled_driver(n, s):
     # expansion the weights of that x
     (x,) = dt * anneal_module._radii(np.array([s]), hf, h)
     assert x == pytest.approx(radius * dt, rel=1e-15)
-    np.testing.assert_array_equal(weights, next(anneal_module._chebyshev_weights(np.array([x]))))
+    np.testing.assert_array_equal(weights, anneal_module._chebyshev_weights(x))
     got = centre * np.eye(3**n) + 0.5 * radius * mapped
     expected = np.diag(s * hf[0]) + (1.0 - s) * h * dense_driver(n, 1.0)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -299,7 +298,7 @@ def test_steps_evolve_each_block_of_a_stack():
     np.testing.assert_allclose(np.kron(*step(stack, s, hf, h, dt)), expected, rtol=0, atol=1e-12)
     # split-step: a whole run of the stack against the same run of the
     # register, both as one matrix a step, over two windows of steps
-    cfg = AnnealConfig(h=h, M=anneal_module._SPLIT_WINDOW + 1, dt=dt, mode=MODE_SPLIT)
+    cfg = AnnealConfig(h=h, M=anneal_module._STEP_WINDOW + 1, dt=dt, mode=MODE_SPLIT)
     np.testing.assert_allclose(
         anneal(cfg, hf), anneal(cfg, full_diagonal(hf)[None]), rtol=0, atol=1e-13
     )
@@ -323,21 +322,27 @@ def test_a_constant_on_a_block_row_only_sets_that_blocks_phase(blocks, w):
 
 
 def bessel_j(x):
-    """J_0(x) .. J_N(x) for one real x: a ``_bessel_window`` of one row."""
-    return anneal_module._bessel_window(np.array([x]))[0]
+    """J_0(x) .. J_d(x) for one real x, d its degree, from its ``_chebyshev_weights``.
+
+    Weight k is J_k(x) times 1 or +-2, so the quotient is exact.
+    """
+    weights = anneal_module._chebyshev_weights(x)
+    k = np.arange(weights.shape[1])
+    return weights[k % 2, k] / np.where(k, 2.0 * anneal_module._SIGNS[k % 4], 1.0)
 
 
 @pytest.mark.parametrize(
     "x", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.3, 37.5, 100.0, 500.0, -3.0]
 )
 def test_bessel_j_matches_scipy(x):
-    # x <= 1e-6 fills the table past 1e150 and takes the rescale path;
-    # scipy's jv itself is off by up to 5e-15 at x = 500
+    # x <= 1e-6 fills the recurrence past 1e150 and takes the rescale path;
+    # scipy's jv itself is off by up to 5e-15 at x = 500.  The degree is the
+    # last k with 2 |J_k(x)| >= 1e-15
     j = bessel_j(x)
-    ref = jv(np.arange(j.size), x)
-    np.testing.assert_allclose(j, ref, rtol=0, atol=2e-14)
-    np.testing.assert_allclose(j[:3], ref[:3], rtol=1e-13)
-    assert np.abs(j[-5:]).max() < 1e-20
+    ref = jv(np.arange(j.size + 1), x)
+    np.testing.assert_allclose(j, ref[:-1], rtol=0, atol=2e-14)
+    np.testing.assert_allclose(j[:3], ref[: min(3, j.size)], rtol=1e-13)
+    assert 2.0 * abs(j[-1]) >= 1e-15 > 2.0 * abs(ref[-1])
 
 
 def miller_reference(x):
@@ -356,18 +361,14 @@ def miller_reference(x):
     return vals / (j + 2.0 * vals[2::2].sum())
 
 
-def test_bessel_window_rows_are_bitwise_those_of_each_argument():
-    # a window mixing the rescale path (1e-9), short and long rows and one
-    # just under the guard: each row starts at its own top, is rescaled and
-    # normalized on its own, and is zero past its top
-    xs = np.array([37.5, 1e-9, 0.3, 9999.99, 500.0, -3.0])
-    window = anneal_module._bessel_window(xs)
-    assert window.shape == (len(xs), anneal_module._bessel_top(9999.99) + 1)
-    for x, row in zip(xs, window):
-        j = bessel_j(x)
-        np.testing.assert_array_equal(row[: j.size], j)
-        np.testing.assert_array_equal(row[: j.size], miller_reference(x))
-        assert not row[j.size :].any()
+def test_chebyshev_weights_hold_the_scalar_recurrences_bessel_values():
+    # the rescale path (1e-9), short and long tables and one just under the
+    # guard: bitwise the J_k of Miller's recurrence on x alone, up to the
+    # degree, each weight zero in the other row
+    for x in (37.5, 1e-9, 0.3, 9999.99, 500.0, -3.0):
+        weights, j = anneal_module._chebyshev_weights(x), bessel_j(x)
+        np.testing.assert_array_equal(j, miller_reference(x)[: j.size])
+        assert not weights[0, 1::2].any() and not weights[1, ::2].any()
 
 
 @pytest.mark.parametrize("dt", [0.3, 5.0, -2.0])
@@ -711,7 +712,7 @@ def test_small_block_matvec_counts_are_pinned(monkeypatch, name, matvecs):
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
-def test_plan_degree_is_the_scalar_degree_at_every_step(name):
+def test_step_degree_is_the_scalar_degree_at_every_step(name):
     # each step's degree is the last k with 2 |J_k(dt r)| >= 1e-15, from the
     # scalar recurrence on that step's own bounds: per block, w qutrits
     from qutrit_anneal.harness import build_final_hamiltonian
@@ -726,8 +727,8 @@ def test_plan_degree_is_the_scalar_degree_at_every_step(name):
         spread = (1.0 - s) * h * w
         r = max(0.5 * ((s * row.max() + spread) - (s * row.min() - spread)) for row in hf)
         expected.append(np.flatnonzero(np.abs(miller_reference(dt * r)) >= 5e-16)[-1])
-    x = dt * anneal_module._radii(np.arange(M + 1) / M, hf, h)
-    degrees = [weights.shape[1] - 1 for weights in anneal_module._chebyshev_weights(x)]
+    xs = dt * anneal_module._radii(np.arange(M + 1) / M, hf, h)
+    degrees = [anneal_module._chebyshev_weights(x).shape[1] - 1 for x in xs.tolist()]
     assert degrees == expected
 
 
@@ -768,7 +769,7 @@ def test_zero_width_steps_make_no_matvec(monkeypatch):
 def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h w);
     # just under the guard every step runs (its expansion a stub here), just
-    # over none does, and no Bessel window is computed.
+    # over none does, and no Chebyshev weights are computed.
     # With two blocks it is the wider block's: block 1 spans 2 r and block 0
     # r / 2, while the whole register spans 2.5 r; and h w, not h n.  Rows of
     # 3 and 9 states take their 4 steps as one window, one expansion; rows of
@@ -778,8 +779,8 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     monkeypatch.setattr(
         anneal_module, "expm_multiply_hermitian", lambda matvec, v, *args: steps.append(1) or v
     )
-    window, windows = counting(anneal_module._bessel_window)
-    monkeypatch.setattr(anneal_module, "_bessel_window", window)
+    weights, computed = counting(anneal_module._chebyshev_weights)
+    monkeypatch.setattr(anneal_module, "_chebyshev_weights", weights)
     # split-step has no degree to bound
     monkeypatch.setattr(anneal_module, "_split_step", lambda amps, *args: amps)
     for w in (2 if side == "driver" else 1, 3):
@@ -798,7 +799,7 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
             else:
                 hf, h = np.zeros((2, 3**w)), r / w
             steps.clear()
-            windows.clear()
+            computed.clear()
             cfg = AnnealConfig(h=h, M=3, dt=dt)
             if refused:
                 # the refusal names the end that exceeds the guard
@@ -809,17 +810,17 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
                 with pytest.raises(SizeGuardError, match=advice) as refusal:
                     anneal(cfg, hf)
                 assert "split-step" not in str(refusal.value)
-                assert not steps and not windows
+                assert not steps and not computed
                 anneal(AnnealConfig(h=h, M=3, dt=dt, mode=MODE_SPLIT), hf)
             else:
                 anneal(cfg, hf)
-                assert len(steps) == (4 if w == 3 else 1) and windows
+                assert len(steps) == len(computed) == (4 if w == 3 else 1)
 
 
 @pytest.mark.parametrize("M, half_width", [(10**6, 1.0), (5, 8e4)])
-def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
-    # rows wider than 9 states: each window's Bessel tables hold at most
-    # _WINDOW entries, or one row; rows of at most 9: each window's
+def test_anneal_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
+    # exact-step on rows wider than 9 states: _STEP_WINDOW steps a window,
+    # whatever their degree; on rows of at most 9: each window's
     # propagators hold at most _PROPAGATORS entries, or one step.  Either
     # way whatever M, and the windows' points are the schedule's, bitwise,
     # in order
@@ -835,8 +836,7 @@ def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
     monkeypatch.setattr(anneal_module, "_exact_anneal", stub)
     monkeypatch.setattr(anneal_module, "_small_propagators", lambda s, *args: points.append(s))
     monkeypatch.setattr(anneal_module, "_apply_in_turn", lambda ops, amps: amps)
-    x = dt * max(3 * h, half_width)  # r(s) at s = 0 or s = 1, three qutrits
-    wide_window = max(1, anneal_module._WINDOW // (anneal_module._bessel_top(x) + 1))
+    wide_window = anneal_module._STEP_WINDOW
     small_window = anneal_module._PROPAGATORS // small.size // 3
     for hf, window in ((wide, wide_window), (small, small_window)):
         points.clear()
@@ -844,31 +844,45 @@ def test_exact_step_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
         assert max(len(s) for s in points) == min(window, M + 1)
         assert len(points) == -(-(M + 1) // window)
         np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
-        # a refused run computes no Bessel window and steps no window
-        counted, windows = counting(anneal_module._bessel_window)
-        monkeypatch.setattr(anneal_module, "_bessel_window", counted)
+        # a refused run computes no Chebyshev weights and steps no window
+        counted, computed = counting(anneal_module._chebyshev_weights)
+        monkeypatch.setattr(anneal_module, "_chebyshev_weights", counted)
         points.clear()
         with pytest.raises(SizeGuardError):
             anneal(AnnealConfig(h=h, M=M, dt=dt), 2e5 / dt * hf / half_width)
-        assert not points and not windows
-    assert wide_window == (1 if half_width > 1e4 else 442) and small_window == 227
-    # split-step takes its steps in the same loop, _SPLIT_WINDOW a window on
+        assert not points and not computed
+    assert wide_window == 32 and small_window == 227
+    # split-step takes its steps in the same loop, _STEP_WINDOW a window on
     # rows of 27 states and of at most 9; a run whose tau h or tau max|Hf|
     # overflows is refused, and steps no window
     monkeypatch.setattr(anneal_module, "_split_steps", lambda s, *args: points.append(s) or args[-1])
     monkeypatch.setattr(anneal_module, "_split_propagators", lambda s, *args: points.append(s))
-    window = anneal_module._SPLIT_WINDOW
     for hf in (wide, small):
         points.clear()
         anneal(AnnealConfig(h=h, M=M, dt=dt, mode=MODE_SPLIT), hf)
-        assert max(len(s) for s in points) == min(window, M + 1)
-        assert len(points) == -(-(M + 1) // window)
+        assert max(len(s) for s in points) == min(wide_window, M + 1)
+        assert len(points) == -(-(M + 1) // wide_window)
         np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
         points.clear()
         for h_huge, rows in ((1e300, hf), (h, 1e300 * hf / half_width)):
             with pytest.raises(SizeGuardError, match="split-step's substep"):
                 anneal(AnnealConfig(h=h_huge, M=M, dt=1e10, mode=MODE_SPLIT), rows)
         assert not points
+
+
+@pytest.mark.parametrize("blocks, w", [(2, 3), (1, 5)])
+def test_wide_row_amplitudes_do_not_depend_on_the_step_window(monkeypatch, blocks, w):
+    # exact-step on rows of 27 and 243 states maps and weights each step at
+    # its own half-width, so the window only bounds memory: 71 steps at 1, 7
+    # and _STEP_WINDOW steps a window, the last window partial, give bitwise
+    # the same amplitudes
+    hf = np.random.default_rng(110 + w).uniform(-20.0, 20.0, (blocks, 3**w))
+    cfg = AnnealConfig(h=3.0, M=70, dt=0.1)
+    assert (cfg.M + 1) % anneal_module._STEP_WINDOW
+    want = anneal(cfg, hf)
+    for window in (1, 7):
+        monkeypatch.setattr(anneal_module, "_STEP_WINDOW", window)
+        np.testing.assert_array_equal(anneal(cfg, hf), want)
 
 
 def dense_expm_run(hf, cfg):
@@ -929,6 +943,10 @@ def expm_multiply_run(hf, cfg):
             id="multispin-K4-one-81-state-block",
         ),
         pytest.param(
+            METHOD_ONEHOT_MULTISPIN, 4, 3, 53, {}, 20, expm_multiply_run, 1e-13,
+            id="multispin-K4-one-729-state-block",
+        ),
+        pytest.param(
             METHOD_KMEANSPP, 10, 12, 62, {"centroids": range(10)}, 30, dense_expm_run, 5e-14,
             id="kmeanspp-K10-two-27-state-blocks",
         ),
@@ -946,7 +964,7 @@ def test_wide_rows_match_a_dense_expm_stepper(method, K, n, seed, options, M, re
     # rows above 9 states, whole schedule: the register's amplitudes, each
     # block's phase included, against one dense expm per step and block, or
     # on 6- and 7-qutrit blocks one sparse expm_multiply.  Measured: 3.3e-15,
-    # 1.2e-15, 1.1e-14, 3.6e-14 and 9.3e-15
+    # 1.2e-15, 4.4e-15, 1.1e-14, 3.6e-14 and 9.3e-15
     points = generate_instance(n, seed=seed)
     encoding = Encoding(EncodingScheme(method=method, K=K), n, **options)
     hf = encoding.hamiltonian(distance_matrix(points))
@@ -1037,7 +1055,7 @@ def test_split_step_matches_per_axis_product(blocks, w, substeps, M, monkeypatch
     hf = rng.uniform(-20.0, 20.0, (blocks, 3**w))
     cfg = AnnealConfig(h=3.0, M=M, dt=0.1, mode=MODE_SPLIT)
     assert cfg.M > anneal_module._PHASE_REFRESH
-    assert (cfg.M + 1 > 2 * anneal_module._SPLIT_WINDOW) == (M == 70)
+    assert (cfg.M + 1 > 2 * anneal_module._STEP_WINDOW) == (M == 70)
     expected = strang_reference(hf, cfg, substeps)
     np.testing.assert_allclose(anneal(cfg, hf), expected, rtol=0, atol=1e-13)
 
@@ -1104,7 +1122,7 @@ def test_split_norm_drift_on_presets(name, bound, preset_result):
         pytest.param((1, 27), True, id="27-states"),
     ],
 )
-def test_split_anneal_calls_the_split_step_seam_once_per_step(shape, stepped, monkeypatch):
+def test_split_run_calls_the_split_step_seam_once_per_step(shape, stepped, monkeypatch):
     # perfbench's tracer times split-step by wrapping the module global
     # _split_step, so anneal must call it by that name at every step where
     # it steps the state; blocks of at most 9 states are one matrix a step

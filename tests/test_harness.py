@@ -795,8 +795,8 @@ WIDTH_ADVICE = "Chebyshev terms .*widest block.*'penalty' or the points' spread$
     ids=["penalty-1e12", "points-1e150", "h-50000"],
 )
 def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data, advice):
-    # dt * r is 1.5e11, 4.8e149 and 1.5e4: a Bessel table that size cannot
-    # be built, so the run must stop before its first expansion.  The
+    # dt * r is 1.5e11, 4.8e149 and 1.5e4: Bessel values that many cannot
+    # be computed, so the run must stop before its first expansion.  The
     # refusal names the end past the guard: the final Hamiltonian's width
     # at s = 1, or h at s = 0, where h = 50000's width of 28.3 is 1.4 terms
     forbid_expansion(monkeypatch)
