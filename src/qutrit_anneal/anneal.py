@@ -23,12 +23,16 @@ each term one apply and one subtraction, to where the Bessel coefficients,
 from Miller's recurrence on the expansion's one argument
 (``_chebyshev_weights``), fall below 1e-15.  Above ``_SMALL_BLOCK`` states
 each step is one expansion of the state (``_exact_anneal``), in real
-arithmetic on its real and imaginary parts, each apply taking the driver as
-a Kronecker sum of the two ``driver_factors``: two matrix products on the
-state viewed as a grid.  On one- and two-qutrit blocks such a matvec is
-mostly call overhead, so one expansion of the real identity stack a window,
-by the window's stack of dense mapped H(s) at its largest r, gives every
-step's propagator (``_small_propagators``).  ``anneal`` refuses a schedule
+arithmetic on its real and imaginary planes, which sit beside the last axis
+of each block's grid of 3**(w // 2) rows.  Each apply multiplies by the
+mapped diagonal, held in that same layout, and takes the driver as a
+Kronecker sum of the two ``driver_factors``: one product by the first on
+the (C, rows, 2 cols) view of the state and one 2-D product by the second
+on its (C rows 2, cols) view, five numpy calls into buffers made once a
+window.  On one- and two-qutrit blocks such a matvec is mostly call
+overhead, so one expansion of the real identity stack a window, by the
+window's stack of dense mapped H(s) at its largest r, gives every step's
+propagator (``_small_propagators``).  ``anneal`` refuses a schedule
 whose dt r exceeds 1e4 terms a step before it computes any weights.
 
 The split-step mode is a Strang splitting of the diagonal and driver
@@ -141,8 +145,9 @@ _TAIL = 1e-15
 #: small argument, whose table spans hundreds of decades, cannot overflow.
 _BESSEL_BIG = 1e150
 
-#: (-i)^k is this sign for even k and -i times it for odd k (k mod 4).
-_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+#: For k = 1, 2, 3, 4 mod 4, 2 (-i)^k is this factor for even k and -i
+#: times it for odd k.
+_SIGNS = np.array([2.0, -2.0, -2.0, 2.0])
 
 #: The Chebyshev recurrence keeps at most this many T_k, so its memory does
 #: not grow with the degree (280 kB at the 7-qutrit cap).  Blocks of 8, 16
@@ -208,12 +213,15 @@ def _chebyshev_weights(x: float) -> np.ndarray:
             j /= _BESSEL_BIG
     vals[0] = j
     table = np.array(vals)
-    table /= table[0] + 2.0 * table[2::2].sum()
-    degree = np.flatnonzero((table >= 0.5 * _TAIL) | (table <= -0.5 * _TAIL))[-1]
-    coefs = table[: degree + 1]  # J_k, then the coefficients in place
-    coefs[1:] *= 2.0 * _SIGNS[np.arange(1, degree + 1) % 4]
+    table /= j + 2.0 * float(table[2::2].sum())
+    # the last k with 2 |J_k| >= _TAIL, counted from J_N, which lies far below it
+    degree = top - int((np.abs(table[::-1]) >= 0.5 * _TAIL).argmax())
+    # J_k, then the coefficients in place: four k a row from k = 1, the
+    # table running at least three entries past the degree
+    quads = table[1 : 1 + (degree + 3) // 4 * 4].reshape(-1, 4)
+    quads *= _SIGNS
     weights = np.zeros((2, degree + 1))
-    weights[0, ::2], weights[1, 1::2] = coefs[::2], coefs[1::2]
+    weights[0, ::2], weights[1, 1::2] = table[: degree + 1 : 2], table[1 : degree + 1 : 2]
     return weights
 
 
@@ -230,41 +238,48 @@ def expm_multiply_hermitian(
     is fixed before the first matvec; degree 0 makes none.
 
     H must be real: the recurrence runs in real arithmetic, on a real v's
-    own shape, and on a complex v's (2, *v.shape) real and imaginary parts.
-    ``matvec`` must map such an array, plane by plane, to a new real one (the
-    recurrence updates it in place); a complex result raises ``TypeError``.
-    The T_k are kept in a ring of at most ``_ROWS`` of them: each time it is
-    full it is summed with its coefficients by one matrix product.  The
-    coefficients are real for even k and imaginary for odd k, so the terms
-    go to two real sums, combined into the complex result at the end.
+    own shape, and on a complex v's real and imaginary planes, held on the
+    axis before the last one: (*v.shape[:-1], 2, v.shape[-1]).  ``matvec``
+    must map such an array, along the planes, to a real one without changing
+    its input; a complex result raises ``TypeError``.  It may return the same
+    buffer on every call, since the recurrence reads the result before the
+    next call.  The T_k are kept in a ring of at most ``_ROWS`` of them: each
+    time it is full it is summed with its coefficients by one matrix product.
+    The coefficients are real for even k and imaginary for odd k, so the
+    terms go to two real sums, combined into the complex result at the end.
     """
     v = np.asarray(v)
     degree = weights.shape[1] - 1
     if not degree:  # J_0(x) rounds to 1 and no other term is kept: exact for x = 0
         return v.copy()
-    planes = (2,) if np.iscomplexobj(v) else ()
-    size = min(degree + 1, _ROWS)  # T_k in ring[k % size]
-    ring = np.empty((size, *planes, *v.shape))
-    prev = ring[0]
-    prev[:] = (v.real, v.imag) if planes else v
+    complex_v = np.iscomplexobj(v)
+    shape = (*v.shape[:-1], 2, v.shape[-1]) if complex_v else v.shape
+    size = min(degree + 1, _ROWS)  # T_k in slots[k % size]
+    ring = np.empty((size, *shape))
+    slots = list(ring)
+    prev = slots[0]
+    if complex_v:
+        prev[..., 0, :], prev[..., 1, :] = v.real, v.imag
+    else:
+        prev[...] = v
     cur = matvec(prev)
     if np.iscomplexobj(cur):
         raise TypeError("matvec returned complex values on a real input: H must be real symmetric")
-    cur = np.divide(cur, 2.0, out=ring[1])
+    cur = np.divide(cur, 2.0, out=slots[1])
     flat = ring.reshape(size, -1)
     sums = np.zeros((2, flat.shape[1]))
     summed = 0  # T_0 .. T_{summed - 1} are in sums
     for k in range(2, degree + 1):
         slot = k % size
-        prev, cur = cur, np.subtract(matvec(cur), prev, out=ring[slot])
+        prev, cur = cur, np.subtract(matvec(cur), prev, out=slots[slot])
         if slot == size - 1:  # the ring holds T_summed .. T_k in order
             sums += weights[:, summed : k + 1] @ flat
             summed = k + 1
     sums += weights[:, summed:] @ flat[: degree + 1 - summed]
-    if not planes:
-        return (sums[0] - 1j * sums[1]).reshape(v.shape)
-    (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, *v.shape)
-    return (even_re + odd_im) + 1j * (even_im - odd_re)
+    even, odd = sums.reshape(2, *shape)
+    if not complex_v:
+        return even - 1j * odd
+    return (even[..., 0, :] + odd[..., 1, :]) + 1j * (even[..., 1, :] - odd[..., 0, :])
 
 
 def _qutrits(size: int) -> int:
@@ -323,31 +338,38 @@ def _exact_anneal(
     r computed as the step is taken, serves them all.  Each step fills H~'s
     diagonal and driver factors (a one-qutrit block's first is the 1 x 1
     zero) by one multiply each; where every block has zero width it makes
-    no matvec.
+    no matvec.  The state goes to the expansion as (C, rows, cols) block
+    grids, so the matvec takes (C, rows, 2, cols) planes and writes H~
+    applied to them into one buffer, allocated with its views once a window.
     """
     a, b = driver_factors(_qutrits(centred.shape[1]))
-    # H~ applies to (re, im) planes of block grids of 3**(w // 2) rows: the
-    # mapped diagonal is held once per plane, and grid @ B is I (x) B (B symmetric)
-    planes = np.empty((2, len(centred), len(a), len(b)))
-    mapped = planes[0].reshape(centred.shape)
+    blocks, rows, cols = len(centred), len(a), len(b)
+    # the mapped diagonal is held once per plane; A acts on the (C, rows,
+    # 2 cols) view, and grid @ B, I (x) B (B symmetric), on the (C rows 2, cols) one
+    mapped = np.empty((blocks, rows, 2, cols))
+    out, tmp = np.empty_like(mapped), np.empty_like(mapped)
+    by_row, by_col = (blocks, rows, 2 * cols), (-1, cols)
+    tmp_rows, tmp_cols = tmp.reshape(by_row), tmp.reshape(by_col)
+    centred_grid = centred.reshape(blocks, rows, 1, cols)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        # the current step's planes and driver factors
-        grid = x.reshape(planes.shape)
-        out = planes * grid
+        # the current step's diagonal and driver factors, into the one buffer
+        np.multiply(mapped, x, out=out)
         if field:
-            out += fa @ grid
-            out += grid @ fb
-        return out.reshape(x.shape)
+            np.matmul(fa, x.reshape(by_row), out=tmp_rows)
+            np.add(out, tmp, out=out)
+            np.matmul(x.reshape(by_col), fb, out=tmp_cols)
+            np.add(out, tmp, out=out)
+        return out
 
     radii = _radii(s, centred, h)
     factors = (f.tolist() for f in _mapping(s, radii, h))
+    amps = amps.reshape(blocks, rows, cols)
     for diagonal, field, x in zip(*factors, (dt * radii).tolist()):
-        np.multiply(centred, diagonal, out=mapped)
-        planes[1] = planes[0]
+        np.multiply(centred_grid, diagonal, out=mapped)
         fa, fb = a * field, b * field
         amps = expm_multiply_hermitian(matvec, amps, _chebyshev_weights(x))
-    return amps
+    return amps.reshape(centred.shape)
 
 
 def _small_propagators(s: np.ndarray, centred: np.ndarray, h: float, dt: float) -> np.ndarray:

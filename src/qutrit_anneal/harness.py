@@ -206,7 +206,12 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
             isinstance(centroids, list),
             f"'centroids' must be a list of point indices, got {centroids!r}",
         )
-        K = len(centroids) or None
+        _require(
+            len(centroids) >= 2,
+            f"method {method!r} takes 'K' from 'centroids', which needs at least two "
+            f"point indices, got {centroids!r}",
+        )
+        K = len(centroids)
     if K is None:
         K = traits.K
         _require(K, f"method {method!r} requires an explicit 'K'")

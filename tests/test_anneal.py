@@ -203,13 +203,29 @@ def expansion_args(s, hf, h, dt=0.1):
     return args
 
 
+def grid_planes(planes, rows):
+    """(2, 3**w) real and imaginary planes of one block as a wide step's matvec takes them.
+
+    The block is a grid of ``rows`` rows with each row's (re, im) planes
+    beside the last axis: (1, rows, 2, 3**w / rows).
+    """
+    return np.stack(np.reshape(planes, (2, rows, -1)), axis=1)[None]
+
+
+def flat_planes(grid):
+    """The (2, 3**w) planes of one block's (1, rows, 2, cols) grid, ``grid_planes`` undone."""
+    return grid[0].swapaxes(0, 1).reshape(2, -1)
+
+
 def mapped_operator(s, hf, h, dt=0.1):
     """The dense operator ``step`` expands, and the weights it expands it with."""
     matvec, weights = expansion_args(s, hf, h, dt)
-    # column k is the operator on e_k, in the real plane; the imaginary plane is zero
-    planes = np.zeros((hf.size, 2, hf.size))
-    planes[np.arange(hf.size), 0, np.arange(hf.size)] = 1.0
-    cols = np.array([matvec(p) for p in planes])
+    # column k is the operator on e_k, in the real plane; the imaginary plane
+    # is zero.  The matvec may return one buffer on every call
+    rows = 3 ** (n_qutrits(hf) // 2)
+    probes = np.zeros((hf.size, 2, hf.size))
+    probes[np.arange(hf.size), 0, np.arange(hf.size)] = 1.0
+    cols = np.array([flat_planes(matvec(grid_planes(p, rows)).copy()) for p in probes])
     assert not cols[:, 1].any()
     return cols[:, 0].T, weights
 
@@ -279,11 +295,14 @@ def test_step_maps_h_affinely_onto_minus_two_two(s):
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     expected = (2.0 / radius) * (dense_h(s, hf, h) - centre * np.eye(27))
     matvec, _ = expansion_args(s, hf, h)
-    # the two planes are mapped each on its own, into a new array
+    # the two planes, beside the last axis of the block's grid of 3 rows,
+    # are mapped each on its own, leaving the input as it was
     planes = rng.normal(size=(2, 27))
-    kept = planes.copy()
-    np.testing.assert_allclose(matvec(planes), planes @ expected, rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(planes, kept)
+    grid = grid_planes(planes, 3)
+    kept = grid.copy()
+    got = flat_planes(matvec(grid))
+    np.testing.assert_allclose(got, planes @ expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(grid, kept)
 
 
 def test_steps_evolve_each_block_of_a_stack():
@@ -324,11 +343,12 @@ def test_a_constant_on_a_block_row_only_sets_that_blocks_phase(blocks, w):
 def bessel_j(x):
     """J_0(x) .. J_d(x) for one real x, d its degree, from its ``_chebyshev_weights``.
 
-    Weight k is J_k(x) times 1 or +-2, so the quotient is exact.
+    Weight k is J_k(x) times 1 at k = 0, and otherwise 2 and the sign +, +,
+    -, - for k = 0 .. 3 mod 4, so the quotient is exact.
     """
     weights = anneal_module._chebyshev_weights(x)
     k = np.arange(weights.shape[1])
-    return weights[k % 2, k] / np.where(k, 2.0 * anneal_module._SIGNS[k % 4], 1.0)
+    return weights[k % 2, k] / np.where(k, 2.0, 1.0) / np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
 
 
 @pytest.mark.parametrize(
@@ -359,6 +379,48 @@ def miller_reference(x):
             j /= 1e150
     vals[0] = j
     return vals / (j + 2.0 * vals[2::2].sum())
+
+
+def numpy_tail_weights(x):
+    """The weights of x as a numpy tail once made them from ``miller_reference``'s J_k.
+
+    Degree 0 below 1e-15; otherwise the last k with |J_k| >= 5e-16 by
+    ``flatnonzero`` of both one-sided masks, each J_k from k = 1 times 2
+    and the sign +, +, -, - gathered by k mod 4, and the result scattered
+    into zeros.
+    """
+    if not abs(x) >= 1e-15:
+        return np.array([[1.0], [0.0]])
+    table = miller_reference(x)
+    degree = np.flatnonzero((table >= 5e-16) | (table <= -5e-16))[-1]
+    coefs = table[: degree + 1]
+    coefs[1:] *= 2.0 * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(1, degree + 1) % 4]
+    weights = np.zeros((2, degree + 1))
+    weights[0, ::2], weights[1, 1::2] = coefs[::2], coefs[1::2]
+    return weights
+
+
+def test_chebyshev_weights_are_bitwise_those_of_the_numpy_tail():
+    # every scale from below the tail to the guard, the presets' dt r, both
+    # sides of the degree-0 cut at 1e-15, and each third of them negated
+    rng = np.random.default_rng(30)
+    cut = 1e-15
+    args = np.concatenate(
+        [
+            np.geomspace(1e-20, 1e4, 1500),
+            rng.uniform(0.0, 40.0, 1000),
+            rng.uniform(40.0, 1e4, 40),
+            cut * rng.uniform(0.5, 2.0, 300),
+            np.nextafter(cut, [0.0, 1.0]),
+            [0.0, cut, 1e4],
+        ]
+    )
+    args = np.concatenate([args, -args[::3]])
+    assert args.size >= 3000
+    for x in args.tolist():
+        weights, want = anneal_module._chebyshev_weights(x), numpy_tail_weights(x)
+        # as integers, so that -0.0 and 0.0 differ
+        np.testing.assert_array_equal(weights.view(np.int64), want.view(np.int64), err_msg=repr(x))
 
 
 def test_chebyshev_weights_hold_the_scalar_recurrences_bessel_values():
@@ -480,7 +542,7 @@ def test_expm_multiply_result_does_not_depend_on_block_size(monkeypatch, rows):
 def test_expm_multiply_runs_a_real_operand_on_its_own_array():
     # a real operand, a stack of matrices as the small-block path expands,
     # needs no imaginary plane: the same result as the operand + 0j, whose
-    # matvec gets the (2, ...) planes
+    # matvec gets the (..., 2, 9) planes beside the last axis
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
     h = (q * rng.uniform(-2.0, 2.0, 9)) @ q.T
@@ -496,7 +558,7 @@ def test_expm_multiply_runs_a_real_operand_on_its_own_array():
     assert got.dtype == complex and set(shapes) == {v.shape}
     shapes.clear()
     np.testing.assert_array_equal(got, expand(matvec, v + 0j, 3.0))
-    assert set(shapes) == {(2, *v.shape)}
+    assert set(shapes) == {(4, 9, 2, 9)}
     np.testing.assert_allclose(got, v @ expm(-1.5j * h), rtol=0, atol=1e-13)
 
 
@@ -958,13 +1020,35 @@ def expm_multiply_run(hf, cfg):
             METHOD_ONEHOT_K3, 3, 7, 67, {}, 20, expm_multiply_run, 1e-13,
             id="one-hot-K3-one-2187-state-block",
         ),
+        pytest.param(
+            METHOD_ONEHOT_K3, 3, 6, 56, {}, 20, expm_multiply_run, 1e-13,
+            id="one-hot-K3-one-729-state-block",
+        ),
+        pytest.param(
+            METHOD_ONEHOT_MULTISPIN, 4, 3, 63, {}, 20, expm_multiply_run, 1e-13,
+            id="multispin-K4-one-729-state-block-seed-63",
+        ),
+        pytest.param(
+            METHOD_KMEANSPP, 10, 12, 72, {"centroids": range(2, 12)}, 30, dense_expm_run, 5e-14,
+            id="kmeanspp-K10-two-27-state-blocks-seed-72",
+        ),
+        pytest.param(
+            METHOD_ONEHOT_K2_PENALTY, 2, 8, 78, {"pinned": True}, 20, expm_multiply_run, 1e-13,
+            id="K2-penalty-pinned-one-2187-state-block",
+        ),
+        pytest.param(
+            METHOD_ONEHOT_K3_PINNED, 3, 8, 68, {}, 20, expm_multiply_run, 1e-13,
+            id="one-hot-K3-pinned-one-2187-state-block",
+        ),
     ],
 )
 def test_wide_rows_match_a_dense_expm_stepper(method, K, n, seed, options, M, reference, atol):
     # rows above 9 states, whole schedule: the register's amplitudes, each
     # block's phase included, against one dense expm per step and block, or
-    # on 6- and 7-qutrit blocks one sparse expm_multiply.  Measured: 3.3e-15,
-    # 1.2e-15, 4.4e-15, 1.1e-14, 3.6e-14 and 9.3e-15
+    # on 6- and 7-qutrit blocks one sparse expm_multiply.  Two seeds of each
+    # method that has wide rows, and one of one-hot-K3-pinned.  Measured:
+    # 3.3e-15, 1.2e-15, 4.4e-15, 1.1e-14, 3.6e-14, 9.3e-15, 1.6e-14,
+    # 3.8e-15, 1.3e-14, 3.6e-14 and 2.0e-14
     points = generate_instance(n, seed=seed)
     encoding = Encoding(EncodingScheme(method=method, K=K), n, **options)
     hf = encoding.hamiltonian(distance_matrix(points))

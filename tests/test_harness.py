@@ -474,6 +474,15 @@ BAD_VALUES = [
         {"points": [[6e307, 0], [-6e307, 0]] * 2},
         partial(PointSet, ((6e307, 0), (-6e307, 0)) * 2),
     ),
+    # K is taken from the centroids, so too few of them is their fault, not K's
+    *[
+        (
+            "centroids",
+            {"method": "kmeanspp", "centroids": centroids},
+            partial(Encoding, EncodingScheme("kmeanspp", 2), 4, centroids=centroids),
+        )
+        for centroids in ([], [0])
+    ],
 ]
 
 
