@@ -189,7 +189,7 @@ def _chebyshev_weights(x: float) -> np.ndarray:
 
     For x's degree d, the last k with 2 |J_k(x)| >= _TAIL, they are the
     (2, d + 1) coefficients (2 - [k = 0]) (-i)^k J_k(x) of the T_k: real
-    for even k, in row 0, and the imaginary parts for odd k, in row 1, each
+    for even k, in row 0, and for odd k their parts along -i, in row 1, each
     zero in the other row.  Below the tail, |x| < _TAIL, J_0(x) rounds to 1
     and no other term is kept: degree 0.
 
