@@ -33,7 +33,8 @@ window.  On one- and two-qutrit blocks such a matvec is mostly call
 overhead, so one expansion of the real identity stack a window, by the
 window's stack of dense mapped H(s) at its largest r, gives every step's
 propagator (``_small_propagators``).  ``anneal`` refuses a schedule
-whose dt r exceeds 1e4 terms a step before it computes any weights.
+whose dt r exceeds 1e4 terms a step before it computes any weights, and in
+either mode one of more than 1e7 steps.
 
 The split-step mode is a Strang splitting of the diagonal and driver
 factors, sub-stepped so its final probabilities track exact-step to well
@@ -159,6 +160,12 @@ _ROWS = 8
 #: Bessel values then number at most about 10,300 (82 kB), and a step makes
 #: at most about 10,300 matvecs.  The presets peak at 31.5 (fig2).
 _MAX_DT_RADIUS = 1e4
+
+#: ``anneal`` refuses a schedule of more steps than this, in either mode,
+#: before any step.  A step of the smallest register, one 3-state block,
+#: takes about 2 us, so a run at the guard takes about 20 s there and hours
+#: on wider blocks; CI's memory runs take 200,000 steps.
+_MAX_STEPS = 10**7
 
 #: Blocks of at most this many states (one or two qutrits) take each step
 #: as one d x d matrix per block, in both modes; larger ones step the
@@ -544,6 +551,7 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     product of the blocks in register order.  Rows that are not a finite 2-D
     array of length 3**w, w >= 1, are a ``ValueError``.
 
+    A run of more than ``_MAX_STEPS`` steps is refused first, naming M.
     Each mode sets up once the run's two ends, its run-constant factors and
     its window size.  Exact-step checks the guard on ``_radii`` at s = 0 and
     s = 1, and a refusal names the end past it, h or Hf's width; it centres
@@ -562,6 +570,8 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
     h, dt, M, small = cfg.h, cfg.dt, cfg.M, shape[1] <= _SMALL_BLOCK
+    if M > _MAX_STEPS:
+        raise SizeGuardError(f"step count M = {M} is above the {_MAX_STEPS:,} guard; lower 'M'")
     if cfg.mode == MODE_EXACT:
         # r(s) is affine in s, so its largest value is at an end
         r0, r1 = _radii(np.array([0.0, 1.0]), hf, h).tolist()

@@ -336,29 +336,52 @@ def _random_oracle_instance(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_oracle_matches_reference_loop_on_seeded_instances(seed):
+def test_oracle_matches_reference_loop_on_seeded_instances(seed, monkeypatch):
     points, K, fixed = _random_oracle_instance(seed)
     dm = distance_matrix(points)
     assert K**dm.n_points <= 4096
     best, argmin = _reference_oracle(dm, K, fixed)
-    res = oracle_min(dm, K, fixed=fixed)
-    assert res.min_cost == best
-    assert set(res.argmin_partitions) == argmin
-    assert len(res.argmin_partitions) == len(argmin)
     # the reference's set holds the first labeling of each partition
     first = {p: p.labels for p in argmin}
-    assert all(p.labels == first[p] for p in res.argmin_partitions)
+    for chunk_rows in (_CHUNK_ROWS, SMALL_CHUNK_ROWS):
+        monkeypatch.setattr(clustering, "_CHUNK_ROWS", chunk_rows)
+        res = oracle_min(dm, K, fixed=fixed)
+        assert res.min_cost == best
+        assert set(res.argmin_partitions) == argmin
+        assert len(res.argmin_partitions) == len(argmin)
+        assert all(p.labels == first[p] for p in res.argmin_partitions)
+
+
+def test_seeded_instances_reach_both_chunk_paths(monkeypatch):
+    # at the small bound the seeds above hold a case whose minimum is first
+    # found after the first chunk, so kept rows are cut to a lower window, and
+    # one with a chunk whose least cost is far above the minimum, which
+    # leaves no kept rows
+    monkeypatch.setattr(clustering, "_CHUNK_ROWS", SMALL_CHUNK_ROWS)
+    later, far = set(), set()
+    for seed in range(40):
+        points, K, fixed = _random_oracle_instance(seed)
+        lows = [costs.min() for costs, _ in _cost_chunks(distance_matrix(points), K, fixed)]
+        least = min(lows)
+        if np.argmin(lows) > 0:
+            later.add(seed)
+        if any(lo > least + 1e-6 * (1.0 + least) for lo in lows):
+            far.add(seed)
+    assert later and far
 
 
 def test_oracle_wide_tolerance_matches_reference_loop(monkeypatch):
-    # a window far wider than the rounding slack keeps many near-optimal rows
+    # a window far wider than the rounding slack keeps many near-optimal rows,
+    # at the small bound also from chunks whose least cost is above the best
     monkeypatch.setattr(clustering, "_ARGMIN_REL_TOL", 0.5)
     dm = distance_matrix(generate_instance(7, 7))
     best, argmin = _reference_oracle(dm, 4, rel_tol=0.5)
-    res = oracle_min(dm, 4)
     assert len(argmin) > 1
-    assert res.min_cost == best
-    assert set(res.argmin_partitions) == argmin
+    for chunk_rows in (_CHUNK_ROWS, SMALL_CHUNK_ROWS):
+        monkeypatch.setattr(clustering, "_CHUNK_ROWS", chunk_rows)
+        res = oracle_min(dm, 4)
+        assert res.min_cost == best
+        assert set(res.argmin_partitions) == argmin
 
 
 @pytest.mark.parametrize(

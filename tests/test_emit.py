@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -434,6 +435,29 @@ def test_cli_refuses_a_split_run_past_the_float_range(tmp_path, capsys, anneal, 
     err = capsys.readouterr().err
     assert err == f"error: split-step's substep {message}\n"
     assert "Warning" not in err
+
+
+def forbid_split_step(*args):
+    raise AssertionError("the run reached a split step")
+
+
+@pytest.mark.parametrize("mode", ["exact", "split"])
+def test_cli_refuses_a_run_of_too_many_steps(monkeypatch, tmp_path, capsys, mode):
+    # "M": 2**63 validates, and the run would start about 2.9e17 windows of
+    # steps: it is refused with exit 3, naming M, before any step
+    forbid_expansion(monkeypatch)
+    monkeypatch.setattr(
+        importlib.import_module("qutrit_anneal.anneal"), "_split_step", forbid_split_step
+    )
+    spec = {"points": [[0, 0], [0, 1], [10, 10]], "method": "one-hot-K3", "anneal": {"M": 2**63}}
+    path = tmp_path / "many-steps.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--mode", mode, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: step count M = 9223372036854775808 is above the 10,000,000 guard; lower 'M'\n"
+    )
+    assert "Traceback" not in err
 
 
 class ClosedStdout:
