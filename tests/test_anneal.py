@@ -734,33 +734,26 @@ def test_anneal_refuses_malformed_final_hamiltonian_rows():
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
 def test_anneal_refuses_more_steps_than_the_guard(monkeypatch, mode):
     # an M past the guard validates but would start that many steps: the run
-    # is refused before any step, naming M, on small blocks and stepped rows
-    steppers = ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps")
-    real = {name: getattr(anneal_module, name) for name in steppers}
-
-    def forbid_steps():
-        def refuse(*args):
-            raise AssertionError("the run took a step")
-
-        for name in steppers:
-            monkeypatch.setattr(anneal_module, name, refuse)
-
+    # is refused before any step, naming M, on small blocks and stepped rows.
+    # At a guard lowered to 4, M = 4 runs
+    guard = anneal_module._MAX_STEPS
+    assert guard == 10**7
     rows = [np.array([[0.0, 1.0, 3.0]] * 2), np.array([np.linspace(-1.0, 1.0, 27)])]
-    forbid_steps()
-    for hf in rows:
-        for M in (anneal_module._MAX_STEPS + 1, 2**63):
-            message = f"step count M = {M} is above the 10,000,000 guard; lower 'M'"
-            with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
-                anneal(AnnealConfig(h=2.0, M=M, mode=mode), hf)
-    # at a lowered guard M = 4 runs and M = 5 does not
     monkeypatch.setattr(anneal_module, "_MAX_STEPS", 4)
     for hf in rows:
-        for name in steppers:
-            monkeypatch.setattr(anneal_module, name, real[name])
         assert np.linalg.norm(anneal(AnnealConfig(h=2.0, M=4, mode=mode), hf)) > 0.99
-        forbid_steps()
-        with pytest.raises(SizeGuardError, match="'M'"):
-            anneal(AnnealConfig(h=2.0, M=5, mode=mode), hf)
+
+    def refuse(*args):
+        raise AssertionError("the run took a step")
+
+    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
+        monkeypatch.setattr(anneal_module, name, refuse)
+    for hf in rows:
+        for M, cap in ((5, 4), (guard + 1, guard), (2**63, guard)):
+            monkeypatch.setattr(anneal_module, "_MAX_STEPS", cap)
+            message = f"step count M = {M} is above the {cap:,} guard; lower 'M'"
+            with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
+                anneal(AnnealConfig(h=2.0, M=M, mode=mode), hf)
 
 
 def preset_matvecs(monkeypatch, name, per_step=False) -> int:
