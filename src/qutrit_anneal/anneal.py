@@ -7,10 +7,12 @@ rows that ``Encoding.hamiltonian`` returns; the driver is its field h alone,
 from ``AnnealConfig``.
 
 ``anneal`` holds the one loop over windows of steps, for both modes and
-every block size, so memory does not grow with M.  Each window goes to one
-of four window bodies: on blocks of at most ``_SMALL_BLOCK`` states it
-returns the window's (steps, C, d, d) stack of step matrices, applied to
-the state in turn; on wider blocks it steps the state.
+every block size, so memory does not grow with M.  The window depends on
+the rows' width alone: on blocks of at most ``_SMALL_BLOCK`` states it is
+as many steps as fit their (steps, C, d, d) stack of step matrices in
+``_PROPAGATORS`` entries, and the mode's window body returns that stack,
+applied to the state in turn; on wider blocks it is ``_STEP_WINDOW``
+steps, and the window body steps the state.
 
 The exact-step mode evaluates each exponential by a Chebyshev expansion
 (Tal-Ezer & Kosloff, 1984).  A run centres each block row once on its
@@ -55,8 +57,8 @@ real products on its float view, with no transpose, the leading sites in
 one or two groups from the left and the last two sites, with the real and
 imaginary parts, from the right; no factor is above 27 x 27.  There the
 full phases of consecutive steps differ by a fixed factor, so each step's
-is the last one's times it, computed afresh by ``np.exp`` every
-``_PHASE_REFRESH`` steps.
+is the last one's times it, computed afresh by ``np.exp`` at each
+window's first step.
 
 A final Hamiltonian of C block rows of 3**w entries has no term that
 couples two blocks, and the driver acts site by site, so the annealed state
@@ -175,20 +177,25 @@ _MAX_STEPS = 10**7
 #: against 6.6 ms for four.
 _SMALL_BLOCK = 9
 
-#: An exact-step run on blocks of at most ``_SMALL_BLOCK`` states works out
-#: its steps' propagators as many steps at a time as fit (steps, C, d, d) in
-#: this many entries (32 kB), or one step, whatever M: 75 steps of fig3's
-#: six 3-state blocks, 16 of fig4's three 9-state ones.  The benchmark's
-#: presets-exact peaked at 35.9 MB at this bound and 38.7 MB at 2**14,
-#: against 35.4 MB with one expansion a step, for 1% more speed at 2**14.
+#: A run on blocks of at most ``_SMALL_BLOCK`` states, in either mode,
+#: works out its step matrices as many steps at a time as fit (steps, C, d,
+#: d) in this many entries (32 kB), or one step, whatever M: 75 steps of
+#: fig3's six 3-state blocks, 16 of fig4's three 9-state ones.  The
+#: benchmark's presets-exact peaked at 35.9 MB at this bound and 38.7 MB at
+#: 2**14, against 35.4 MB with one expansion a step, for 1% more speed at
+#: 2**14; one window of 16 steps for every block ran fig3's exact-step
+#: anneal 1.8 times as long.
 _PROPAGATORS = 2**12
 
-#: Split-step runs, and exact-step runs on blocks above ``_SMALL_BLOCK``
-#: states, take this many steps a window, so their memory does not grow
-#: with M.  Over three passes of the benchmark's sweep (medians, on a shared
-#: 2-CPU host), split-step's peak RSS was 37.9, 38.0 and 38.5 MB at 16, 32
-#: and 256 steps, and solve_s 0.304, 0.309 and 0.290 s.
-_STEP_WINDOW = 32
+#: Runs on blocks above ``_SMALL_BLOCK`` states, in either mode, take this
+#: many steps a window, so their memory does not grow with M.  Split-step
+#: computes each window's first full phase exp(-i tau s Hf) by ``np.exp``
+#: and carries it to the window's other steps by the fixed ratio exp(-i tau
+#: Hf / M).  The rounded ratio's modulus differs from 1 by up to about
+#: 1e-16, the same at every multiply, so were the phase carried through
+#: the whole run that error would add up with M: fig2's norm then drifts
+#: 3.5e-10 at M = 2000, against 1.9e-12 with a refresh every 16 steps.
+_STEP_WINDOW = 16
 
 
 def _chebyshev_weights(x: float) -> np.ndarray:
@@ -476,16 +483,6 @@ def _split_step(
     return grid
 
 
-#: On blocks above ``_SMALL_BLOCK`` states, each split step's full phase
-#: exp(-i tau s Hf) is the previous step's times the fixed ratio
-#: exp(-i tau Hf / M), and every this many steps it is computed afresh by
-#: ``np.exp``.  The rounded ratio's modulus differs from 1 by up to about
-#: 1e-16, the same at every multiply, so without the refresh that error adds
-#: up with M: fig2's norm then drifts 3.5e-10 at M = 2000, against 1.9e-12
-#: with it.
-_PHASE_REFRESH = 16
-
-
 def _split_propagators(
     s: np.ndarray, hf: np.ndarray, tau: float, h: float, between: np.ndarray
 ) -> np.ndarray:
@@ -520,9 +517,9 @@ def _split_steps(
     The window's rotation powers R(theta)^{(x)g} come first, one vectorized
     ``_site_rotation`` and a batched ``_kron`` per power.  Each step is then
     one ``_split_step`` call, after the phase B, ``between``, for every step
-    after step 0.  Its full phase P = exp(-i tau s Hf) is the last step's
-    times ``ratio`` = exp(-i tau Hf / M), computed afresh by ``np.exp`` at
-    the window's first step and every ``_PHASE_REFRESH`` steps after it.
+    after step 0.  Its full phase P = exp(-i tau s Hf) is computed by
+    ``np.exp`` at the window's first step, and at each later one is the
+    last step's times ``ratio`` = exp(-i tau Hf / M).
     """
     w = _qutrits(hf.shape[1])
     groups = (w - 2,) if w <= 5 else (w - 4, 2)
@@ -531,10 +528,7 @@ def _split_steps(
         powers.append(_kron(powers[1], powers[-1]))
     right = _kron(powers[2].swapaxes(1, 2), np.eye(2))
     for i, point in enumerate(s.tolist()):
-        if i % _PHASE_REFRESH:
-            phase *= ratio
-        else:
-            phase = np.exp(-1j * tau * point * hf)
+        phase = phase * ratio if i else np.exp(-1j * tau * point * hf)
         if point:
             grid *= between
         grid = _split_step(grid, [powers[g][i] for g in groups], right[i], phase, _SPLIT_SUBSTEPS)
@@ -548,30 +542,35 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     rephases the initial state).  ``hf`` is the final Hamiltonian as C block
     rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
     state, one per block, and the register's amplitudes are the Kronecker
-    product of the blocks in register order.  Rows that are not a finite 2-D
-    array of length 3**w, w >= 1, are a ``ValueError``.
+    product of the blocks in register order.  Rows that are not a real,
+    finite 2-D array of length 3**w, w >= 1, are a ``ValueError``.
 
     A run of more than ``_MAX_STEPS`` steps is refused first, naming M.
-    Each mode sets up once the run's two ends, its run-constant factors and
-    its window size.  Exact-step checks the guard on ``_radii`` at s = 0 and
-    s = 1, and a refusal names the end past it, h or Hf's width; it centres
-    the rows before the loop and applies each block's phase after it.
-    Split-step refuses a substep angle tau h or phase tau max|Hf| past the
-    float range, naming which; it enters the frame before the loop and
+    The window is chosen once, from the rows' width alone: on rows of at
+    most ``_SMALL_BLOCK`` states as many steps as fit their stack of step
+    matrices in ``_PROPAGATORS`` entries, on wider rows ``_STEP_WINDOW``
+    steps.  Each mode then sets up once the run's two ends and its
+    run-constant factors.  Exact-step checks the guard on ``_radii`` at s =
+    0 and s = 1, and a refusal names the end past it, h or Hf's width; it
+    centres the rows before the loop and applies each block's phase after
+    it.  Split-step refuses a substep angle tau h or phase tau max|Hf| past
+    the float range, naming which; it enters the frame before the loop and
     leaves it, with the closing half phase, after.  The one loop hands each
-    window, of ``_PROPAGATORS`` entries for exact-step on small blocks and
-    ``_STEP_WINDOW`` steps otherwise, to the mode's window body for the
-    rows' width.
+    window to the mode's window body for the rows' width.
     """
-    shape = np.shape(hf)
+    hf = np.asarray(hf)
+    shape = hf.shape
     w = _qutrits(shape[1]) if len(shape) == 2 and shape[0] and shape[1] > 1 else 0
     if not w or shape[1] != 3**w:
         raise ValueError(f"final Hamiltonian rows of shape {shape} are not (C, 3**w), C, w >= 1")
+    if np.iscomplexobj(hf):
+        raise ValueError("final Hamiltonian entries must be real")
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
     h, dt, M, small = cfg.h, cfg.dt, cfg.M, shape[1] <= _SMALL_BLOCK
     if M > _MAX_STEPS:
         raise SizeGuardError(f"step count M = {M} is above the {_MAX_STEPS:,} guard; lower 'M'")
+    window = max(1, _PROPAGATORS // (hf.size * shape[1])) if small else _STEP_WINDOW
     if cfg.mode == MODE_EXACT:
         # r(s) is affine in s, so its largest value is at an end
         r0, r1 = _radii(np.array([0.0, 1.0]), hf, h).tolist()
@@ -590,7 +589,6 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
         mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
         centred = hf - mid[:, None]
         before, after = 1.0, np.exp(-0.5j * dt * (M + 1) * mid)[:, None]
-        window = max(1, _PROPAGATORS // (hf.size * shape[1])) if small else _STEP_WINDOW
         propagators = lambda s: _small_propagators(s, centred, h, dt)
         stepper = lambda s, amps: _exact_anneal(s, centred, h, dt, amps)
     else:
@@ -609,7 +607,6 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
         between, ratio = np.exp(-0.5j * tau / M * hf), np.exp(-1j * tau / M * hf)
         frame = _frame(w)
         before, after = frame.conj(), frame * np.exp(0.5j * tau * hf)
-        window = _STEP_WINDOW
         propagators = lambda s: _split_propagators(s, hf, tau, h, between)
         stepper = lambda s, amps: _split_steps(s, hf, tau, h, between, ratio, amps)
     amps = before * np.stack([initial_state(w)] * len(hf))

@@ -144,7 +144,7 @@ def _command(args: argparse.Namespace) -> int:
             path = Path(args.out) / (skeleton["name"] + ".json")
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text)
+                path.write_text(text, encoding="utf-8")
             except OSError as exc:
                 return _write_failed(exc)
             print(f"wrote {path}", file=sys.stderr)

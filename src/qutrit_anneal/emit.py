@@ -9,9 +9,11 @@ from .harness import EMIT_FORMATS as FORMATS
 from .harness import RunResult
 from .spin import digit_table
 
-#: Marker shapes assigned to clusters by decreasing cluster size.
+#: Marker shapes and colours assigned to clusters by decreasing cluster
+#: size.  Six shapes against seven colours: the (shape, colour) pairs repeat
+#: only after 42 clusters.
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross", "plus")
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
 def render_table(result: RunResult) -> str:
@@ -187,6 +189,6 @@ def emit(result: RunResult, formats, out_dir: str | Path = ".") -> list[Path]:
     written = []
     for fmt in formats:
         path = out_dir / (result.spec.name + suffixes[fmt])
-        path.write_text(renderers[fmt](result))
+        path.write_text(renderers[fmt](result), encoding="utf-8")
         written.append(path)
     return written

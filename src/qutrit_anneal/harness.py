@@ -249,11 +249,11 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
 
 
 def load_spec(path: str | Path) -> ProblemSpec:
-    """Read and validate a JSON spec file."""
+    """Read and validate a JSON spec file, UTF-8 whatever the locale."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -316,8 +316,10 @@ def test_steps_evolve_each_block_of_a_stack():
     expected = expm(-1j * dt * dense_h(s, hf, h)) @ register
     np.testing.assert_allclose(np.kron(*step(stack, s, hf, h, dt)), expected, rtol=0, atol=1e-12)
     # split-step: a whole run of the stack against the same run of the
-    # register, both as one matrix a step, over two windows of steps
-    cfg = AnnealConfig(h=h, M=anneal_module._STEP_WINDOW + 1, dt=dt, mode=MODE_SPLIT)
+    # register, both as one matrix a step, over two windows of the stack's
+    # step matrices (227 steps a window) and five of the register's (50)
+    window = anneal_module._PROPAGATORS // (hf.size * 3)
+    cfg = AnnealConfig(h=h, M=window, dt=dt, mode=MODE_SPLIT)
     np.testing.assert_allclose(
         anneal(cfg, hf), anneal(cfg, full_diagonal(hf)[None]), rtol=0, atol=1e-13
     )
@@ -732,6 +734,25 @@ def test_anneal_refuses_malformed_final_hamiltonian_rows():
 
 
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
+def test_anneal_takes_array_like_rows_and_refuses_complex_ones(monkeypatch, mode):
+    # nested lists of 3- and 27-state rows run bitwise as their arrays do;
+    # complex rows, even with zero imaginary parts, are refused before any step
+    rng = np.random.default_rng(130)
+    cfg = AnnealConfig(h=2.0, M=20, mode=mode)
+    for hf in (rng.uniform(-5.0, 5.0, (2, 3)), rng.uniform(-5.0, 5.0, (1, 27))):
+        np.testing.assert_array_equal(anneal(cfg, hf.tolist()), anneal(cfg, hf))
+
+    def refuse(*args):
+        raise AssertionError("the run took a step")
+
+    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
+        monkeypatch.setattr(anneal_module, name, refuse)
+    for hf in (np.zeros((2, 3), complex), [[0.0, 1j, 2.0]], np.ones((1, 27)) + 0.5j):
+        with pytest.raises(ValueError, match="^final Hamiltonian entries must be real$"):
+            anneal(cfg, hf)
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
 def test_anneal_refuses_more_steps_than_the_guard(monkeypatch, mode):
     # an M past the guard validates but would start that many steps: the run
     # is refused before any step, naming M, on small blocks and stepped rows.
@@ -906,11 +927,11 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
 
 @pytest.mark.parametrize("M, half_width", [(10**6, 1.0), (5, 8e4)])
 def test_anneal_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
-    # exact-step on rows wider than 9 states: _STEP_WINDOW steps a window,
-    # whatever their degree; on rows of at most 9: each window's
-    # propagators hold at most _PROPAGATORS entries, or one step.  Either
-    # way whatever M, and the windows' points are the schedule's, bitwise,
-    # in order
+    # the window depends on the rows' width alone, the same in both modes:
+    # on rows wider than 9 states _STEP_WINDOW steps, whatever their
+    # degree; on rows of at most 9 each window's step matrices hold at most
+    # _PROPAGATORS entries, or one step.  Either way whatever M, and the
+    # windows' points are the schedule's, bitwise, in order
     h, dt = 0.5, 0.1
     wide = np.array([np.pad([-half_width, 0.0, half_width], (0, 24))])
     small = np.array([[-half_width, 0.0, half_width], [0.0, half_width, 0.0]])
@@ -925,7 +946,8 @@ def test_anneal_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
     monkeypatch.setattr(anneal_module, "_apply_in_turn", lambda ops, amps: amps)
     wide_window = anneal_module._STEP_WINDOW
     small_window = anneal_module._PROPAGATORS // small.size // 3
-    for hf, window in ((wide, wide_window), (small, small_window)):
+    windows = ((wide, wide_window), (small, small_window))
+    for hf, window in windows:
         points.clear()
         anneal(AnnealConfig(h=h, M=M, dt=dt), hf)
         assert max(len(s) for s in points) == min(window, M + 1)
@@ -938,17 +960,16 @@ def test_anneal_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
         with pytest.raises(SizeGuardError):
             anneal(AnnealConfig(h=h, M=M, dt=dt), 2e5 / dt * hf / half_width)
         assert not points and not computed
-    assert wide_window == 32 and small_window == 227
-    # split-step takes its steps in the same loop, _STEP_WINDOW a window on
-    # rows of 27 states and of at most 9; a run whose tau h or tau max|Hf|
-    # overflows is refused, and steps no window
+    assert wide_window == 16 and small_window == 227
+    # split-step takes its steps in the same loop, by the same windows; a
+    # run whose tau h or tau max|Hf| overflows is refused, and steps no window
     monkeypatch.setattr(anneal_module, "_split_steps", lambda s, *args: points.append(s) or args[-1])
     monkeypatch.setattr(anneal_module, "_split_propagators", lambda s, *args: points.append(s))
-    for hf in (wide, small):
+    for hf, window in windows:
         points.clear()
         anneal(AnnealConfig(h=h, M=M, dt=dt, mode=MODE_SPLIT), hf)
-        assert max(len(s) for s in points) == min(wide_window, M + 1)
-        assert len(points) == -(-(M + 1) // wide_window)
+        assert max(len(s) for s in points) == min(window, M + 1)
+        assert len(points) == -(-(M + 1) // window)
         np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
         points.clear()
         for h_huge, rows in ((1e300, hf), (h, 1e300 * hf / half_width)):
@@ -969,6 +990,22 @@ def test_wide_row_amplitudes_do_not_depend_on_the_step_window(monkeypatch, block
     want = anneal(cfg, hf)
     for window in (1, 7):
         monkeypatch.setattr(anneal_module, "_STEP_WINDOW", window)
+        np.testing.assert_array_equal(anneal(cfg, hf), want)
+
+
+@pytest.mark.parametrize("blocks, w", [(6, 1), (3, 2), (1, 2)])
+def test_small_block_split_amplitudes_do_not_depend_on_the_window(monkeypatch, blocks, w):
+    # split-step on rows of 3 and 9 states works out each step's matrix
+    # from that step's s alone, so the window only bounds memory: 171 steps
+    # at 1, 7 and the default number of steps a window (75, 16 and 50), the
+    # last window partial, give bitwise the same amplitudes
+    hf = np.random.default_rng(120 + w).uniform(-20.0, 20.0, (blocks, 3**w))
+    cfg = AnnealConfig(h=3.0, M=170, dt=0.1, mode=MODE_SPLIT)
+    entries = hf.size * 3**w
+    assert (cfg.M + 1) % (anneal_module._PROPAGATORS // entries)
+    want = anneal(cfg, hf)
+    for window in (1, 7):
+        monkeypatch.setattr(anneal_module, "_PROPAGATORS", window * entries)
         np.testing.assert_array_equal(anneal(cfg, hf), want)
 
 
@@ -1140,7 +1177,8 @@ def strang_reference(hf, cfg, substeps):
 #: (blocks, qutrits per block, substeps, steps M).  One and two qutrits take
 #: each step as one matrix, three or more step the state; the default count
 #: on one block keeps the plain register size as its id.  Two blocks of
-#: three qutrits step C > 1 blocks, and M = 70 spans three windows of steps.
+#: three qutrits step C > 1 blocks, and M = 70 spans at least three windows
+#: of steps.
 SPLIT_CASES = (
     [
         pytest.param(1, n, k, 40, id=str(n) if k == 8 else f"{n}-substeps{k}")
@@ -1157,16 +1195,25 @@ SPLIT_CASES = (
 
 @pytest.mark.parametrize("blocks, w, substeps, M", SPLIT_CASES)
 def test_split_step_matches_per_axis_product(blocks, w, substeps, M, monkeypatch):
-    # M passes _PHASE_REFRESH, so where the state is stepped, steps that
-    # compute the full phase afresh and steps that carry it both run
+    # where the state is stepped the run spans more than one window, so
+    # steps that compute the full phase afresh, at a window's first step,
+    # and steps that carry it both run
     monkeypatch.setattr(anneal_module, "_SPLIT_SUBSTEPS", substeps)
+    windows = []
+    for name in ("_split_steps", "_split_propagators"):
+        body = getattr(anneal_module, name)
+        monkeypatch.setattr(
+            anneal_module, name, lambda s, *args, body=body: windows.append(len(s)) or body(s, *args)
+        )
     rng = np.random.default_rng(10 * blocks + w)
     hf = rng.uniform(-20.0, 20.0, (blocks, 3**w))
     cfg = AnnealConfig(h=3.0, M=M, dt=0.1, mode=MODE_SPLIT)
-    assert cfg.M > anneal_module._PHASE_REFRESH
-    assert (cfg.M + 1 > 2 * anneal_module._STEP_WINDOW) == (M == 70)
     expected = strang_reference(hf, cfg, substeps)
     np.testing.assert_allclose(anneal(cfg, hf), expected, rtol=0, atol=1e-13)
+    assert sum(windows) == cfg.M + 1
+    if 3**w > anneal_module._SMALL_BLOCK:
+        assert len(windows) > 1 and max(windows) > 1
+    assert len(windows) >= 3 or M != 70
 
 
 def test_seven_qutrit_split_step_builds_no_power_above_27(monkeypatch):
@@ -1218,8 +1265,9 @@ def test_split_phases_track_np_exp_at_every_step(monkeypatch):
 )
 def test_split_norm_drift_on_presets(name, bound, preset_result):
     # fig1 and fig2 step one block, whose carried phases keep their modulus
-    # only because they are refreshed; fig3 and fig4 multiply one matrix a
-    # step on one- and two-qutrit blocks, with every phase from np.exp
+    # only because they are refreshed at each window's first step; fig3 and
+    # fig4 multiply one matrix a step on one- and two-qutrit blocks, with
+    # every phase from np.exp
     assert abs(preset_result(name, MODE_SPLIT).final_norm - 1.0) < bound
 
 

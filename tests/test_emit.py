@@ -219,6 +219,46 @@ sys.exit(int("scipy" in sys.modules))
     assert not [p.name for p in sources if "scipy" in p.read_text()]
 
 
+def test_spec_files_and_artifacts_are_utf8_whatever_the_locale(tmp_path, tiny_spec_dict):
+    # under the C locale without UTF-8 mode the preferred encoding is ASCII:
+    # a UTF-8 spec with non-ASCII labels still loads, its artifacts and a
+    # generated skeleton are written as UTF-8, and a spec file that is not
+    # UTF-8 is a SpecError that names it.  stdout is ASCII there, so the run
+    # goes through the library
+    labels = ["café", "naïve", "Zürich", "東京"]
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
+    good.write_bytes(json.dumps({**tiny_spec_dict, "labels": labels}, ensure_ascii=False).encode())
+    bad.write_bytes('{"name": "café"}'.encode("latin-1"))
+    code = f"""
+import locale
+from qutrit_anneal.cli import main
+from qutrit_anneal.emit import emit
+from qutrit_anneal.errors import SpecError
+from qutrit_anneal.harness import load_spec, run
+
+assert locale.getpreferredencoding(False) == "ANSI_X3.4-1968", locale.getpreferredencoding(False)
+emit(run(load_spec({str(good)!r})), ["table", "csv", "svg"], {str(out)!r})
+assert main(["generate", "--n", "4", "--seed", "2", "--out", {str(out)!r}]) == 0
+try:
+    load_spec({str(bad)!r})
+except SpecError as exc:
+    assert {str(bad)!r} in str(exc) and "utf-8" in str(exc), exc
+else:
+    raise AssertionError("a latin-1 spec loaded")
+"""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(qutrit_anneal.__file__).parents[1]),
+        LC_ALL="C",
+        PYTHONUTF8="0",
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    texts = {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()}
+    assert sorted(texts) == ["random-n4-seed2.json", "tiny.csv", "tiny.svg", "tiny.txt"]
+    assert all(label in texts["tiny.txt"] for label in labels)
+
+
 def test_svg_has_marker_group_sizes_3_2_1(preset_result):
     svg = render_svg(preset_result("fig1"))
     data_markers = re.findall(r'<(circle|rect|polygon|path) class="pt"', svg)
@@ -230,6 +270,27 @@ def test_svg_has_marker_group_sizes_3_2_1(preset_result):
     assert counts == {"circle": 3, "rect": 2, "polygon": 1}
     assert svg.startswith("<svg")
     assert 'version="1.1"' in svg
+
+
+def test_svg_legend_pairs_stay_distinct_past_six_clusters(monkeypatch):
+    # CI's kmeanspp K = 10 spec: ten centroids make ten clusters, and each
+    # gets its own (shape, colour) pair in the legend
+    emit_module, drawn = importlib.import_module("qutrit_anneal.emit"), []
+    marker = emit_module._marker_svg
+
+    def recording(shape, x, y, r, color, css):
+        if css == "key":
+            drawn.append((shape, color))
+        return marker(shape, x, y, r, color, css)
+
+    monkeypatch.setattr(emit_module, "_marker_svg", recording)
+    points = [[0, 0], [10, 0], [20, 0], [30, 0], [0, 10], [10, 10], [20, 10], [30, 10]]
+    points += [[0, 20], [10, 20], [1, 1], [29, 9]]
+    spec = spec_from_dict(
+        {"points": points, "method": "kmeanspp", "centroids": list(range(10)), "anneal": {"h": 8, "M": 20}}
+    )
+    render_svg(run(spec))
+    assert len(drawn) == len(set(drawn)) == 10
 
 
 def test_svg_escapes_the_spec_name(tmp_path, tiny_result):
