@@ -1202,9 +1202,8 @@ def test_split_step_matches_per_axis_product(blocks, w, substeps, M, monkeypatch
     windows = []
     for name in ("_split_steps", "_split_propagators"):
         body = getattr(anneal_module, name)
-        monkeypatch.setattr(
-            anneal_module, name, lambda s, *args, body=body: windows.append(len(s)) or body(s, *args)
-        )
+        recording = lambda s, *args, body=body: windows.append(len(s)) or body(s, *args)
+        monkeypatch.setattr(anneal_module, name, recording)
     rng = np.random.default_rng(10 * blocks + w)
     hf = rng.uniform(-20.0, 20.0, (blocks, 3**w))
     cfg = AnnealConfig(h=3.0, M=M, dt=0.1, mode=MODE_SPLIT)

@@ -286,10 +286,8 @@ def test_svg_legend_pairs_stay_distinct_past_six_clusters(monkeypatch):
     monkeypatch.setattr(emit_module, "_marker_svg", recording)
     points = [[0, 0], [10, 0], [20, 0], [30, 0], [0, 10], [10, 10], [20, 10], [30, 10]]
     points += [[0, 20], [10, 20], [1, 1], [29, 9]]
-    spec = spec_from_dict(
-        {"points": points, "method": "kmeanspp", "centroids": list(range(10)), "anneal": {"h": 8, "M": 20}}
-    )
-    render_svg(run(spec))
+    spec = {"points": points, "method": "kmeanspp", "centroids": list(range(10))}
+    render_svg(run(spec_from_dict({**spec, "anneal": {"h": 8, "M": 20}})))
     assert len(drawn) == len(set(drawn)) == 10
 
 
