@@ -55,10 +55,13 @@ or 9 x 9 matrix per block, its substeps multiplied by squaring
 ``_split_step`` call (``_split_steps``): each substep rotates the state by
 real products on its float view, with no transpose, the leading sites in
 one or two groups from the left and the last two sites, with the real and
-imaginary parts, from the right; no factor is above 27 x 27.  There the
-full phases of consecutive steps differ by a fixed factor, so each step's
-is the last one's times it, computed afresh by ``np.exp`` at each
-window's first step.
+imaginary parts, from the right; no factor is above 27 x 27.  The state
+is stepped in place in two buffers, the run's state array and one spare
+array of its shape, made once a window with the views each product reads
+and writes, so no substep makes an array.  There the full phases of
+consecutive steps differ by a fixed factor, so each step's is the last
+one's times it, in place, computed afresh by ``np.exp`` at each window's
+first step.
 
 A final Hamiltonian of C block rows of 3**w entries has no term that
 couples two blocks, and the driver acts site by site, so the annealed state
@@ -456,31 +459,58 @@ def _split_step(
     right: np.ndarray,
     phase: np.ndarray,
     substeps: int,
+    products: list[tuple[np.ndarray, np.ndarray]],
+    last: np.ndarray,
 ) -> np.ndarray:
     """The Strang substeps of one schedule step on framed blocks of w >= 3 qutrits.
 
     ``grid`` holds each block's amplitudes in the frame F^{(x)w}, a (C, 3**w)
-    stack.  Each substep applies the driver factor, the real rotation R on
-    every site, then the step's full phase exp(-i tau s Hf), ``phase``, of
-    the grid's shape; the half phases at the ends of the step are the
-    caller's (``_split_steps``).  R^{(x)w} is applied to the grid's float
-    view, where each amplitude is its real and imaginary parts, with no
-    transpose.  The leading w - 2 sites form one or two groups, and each of
-    the ``left`` powers R^{(x)g} takes its group of g sites by one real
-    product on the left, on the view where the group is the second-to-last
-    axis.  The last two sites take ``right`` = (R^{(x)2} (x) I_2)^T, 18 x 18,
-    by one real product on the right of the (..., 18) view.  At 7 qutrits the
-    groups are 3 and 2 sites, so no factor above 27 x 27 is applied.
+    stack, and is stepped in place and returned.  Each substep applies the
+    driver factor, the real rotation R on every site, then the step's full
+    phase exp(-i tau s Hf), ``phase``, of the grid's shape; the half phases
+    at the ends of the step are the caller's (``_split_steps``).  R^{(x)w}
+    is applied to the grid's float view, where each amplitude is its real
+    and imaginary parts, with no transpose.  The leading w - 2 sites form
+    one or two groups, and each of the ``left`` powers R^{(x)g} takes its
+    group of g sites by one real product on the left, on the view where the
+    group is the second-to-last axis.  The last two sites take ``right`` =
+    (R^{(x)2} (x) I_2)^T, 18 x 18, by one real product on the right of the
+    (..., 18) view.  At 7 qutrits the groups are 3 and 2 sites, so no factor
+    above 27 x 27 is applied.  ``products`` holds each product's (source,
+    destination) views, from ``_split_views``, alternating between ``grid``
+    and a spare array of its shape, and ``last`` is the complex array the
+    last product writes, which the phase multiplies into ``grid``.
     """
-    blocks = len(grid)
+    *lefts, (x, out) = products
     for _ in range(substeps):
-        x, outer = grid.view(float), 1
-        for factor in left:
-            x = factor @ x.reshape(blocks, outer, len(factor), -1)
-            outer *= len(factor)
-        grid = (x.reshape(-1, len(right)) @ right).reshape(blocks, -1).view(complex)
-        grid *= phase
+        for factor, (source, into) in zip(left, lefts):
+            np.matmul(factor, source, out=into)
+        np.matmul(x, right, out=out)
+        np.multiply(last, phase, out=grid)
     return grid
+
+
+def _split_views(
+    grid: np.ndarray, sizes: list[int], spare: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``_split_step``'s (source, destination) float views and its last product's array.
+
+    One pair per left factor of ``sizes`` rows, then one for the right
+    18 x 18 product, reading and writing ``grid`` and ``spare`` in turn,
+    both C-contiguous (C, 3**w) complex arrays.
+    """
+    shapes, outer = [], 1
+    for size in sizes:
+        shapes.append((len(grid), outer, size, -1))
+        outer *= size
+    shapes.append((-1, 18))
+    buffers = (grid, spare)
+    floats = [b.view(float) for b in buffers]
+    products = [
+        (floats[i % 2].reshape(shape), floats[1 - i % 2].reshape(shape))
+        for i, shape in enumerate(shapes)
+    ]
+    return products, buffers[len(products) % 2]
 
 
 def _split_propagators(
@@ -515,11 +545,13 @@ def _split_steps(
     """The split steps at the points ``s`` of framed (C, 3**w) block amplitudes, w >= 3.
 
     The window's rotation powers R(theta)^{(x)g} come first, one vectorized
-    ``_site_rotation`` and a batched ``_kron`` per power.  Each step is then
-    one ``_split_step`` call, after the phase B, ``between``, for every step
-    after step 0.  Its full phase P = exp(-i tau s Hf) is computed by
-    ``np.exp`` at the window's first step, and at each later one is the
-    last step's times ``ratio`` = exp(-i tau Hf / M).
+    ``_site_rotation`` and a batched ``_kron`` per power, then its one spare
+    array of the grid's shape and the ``_split_views`` of the two.  Each
+    step is then one ``_split_step`` call, after the phase B, ``between``,
+    for every step after step 0, and steps ``grid`` in place.  Its full
+    phase P = exp(-i tau s Hf) is computed by ``np.exp`` at the window's
+    first step, and at each later one is the last step's times ``ratio`` =
+    exp(-i tau Hf / M), multiplied in place.
     """
     w = _qutrits(hf.shape[1])
     groups = (w - 2,) if w <= 5 else (w - 4, 2)
@@ -527,11 +559,16 @@ def _split_steps(
     while len(powers) <= max(groups + (2,)):
         powers.append(_kron(powers[1], powers[-1]))
     right = _kron(powers[2].swapaxes(1, 2), np.eye(2))
+    products, last = _split_views(grid, [3**g for g in groups], np.empty_like(grid))
     for i, point in enumerate(s.tolist()):
-        phase = phase * ratio if i else np.exp(-1j * tau * point * hf)
+        if i:
+            phase *= ratio
+        else:
+            phase = np.exp(-1j * tau * point * hf)
         if point:
             grid *= between
-        grid = _split_step(grid, [powers[g][i] for g in groups], right[i], phase, _SPLIT_SUBSTEPS)
+        left = [powers[g][i] for g in groups]
+        grid = _split_step(grid, left, right[i], phase, _SPLIT_SUBSTEPS, products, last)
     return grid
 
 

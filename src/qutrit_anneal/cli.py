@@ -97,19 +97,29 @@ def _write_failed(exc: OSError) -> int:
     return EXIT_INPUT_ERROR
 
 
+def _say(text: str) -> None:
+    """Write ``text`` to stdout, with what its encoding cannot hold as backslash escapes.
+
+    Under an ASCII locale a non-ASCII label is escaped, so the run goes on
+    to write its files.
+    """
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _execute(spec, emit_arg: str | None, out_arg: str | None) -> int:
     if emit_arg is not None:
         spec = replace(spec, emit=[f.strip() for f in emit_arg.split(",") if f.strip()])
     if out_arg is not None:
         spec = replace(spec, out_dir=out_arg)
     result = run(spec)
-    sys.stdout.write(render_table(result))
+    _say(render_table(result))
     try:
         written = emit(result, spec.emit, spec.out_dir)
     except OSError as exc:
         return _write_failed(exc)
     for path in written:
-        print(f"wrote {path}")
+        _say(f"wrote {path}\n")
     return EXIT_MATCH if result.match else EXIT_MISMATCH
 
 

@@ -1289,6 +1289,62 @@ def test_split_run_calls_the_split_step_seam_once_per_step(shape, stepped, monke
     assert len(calls) == (8 if stepped else 0)
 
 
+def allocating_split_step(grid, left, right, phase, substeps, *buffers):
+    """The split step that makes a new array per product, ignoring the in-place buffers."""
+    blocks = len(grid)
+    for _ in range(substeps):
+        x, outer = grid.view(float), 1
+        for factor in left:
+            x = factor @ x.reshape(blocks, outer, len(factor), -1)
+            outer *= len(factor)
+        grid = (x.reshape(-1, len(right)) @ right).reshape(blocks, -1).view(complex)
+        grid *= phase
+    return grid
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("w", [3, 4, 5, 6, 7])
+def test_split_step_in_place_is_bitwise_the_allocating_step(blocks, w):
+    # two real products a substep up to 5 qutrits, one left group and the
+    # right one, and three from 6 qutrits, two left groups; they read and
+    # write the state and one spare array in turn, and the phase multiplies
+    # the last product into the state, which the seam returns
+    rng = np.random.default_rng(100 * w + blocks)
+    rot = _site_rotation(rng.uniform(0.0, 1.0))
+    power = lambda g: functools.reduce(anneal_module._kron, [rot] * g)
+    left = [power(g) for g in ((w - 2,) if w <= 5 else (w - 4, 2))]
+    right = anneal_module._kron(power(2).T, np.eye(2))
+    shape = (blocks, 3**w)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phase = np.exp(-1j * rng.uniform(-1.0, 1.0, shape))
+    inputs = [a.copy() for a in (*left, right, phase)]
+    substeps = anneal_module._SPLIT_SUBSTEPS
+    want = allocating_split_step(grid.copy(), left, right, phase, substeps)
+    sizes = [len(f) for f in left]
+    products, last = anneal_module._split_views(grid, sizes, np.empty_like(grid))
+    assert len(products) == (2 if w <= 5 else 3)
+    stepped = anneal_module._split_step(grid, left, right, phase, substeps, products, last)
+    assert stepped is grid
+    assert np.array_equal(grid, want)
+    assert all(np.array_equal(a, b) for a, b in zip((*left, right, phase), inputs))
+
+
+@pytest.mark.parametrize("blocks, w", [(2, 3), (1, 5), (1, 6), (1, 7)])
+def test_split_anneal_in_place_is_bitwise_the_allocating_anneal(blocks, w, monkeypatch):
+    # M = 70 is five windows of 16 steps, the last partial: each window
+    # makes its own spare array and carries its phase in place from its
+    # first np.exp, and neither run writes to the rows
+    hf = np.random.default_rng(130 + w).uniform(-20.0, 20.0, (blocks, 3**w))
+    rows = hf.copy()
+    cfg = AnnealConfig(h=3.0, M=70, dt=0.1, mode=MODE_SPLIT)
+    assert -(-(cfg.M + 1) // anneal_module._STEP_WINDOW) == 5
+    in_place = anneal(cfg, hf)
+    assert np.array_equal(hf, rows)
+    monkeypatch.setattr(anneal_module, "_split_step", allocating_split_step)
+    assert np.array_equal(anneal(cfg, hf), in_place)
+    assert np.array_equal(hf, rows)
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 def test_split_mode_agrees_with_exact_on_presets(name, preset_result):
     exact = preset_result(name)

@@ -223,10 +223,12 @@ def test_spec_files_and_artifacts_are_utf8_whatever_the_locale(tmp_path, tiny_sp
     # under the C locale without UTF-8 mode the preferred encoding is ASCII:
     # a UTF-8 spec with non-ASCII labels still loads, its artifacts and a
     # generated skeleton are written as UTF-8, and a spec file that is not
-    # UTF-8 is a SpecError that names it.  stdout is ASCII there, so the run
-    # goes through the library
+    # UTF-8 is a SpecError that names it.  stdout is ASCII there: the run
+    # through the library writes no table to it, and the CLI's run escapes
+    # the labels in its table there and writes its files as UTF-8
     labels = ["café", "naïve", "Zürich", "東京"]
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
+    cli_out = tmp_path / "cli-out"
     good.write_bytes(json.dumps({**tiny_spec_dict, "labels": labels}, ensure_ascii=False).encode())
     bad.write_bytes('{"name": "café"}'.encode("latin-1"))
     code = f"""
@@ -245,6 +247,8 @@ except SpecError as exc:
     assert {str(bad)!r} in str(exc) and "utf-8" in str(exc), exc
 else:
     raise AssertionError("a latin-1 spec loaded")
+exit_code = main(["run", {str(good)!r}, "--emit", "table,csv,svg", "--out", {str(cli_out)!r}])
+assert exit_code in (0, 1), exit_code
 """
     env = dict(
         os.environ,
@@ -257,6 +261,10 @@ else:
     texts = {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()}
     assert sorted(texts) == ["random-n4-seed2.json", "tiny.csv", "tiny.svg", "tiny.txt"]
     assert all(label in texts["tiny.txt"] for label in labels)
+    cli_texts = {p.name: p.read_bytes().decode("utf-8") for p in cli_out.iterdir()}
+    assert sorted(cli_texts) == ["tiny.csv", "tiny.svg", "tiny.txt"]
+    assert all(label in cli_texts["tiny.txt"] for label in labels)
+    assert b"caf\\xe9" in proc.stdout and b"\\u6771\\u4eac" in proc.stdout
 
 
 def test_svg_has_marker_group_sizes_3_2_1(preset_result):
