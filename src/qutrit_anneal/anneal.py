@@ -1,80 +1,16 @@
 """State preparation, stepped evolution, and readout of the schedule.
 
-The schedule interpolates H(s) = (1 - s) * h * sum_i S_i^x + s * Hf for
-s = l/M, l = 0 .. M inclusive, applying exp(-i * dt * H(s)) at every step.  Hf
-is diagonal, and a run takes it as the read-only (C, 3**w) array of block
-rows that ``Encoding.hamiltonian`` returns; the driver is its field h alone,
-from ``AnnealConfig``.
-
-``anneal`` holds the one loop over windows of steps, for both modes and
-every block size, so memory does not grow with M.  The window depends on
-the rows' width alone: on blocks of at most ``_SMALL_BLOCK`` states it is
-as many steps as fit their (steps, C, d, d) stack of step matrices in
-``_PROPAGATORS`` entries, and the mode's window body returns that stack,
-applied to the state in turn; on wider blocks it is ``_STEP_WINDOW``
-steps, and the window body steps the state.
-
-The exact-step mode evaluates each exponential by a Chebyshev expansion
-(Tal-Ezer & Kosloff, 1984).  A run centres each block row once on its
-midpoint, so the row's constant is one phase per block after the last
-step, and the half-width r of H(s), from the rows' widths and the driver's
-h w, is affine in s (``_radii``).  ``_mapping`` maps H(s) onto [-2, 2] by
-one factor of the centred rows and one of the driver, and
-``expm_multiply_hermitian`` expands any real symmetric operator on [-2, 2],
-each term one apply and one subtraction, to where the Bessel coefficients,
-from Miller's recurrence on the expansion's one argument
-(``_chebyshev_weights``), fall below 1e-15.  Above ``_SMALL_BLOCK`` states
-each step is one expansion of the state (``_exact_anneal``), in real
-arithmetic on its real and imaginary planes, which sit beside the last axis
-of each block's grid of 3**(w // 2) rows.  Each apply multiplies by the
-mapped diagonal, held in that same layout, and takes the driver as a
-Kronecker sum of the two ``driver_factors``: one product by the first on
-the (C, rows, 2 cols) view of the state and one 2-D product by the second
-on its (C rows 2, cols) view, five numpy calls into buffers made once a
-window.  On one- and two-qutrit blocks such a matvec is mostly call
-overhead, so one expansion of the real identity stack a window, by the
-window's stack of dense mapped H(s) at its largest r, gives every step's
-propagator (``_small_propagators``).  ``anneal`` refuses a schedule
-whose dt r exceeds 1e4 terms a step before it computes any weights, and in
-either mode one of more than 1e7 steps.
-
-The split-step mode is a Strang splitting of the diagonal and driver
-factors, sub-stepped so its final probabilities track exact-step to well
-under 1e-3; it is not used where exact-step accuracy is contractual.  Step
-l is half_l D P D ... P D half_l, k driver substeps D = R(theta_l)^{(x)w}
-between full phases P = exp(-i tau s_l Hf), with half_l = exp(-i tau s_l
-Hf / 2) and tau = dt / k.  half_l P^-1 = conj(half_l), so between steps l
-and l + 1 the phase is B = exp(-i tau Hf / (2 M)), the same at every
-step; the opening half phase at s = 0 is 1, and conj(half_M) closes the
-last step.  In the frame F = diag(1, i, -1) on each site the 3x3 driver
-gate is a real rotation R, and F^{(x)n} is diagonal, so it commutes with
-the phases of Hf: a run enters the frame before its first step and leaves
-it after its last.  On blocks of one or two qutrits each step is one 3 x 3
-or 9 x 9 matrix per block, its substeps multiplied by squaring
-(``_split_propagators``).  On larger blocks each step is one
-``_split_step`` call (``_split_steps``): each substep rotates the state by
-real products on its float view, with no transpose, the leading sites in
-one or two groups from the left and the last two sites, with the real and
-imaginary parts, from the right; no factor is above 27 x 27.  The state
-is stepped in place in two buffers, the run's state array and one spare
-array of its shape, made once a window with the views each product reads
-and writes, so no substep makes an array.  There the full phases of
-consecutive steps differ by a fixed factor, so each step's is the last
-one's times it, in place, computed afresh by ``np.exp`` at each window's
-first step.
-
-A final Hamiltonian of C block rows of 3**w entries has no term that
-couples two blocks, and the driver acts site by site, so the annealed state
-stays a product over the blocks.  Both steppers evolve it as a (C, 3**w)
-stack of block amplitudes, each block under its own row of Hf and the
-w-site driver; a coupled register is the one block C = 1.
-States are plain complex arrays: ``anneal`` starts C copies of the
-w-qutrit ``initial_state`` and hands ``decode`` their Kronecker product,
-the 3**n basis amplitudes of the register.  ``decode`` groups the rows of
-the encoding's label table by ``partition_keys`` in numpy and is the one
-place that ranks them: its per-state rank is the CSV's partition id.  It
-builds a ``Partition`` for the top partition alone; the report builds the
-others on first read of ``partition_probabilities``.
+The schedule applies exp(-i dt H(s)) for s = l/M, l = 0 .. M, with H(s) =
+(1 - s) h sum_i S_i^x + s Hf, Hf the diagonal (C, 3**w) block rows of
+``Encoding.hamiltonian``.  Neither Hf nor the driver couples two blocks, so
+the state stays a product over them: ``anneal`` evolves a (C, 3**w) stack
+and returns its Kronecker product.  Exact-step expands each step in
+Chebyshev polynomials (``expm_multiply_hermitian``); split-step is a Strang
+splitting (``_split_steps``).  Both loop over windows of steps, so memory
+does not grow with M: rows of at most ``_SMALL_BLOCK`` states take a window
+as a stack of d x d step matrices (``_small_propagators``,
+``_split_propagators``), and wider rows step the state, ``_STEP_WINDOW``
+steps a window.  ``decode`` reads the final amplitudes out as partitions.
 """
 
 from __future__ import annotations
@@ -106,7 +42,7 @@ _KS2 = 0.5 * np.array([[-1.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, -1.0]])
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Schedule parameters: M steps of duration dt at driver strength h."""
+    """Schedule: M steps of dt at driver strength h, in ``mode``; a bad field is a ``SpecError``."""
 
     h: float
     M: int = 2000
@@ -129,9 +65,9 @@ class AnnealConfig:
 
 
 def initial_state(n: int) -> np.ndarray:
-    """Ground state of the driver h * sum_i S_i^x, the same for every h > 0.
+    """Ground state of the driver h * sum_i S_i^x on n >= 1 sites, the same for every h > 0.
 
-    It is a product of single-site S^x ground states.
+    It is a product of single-site S^x ground states; n < 1 is a ``ValueError``.
     """
     if n < 1:
         raise ValueError("register needs at least one qutrit")
@@ -142,9 +78,8 @@ def initial_state(n: int) -> np.ndarray:
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
 #: At 1e-15 the presets' partition probabilities at M = 2000 stay within
 #: 8.7e-13 (fig3) and 9.4e-13 (fig4) of 30-digit mpmath, and 2.8e-13 (fig1)
-#: and 3.3e-13 (fig2) of dense eigh, and the norm drifts by at most 4.7e-13;
-#: a tail of 2.5e-13 saves 9% of the terms but drifts up to 9e-11 and moves
-#: the probabilities by up to 1.8e-10 (fig3), past the 1e-10 checks.
+#: and 3.3e-13 (fig2) of dense eigh; a tail of 2.5e-13 saves 9% of the
+#: terms but moves fig3 by 1.8e-10, past the tests' 1e-10 checks.
 _TAIL = 1e-15
 
 #: Miller's recurrence rescales its values whenever one passes this, so a
@@ -156,8 +91,8 @@ _BESSEL_BIG = 1e150
 _SIGNS = np.array([2.0, -2.0, -2.0, 2.0])
 
 #: The Chebyshev recurrence keeps at most this many T_k, so its memory does
-#: not grow with the degree (280 kB at the 7-qutrit cap).  Blocks of 8, 16
-#: and 32 ran the presets equally fast, and 8 holds the fewest states.
+#: not grow with the degree: 280 kB at the 7-qutrit cap.  The size was chosen
+#: by timing (CHANGES.md).
 _ROWS = 8
 
 #: ``anneal`` refuses an exact-step schedule whose dt times the half-width
@@ -167,54 +102,39 @@ _ROWS = 8
 _MAX_DT_RADIUS = 1e4
 
 #: ``anneal`` refuses a schedule of more steps than this, in either mode,
-#: before any step.  A step of the smallest register, one 3-state block,
-#: takes about 2 us, so a run at the guard takes about 20 s there and hours
-#: on wider blocks; CI's memory runs take 200,000 steps.
+#: before any step.  A step of one 3-state block takes about 2 us, so a run
+#: at the guard takes about 20 s there and hours on wider blocks.
 _MAX_STEPS = 10**7
 
 #: Blocks of at most this many states (one or two qutrits) take each step
-#: as one d x d matrix per block, in both modes; larger ones step the
-#: state.  A matrix product costs d^3, so the bound keeps d small: in
-#: split-step at 27 states the matrices were slower wherever C > 1, 8.3 ms
-#: against 5.3 ms for a run of two 3-qutrit blocks at M = 200, and 13.3 ms
-#: against 6.6 ms for four.
+#: as one d x d matrix per block, in both modes; larger ones step the state.
+#: A matrix costs d^3 a step, so the bound keeps d small; it was chosen by
+#: timing (CHANGES.md).
 _SMALL_BLOCK = 9
 
-#: A run on blocks of at most ``_SMALL_BLOCK`` states, in either mode,
-#: works out its step matrices as many steps at a time as fit (steps, C, d,
-#: d) in this many entries (32 kB), or one step, whatever M: 75 steps of
-#: fig3's six 3-state blocks, 16 of fig4's three 9-state ones.  The
-#: benchmark's presets-exact peaked at 35.9 MB at this bound and 38.7 MB at
-#: 2**14, against 35.4 MB with one expansion a step, for 1% more speed at
-#: 2**14; one window of 16 steps for every block ran fig3's exact-step
-#: anneal 1.8 times as long.
+#: On blocks of at most ``_SMALL_BLOCK`` states a window is as many steps as
+#: fit their (steps, C, d, d) matrices in this many entries (32 kB), and at
+#: least one: 75 steps of fig3's six 3-state blocks, 16 of fig4's three
+#: 9-state ones.  It trades memory against expansions (see CHANGES.md).
 _PROPAGATORS = 2**12
 
-#: Runs on blocks above ``_SMALL_BLOCK`` states, in either mode, take this
-#: many steps a window, so their memory does not grow with M.  Split-step
-#: computes each window's first full phase exp(-i tau s Hf) by ``np.exp``
-#: and carries it to the window's other steps by the fixed ratio exp(-i tau
-#: Hf / M).  The rounded ratio's modulus differs from 1 by up to about
-#: 1e-16, the same at every multiply, so were the phase carried through
-#: the whole run that error would add up with M: fig2's norm then drifts
-#: 3.5e-10 at M = 2000, against 1.9e-12 with a refresh every 16 steps.
+#: Wider blocks take this many steps a window.  Split-step refreshes its
+#: carried phase by ``np.exp`` at each window's first step: the rounded
+#: ratio's modulus is off 1 by up to about 1e-16 at every multiply, so a
+#: phase carried through the whole run drifts fig2's norm by 3.5e-10 at
+#: M = 2000, and one refreshed every 16 steps by 1.9e-12.
 _STEP_WINDOW = 16
 
 
 def _chebyshev_weights(x: float) -> np.ndarray:
-    """The Chebyshev weights of exp(-i (x / 2) H) for one real x.
+    """The (2, d + 1) Chebyshev weights of exp(-i (x / 2) H) for one real x.
 
-    For x's degree d, the last k with 2 |J_k(x)| >= _TAIL, they are the
-    (2, d + 1) coefficients (2 - [k = 0]) (-i)^k J_k(x) of the T_k: real
-    for even k, in row 0, and for odd k their parts along -i, in row 1, each
-    zero in the other row.  Below the tail, |x| < _TAIL, J_0(x) rounds to 1
-    and no other term is kept: degree 0.
-
-    The J_k(x) come from Miller's backward recurrence on Python floats,
-    from N = |x| + 12 |x|^(1/3) + 30 down: the last term kept lies near |x|
-    + 10.5 |x|^(1/3), and J_N(x) at least five decades below _TAIL for 1e-3
-    <= |x| <= 1e6.  The values are rescaled whenever one passes _BESSEL_BIG,
-    and normalized by J_0 + 2 sum_k J_2k = 1.
+    Row 0 holds the coefficients (2 - [k = 0]) (-i)^k J_k(x) of even k, row 1
+    the parts along -i of odd k, up to the degree d, the last k with 2 |J_k(x)|
+    >= _TAIL; |x| < _TAIL is degree 0.  The J_k come from Miller's backward
+    recurrence on Python floats from N = |x| + 12 |x|^(1/3) + 30, which puts
+    J_N at least five decades below _TAIL for 1e-3 <= |x| <= 1e6, rescaled
+    past _BESSEL_BIG and normalized by J_0 + 2 sum_k J_2k = 1.
     """
     if not abs(x) >= _TAIL:
         return np.array([[1.0], [0.0]])
@@ -233,8 +153,7 @@ def _chebyshev_weights(x: float) -> np.ndarray:
     table /= j + 2.0 * float(table[2::2].sum())
     # the last k with 2 |J_k| >= _TAIL, counted from J_N, which lies far below it
     degree = top - int((np.abs(table[::-1]) >= 0.5 * _TAIL).argmax())
-    # J_k, then the coefficients in place: four k a row from k = 1, the
-    # table running at least three entries past the degree
+    # the coefficients in place, four k a row from k = 1 (the table runs past the degree)
     quads = table[1 : 1 + (degree + 3) // 4 * 4].reshape(-1, 4)
     quads *= _SIGNS
     weights = np.zeros((2, degree + 1))
@@ -247,23 +166,15 @@ def expm_multiply_hermitian(
 ) -> np.ndarray:
     """Compute exp(-i (x / 2) H) @ v for real symmetric H with spectrum in [-2, 2].
 
-    On [-2, 2], exp(-i (x / 2) H) = sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k(H / 2)
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), and the three-term
-    recurrence of the T_k is T_{k+1} = H T_k - T_{k-1}, with T_1 = H v / 2:
-    one matvec and one subtraction a term.  ``weights`` are the series'
-    coefficients for x, as ``_chebyshev_weights`` gives them, so the degree
-    is fixed before the first matvec; degree 0 makes none.
-
-    H must be real: the recurrence runs in real arithmetic, on a real v's
-    own shape, and on a complex v's real and imaginary planes, held on the
-    axis before the last one: (*v.shape[:-1], 2, v.shape[-1]).  ``matvec``
-    must map such an array, along the planes, to a real one without changing
-    its input; a complex result raises ``TypeError``.  It may return the same
-    buffer on every call, since the recurrence reads the result before the
-    next call.  The T_k are kept in a ring of at most ``_ROWS`` of them: each
-    time it is full it is summed with its coefficients by one matrix product.
-    The coefficients are real for even k and imaginary for odd k, so the
-    terms go to two real sums, combined into the complex result at the end.
+    There exp(-i (x / 2) H) = sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k(H / 2)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), with T_{k+1} = H T_k
+    - T_{k-1}: one matvec a term.  ``weights`` come from ``_chebyshev_weights``;
+    degree 0 makes no matvec.  The recurrence is real: on a real v's shape, or
+    on a complex v's real and imaginary planes on the axis before the last,
+    (*v.shape[:-1], 2, v.shape[-1]).  ``matvec`` maps such an array to a real
+    one, leaving its input alone, and may return one buffer on every call; a
+    complex result raises ``TypeError``.  The T_k sit in a ring of at most
+    ``_ROWS``, summed with their coefficients by one matrix product when full.
     """
     v = np.asarray(v)
     degree = weights.shape[1] - 1
@@ -321,13 +232,11 @@ def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _radii(s: np.ndarray, hf: np.ndarray, h: float) -> np.ndarray:
-    """The largest half-width of H(s) over the blocks, at the points ``s``.
+    """The largest half-width r(s) of H(s) over the blocks, at the points ``s``.
 
-    Block b's H_b(s) has its spectrum within r_b(s) = (1 - s) h w + s (max
-    row_b - min row_b) / 2 of s m_b, m_b the midpoint of row_b, exactly so
-    at s = 0 and s = 1 (S^x has eigenvalues -1, 0, 1 on every site).  The
-    driver's term is the same for every block, so the largest r_b(s) is
-    affine in s.  Halving before the difference keeps r finite.
+    Block b's spectrum lies within (1 - s) h w + s (max row_b - min row_b) / 2
+    of s m_b, m_b its row's midpoint, exactly at s = 0 and 1; the driver's term
+    is the same for every block, so r is affine in s.  Halving keeps r finite.
     """
     half = float((0.5 * hf.max(axis=1) - 0.5 * hf.min(axis=1)).max())
     with np.errstate(over="ignore"):  # h w past the float range is inf, which the guard refuses
@@ -337,9 +246,8 @@ def _radii(s: np.ndarray, hf: np.ndarray, h: float) -> np.ndarray:
 def _mapping(s: np.ndarray, radii: np.ndarray | float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """H~_b = (2/r) (s (row_b - m_b) + (1 - s) h D_w), on [-2, 2], as its two factors.
 
-    They are 2 s / r of the centred rows and 2 (1 - s) h / r of the driver D_w,
-    each quotient taken before the doubling: r >= s max|row_b - m_b| and r >=
-    (1 - s) h w bound it, so a subnormal r cannot overflow it; a zero r maps by 0.
+    They are 2 s / r and 2 (1 - s) h / r, each quotient taken before the
+    doubling, so a subnormal r cannot overflow it; a zero r maps by 0.
     """
     radii = np.where(radii > 0.0, radii, np.inf)
     return 2.0 * (s / radii), 2.0 * ((1.0 - s) * h / radii)
@@ -350,19 +258,15 @@ def _exact_anneal(
 ) -> np.ndarray:
     """The exact steps at the points ``s`` of (C, 3**w) block amplitudes, without the phases s m_b.
 
-    The rows are centred on their midpoints m_b, so every block maps onto
-    [-2, 2] at r = ``_radii``, and one expansion, with the weights of x = dt
-    r computed as the step is taken, serves them all.  Each step fills H~'s
-    diagonal and driver factors (a one-qutrit block's first is the 1 x 1
-    zero) by one multiply each; where every block has zero width it makes
-    no matvec.  The state goes to the expansion as (C, rows, cols) block
-    grids, so the matvec takes (C, rows, 2, cols) planes and writes H~
-    applied to them into one buffer, allocated with its views once a window.
+    With the rows centred, one expansion of x = dt r's weights serves every
+    block.  The matvec takes C grids of the ``driver_factors``' sizes, rows x
+    cols, with the real and imaginary planes beside the last axis.  It
+    multiplies by the mapped diagonal, held once per plane in that layout, and
+    adds A times the (C, rows, 2 cols) view and the (C rows 2, cols) view
+    times B (B symmetric): five numpy calls into buffers made once a window.
     """
     a, b = driver_factors(_qutrits(centred.shape[1]))
     blocks, rows, cols = len(centred), len(a), len(b)
-    # the mapped diagonal is held once per plane; A acts on the (C, rows,
-    # 2 cols) view, and grid @ B, I (x) B (B symmetric), on the (C rows 2, cols) one
     mapped = np.empty((blocks, rows, 2, cols))
     out, tmp = np.empty_like(mapped), np.empty_like(mapped)
     by_row, by_col = (blocks, rows, 2 * cols), (-1, cols)
@@ -370,7 +274,6 @@ def _exact_anneal(
     centred_grid = centred.reshape(blocks, rows, 1, cols)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        # the current step's diagonal and driver factors, into the one buffer
         np.multiply(mapped, x, out=out)
         if field:
             np.matmul(fa, x.reshape(by_row), out=tmp_rows)
@@ -392,11 +295,9 @@ def _exact_anneal(
 def _small_propagators(s: np.ndarray, centred: np.ndarray, h: float, dt: float) -> np.ndarray:
     """exp(-i dt (H_b(s) - s m_b)) at the points ``s``, a (len(s), C, d, d) stack.
 
-    The rows are centred on their midpoints m_b.  The window's r is its
-    largest ``_radii``, at its first or last point, so one expansion, of x =
-    dt r's weights, takes the real identity stack by right products with the
-    stack of dense ``_mapping`` H~.  H~ is real symmetric, so each
-    propagator is symmetric too.
+    One expansion at the window's largest ``_radii``, at its first or last
+    point, takes the real identity stack by right products with the dense
+    ``_mapping`` H~; each propagator is symmetric, as H~ is.
     """
     d = centred.shape[1]
     a, b = driver_factors(_qutrits(d))
@@ -425,9 +326,8 @@ _EYE3.flags.writeable = False
 def _site_rotation(theta: float | np.ndarray) -> np.ndarray:
     """exp(theta * Ks), real and orthogonal: exp(-i theta S^x) in the frame F.
 
-    Ks^3 = -Ks closes the series as I + sin(theta) Ks + (1 - cos(theta)) Ks^2,
-    with 1 - cos(theta) taken as 2 sin(theta / 2)^2 to keep its digits at
-    small theta.  An array of angles gives the stack of their rotations.
+    Ks^3 = -Ks gives I + sin(theta) Ks + 2 sin(theta / 2)^2 Ks^2, which keeps
+    1 - cos(theta)'s digits at small theta; an array of angles gives a stack.
     """
     theta = np.asarray(theta, dtype=float)[..., None, None]
     return _EYE3 + np.sin(theta) * _KS + 2.0 * np.sin(0.5 * theta) ** 2 * _KS2
@@ -435,7 +335,10 @@ def _site_rotation(theta: float | np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _frame(n: int) -> np.ndarray:
-    """Diagonal of F^{(x)n}: i to the power of each basis state's digit sum."""
+    """Diagonal of F^{(x)n}: i to the power of each basis state's digit sum.
+
+    It commutes with Hf's phases, so a split run enters the frame only once.
+    """
     frame = np.array([1.0, 1j, -1.0, -1j])[digit_table(n).sum(axis=1) % 4]
     frame.flags.writeable = False
     return frame
@@ -464,22 +367,12 @@ def _split_step(
 ) -> np.ndarray:
     """The Strang substeps of one schedule step on framed blocks of w >= 3 qutrits.
 
-    ``grid`` holds each block's amplitudes in the frame F^{(x)w}, a (C, 3**w)
-    stack, and is stepped in place and returned.  Each substep applies the
-    driver factor, the real rotation R on every site, then the step's full
-    phase exp(-i tau s Hf), ``phase``, of the grid's shape; the half phases
-    at the ends of the step are the caller's (``_split_steps``).  R^{(x)w}
-    is applied to the grid's float view, where each amplitude is its real
-    and imaginary parts, with no transpose.  The leading w - 2 sites form
-    one or two groups, and each of the ``left`` powers R^{(x)g} takes its
-    group of g sites by one real product on the left, on the view where the
-    group is the second-to-last axis.  The last two sites take ``right`` =
-    (R^{(x)2} (x) I_2)^T, 18 x 18, by one real product on the right of the
-    (..., 18) view.  At 7 qutrits the groups are 3 and 2 sites, so no factor
-    above 27 x 27 is applied.  ``products`` holds each product's (source,
-    destination) views, from ``_split_views``, alternating between ``grid``
-    and a spare array of its shape, and ``last`` is the complex array the
-    last product writes, which the phase multiplies into ``grid``.
+    Each substep rotates every site of ``grid``, (C, 3**w) in the frame
+    F^{(x)w}, by R, then multiplies by ``phase``, exp(-i tau s Hf), in place.
+    R^{(x)w} acts on the float view with no transpose: each ``left`` power
+    R^{(x)g} takes its group of leading sites from the left, and ``right`` =
+    (R^{(x)2} (x) I_2)^T the last two sites, with the real and imaginary
+    parts, from the right; ``products`` and ``last`` are from ``_split_views``.
     """
     *lefts, (x, out) = products
     for _ in range(substeps):
@@ -495,9 +388,8 @@ def _split_views(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """``_split_step``'s (source, destination) float views and its last product's array.
 
-    One pair per left factor of ``sizes`` rows, then one for the right
-    18 x 18 product, reading and writing ``grid`` and ``spare`` in turn,
-    both C-contiguous (C, 3**w) complex arrays.
+    One pair per left factor of ``sizes`` rows, then one for the right 18 x 18
+    product, alternating between ``grid`` and ``spare``, so no substep makes one.
     """
     shapes, outer = [], 1
     for size in sizes:
@@ -518,10 +410,8 @@ def _split_propagators(
 ) -> np.ndarray:
     """The split steps at the points ``s`` on framed blocks of d <= ``_SMALL_BLOCK`` states.
 
-    A (len(s), C, d, d) stack: each step's phases exp(-i tau s Hf) times its
-    rotations R(theta)^{(x)w}, a window by one ``np.exp`` and w - 1 batched
-    ``_kron``s, raised to the k-th power by squaring, with the phase B
-    between steps, ``between``, folded into every step after step 0.
+    ``_split_steps``' steps as a (len(s), C, d, d) stack: the phases times
+    R^{(x)w}, to the k-th power by squaring, with ``between`` after step 0.
     """
     rot = _site_rotation(tau * (1.0 - s) * h)
     power = rot
@@ -544,14 +434,15 @@ def _split_steps(
 ) -> np.ndarray:
     """The split steps at the points ``s`` of framed (C, 3**w) block amplitudes, w >= 3.
 
-    The window's rotation powers R(theta)^{(x)g} come first, one vectorized
-    ``_site_rotation`` and a batched ``_kron`` per power, then its one spare
-    array of the grid's shape and the ``_split_views`` of the two.  Each
-    step is then one ``_split_step`` call, after the phase B, ``between``,
-    for every step after step 0, and steps ``grid`` in place.  Its full
-    phase P = exp(-i tau s Hf) is computed by ``np.exp`` at the window's
-    first step, and at each later one is the last step's times ``ratio`` =
-    exp(-i tau Hf / M), multiplied in place.
+    Step l is half_l D P_l D ... P_l D half_l: k = ``_SPLIT_SUBSTEPS`` driver
+    substeps D = R(tau (1 - s_l) h)^{(x)w} between full phases P_l = exp(-i
+    tau s_l Hf), tau = dt / k, half_l = exp(-i tau s_l Hf / 2).  Each substep
+    ends with P_l, so the phase left between steps l and l + 1 is half_{l+1}
+    conj(half_l) = exp(-i tau Hf / (2 M)), ``between``; half_0 = 1, and
+    ``anneal`` closes the run with conj(half_M).  P_l is the last step's
+    times ``ratio``, refreshed by ``np.exp`` at each window's first step
+    (see ``_STEP_WINDOW``).  The leading w - 2 sites are one group, or w - 4
+    and 2 sites from w = 6, so no factor is above 27 x 27.
     """
     w = _qutrits(hf.shape[1])
     groups = (w - 2,) if w <= 5 else (w - 4, 2)
@@ -575,25 +466,15 @@ def _split_steps(
 def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     """The final amplitudes of the full schedule from the driver ground state.
 
-    Applies one step per l = 0 .. M (M + 1 factors; the l = 0 factor only
-    rephases the initial state).  ``hf`` is the final Hamiltonian as C block
-    rows of 3**w entries; it is annealed as C copies of the w-qutrit initial
-    state, one per block, and the register's amplitudes are the Kronecker
-    product of the blocks in register order.  Rows that are not a real,
-    finite 2-D array of length 3**w, w >= 1, are a ``ValueError``.
-
-    A run of more than ``_MAX_STEPS`` steps is refused first, naming M.
-    The window is chosen once, from the rows' width alone: on rows of at
-    most ``_SMALL_BLOCK`` states as many steps as fit their stack of step
-    matrices in ``_PROPAGATORS`` entries, on wider rows ``_STEP_WINDOW``
-    steps.  Each mode then sets up once the run's two ends and its
-    run-constant factors.  Exact-step checks the guard on ``_radii`` at s =
-    0 and s = 1, and a refusal names the end past it, h or Hf's width; it
-    centres the rows before the loop and applies each block's phase after
-    it.  Split-step refuses a substep angle tau h or phase tau max|Hf| past
-    the float range, naming which; it enters the frame before the loop and
-    leaves it, with the closing half phase, after.  The one loop hands each
-    window to the mode's window body for the rows' width.
+    One step per l = 0 .. M; the l = 0 step only rephases the initial state.
+    ``hf`` holds C block rows of 3**w entries, annealed as C copies of the
+    w-qutrit initial state; the result is the blocks' Kronecker product in
+    register order.  Rows that are not a real, finite (C, 3**w) array, w >= 1,
+    are a ``ValueError``.  Before any step a ``SizeGuardError`` refuses more
+    than ``_MAX_STEPS`` steps, naming M; in exact-step, dt r above
+    ``_MAX_DT_RADIUS``, naming the end past it, h or Hf's width; in
+    split-step, a substep angle tau h or phase tau max|Hf| past the float
+    range, naming which.
     """
     hf = np.asarray(hf)
     shape = hf.shape
@@ -658,17 +539,12 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
 class ReadoutReport:
     """Probabilities of the decoded set partitions, most probable first.
 
-    The partitions are held in rank order: descending probability, exact
-    ties to the larger ``Partition.canonical`` tuple.  ``keys`` holds their
-    int64 ``partition_keys``, ``probabilities`` their probabilities and
-    ``labels`` one label row each, from the encoding's table; only the first,
-    ``top_partition``, is built as a ``Partition``.  ``partition_probabilities``
-    maps each partition of ``n_clusters`` labels to its probability, in rank
-    order, and is built on first read.  ``partition_index`` gives, per basis
-    state, the rank of its partition, or -1 for states whose blocks sit in
-    states no cluster uses (possible under penalty encodings); those never
-    contribute to the partitions' probabilities and are summed in
-    ``invalid_probability``.
+    Ties go to the larger ``Partition.canonical``.  ``keys`` holds their int64
+    ``partition_keys``, ``probabilities`` their probabilities and ``labels`` one
+    label row each; only ``top_partition`` is built as a ``Partition``, and
+    ``partition_probabilities`` on first read.  ``partition_index`` gives each
+    basis state its partition's rank, or -1 for a state no partition holds
+    (under penalty encodings), summed in ``invalid_probability``.
     """
 
     basis_probabilities: np.ndarray
@@ -691,9 +567,8 @@ def decode(amplitudes: np.ndarray, encoding: Encoding) -> ReadoutReport:
     """Aggregate basis probabilities into ranked set-partition probabilities.
 
     Each basis state decodes to the partition of its row of the encoding's
-    label table; the rows the encoding marks invalid decode to none.  The
-    partitions are grouped and ranked by their ``partition_keys`` in numpy,
-    and only the top one becomes a ``Partition`` here.
+    label table, or to none where the encoding marks it invalid.  Amplitudes
+    that do not fit the register, or no valid state, are a ``ValueError``.
     """
     size = 3**encoding.n_qutrits
     if np.shape(amplitudes) != (size,):

@@ -1,21 +1,11 @@
 """Clustering instances, the intra-cluster cost, and the exhaustive oracle.
 
-The oracle, ``oracle_min``, enumerates every cluster assignment of a small
-instance and is the classical reference that annealing results are
-certified against; its ``OracleResult`` holds the exact minimum and the
-optimal partitions' ``partition_keys``.  It costs in numpy chunks by
-broadcasting: the last free points (3**9 assignments at most) are the axes
-of one cost tensor, and each assignment of the others is a chunk.  The
-tensors are built from the last of those points back, each point's axis
-leading over the long contiguous array of the points after it.  Only
-assignments near the minimum become label rows, and a chunk with none
-leaves no rows; they are deduplicated by their keys and re-costed exactly,
-and the optimal ones become ``Partition``s only when read.  At its guard
-(12 points) it takes about 0.003 s for K = 3 (531,441 assignments) and
-0.012 s for K = 4 with one point fixed (4,194,304); 12 coincident points,
-where every assignment ties, take about 0.4 s at K = 3 (88,574 partitions)
-and 3 s at K = 4 with one point fixed (700,075).
-Ties are every assignment within one relative window of the exact minimum.
+The oracle, ``oracle_min``, enumerates every cluster assignment of an
+instance of at most ``ORACLE_MAX_POINTS`` points and is the classical
+reference that annealing results are certified against.  It costs the
+assignments in numpy chunks (``_cost_chunks``) and re-costs those near the
+minimum exactly (``_exact_costs``); its ``OracleResult`` holds the exact
+minimum and the optimal partitions as ``partition_keys``.
 """
 
 from __future__ import annotations
@@ -66,9 +56,11 @@ class PointSet:
         labels = self.labels
         if labels is not None:
             if not (
-                isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)
+                isinstance(labels, (list, tuple)) and all(map(is_utf8, labels))
             ):
-                raise SpecError(f"'labels' must be a list of strings, got {labels!r}")
+                raise SpecError(
+                    f"'labels' must be a list of strings that UTF-8 can encode, got {labels!r}"
+                )
             if len(labels) != len(pts):
                 raise SpecError(
                     f"'labels' must name each of the {len(pts)} points, got {len(labels)}"
@@ -77,6 +69,20 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def is_utf8(value) -> bool:
+    """True for a string that UTF-8 can encode: one with no lone surrogate.
+
+    Python reads file-name bytes that the locale cannot decode as lone surrogates.
+    """
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _is_sequence(value) -> bool:
@@ -362,11 +368,12 @@ def oracle_min(dm: DistanceMatrix, K: int, fixed: Mapping[int, int] | None = Non
     ``math.fsum`` of :func:`cost`, so ``min_cost`` is the exact minimum.
     The argmin is every assignment whose ``cost`` lies within
     ``_ARGMIN_REL_TOL * (1 + |min_cost|)`` of ``min_cost``: one window around
-    the final minimum.  (A running-best scan could also keep an early member of
-    a chain of near-ties lying up to two windows above it; this one does
-    not.)  It holds one sorted key per set partition, in canonical order,
-    with the labels of its first assignment in enumeration order; no
-    ``Partition`` is built until ``argmin_partitions`` is read.
+    the final minimum, not around each running minimum.  It holds one sorted
+    key per set partition, in canonical order, with the labels of its first
+    assignment in enumeration order; no ``Partition`` is built until
+    ``argmin_partitions`` is read.  A K outside [1, 128] or a ``fixed`` label
+    out of range is a ``ValueError``, and an instance past
+    ``ORACLE_MAX_POINTS`` or ``ORACLE_MAX_ASSIGNMENTS`` a ``SizeGuardError``.
     """
     chunks = _cost_chunks(dm, K, dict(fixed or {}))
     pairs = np.triu_indices(dm.n_points, 1)

@@ -12,7 +12,8 @@ point count), ``AnnealConfig`` (the anneal block) and ``ProblemSpec``
 ``SpecError`` naming the spec field, so a library caller and a spec file
 meet the same rules.  ``spec_from_dict`` checks only the JSON shape (known
 keys, required fields), fills in the defaults that depend on the method,
-and rejects ``"pinned": false`` on a method that pins.
+and rejects ``"pinned": false`` on a method that pins and a default name,
+the spec file's, that UTF-8 cannot encode.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .clustering import (
     PointSet,
     cost,
     distance_matrix,
+    is_utf8,
     oracle_min,
 )
 from .errors import SizeGuardError, SpecError, is_int
@@ -83,6 +85,8 @@ class ProblemSpec:
                 f"'name' must be a plain file name: not empty, '.' or '..', "
                 f"and without '/', '\\' or NUL, got {name!r}"
             )
+        if not is_utf8(name):
+            raise SpecError(f"'name' must be text that UTF-8 can encode, got {name!r}")
         emit = self.emit
         if not (
             isinstance(emit, (list, tuple)) and all(f in EMIT_FORMATS for f in emit)
@@ -186,10 +190,17 @@ def spec_from_dict(data: dict, default_name: str = "spec") -> ProblemSpec:
     """Parse a spec dictionary into a ProblemSpec.
 
     Only the JSON shape is checked here; the constructors check the values.
+    A ``default_name`` that UTF-8 cannot encode, as a spec file's name that
+    the locale could not decode, is refused with the advice to give 'name'.
     """
     _require(isinstance(data, dict), "spec must be a JSON object")
     unknown = set(data) - _SPEC_KEYS
     _require(not unknown, f"unknown spec field(s): {sorted(unknown)}")
+    _require(
+        "name" in data or is_utf8(default_name),
+        f"'name' defaults to {default_name!r}, the spec file's name, which UTF-8 "
+        "cannot encode; give the spec a 'name'",
+    )
     for key in ("points", "method"):
         _require(key in data, f"spec is missing the required {key!r} field")
 

@@ -225,14 +225,22 @@ def test_spec_files_and_artifacts_are_utf8_whatever_the_locale(tmp_path, tiny_sp
     # generated skeleton are written as UTF-8, and a spec file that is not
     # UTF-8 is a SpecError that names it.  stdout is ASCII there: the run
     # through the library writes no table to it, and the CLI's run escapes
-    # the labels in its table there and writes its files as UTF-8
+    # the labels in its table there and writes its files as UTF-8.  The file
+    # system's encoding is ASCII too, so a run of a spec named "café" is
+    # refused before its out directory is made, naming 'name', and a run
+    # into a directory "café" names 'out'
     labels = ["café", "naïve", "Zürich", "東京"]
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
     cli_out = tmp_path / "cli-out"
+    named, named_out = tmp_path / "named.json", tmp_path / "named-out"
     good.write_bytes(json.dumps({**tiny_spec_dict, "labels": labels}, ensure_ascii=False).encode())
     bad.write_bytes('{"name": "café"}'.encode("latin-1"))
+    named.write_bytes(json.dumps({**tiny_spec_dict, "name": "café"}, ensure_ascii=False).encode())
     code = f"""
+import contextlib
+import io
 import locale
+import os
 from qutrit_anneal.cli import main
 from qutrit_anneal.emit import emit
 from qutrit_anneal.errors import SpecError
@@ -249,6 +257,17 @@ else:
     raise AssertionError("a latin-1 spec loaded")
 exit_code = main(["run", {str(good)!r}, "--emit", "table,csv,svg", "--out", {str(cli_out)!r}])
 assert exit_code in (0, 1), exit_code
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    exit_code = main(["run", {str(named)!r}, "--emit", "table,csv", "--out", {str(named_out)!r}])
+assert exit_code == 2 and "'name'" in err.getvalue(), (exit_code, ascii(err.getvalue()))
+assert not os.path.exists({str(named_out)!r})
+try:
+    emit(run(load_spec({str(good)!r})), ["table"], {ascii(str(tmp_path / "café"))})
+except SpecError as exc:
+    assert "'out'" in str(exc), ascii(str(exc))
+else:
+    raise AssertionError("an out directory the file system cannot encode was made")
 """
     env = dict(
         os.environ,
@@ -265,6 +284,22 @@ assert exit_code in (0, 1), exit_code
     assert sorted(cli_texts) == ["tiny.csv", "tiny.svg", "tiny.txt"]
     assert all(label in cli_texts["tiny.txt"] for label in labels)
     assert b"caf\\xe9" in proc.stdout and b"\\u6771\\u4eac" in proc.stdout
+
+
+def test_spec_file_name_utf8_cannot_encode_needs_a_name(tmp_path, tiny_spec_dict, capsys):
+    # under a UTF-8 locale the latin-1 bytes of this file name read as a lone
+    # surrogate; without a "name" the spec once annealed, then left an empty
+    # artifact and a message that named no field
+    del tiny_spec_dict["name"]
+    path = Path(os.fsdecode(os.fsencode(tmp_path) + b"/caf\xe9.json"))
+    path.write_text(json.dumps(tiny_spec_dict))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "give the spec a 'name'" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text(json.dumps({**tiny_spec_dict, "name": "cafe"}))
+    assert main(["run", str(path), "--out", str(out)]) in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == ["cafe.txt"]
 
 
 def test_svg_has_marker_group_sizes_3_2_1(preset_result):

@@ -483,6 +483,14 @@ BAD_VALUES = [
         )
         for centroids in ([], [0])
     ],
+    # a lone surrogate, as a file name the locale cannot decode reads, once
+    # ran the whole anneal, then failed to write its artifacts
+    ("name", {"name": "caf\udce9"}, partial(ProblemSpec, **_SPEC, name="caf\udce9")),
+    (
+        "labels",
+        {"labels": ["a", "b", "c", "\udce9"]},
+        partial(PointSet, _POINTS, ("a", "b", "c", "\udce9")),
+    ),
 ]
 
 

@@ -1,4 +1,4 @@
-"""The README's library example runs, so every name it imports still exists."""
+"""README checks: the library example runs, and the numerics section holds no run times."""
 
 import re
 from pathlib import Path
@@ -6,7 +6,19 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title: str) -> str:
+    """The text of README's section ``## title``, up to the next section."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_example_runs():
-    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    code = re.search(r"```python\n(.*?)```", section("Library use"), re.S).group(1)
     exec(compile(code, f"{README.name} (Library use)", "exec"), {})
+
+
+def test_readme_numerics_hold_no_run_times():
+    # the section says what the program does; run times go with each change
+    # in CHANGES.md, so they cannot pile up here
+    prose = re.sub(r"`[^`]*`", "", section("Conventions and numerics"))
+    assert not re.findall(r"\d\s*(?:s|ms|µs|us)\b", prose)
+    assert "CPU time" not in prose and "timeit" not in prose

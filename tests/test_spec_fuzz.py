@@ -45,7 +45,7 @@ VALUES = [
     0.1, 0.5, 8.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e-310,
     [], [[]], [[0, 0]], [[[1]]], [0, 1], [[0, 0], [1, 1]], [[1], [0], [-1]],
     "one-hot-K3", "one-hot-K3-pinned", "one-hot-K2-penalty", "one-hot-multispin",
-    "kmeanspp", "exact-step", "split-step", "table", "",
+    "kmeanspp", "exact-step", "split-step", "table", "", "caf\udce9",
 ]
 
 #: Where a value goes: a top-level field, an anneal field, a whole point or
@@ -94,7 +94,7 @@ def run_and_render(data: dict) -> bool:
     except (SpecError, SizeGuardError):
         return False
     for render in (render_table, render_csv, render_svg):
-        assert render(result)
+        assert render(result).encode("utf-8")  # as emit writes it
     return True
 
 
