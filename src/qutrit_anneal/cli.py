@@ -13,9 +13,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .emit import FORMATS, emit, render_table
+from .emit import emit, render_table
 from .errors import SizeGuardError, SpecError
-from .harness import generate_instance, load_spec, run, with_overrides
+from .harness import EMIT_FORMATS, generate_instance, load_spec, run, with_overrides
 from .presets import PRESET_NAMES, get_preset
 
 EXIT_MATCH = 0
@@ -38,7 +38,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--emit",
         default=None,
         metavar="FMT[,FMT...]",
-        help=f"comma-separated artifact formats to write ({', '.join(FORMATS)}); "
+        help=f"comma-separated artifact formats to write ({', '.join(EMIT_FORMATS)}); "
         "overrides the spec's 'emit' list (default: table)",
     )
     parser.add_argument(

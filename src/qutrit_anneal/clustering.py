@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError, SpecError, is_finite_real, is_int
+from .errors import SizeGuardError, SpecError, is_finite_real, is_int, is_utf8
 
 #: Hard cap for exhaustive enumeration (K**n assignments).
 ORACLE_MAX_POINTS = 12
@@ -69,20 +69,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def is_utf8(value) -> bool:
-    """True for a string that UTF-8 can encode: one with no lone surrogate.
-
-    Python reads file-name bytes that the locale cannot decode as lone surrogates.
-    """
-    if not isinstance(value, str):
-        return False
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _is_sequence(value) -> bool:

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import functools
-import os
-import sys
 from pathlib import Path
 
-from .errors import SpecError
-from .harness import EMIT_FORMATS as FORMATS
-from .harness import RunResult
+from .harness import RunResult, artifact_paths
 from .spin import digit_table
 
 #: Marker shapes and colours assigned to clusters by decreasing cluster
@@ -180,28 +176,12 @@ def render_svg(result: RunResult) -> str:
 def emit(result: RunResult, formats, out_dir: str | Path = ".") -> list[Path]:
     """Write the requested artifact files, named after the spec.
 
-    Every format, and every file's path against the file-system encoding, is
-    checked before the directory or any file is made: a path that encoding
-    cannot hold is a ``SpecError`` naming 'name', or 'out' if the directory's.
+    ``harness.artifact_paths`` names the files and checks every format and
+    path, raising ``SpecError``, before the directory or any file is made.
     """
-    unknown = [fmt for fmt in formats if fmt not in FORMATS]
-    if unknown:
-        raise ValueError(f"unknown emit format(s) {unknown}, expected from {FORMATS}")
+    paths = artifact_paths(result.spec.name, formats, out_dir)
     renderers = {"table": render_table, "csv": render_csv, "svg": render_svg}
-    suffixes = {"table": ".txt", "csv": ".csv", "svg": ".svg"}
-    out_dir = Path(out_dir)
-    paths = [out_dir / (result.spec.name + suffixes[fmt]) for fmt in formats]
-    for path in paths:
-        try:
-            os.fsencode(path)
-        except UnicodeEncodeError as exc:
-            # the path ends in the file's name: the spec's name and a suffix
-            field = "name" if exc.start >= len(str(path)) - len(path.name) else "out"
-            raise SpecError(
-                f"{str(path)!r} does not fit the file-system encoding "
-                f"{sys.getfilesystemencoding()!r}; change {field!r}"
-            ) from None
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     for fmt, path in zip(formats, paths):
         path.write_text(renderers[fmt](result), encoding="utf-8")
     return paths

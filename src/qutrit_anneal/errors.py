@@ -30,3 +30,17 @@ def is_finite_real(value) -> bool:
 def is_positive_finite(value) -> bool:
     """True for a real number, not a bool, that is finite and above zero."""
     return is_finite_real(value) and value > 0
+
+
+def is_utf8(value) -> bool:
+    """True for a string that UTF-8 can encode: one with no lone surrogate.
+
+    Python reads file-name bytes that the locale cannot decode as lone surrogates.
+    """
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True

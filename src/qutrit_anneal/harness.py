@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,10 +37,9 @@ from .clustering import (
     PointSet,
     cost,
     distance_matrix,
-    is_utf8,
     oracle_min,
 )
-from .errors import SizeGuardError, SpecError, is_int
+from .errors import SizeGuardError, SpecError, is_int, is_utf8
 from .hamiltonians import (
     REGISTER_MAX_QUTRITS,
     Encoding,
@@ -48,8 +48,9 @@ from .hamiltonians import (
     pinned_method,
 )
 
-#: Artifact formats a run can emit (renderers live in the emit module).
-EMIT_FORMATS = ("table", "csv", "svg")
+#: Artifact formats a run can emit, each with its file's suffix (renderers live in emit).
+EMIT_SUFFIXES = {"table": ".txt", "csv": ".csv", "svg": ".svg"}
+EMIT_FORMATS = tuple(EMIT_SUFFIXES)
 
 _DEFAULT_H = 8.0
 
@@ -60,6 +61,7 @@ class ProblemSpec:
 
     ``encoding`` is derived from the points, scheme, pinning and centroids;
     ``pinned`` and ``centroids`` are normalized to the ones it uses.
+    ``artifact_paths`` checks the files that name, emit and out make.
     """
 
     points: PointSet
@@ -87,16 +89,10 @@ class ProblemSpec:
             )
         if not is_utf8(name):
             raise SpecError(f"'name' must be text that UTF-8 can encode, got {name!r}")
-        emit = self.emit
-        if not (
-            isinstance(emit, (list, tuple)) and all(f in EMIT_FORMATS for f in emit)
-        ):
-            raise SpecError(
-                f"'emit' must be a list of formats from {EMIT_FORMATS}, got {emit!r}"
-            )
-        object.__setattr__(self, "emit", tuple(emit))
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise SpecError(f"'out' must be a directory path, got {self.out_dir!r}")
+        artifact_paths(name, self.emit, self.out_dir)
+        object.__setattr__(self, "emit", tuple(self.emit))
         if self.seed is not None and not is_int(self.seed):
             raise SpecError(f"'seed' must be an integer, got {self.seed!r}")
         encoding = Encoding(self.scheme, len(self.points), self.pinned, self.centroids)
@@ -145,6 +141,26 @@ class RunResult:
     @property
     def oracle_partitions(self) -> tuple[Partition, ...]:
         return self.oracle.argmin_partitions
+
+
+def artifact_paths(name: str, formats, out_dir: str | os.PathLike) -> list[Path]:
+    """The files a run writes, ``out_dir / (name + suffix)``, one per format.
+
+    ``ProblemSpec`` and ``emit`` both apply this rule.  A format outside
+    ``EMIT_FORMATS`` is a ``SpecError`` naming 'emit'; a name or an out
+    directory that the file-system encoding cannot hold, one naming that field.
+    """
+    if not (isinstance(formats, (list, tuple)) and all(f in EMIT_FORMATS for f in formats)):
+        raise SpecError(f"'emit' must be a list of formats from {EMIT_FORMATS}, got {formats!r}")
+    for key, value in (("name", name), ("out", out_dir)):
+        try:
+            os.fsencode(value)
+        except UnicodeEncodeError:
+            raise SpecError(
+                f"{key!r} must fit the file-system encoding "
+                f"{sys.getfilesystemencoding()!r}, got {os.fspath(value)!r}"
+            ) from None
+    return [Path(out_dir) / (name + EMIT_SUFFIXES[fmt]) for fmt in formats]
 
 
 def generate_instance(n_points: int, seed: int) -> PointSet:

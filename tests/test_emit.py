@@ -226,9 +226,10 @@ def test_spec_files_and_artifacts_are_utf8_whatever_the_locale(tmp_path, tiny_sp
     # UTF-8 is a SpecError that names it.  stdout is ASCII there: the run
     # through the library writes no table to it, and the CLI's run escapes
     # the labels in its table there and writes its files as UTF-8.  The file
-    # system's encoding is ASCII too, so a run of a spec named "café" is
-    # refused before its out directory is made, naming 'name', and a run
-    # into a directory "café" names 'out'
+    # system's encoding is ASCII too, so a spec named "café" or one sent to a
+    # directory "café" is refused when it is built, naming 'name' or 'out':
+    # the CLI exits 2 before it anneals, prints nothing and makes no directory,
+    # and the library's emit refuses such a directory before making it
     labels = ["café", "naïve", "Zürich", "東京"]
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
     cli_out = tmp_path / "cli-out"
@@ -238,13 +239,15 @@ def test_spec_files_and_artifacts_are_utf8_whatever_the_locale(tmp_path, tiny_sp
     named.write_bytes(json.dumps({**tiny_spec_dict, "name": "café"}, ensure_ascii=False).encode())
     code = f"""
 import contextlib
+import dataclasses
 import io
 import locale
 import os
+import qutrit_anneal.cli
 from qutrit_anneal.cli import main
 from qutrit_anneal.emit import emit
 from qutrit_anneal.errors import SpecError
-from qutrit_anneal.harness import load_spec, run
+from qutrit_anneal.harness import ProblemSpec, load_spec, run
 
 assert locale.getpreferredencoding(False) == "ANSI_X3.4-1968", locale.getpreferredencoding(False)
 emit(run(load_spec({str(good)!r})), ["table", "csv", "svg"], {str(out)!r})
@@ -257,11 +260,35 @@ else:
     raise AssertionError("a latin-1 spec loaded")
 exit_code = main(["run", {str(good)!r}, "--emit", "table,csv,svg", "--out", {str(cli_out)!r}])
 assert exit_code in (0, 1), exit_code
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    exit_code = main(["run", {str(named)!r}, "--emit", "table,csv", "--out", {str(named_out)!r}])
-assert exit_code == 2 and "'name'" in err.getvalue(), (exit_code, ascii(err.getvalue()))
-assert not os.path.exists({str(named_out)!r})
+
+
+def refuse_to_anneal(spec):
+    raise AssertionError("the CLI annealed a spec whose files cannot be named")
+
+
+qutrit_anneal.cli.run = refuse_to_anneal
+entries = sorted(os.listdir({str(tmp_path)!r}))
+for args, field in [
+    (["run", {str(named)!r}, "--emit", "table,csv", "--out", {str(named_out)!r}], "'name'"),
+    (["run", {str(good)!r}, "--out", {ascii(str(tmp_path / "café"))}], "'out'"),
+]:
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        exit_code = main(args)
+    assert exit_code == 2 and field in err.getvalue(), (exit_code, ascii(err.getvalue()))
+    assert out.getvalue() == "", ascii(out.getvalue())
+    assert sorted(os.listdir({str(tmp_path)!r})) == entries
+spec = load_spec({str(good)!r})
+for build, field in [
+    (lambda: ProblemSpec(spec.points, spec.scheme, spec.anneal, name="caf\\xe9"), "'name'"),
+    (lambda: dataclasses.replace(spec, out_dir={ascii(str(tmp_path / "café"))}), "'out'"),
+]:
+    try:
+        build()
+    except SpecError as exc:
+        assert field in str(exc), ascii(str(exc))
+    else:
+        raise AssertionError(f"a spec whose {{field}} the file system cannot encode was built")
 try:
     emit(run(load_spec({str(good)!r})), ["table"], {ascii(str(tmp_path / "café"))})
 except SpecError as exc:

@@ -1,4 +1,4 @@
-"""README checks: the library example runs, and the numerics section holds no run times."""
+"""README checks: the library example runs, and no run time is written down."""
 
 import re
 from pathlib import Path
@@ -16,9 +16,10 @@ def test_readme_library_example_runs():
     exec(compile(code, f"{README.name} (Library use)", "exec"), {})
 
 
-def test_readme_numerics_hold_no_run_times():
-    # the section says what the program does; run times go with each change
-    # in CHANGES.md, so they cannot pile up here
-    prose = re.sub(r"`[^`]*`", "", section("Conventions and numerics"))
-    assert not re.findall(r"\d\s*(?:s|ms|µs|us)\b", prose)
+def test_readme_holds_no_run_times():
+    # README says what the program does; run times and memory peaks go with
+    # each change in CHANGES.md, so they cannot pile up here
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    prose = re.sub(r"`[^`]*`", "", prose)
+    assert not re.findall(r"\d\s*(?:s|ms|µs|us|MB)\b", prose)
     assert "CPU time" not in prose and "timeit" not in prose

@@ -4,7 +4,8 @@ Each case starts from a working spec and sets one to three fields to values
 from a fixed table of edge cases.  The library may refuse the result only
 with ``SpecError`` or ``SizeGuardError``; anything it accepts must run and
 render in every format.  pytest's ``filterwarnings = error`` makes a numpy
-warning a failure too.
+warning a failure too.  A second pass sets each value alone on 'name' and on
+'out', the fields that name a run's files.
 """
 
 import copy
@@ -19,17 +20,19 @@ import pytest
 from qutrit_anneal.cli import main
 from qutrit_anneal.emit import render_csv, render_svg, render_table
 from qutrit_anneal.errors import SizeGuardError, SpecError
-from qutrit_anneal.harness import run, spec_from_dict
+from qutrit_anneal.harness import artifact_paths, run, spec_from_dict
 from qutrit_anneal.presets import _PRESETS, PRESET_NAMES
 
 # the package exports the function anneal under its module's name
 anneal_module = importlib.import_module("qutrit_anneal.anneal")
 
+ONE_HOT_K3 = {"points": [[0, 0], [0, 1], [10, 10], [-10, 10], [3, 4]], "method": "one-hot-K3"}
+
 #: The working specs the mutations start from: the presets, a multispin spec,
 #: a one-hot-K3 spec and the kmeanspp K = 10 spec of two 3-qutrit blocks.
 BASES = [_PRESETS[name] for name in PRESET_NAMES] + [
     {"points": [[0, 0], [0, 1], [10, 10], [-10, 10]], "method": "one-hot-multispin", "K": 4},
-    {"points": [[0, 0], [0, 1], [10, 10], [-10, 10], [3, 4]], "method": "one-hot-K3"},
+    ONE_HOT_K3,
     {
         "points": [[0, 0], [10, 0], [20, 0], [30, 0], [0, 10], [10, 10], [20, 10], [30, 10],
                    [0, 20], [10, 20], [1, 1], [29, 9]],
@@ -52,7 +55,7 @@ VALUES = [
 #: one coordinate of a point.
 FIELDS = [
     ("name",), ("points",), ("labels",), ("method",), ("K",), ("centroids",),
-    ("centroid_states",), ("penalty",), ("pinned",), ("seed",), ("emit",), ("anneal",),
+    ("centroid_states",), ("penalty",), ("pinned",), ("seed",), ("emit",), ("out",), ("anneal",),
     ("anneal", "M"), ("anneal", "dt"), ("anneal", "h"), ("anneal", "mode"),
     ("points", -1), ("points", 1, 0),
 ]
@@ -102,6 +105,23 @@ def test_mutated_specs_are_refused_or_run():
     outcomes = [run_and_render(data) for data in mutants(500)]
     # most values are refused, but the fuzz still reaches runs and emitters
     assert sum(outcomes) >= 20
+
+
+@pytest.mark.parametrize("key", ["name", "out"])
+def test_each_value_alone_on_a_file_field_is_refused_naming_it_or_names_the_files(key):
+    # the mutants above seldom decide a spec on these fields: another field
+    # they set is refused first
+    refused = []
+    for value in VALUES:
+        try:
+            spec = spec_from_dict({**ONE_HOT_K3, key: copy.deepcopy(value)})
+        except SpecError as exc:
+            assert f"{key!r}" in str(exc), (value, str(exc))
+            refused.append(value)
+        else:
+            paths = artifact_paths(spec.name, spec.emit, spec.out_dir)
+            assert len(paths) == len(spec.emit) == 1, paths
+    assert key != "name" or "caf\udce9" in refused
 
 
 def validates(data: dict) -> bool:
