@@ -39,7 +39,6 @@ from .hamiltonians import (
     METHODS,
     Encoding,
     EncodingScheme,
-    block_state_index,
     block_state_list,
     spins_per_point,
 )

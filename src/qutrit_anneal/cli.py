@@ -15,7 +15,9 @@ from pathlib import Path
 
 from .emit import emit, render_table
 from .errors import SizeGuardError, SpecError
-from .harness import EMIT_FORMATS, generate_instance, load_spec, run, with_overrides
+from .harness import (
+    EMIT_FORMATS, artifact_paths, generate_instance, load_spec, run, with_overrides
+)
 from .presets import PRESET_NAMES, get_preset
 
 EXIT_MATCH = 0
@@ -149,6 +151,8 @@ def _command(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
         text = json.dumps(skeleton, indent=2) + "\n"
+        if args.out is not None:  # refuse an --out the file system cannot name first
+            artifact_paths(skeleton["name"], [], args.out)
         sys.stdout.write(text)
         if args.out is not None:
             path = Path(args.out) / (skeleton["name"] + ".json")

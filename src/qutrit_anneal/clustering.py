@@ -275,12 +275,12 @@ def _cost_chunks(
             raise ValueError(f"fixed {{{p!r}: {l!r}}} not in range({n}) x range({K})")
     if n > ORACLE_MAX_POINTS:
         raise SizeGuardError(
-            f"{n} points exceeds the enumeration guard of {ORACLE_MAX_POINTS}"
+            f"{n} points exceeds the oracle enumeration guard of {ORACLE_MAX_POINTS}"
         )
     free = [i for i in range(n) if i not in fixed]
     if K ** len(free) > ORACLE_MAX_ASSIGNMENTS:
         raise SizeGuardError(
-            f"{K}**{len(free)} assignments exceed the enumeration guard of "
+            f"{K}**{len(free)} assignments exceed the oracle enumeration guard of "
             f"{ORACLE_MAX_ASSIGNMENTS}"
         )
     r = len(free)

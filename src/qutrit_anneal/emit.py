@@ -5,8 +5,8 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
+from .hamiltonians import block_state_list
 from .harness import RunResult, artifact_paths
-from .spin import digit_table
 
 #: Marker shapes and colours assigned to clusters by decreasing cluster
 #: size.  Six shapes against seven colours: the (shape, colour) pairs repeat
@@ -46,7 +46,7 @@ def render_table(result: RunResult) -> str:
 @functools.cache
 def _projection_strings(n: int) -> tuple[str, ...]:
     """The CSV digits column of an n-qutrit register: projections per basis state."""
-    return tuple(" ".join(map(str, row)) for row in (1 - digit_table(n)).tolist())
+    return tuple(" ".join(map(str, row)) for row in block_state_list(n))
 
 
 def render_csv(result: RunResult) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import DistanceMatrix
 from .errors import SpecError, is_int, is_positive_finite
-from .spin import PROJECTIONS, block_values, digit_from_projection, digit_table
+from .spin import PROJECTIONS, digit_table
 
 METHOD_ONEHOT_K3 = "one-hot-K3"
 METHOD_ONEHOT_K3_PINNED = "one-hot-K3-pinned"
@@ -104,14 +104,6 @@ def block_state_list(width: int) -> tuple[tuple[int, ...], ...]:
     is numbered by the q-th tuple of this list.
     """
     return tuple(map(tuple, (1 - digit_table(width)).tolist()))
-
-
-def block_state_index(state: Sequence[int]) -> int:
-    """Position of a projection tuple in the base-3 block ordering."""
-    value = 0
-    for m in state:
-        value = value * 3 + digit_from_projection(m)
-    return value
 
 
 @dataclass(frozen=True)
@@ -277,14 +269,18 @@ class Encoding:
     def labels(self) -> np.ndarray:
         K, width, n = self.K, self.scheme.spins_per_point, self.n_qutrits
         cluster = np.full(3**width, -1)
-        states = self.scheme.centroid_states or block_state_list(width)[:K]
-        cluster[[block_state_index(st) for st in states]] = np.arange(K)
+        if self.scheme.centroid_states is None:
+            cluster[:K] = np.arange(K)
+        else:
+            digits = 1 - np.array(self.scheme.centroid_states)
+            cluster[np.ravel_multi_index(digits.T, (3,) * width)] = np.arange(K)
         dtype = np.min_scalar_type(K + self.n_points)
         labels = np.zeros((3**n, self.n_points), dtype=dtype)  # pinned point 0: 0
         for c, p in enumerate(self.centroids or ()):
             labels[:, p] = c
-        for k, p in enumerate(self.points):
-            col = cluster[block_values(n, k * width, width)]
+        blocks = np.unravel_index(np.arange(3**n), (3**width,) * len(self.points))
+        for p, block in zip(self.points, blocks):
+            col = cluster[block]
             unused = K + p if self.scheme.traits.constant_penalty else K
             labels[:, p] = np.where(col >= 0, col, unused)
         labels.flags.writeable = False
@@ -302,29 +298,13 @@ class Encoding:
             out += d[i, j] * np.where(labels[:, i] == labels[:, j], 1.0, -1.0)
         return out
 
-    def penalty_weights(self, dm: DistanceMatrix) -> np.ndarray:
-        """Per-point penalty for sitting in a state no cluster uses.
-
-        A constant penalty defaults to twice the largest distance; K2's is
-        twice the point's distances to all the others.
-        """
-        if not self.scheme.traits.constant_penalty:
-            return 2.0 * dm.d.sum(axis=1)
-        a = self.scheme.penalty_constant
-        return np.full(self.n_points, 2.0 * dm.max_distance if a is None else float(a))
-
-    def penalty_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Sum of ``weights[p]`` over the points p in an unused state, per basis state."""
-        out = np.zeros(self.labels.shape[0])
-        for p, w in enumerate(weights):
-            out += w * (self.labels[:, p] >= self.K)
-        return out
-
     def hamiltonian(self, dm: DistanceMatrix) -> np.ndarray:
         """The final Hamiltonian's diagonal as read-only block rows, shape (C, 3**w).
 
-        The diagonal is the pair sum, plus the penalty sum where states go
-        unused.  A coupled register is the one row C = 1, its whole diagonal.
+        The diagonal is the pair sum, plus a penalty for each point in an
+        unused state: a constant, by default twice the largest distance, or
+        for K2 twice the point's distances to all the others.  A coupled
+        register is the one row C = 1, its whole diagonal.
         Otherwise row b is the diagonal at point b's block states with every
         other block in its first state; rows past the first subtract the
         diagonal at state 0, so the constant stays in row 0, and the rows sum
@@ -332,7 +312,15 @@ class Encoding:
         """
         diag = self.pair_sum(dm.d)
         if self.invalid.any():
-            diag = diag + self.penalty_sum(self.penalty_weights(dm))
+            if self.scheme.traits.constant_penalty:
+                a = self.scheme.penalty_constant
+                weights = np.full(self.n_points, 2.0 * dm.max_distance if a is None else float(a))
+            else:
+                weights = 2.0 * dm.d.sum(axis=1)
+            penalty = np.zeros(diag.shape)
+            for p, w in enumerate(weights):
+                penalty += w * (self.labels[:, p] >= self.K)
+            diag = diag + penalty
         on = set(self.points)
         if any(i in on and j in on for i, j in self.pairs):
             rows = diag[None]

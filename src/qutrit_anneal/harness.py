@@ -30,7 +30,6 @@ import numpy as np
 
 from .anneal import AnnealConfig, ReadoutReport, anneal, decode
 from .clustering import (
-    ORACLE_MAX_POINTS,
     DistanceMatrix,
     OracleResult,
     Partition,
@@ -146,7 +145,7 @@ class RunResult:
 def artifact_paths(name: str, formats, out_dir: str | os.PathLike) -> list[Path]:
     """The files a run writes, ``out_dir / (name + suffix)``, one per format.
 
-    ``ProblemSpec`` and ``emit`` both apply this rule.  A format outside
+    ``ProblemSpec``, ``emit`` and ``generate --out`` apply it.  A format outside
     ``EMIT_FORMATS`` is a ``SpecError`` naming 'emit'; a name or an out
     directory that the file-system encoding cannot hold, one naming that field.
     """
@@ -308,16 +307,12 @@ def run(spec: ProblemSpec) -> RunResult:
             f"register of {spec.register_qutrits} qutrits exceeds the "
             f"{REGISTER_MAX_QUTRITS}-qutrit guard"
         )
-    if len(spec.points) > ORACLE_MAX_POINTS:
-        raise SizeGuardError(
-            f"{len(spec.points)} points exceeds the oracle enumeration guard "
-            f"of {ORACLE_MAX_POINTS}"
-        )
     dm = distance_matrix(spec.points)
+    # first, so that its enumeration guards refuse a spec before any step
+    oracle = oracle_min(dm, spec.scheme.K, fixed=spec.encoding.fixed)
     hf = build_final_hamiltonian(spec, dm)
     amps = anneal(spec.anneal, hf)
     report = decode(amps, spec.encoding)
-    oracle = oracle_min(dm, spec.scheme.K, fixed=spec.encoding.fixed)
     # keys of tables of the same width (at most 12 points) compare
     top, argmin = report.keys[0], oracle.argmin_keys
     at = np.searchsorted(argmin, top)

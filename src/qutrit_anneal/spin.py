@@ -1,11 +1,11 @@
-"""Spin-1 operators and base-3 indexing on qutrit registers.
+"""Spin-1 operators and the one numbering of qutrit register states.
 
-The single-qutrit basis is ordered by z projection as (|1>, |0>, |-1>).
-A register state |m_1, ..., m_n> maps to the base-3 integer with digit
-1 - m per site, so digits run (0, 1, 2) for m = (1, 0, -1), site 0 is the
-most significant trit, and the all-|1> state has linear index 0.
-``digit_table`` maps every linear index to its digits at once, and
-``hamiltonians.block_state_index`` maps a projection tuple to its index.
+The single-qutrit basis is ordered by z projection as (|1>, |0>, |-1>), so
+projection m is digit 1 - m: digits run (0, 1, 2) for m = (1, 0, -1).  A
+register state's linear index is numpy's C-order index of its digits
+(``np.ravel_multi_index`` with shape (3,) * n, ``np.unravel_index`` back):
+site 0 is the most significant trit, and the all-|1> state has index 0.
+``digit_table`` maps every linear index to its digits at once.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -31,27 +31,8 @@ def spin_operator(kind: str) -> np.ndarray:
     raise ValueError(f"unknown spin operator kind {kind!r}, expected 'x' or 'z'")
 
 
-def digit_from_projection(m: int) -> int:
-    """Base-3 digit of a projection: 1 -> 0, 0 -> 1, -1 -> 2."""
-    if m not in (1, 0, -1):
-        raise ValueError(f"projection must be one of 1, 0, -1, got {m!r}")
-    return 1 - m
-
-
 def digit_table(n: int) -> np.ndarray:
     """(3**n, n) array of base-3 digits, one column per site, site 0 first."""
     if n < 1:
         raise ValueError("register needs at least one qutrit")
-    idx = np.arange(3**n)
-    return np.stack([(idx // 3 ** (n - 1 - i)) % 3 for i in range(n)], axis=1)
-
-
-def block_values(n: int, start: int, width: int) -> np.ndarray:
-    """Base-3 value of the digit block [start, start + width) per linear index."""
-    if width < 1 or start < 0 or start + width > n:
-        raise ValueError(
-            f"block [{start}, {start + width}) does not fit a {n}-qutrit register"
-        )
-    idx = np.arange(3**n)
-    return (idx // 3 ** (n - start - width)) % 3**width
-
+    return np.stack(np.unravel_index(np.arange(3**n), (3,) * n), axis=1)

@@ -8,7 +8,7 @@ import pytest
 from qutrit_anneal.anneal import MODE_EXACT, _exact_anneal
 from qutrit_anneal.harness import run, spec_from_dict, with_overrides
 from qutrit_anneal.presets import get_preset
-from qutrit_anneal.spin import block_values, digit_from_projection, spin_operator
+from qutrit_anneal.spin import spin_operator
 
 # four points whose three-cluster optimum must pair the two near the origin
 TINY_SPEC = {
@@ -44,12 +44,19 @@ def projector(m: int) -> np.ndarray:
     return {1: sz @ (eye + sz) / 2.0, 0: eye - sz @ sz, -1: -sz @ (eye - sz) / 2.0}[m]
 
 
+def block_state_index(state) -> int:
+    """Basis index of a projection tuple: base 3 with digit 1 - m, site 0 most significant."""
+    width = len(state)
+    return sum((1 - int(m)) * 3 ** (width - 1 - i) for i, m in enumerate(state))
+
+
 def group_projector_diagonal(state, start: int, n: int) -> np.ndarray:
     """0/1 diagonal of |state><state| on the block of sites from ``start``, identity elsewhere."""
-    target = 0
-    for m in state:
-        target = target * 3 + digit_from_projection(m)
-    return (block_values(n, start, len(state)) == target).astype(float)
+    width = len(state)
+    if start < 0 or start + width > n:
+        raise ValueError(f"block [{start}, {start + width}) does not fit {n} qutrits")
+    values = np.arange(3**n) // 3 ** (n - start - width) % 3**width
+    return (values == block_state_index(state)).astype(float)
 
 
 def step(amplitudes, s, hf, h, dt) -> np.ndarray:

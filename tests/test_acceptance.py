@@ -6,7 +6,7 @@ lines alongside the pytest verdicts.
 
 import numpy as np
 
-from conftest import dense_driver, ground_states, projector, step
+from conftest import block_state_index, dense_driver, ground_states, projector, step
 from qutrit_anneal.anneal import initial_state
 from qutrit_anneal.clustering import (
     Partition,
@@ -20,7 +20,6 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_MULTISPIN,
     Encoding,
     EncodingScheme,
-    block_state_index,
 )
 from qutrit_anneal.presets import get_preset
 from qutrit_anneal.spin import digit_table

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
-from conftest import dense_driver, full_diagonal, ground_states, step
+from conftest import block_state_index, dense_driver, full_diagonal, ground_states, step
 from qutrit_anneal.anneal import (
     MODE_EXACT,
     MODE_SPLIT,
@@ -32,7 +32,6 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_MULTISPIN,
     Encoding,
     EncodingScheme,
-    block_state_index,
 )
 from qutrit_anneal.spin import spin_operator
 

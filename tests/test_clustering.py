@@ -406,6 +406,16 @@ def test_oracle_keeps_every_tied_partition(points, K, expected):
     assert set(res.argmin_partitions) == argmin == {Partition(l, K) for l in expected}
 
 
+def test_oracle_window_leaves_out_a_near_tie():
+    # {0,2 | 1} costs 1e-7 more than {0,1 | 2}: 5e-8 of (1 + min_cost), past
+    # the 1e-9 window (but inside one of 1e-6), so it is no optimum
+    eps = 1e-7
+    dm = DistanceMatrix([[0.0, 1.0, 1.0 + eps], [1.0, 0.0, 5.0], [1.0 + eps, 5.0, 0.0]])
+    res = oracle_min(dm, 2)
+    assert res.min_cost == 1.0
+    assert res.argmin_partitions == (Partition([0, 0, 1], 2),)
+
+
 @pytest.mark.parametrize(
     "fixed", [{6: 0}, {-1: 0}, {0: 3}, {2: -1}, {0: 1.5}, {1.0: 0}, {True: 0}]
 )

@@ -229,7 +229,8 @@ def test_spec_files_and_artifacts_are_utf8_whatever_the_locale(tmp_path, tiny_sp
     # system's encoding is ASCII too, so a spec named "café" or one sent to a
     # directory "café" is refused when it is built, naming 'name' or 'out':
     # the CLI exits 2 before it anneals, prints nothing and makes no directory,
-    # and the library's emit refuses such a directory before making it
+    # as its generate does with such an --out, and the library's emit refuses
+    # such a directory before making it
     labels = ["café", "naïve", "Zürich", "東京"]
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
     cli_out = tmp_path / "cli-out"
@@ -271,6 +272,7 @@ entries = sorted(os.listdir({str(tmp_path)!r}))
 for args, field in [
     (["run", {str(named)!r}, "--emit", "table,csv", "--out", {str(named_out)!r}], "'name'"),
     (["run", {str(good)!r}, "--out", {ascii(str(tmp_path / "café"))}], "'out'"),
+    (["generate", "--n", "4", "--seed", "2", "--out", {ascii(str(tmp_path / "café"))}], "'out'"),
 ]:
     err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):

@@ -18,10 +18,10 @@ from qutrit_anneal.clustering import (
     oracle_min,
 )
 from qutrit_anneal.harness import build_final_hamiltonian, generate_instance, spec_from_dict
-from qutrit_anneal.spin import digit_table
 
 #: (method, points, extra spec fields): every method, with forbidden block
-#: states (multispin K = 2, 4; kmeanspp K = 2, 4) and without (K = 3, 9)
+#: states (multispin K = 2, 4; kmeanspp K = 2, 4) and without (K = 3, 9),
+#: and kmeanspp with centroid states out of base-3 order on blocks of 1 and 2
 DIAGONAL_SHAPES = [
     ("one-hot-K3", 5, {}),
     ("one-hot-K3-pinned", 6, {}),
@@ -35,6 +35,11 @@ DIAGONAL_SHAPES = [
     ("kmeanspp", 7, {"centroids": [0, 4, 2], "centroid_states": [[0], [-1], [1]]}),
     ("kmeanspp", 6, {"centroids": [5, 0, 2, 3]}),
     ("kmeanspp", 6, {"centroids": [1, 2, 3, 4], "penalty": 2.0}),
+    (
+        "kmeanspp",
+        6,
+        {"centroids": [4, 0, 3, 1], "centroid_states": [[0, 0], [-1, 1], [1, -1], [0, 1]]},
+    ),
 ]
 
 
@@ -80,7 +85,7 @@ def _reference_diagonal(spec, dm):
     total = sum(d[i, j] for i in range(n_points) for j in range(i + 1, n_points))
     width = n // (n_points - K) if method == "kmeanspp" else n // n_points
     states = _block_states(width)
-    projections = (1 - digit_table(n)).tolist()
+    projections = _block_states(n)
     for idx in range(3**n):
         ms = tuple(projections[idx])
         if method in ("one-hot-multispin", "kmeanspp"):

@@ -4,7 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import dense_driver, ground_states, group_projector_diagonal
+from conftest import (
+    block_state_index,
+    dense_driver,
+    full_diagonal,
+    ground_states,
+    group_projector_diagonal,
+)
 from qutrit_anneal.anneal import AnnealConfig, driver_factors
 from qutrit_anneal.clustering import (
     DistanceMatrix,
@@ -21,7 +27,6 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_MULTISPIN,
     Encoding,
     EncodingScheme,
-    block_state_index,
     block_state_list,
     spins_per_point,
 )
@@ -278,12 +283,15 @@ def build_kmeanspp(d_centroid_point, scheme):
 
 
 def build_penalty_kmeanspp(n_free_points, scheme, b):
-    """Constant penalty b per free point in a block state no centroid uses, as one row."""
+    """Constant penalty b per free point in a block state no centroid uses, as one row.
+
+    Every distance is zero, so the final Hamiltonian is the penalty alone.
+    """
     scheme = dataclasses.replace(scheme, penalty_constant=b)
     n_points = scheme.K + n_free_points
     encoding = Encoding(scheme, n_points, centroids=range(scheme.K))
-    diag = encoding.penalty_sum(np.full(n_points, float(b)))
-    return diag[None]
+    dm = DistanceMatrix(np.zeros((n_points, n_points)))
+    return full_diagonal(encoding.hamiltonian(dm))[None]
 
 
 def test_kmeanspp_equidistant_point():

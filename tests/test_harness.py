@@ -836,10 +836,10 @@ def test_build_final_hamiltonian_adds_penalty_for_partial_blocks(tiny_spec_dict)
     dm = distance_matrix(spec.points)
     hf = build_final_hamiltonian(spec, dm)
     encoding = Encoding(EncodingScheme("one-hot-multispin", 4), 4)
-    # the pair sum plus the default penalty, twice the largest distance
-    expected = encoding.pair_sum(dm.d) + encoding.penalty_sum(
-        np.full(4, 2.0 * dm.max_distance)
-    )
+    # the pair sum plus the default penalty, twice the largest distance, for
+    # each point in an unused state, added point by point
+    w = 2.0 * dm.max_distance
+    expected = encoding.pair_sum(dm.d) + sum(w * (encoding.labels[:, p] >= 4) for p in range(4))
     np.testing.assert_array_equal(hf, [expected])
 
 

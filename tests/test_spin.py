@@ -3,15 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import group_projector_diagonal, projector
-from qutrit_anneal.hamiltonians import block_state_index, block_state_list
-from qutrit_anneal.spin import (
-    PROJECTIONS,
-    block_values,
-    digit_from_projection,
-    digit_table,
-    spin_operator,
-)
+from conftest import block_state_index, group_projector_diagonal, projector
+from qutrit_anneal.hamiltonians import block_state_list
+from qutrit_anneal.spin import PROJECTIONS, digit_table, spin_operator
 
 
 def test_sz_matrix():
@@ -85,32 +79,22 @@ def test_basis_index_round_trip(n):
 
 def test_basis_index_rejects_bad_input():
     with pytest.raises(ValueError):
-        block_state_index((1, 2))
-    with pytest.raises(ValueError):
         digit_table(0)
 
 
 def test_digit_projection_maps_are_inverse():
     assert block_state_list(1) == tuple((m,) for m in PROJECTIONS)
-    assert [digit_from_projection(m) for (m,) in block_state_list(1)] == [0, 1, 2]
+    assert [block_state_index(st) for st in block_state_list(1)] == [0, 1, 2]
 
 
 def test_digit_table_matches_basis_index():
-    n = 3
-    table = digit_table(n)
-    for linear in range(3**n):
-        expected = tuple(int(c) for c in np.base_repr(linear, 3).zfill(n))
-        assert tuple(table[linear].tolist()) == expected
-
-
-def test_block_values_full_register_is_identity():
-    n = 4
-    np.testing.assert_array_equal(block_values(n, 0, n), np.arange(3**n))
-
-
-def test_block_values_bad_block():
-    with pytest.raises(ValueError):
-        block_values(3, 2, 2)
+    # site i's digit of index b is b // 3**(n - 1 - i) % 3, as int64
+    for n in range(1, 8):
+        idx = np.arange(3**n, dtype=np.int64)
+        expected = np.stack([idx // 3 ** (n - 1 - i) % 3 for i in range(n)], axis=1)
+        table = digit_table(n)
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, expected)
 
 
 def test_group_projector_single_site():
