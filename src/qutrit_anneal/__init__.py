@@ -37,9 +37,11 @@ from .hamiltonians import (
     METHOD_ONEHOT_K3_PINNED,
     METHOD_ONEHOT_MULTISPIN,
     METHODS,
+    PROJECTIONS,
     Encoding,
     EncodingScheme,
     block_state_list,
+    digit_table,
     spins_per_point,
 )
 from .harness import (
@@ -55,6 +57,5 @@ from .harness import (
     with_overrides,
 )
 from .presets import PRESET_NAMES, get_preset
-from .spin import PROJECTIONS, digit_table, spin_operator
 
 __version__ = "0.1.0"

@@ -24,19 +24,24 @@ import numpy as np
 
 from .clustering import Partition, partition_keys
 from .errors import SizeGuardError, SpecError, is_int, is_positive_finite
-from .hamiltonians import Encoding
-from .spin import digit_table, spin_operator
+from .hamiltonians import Encoding, digit_table
 
 MODE_EXACT = "exact-step"
 MODE_SPLIT = "split-step"
 MODES = (MODE_EXACT, MODE_SPLIT)
 
+#: The one rounding of sqrt(1/2) that every single-site matrix below takes.
+_SQRT_HALF = math.sqrt(0.5)
+
+#: The spin-1 S^x in the (|1>, |0>, |-1>) basis: the driver's single-site term.
+_SX = _SQRT_HALF * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
 #: Single-site ground state of h * S^x for h > 0, in the (|1>, |0>, |-1>) basis.
-_SITE_GROUND = np.array([0.5, -math.sqrt(0.5), 0.5])
+_SITE_GROUND = np.array([0.5, -_SQRT_HALF, 0.5])
 
 #: With F = diag(1, i, -1) on a site, F^dagger S^x F = i Ks for this real
 #: antisymmetric Ks, so exp(-i theta S^x) = F exp(theta Ks) F^dagger.
-_KS = math.sqrt(0.5) * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+_KS = _SQRT_HALF * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 _KS2 = 0.5 * np.array([[-1.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, -1.0]])
 
 
@@ -76,10 +81,10 @@ def initial_state(n: int) -> np.ndarray:
 
 
 #: Chebyshev terms are kept up to the last one with 2 |J_k(dt r)| >= _TAIL.
-#: At 1e-15 the presets' partition probabilities at M = 2000 stay within
-#: 8.7e-13 (fig3) and 9.4e-13 (fig4) of 30-digit mpmath, and 2.8e-13 (fig1)
-#: and 3.3e-13 (fig2) of dense eigh; a tail of 2.5e-13 saves 9% of the
-#: terms but moves fig3 by 1.8e-10, past the tests' 1e-10 checks.
+#: At 1e-15 the presets' partition probabilities at M = 2000 are off by up
+#: to 8.72e-13 (fig3) and 9.24e-13 (fig4) from 30-digit mpmath, and 2.30e-13
+#: (fig1) and 3.39e-13 (fig2) from dense eigh; a tail of 2.5e-13 saves 9% of
+#: the terms but moves fig3 by 1.8e-10, past the tests' 1e-10 checks.
 _TAIL = 1e-15
 
 #: Miller's recurrence rescales its values whenever one passes this, so a
@@ -222,10 +227,10 @@ def driver_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     The driver on n sites is their Kronecker sum A (x) I + I (x) B; at the
     7-qutrit cap the larger factor is 81 x 81, and A on no sites is [[0]].
     """
-    sums, sx = [np.zeros((1, 1))], spin_operator("x")
+    sums = [np.zeros((1, 1))]
     for k in range(n - n // 2):
         # on k + 1 sites: the sum on the first k, and S^x on the last
-        sums.append(_kron(sums[k], np.eye(3)) + _kron(np.eye(3**k), sx))
+        sums.append(_kron(sums[k], np.eye(3)) + _kron(np.eye(3**k), _SX))
     first, rest = sums[n // 2], sums[n - n // 2]
     first.flags.writeable = rest.flags.writeable = False
     return first, rest

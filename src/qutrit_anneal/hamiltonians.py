@@ -8,6 +8,13 @@ holds all that sets the methods apart.  ``Encoding.hamiltonian`` returns the
 diagonal as a read-only (C, 3**w) array of block rows: one row for a
 coupled register, one row per point where no pair joins two points on the
 register.  The driver is its field h alone, which ``anneal`` applies.
+
+The single-qutrit basis is ordered by z projection as (|1>, |0>, |-1>), so
+projection m is digit 1 - m: digits run (0, 1, 2) for m = (1, 0, -1).  A
+register state's linear index is numpy's C-order index of its digits
+(``np.ravel_multi_index`` with shape (3,) * n, ``np.unravel_index`` back):
+site 0 is the most significant trit, and the all-|1> state has index 0.
+``digit_table`` maps every linear index to its digits at once.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import numpy as np
 
 from .clustering import DistanceMatrix
 from .errors import SpecError, is_int, is_positive_finite
-from .spin import PROJECTIONS, digit_table
 
 METHOD_ONEHOT_K3 = "one-hot-K3"
 METHOD_ONEHOT_K3_PINNED = "one-hot-K3-pinned"
@@ -32,6 +38,9 @@ METHOD_KMEANSPP = "kmeanspp"
 
 #: State vectors beyond 3**7 entries are refused.
 REGISTER_MAX_QUTRITS = 7
+
+#: Single-site projections in basis order.
+PROJECTIONS = (1, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,13 @@ def spins_per_point(K: int) -> int:
     while 3**s < K:
         s += 1
     return s
+
+
+def digit_table(n: int) -> np.ndarray:
+    """(3**n, n) array of base-3 digits, one column per site, site 0 first."""
+    if n < 1:
+        raise ValueError("register needs at least one qutrit")
+    return np.stack(np.unravel_index(np.arange(3**n), (3,) * n), axis=1)
 
 
 def block_state_list(width: int) -> tuple[tuple[int, ...], ...]:
@@ -268,12 +284,9 @@ class Encoding:
     @functools.cached_property
     def labels(self) -> np.ndarray:
         K, width, n = self.K, self.scheme.spins_per_point, self.n_qutrits
+        states = self.scheme.centroid_states or block_state_list(width)[:K]
         cluster = np.full(3**width, -1)
-        if self.scheme.centroid_states is None:
-            cluster[:K] = np.arange(K)
-        else:
-            digits = 1 - np.array(self.scheme.centroid_states)
-            cluster[np.ravel_multi_index(digits.T, (3,) * width)] = np.arange(K)
+        cluster[np.ravel_multi_index((1 - np.array(states)).T, (3,) * width)] = np.arange(K)
         dtype = np.min_scalar_type(K + self.n_points)
         labels = np.zeros((3**n, self.n_points), dtype=dtype)  # pinned point 0: 0
         for c, p in enumerate(self.centroids or ()):

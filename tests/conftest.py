@@ -8,7 +8,11 @@ import pytest
 from qutrit_anneal.anneal import MODE_EXACT, _exact_anneal
 from qutrit_anneal.harness import run, spec_from_dict, with_overrides
 from qutrit_anneal.presets import get_preset
-from qutrit_anneal.spin import spin_operator
+
+# the tests' own spin-1 matrices in the (|1>, |0>, |-1>) basis, from literals,
+# so that a wrong library S^x cannot move a reference built from these
+SX = np.sqrt(0.5) * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+SZ = np.diag([1.0, 0.0, -1.0])
 
 # four points whose three-cluster optimum must pair the two near the origin
 TINY_SPEC = {
@@ -33,15 +37,14 @@ def ground_states(rows) -> np.ndarray:
 
 def dense_driver(n: int, h: float) -> np.ndarray:
     """The driver h * sum_i S_i^x on n sites as a dense matrix, for small registers."""
-    sx = spin_operator("x")
-    terms = (np.kron(np.kron(np.eye(3**i), sx), np.eye(3 ** (n - i - 1))) for i in range(n))
+    terms = (np.kron(np.kron(np.eye(3**i), SX), np.eye(3 ** (n - i - 1))) for i in range(n))
     return h * sum(terms)
 
 
 def projector(m: int) -> np.ndarray:
     """The single-site projector |m><m| for m in {1, 0, -1}, as a polynomial in S^z."""
-    sz, eye = spin_operator("z"), np.eye(3)
-    return {1: sz @ (eye + sz) / 2.0, 0: eye - sz @ sz, -1: -sz @ (eye - sz) / 2.0}[m]
+    eye = np.eye(3)
+    return {1: SZ @ (eye + SZ) / 2.0, 0: eye - SZ @ SZ, -1: -SZ @ (eye - SZ) / 2.0}[m]
 
 
 def block_state_index(state) -> int:

@@ -20,9 +20,9 @@ from qutrit_anneal.hamiltonians import (
     METHOD_ONEHOT_MULTISPIN,
     Encoding,
     EncodingScheme,
+    digit_table,
 )
 from qutrit_anneal.presets import get_preset
-from qutrit_anneal.spin import digit_table
 
 
 def _criterion(cid: str, description: str, ok: bool, detail: str = "") -> None:

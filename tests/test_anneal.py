@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
-from conftest import block_state_index, dense_driver, full_diagonal, ground_states, step
+from conftest import SX, block_state_index, dense_driver, full_diagonal, ground_states, step
 from qutrit_anneal.anneal import (
     MODE_EXACT,
     MODE_SPLIT,
@@ -33,7 +33,6 @@ from qutrit_anneal.hamiltonians import (
     Encoding,
     EncodingScheme,
 )
-from qutrit_anneal.spin import spin_operator
 
 # the package exports the function anneal under its module's name
 anneal_module = importlib.import_module("qutrit_anneal.anneal")
@@ -636,7 +635,7 @@ def test_step_at_the_register_cap_matches_site_gates_and_phases():
     rng = np.random.default_rng(80)
     hf = random_diag(rng, n, scale=300.0)
     v = unit_vector(rng, 3**n)
-    gate = expm(-1j * dt * h * spin_operator("x"))
+    gate = expm(-1j * dt * h * SX)
     expected = v.reshape((3,) * n)
     for axis in range(n):
         expected = np.moveaxis(np.tensordot(gate, expected, axes=(1, axis)), 0, axis)
@@ -1043,8 +1042,8 @@ def expm_multiply_run(hf, cfg):
     """The exact-step schedule on (C, 3**w) block rows by one scipy ``expm_multiply`` per step and block."""
     blocks, d = hf.shape
     w = round(np.log(d) / np.log(3))
-    sx, eye = spin_operator("x"), sparse.identity
-    driver = sum(sparse.kron(sparse.kron(eye(3**i), sx), eye(3 ** (w - i - 1))) for i in range(w))
+    eye = sparse.identity
+    driver = sum(sparse.kron(sparse.kron(eye(3**i), SX), eye(3 ** (w - i - 1))) for i in range(w))
     psi = np.array([initial_state(w)] * blocks)
     for l in range(cfg.M + 1):
         s = l / cfg.M
@@ -1140,7 +1139,7 @@ def test_site_rotation_is_the_real_driver_gate_in_the_frame(theta):
     frame = np.diag([1.0, 1j, -1.0])
     np.testing.assert_allclose(
         frame @ rot @ frame.conj().T,
-        expm(-1j * theta * spin_operator("x")),
+        expm(-1j * theta * SX),
         rtol=0,
         atol=1e-14,
     )
@@ -1164,7 +1163,7 @@ def strang_reference(hf, cfg, substeps):
     for l in range(cfg.M + 1):
         s = l / cfg.M
         half = np.exp(-0.5j * tau * s * diag)
-        gate = expm(-1j * tau * (1.0 - s) * cfg.h * spin_operator("x"))
+        gate = expm(-1j * tau * (1.0 - s) * cfg.h * SX)
         for _ in range(substeps):
             psi = (half * amps).reshape((3,) * n)
             for axis in range(n):

@@ -21,7 +21,7 @@ from qutrit_anneal.cli import main
 from qutrit_anneal.anneal import decode
 from qutrit_anneal.emit import emit, render_csv, render_svg, render_table
 from qutrit_anneal.harness import generate_instance, run, spec_from_dict
-from qutrit_anneal.spin import digit_table
+from qutrit_anneal.hamiltonians import digit_table
 
 
 def test_table_reports_match_and_costs(tiny_result):

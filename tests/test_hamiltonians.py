@@ -28,9 +28,9 @@ from qutrit_anneal.hamiltonians import (
     Encoding,
     EncodingScheme,
     block_state_list,
+    digit_table,
     spins_per_point,
 )
-from qutrit_anneal.spin import digit_table
 
 SIX_POINTS = ((4, -2), (-7, 7), (6, -9), (-6, 8), (-2, -6), (-9, 5))
 
@@ -217,6 +217,21 @@ def test_block_state_list_ordering():
     assert states[4] == (0, 0)
     assert states[8] == (-1, -1)
     assert [block_state_index(st) for st in states] == list(range(9))
+
+
+def test_digit_table_matches_basis_index():
+    # site i's digit of index b is b // 3**(n - 1 - i) % 3, as int64
+    for n in range(1, 8):
+        idx = np.arange(3**n, dtype=np.int64)
+        expected = np.stack([idx // 3 ** (n - 1 - i) % 3 for i in range(n)], axis=1)
+        table = digit_table(n)
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, expected)
+
+
+def test_digit_table_rejects_empty_register():
+    with pytest.raises(ValueError):
+        digit_table(0)
 
 
 # ------------------------------------------------------------ one-hot penalty

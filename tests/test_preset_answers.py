@@ -2,11 +2,11 @@
 
 ``data/record_preset_answers.py`` wrote the file; see its docstring for the
 fields.  Exact-step probabilities must agree to 1e-12 (the Chebyshev tail
-keeps them within 8.7e-13 and 9.4e-13 of the file's 30-digit mpmath
-reference on fig3 and fig4, and within 2.8e-13 and 3.3e-13 of its float64
-stepper by dense eigh on fig1 and fig2) and split-step ones to 1e-9; the
-top partition and ``match`` must be equal.  Exact-step must also agree to
-2e-12 with both references, which share no stepping code with it.
+leaves them off by up to 8.72e-13 and 9.24e-13 from the file's 30-digit
+mpmath reference on fig3 and fig4, and 2.30e-13 and 3.39e-13 from its
+float64 stepper by dense eigh on fig1 and fig2) and split-step ones to
+1e-9; the top partition and ``match`` must be equal.  Exact-step must also
+agree to 2e-12 with both references, which share no stepping code with it.
 """
 
 import json

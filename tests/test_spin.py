@@ -1,37 +1,48 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import block_state_index, group_projector_diagonal, projector
-from qutrit_anneal.hamiltonians import block_state_list
-from qutrit_anneal.spin import PROJECTIONS, digit_table, spin_operator
+from conftest import SX, SZ, block_state_index, group_projector_diagonal, projector
+from qutrit_anneal.anneal import _KS, _KS2, _SITE_GROUND, _SX, driver_factors
+from qutrit_anneal.hamiltonians import PROJECTIONS, block_state_list, digit_table
 
 
 def test_sz_matrix():
-    np.testing.assert_array_equal(spin_operator("z"), np.diag([1.0, 0.0, -1.0]))
+    # the tests' S^z holds the projections in the library's basis order
+    np.testing.assert_array_equal(SZ, np.diag(np.array(PROJECTIONS, float)))
 
 
 def test_sx_matrix():
-    expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
-    np.testing.assert_array_equal(spin_operator("x"), expected)
+    expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) * math.sqrt(0.5)
+    np.testing.assert_array_equal(_SX, expected)
 
 
 @pytest.mark.parametrize("kind", ["x", "z"])
 def test_spin_operators_hermitian(kind):
-    m = spin_operator(kind)
+    # the library's S^x, and the tests' S^z (the library needs none)
+    m = {"x": _SX, "z": SZ}[kind]
     np.testing.assert_array_equal(m, m.conj().T)
 
 
 def test_sx_eigenvalues():
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(spin_operator("x")), [-1.0, 0.0, 1.0], atol=1e-14
-    )
+    np.testing.assert_allclose(np.linalg.eigvalsh(_SX), [-1.0, 0.0, 1.0], atol=1e-14)
 
 
-def test_unknown_operator_kind_rejected():
-    with pytest.raises(ValueError):
-        spin_operator("y")
+def test_one_sqrt_half_builds_every_site_matrix():
+    # exact-step's driver, split-step's rotation and the initial state take
+    # the same rounding of sqrt(1/2)
+    sx = driver_factors(1)[1]
+    np.testing.assert_array_equal(sx, SX)
+    assert sx[0, 1] == _KS[0, 1] == -_SITE_GROUND[1] == math.sqrt(0.5)
+    frame = np.diag([1.0, 1j, -1.0])
+    np.testing.assert_array_equal(frame.conj().T @ sx @ frame / 1j, _KS)
+    # sqrt(1/2)**2 rounds to 0.5 + eps / 2, so Ks^2's entry -1 is off by eps
+    # and S^x's eigenvector by eps / 2: each check allows twice that
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(_KS @ _KS, _KS2, rtol=0, atol=2 * eps)
+    np.testing.assert_allclose(sx @ _SITE_GROUND, -_SITE_GROUND, rtol=0, atol=eps)
 
 
 @pytest.mark.parametrize(
@@ -77,24 +88,9 @@ def test_basis_index_round_trip(n):
         assert block_state_index(projections[linear]) == linear
 
 
-def test_basis_index_rejects_bad_input():
-    with pytest.raises(ValueError):
-        digit_table(0)
-
-
 def test_digit_projection_maps_are_inverse():
     assert block_state_list(1) == tuple((m,) for m in PROJECTIONS)
     assert [block_state_index(st) for st in block_state_list(1)] == [0, 1, 2]
-
-
-def test_digit_table_matches_basis_index():
-    # site i's digit of index b is b // 3**(n - 1 - i) % 3, as int64
-    for n in range(1, 8):
-        idx = np.arange(3**n, dtype=np.int64)
-        expected = np.stack([idx // 3 ** (n - 1 - i) % 3 for i in range(n)], axis=1)
-        table = digit_table(n)
-        assert table.dtype == np.int64
-        np.testing.assert_array_equal(table, expected)
 
 
 def test_group_projector_single_site():
