@@ -6,11 +6,13 @@ The schedule applies exp(-i dt H(s)) for s = l/M, l = 0 .. M, with H(s) =
 the state stays a product over them: ``anneal`` evolves a (C, 3**w) stack
 and returns its Kronecker product.  Exact-step expands each step in
 Chebyshev polynomials (``expm_multiply_hermitian``); split-step is a Strang
-splitting (``_split_steps``).  Both loop over windows of steps, so memory
-does not grow with M: rows of at most ``_SMALL_BLOCK`` states take a window
-as a stack of d x d step matrices (``_small_propagators``,
-``_split_propagators``), and wider rows step the state, ``_STEP_WINDOW``
-steps a window.  ``decode`` reads the final amplitudes out as partitions.
+splitting (``_split_steps``).  Both step the rows centred on their
+midpoints, whose phases come last, after one check of the whole schedule.
+Both loop over windows of steps, so memory does not grow with M: rows of
+at most ``_SMALL_BLOCK`` states take a window as a stack of d x d step
+matrices (``_small_propagators``, ``_split_propagators``), and wider rows
+step the state, ``_STEP_WINDOW`` steps a window.  ``decode`` reads the
+final amplitudes out as partitions.
 """
 
 from __future__ import annotations
@@ -373,7 +375,7 @@ def _split_step(
     """The Strang substeps of one schedule step on framed blocks of w >= 3 qutrits.
 
     Each substep rotates every site of ``grid``, (C, 3**w) in the frame
-    F^{(x)w}, by R, then multiplies by ``phase``, exp(-i tau s Hf), in place.
+    F^{(x)w}, by R, then multiplies by ``phase``, exp(-i tau s H0), in place.
     R^{(x)w} acts on the float view with no transpose: each ``left`` power
     R^{(x)g} takes its group of leading sites from the left, and ``right`` =
     (R^{(x)2} (x) I_2)^T the last two sites, with the real and imaginary
@@ -411,7 +413,7 @@ def _split_views(
 
 
 def _split_propagators(
-    s: np.ndarray, hf: np.ndarray, tau: float, h: float, between: np.ndarray
+    s: np.ndarray, centred: np.ndarray, tau: float, h: float, between: np.ndarray
 ) -> np.ndarray:
     """The split steps at the points ``s`` on framed blocks of d <= ``_SMALL_BLOCK`` states.
 
@@ -420,9 +422,9 @@ def _split_propagators(
     """
     rot = _site_rotation(tau * (1.0 - s) * h)
     power = rot
-    for _ in range(1, _qutrits(hf.shape[1])):
+    for _ in range(1, _qutrits(centred.shape[1])):
         power = _kron(rot, power)
-    phases = np.exp(-1j * tau * s[:, None, None] * hf)
+    phases = np.exp(-1j * tau * s[:, None, None] * centred)
     ops = np.linalg.matrix_power(phases[..., None] * power[:, None], _SPLIT_SUBSTEPS)
     ops[int(s[0] == 0) :] *= between[:, None, :]
     return ops
@@ -430,7 +432,7 @@ def _split_propagators(
 
 def _split_steps(
     s: np.ndarray,
-    hf: np.ndarray,
+    centred: np.ndarray,
     tau: float,
     h: float,
     between: np.ndarray,
@@ -441,15 +443,15 @@ def _split_steps(
 
     Step l is half_l D P_l D ... P_l D half_l: k = ``_SPLIT_SUBSTEPS`` driver
     substeps D = R(tau (1 - s_l) h)^{(x)w} between full phases P_l = exp(-i
-    tau s_l Hf), tau = dt / k, half_l = exp(-i tau s_l Hf / 2).  Each substep
-    ends with P_l, so the phase left between steps l and l + 1 is half_{l+1}
-    conj(half_l) = exp(-i tau Hf / (2 M)), ``between``; half_0 = 1, and
-    ``anneal`` closes the run with conj(half_M).  P_l is the last step's
+    tau s_l H0), tau = dt / k, half_l = exp(-i tau s_l H0 / 2), H0 the
+    ``centred`` rows.  Each substep ends with P_l, so the phase left between
+    steps l and l + 1 is half_{l+1} conj(half_l) = exp(-i tau H0 / (2 M)),
+    ``between``; half_0 = 1, and ``anneal`` closes the run with conj(half_M).  P_l is the last step's
     times ``ratio``, refreshed by ``np.exp`` at each window's first step
     (see ``_STEP_WINDOW``).  The leading w - 2 sites are one group, or w - 4
     and 2 sites from w = 6, so no factor is above 27 x 27.
     """
-    w = _qutrits(hf.shape[1])
+    w = _qutrits(centred.shape[1])
     groups = (w - 2,) if w <= 5 else (w - 4, 2)
     powers = [None, _site_rotation(tau * (1.0 - s) * h)]
     while len(powers) <= max(groups + (2,)):
@@ -460,7 +462,7 @@ def _split_steps(
         if i:
             phase *= ratio
         else:
-            phase = np.exp(-1j * tau * point * hf)
+            phase = np.exp(-1j * tau * point * centred)
         if point:
             grid *= between
         left = [powers[g][i] for g in groups]
@@ -474,12 +476,13 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     One step per l = 0 .. M; the l = 0 step only rephases the initial state.
     ``hf`` holds C block rows of 3**w entries, annealed as C copies of the
     w-qutrit initial state; the result is the blocks' Kronecker product in
-    register order.  Rows that are not a real, finite (C, 3**w) array, w >= 1,
-    are a ``ValueError``.  Before any step a ``SizeGuardError`` refuses more
-    than ``_MAX_STEPS`` steps, naming M; in exact-step, dt r above
-    ``_MAX_DT_RADIUS``, naming the end past it, h or Hf's width; in
-    split-step, a substep angle tau h or phase tau max|Hf| past the float
-    range, naming which.
+    register order.  Both modes step the rows centred on their midpoints m_b
+    and apply the phases exp(-i dt (M + 1) m_b / 2) last.  Rows that are not
+    a real, finite (C, 3**w) array, w >= 1, are a ``ValueError``.  Before any
+    step a ``SizeGuardError`` refuses more than ``_MAX_STEPS`` steps, naming
+    M; then dt r, r the largest half-width of H(s), above ``_MAX_DT_RADIUS``
+    in exact-step or past the float range in split-step, naming h or Hf's
+    width; then a closing phase past the float range, naming the offset m.
     """
     hf = np.asarray(hf)
     shape = hf.shape
@@ -491,47 +494,46 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     if not np.isfinite(hf).all():
         raise ValueError("final Hamiltonian entries must be finite")
     h, dt, M, small = cfg.h, cfg.dt, cfg.M, shape[1] <= _SMALL_BLOCK
+    exact = cfg.mode == MODE_EXACT
     if M > _MAX_STEPS:
         raise SizeGuardError(f"step count M = {M} is above the {_MAX_STEPS:,} guard; lower 'M'")
+    # r(s) is affine in s, so its largest value is at an end; dt r bounds
+    # exact-step's degree and every split-step angle and phase of centred rows
+    r0, r1 = _radii(np.array([0.0, 1.0]), hf, h).tolist()
+    x, mid = dt * max(r0, r1), 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
+    if not (x <= _MAX_DT_RADIUS if exact else math.isfinite(x)):
+        if exact:
+            need = f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
+            need += f"the {_MAX_DT_RADIUS:g} guard"
+        else:
+            need = f"split-step's angles and phases, up to dt * r = {x:.3g}, pass the float range"
+        if r0 >= r1:
+            cause, advice = f"driver h = {h:g} on {w}-qutrit blocks", "lower 'h'"
+        else:
+            cause = f"width {2.0 * r1:.3g} of the final Hamiltonian's widest block"
+            advice = "lower the 'penalty' or the points' spread"
+        raise SizeGuardError(f"{need} ({cause}, dt = {dt:g}); {advice}")
+    offset = float(np.abs(mid).max())
+    if not math.isfinite(0.5 * dt * (M + 1) * offset):
+        raise SizeGuardError(
+            f"{cfg.mode}'s closing phase dt (M + 1) m / 2 passes the float range (the rows' "
+            f"offset m up to {offset:.3g} with M = {M}, dt = {dt:g}); lower 'M' or 'dt'"
+        )
     window = max(1, _PROPAGATORS // (hf.size * shape[1])) if small else _STEP_WINDOW
-    if cfg.mode == MODE_EXACT:
-        # r(s) is affine in s, so its largest value is at an end
-        r0, r1 = _radii(np.array([0.0, 1.0]), hf, h).tolist()
-        x = dt * max(r0, r1)
-        if not x <= _MAX_DT_RADIUS:
-            if r0 >= r1:
-                cause, advice = f"driver h = {h:g} on {w}-qutrit blocks", "lower 'h'"
-            else:
-                cause = f"width {2.0 * r1:.3g} of the final Hamiltonian's widest block"
-                advice = "lower the 'penalty' or the points' spread"
-            raise SizeGuardError(
-                f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
-                f"the {_MAX_DT_RADIUS:g} guard ({cause}, dt = {dt:g}); {advice}"
-            )
-        # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
-        mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
-        centred = hf - mid[:, None]
-        before, after = 1.0, np.exp(-0.5j * dt * (M + 1) * mid)[:, None]
+    # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
+    centred = hf - mid[:, None]
+    after = np.exp(-0.5j * dt * (M + 1) * mid)[:, None]
+    if exact:
+        before = 1.0
         propagators = lambda s: _small_propagators(s, centred, h, dt)
         stepper = lambda s, amps: _exact_anneal(s, centred, h, dt, amps)
     else:
         tau = dt / _SPLIT_SUBSTEPS
-        # no substep angle is above tau h, and no phase above tau max|Hf|
-        top = float(np.abs(hf).max())
-        if not math.isfinite(tau * max(h, top)):
-            if math.isfinite(tau * h):
-                what, cause, advice = "phase tau * max|Hf|", f"Hf entries up to {top:.3g}", "'dt'"
-            else:
-                what, cause, advice = "angle tau * h", f"driver h = {h:g}", "'h' or 'dt'"
-            raise SizeGuardError(
-                f"split-step's substep {what} is past the float range "
-                f"({cause}, dt = {dt:g}, tau = dt / {_SPLIT_SUBSTEPS}); lower {advice}"
-            )
-        between, ratio = np.exp(-0.5j * tau / M * hf), np.exp(-1j * tau / M * hf)
+        between, ratio = np.exp(-0.5j * tau / M * centred), np.exp(-1j * tau / M * centred)
         frame = _frame(w)
-        before, after = frame.conj(), frame * np.exp(0.5j * tau * hf)
-        propagators = lambda s: _split_propagators(s, hf, tau, h, between)
-        stepper = lambda s, amps: _split_steps(s, hf, tau, h, between, ratio, amps)
+        before, after = frame.conj(), after * frame * np.exp(0.5j * tau * centred)
+        propagators = lambda s: _split_propagators(s, centred, tau, h, between)
+        stepper = lambda s, amps: _split_steps(s, centred, tau, h, between, ratio, amps)
     amps = before * np.stack([initial_state(w)] * len(hf))
     for start in range(0, M + 1, window):
         s = np.arange(start, min(start + window, M + 1)) / M

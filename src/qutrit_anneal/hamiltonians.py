@@ -85,15 +85,12 @@ def method_traits(method: str) -> MethodTraits:
 
 
 def pinned_method(method: str, pinned: bool) -> str:
-    """The method with ``method``'s encoding and point 0 pinned or not."""
+    """The method with ``method``'s encoding and point 0 pinned or not, where one exists.
+
+    Otherwise ``method`` itself, whose ``Encoding`` refuses a pinning it lacks.
+    """
     traits = method_traits(method)
-    if traits.pinned is None or traits.pinned == pinned:
-        return method
-    if traits.variant is None:
-        raise SpecError(
-            f"method {method!r} has no pinned variant, so 'pinned' must be false"
-        )
-    return traits.variant
+    return method if traits.variant is None or traits.pinned == pinned else traits.variant
 
 
 def spins_per_point(K: int) -> int:

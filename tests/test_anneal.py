@@ -1,6 +1,7 @@
 import functools
 import importlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,24 @@ def test_a_constant_on_a_block_row_only_sets_that_blocks_phase(blocks, w):
     want = np.abs(anneal(cfg, hf)) ** 2
     got = np.abs(anneal(cfg, hf + offsets)) ** 2
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
+@pytest.mark.parametrize("blocks, w", [(2, 3), (3, 2)])
+def test_a_block_offset_multiplies_only_that_blocks_amplitudes_by_one_phase(mode, blocks, w):
+    # adding c_b to block b's row multiplies that block's final amplitudes,
+    # and so the register's, by exp(-i dt (M + 1) c_b / 2), in either mode,
+    # on stepped rows of 27 states and on 9-state step matrices, over three
+    # windows of steps
+    rng = np.random.default_rng(142)
+    hf = rng.uniform(-20.0, 20.0, (blocks, 3**w))
+    cfg = AnnealConfig(h=3.0, M=40, dt=0.1, mode=mode)
+    want = anneal(cfg, hf)
+    for b, c in enumerate([37.25, -11.5, 64.0][:blocks]):
+        shifted = hf.copy()
+        shifted[b] += c
+        phase = np.exp(-0.5j * cfg.dt * (cfg.M + 1) * c)
+        np.testing.assert_allclose(anneal(cfg, shifted), phase * want, rtol=0, atol=1e-13)
 
 
 # -------------------------------------------------------- matrix exponential
@@ -775,6 +794,30 @@ def test_anneal_refuses_more_steps_than_the_guard(monkeypatch, mode):
                 anneal(AnnealConfig(h=2.0, M=M, mode=mode), hf)
 
 
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
+def test_anneal_refuses_a_closing_phase_past_the_float_range(monkeypatch, mode):
+    # rows of width 0 at 1e308: dt r is only h, but the closing phase
+    # dt (M + 1) m / 2 overflows.  The run is refused before any step, naming
+    # the offset, and numpy warns of nothing; exact-step used to end in NaN.
+    # At M = 1 the phase is 1e307 and the run keeps its norm
+    rows = [[1e308] * 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(np.linalg.norm(anneal(AnnealConfig(h=1.0, M=1, mode=mode), rows)) - 1.0) < 1e-15
+
+        def refuse(*args):
+            raise AssertionError("the run took a step")
+
+        for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
+            monkeypatch.setattr(anneal_module, name, refuse)
+        message = (
+            f"{mode}'s closing phase dt (M + 1) m / 2 passes the float range (the rows' "
+            "offset m up to 1e+308 with M = 100, dt = 0.1); lower 'M' or 'dt'"
+        )
+        with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
+            anneal(AnnealConfig(h=1.0, M=100, mode=mode), rows)
+
+
 def preset_matvecs(monkeypatch, name, per_step=False) -> int:
     """Matvecs of a preset's exact-step anneal at M = 100.
 
@@ -960,7 +1003,8 @@ def test_anneal_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
         assert not points and not computed
     assert wide_window == 16 and small_window == 227
     # split-step takes its steps in the same loop, by the same windows; a
-    # run whose tau h or tau max|Hf| overflows is refused, and steps no window
+    # run whose dt r overflows, from h or from Hf's width, is refused, and
+    # steps no window
     monkeypatch.setattr(anneal_module, "_split_steps", lambda s, *args: points.append(s) or args[-1])
     monkeypatch.setattr(anneal_module, "_split_propagators", lambda s, *args: points.append(s))
     for hf, window in windows:
@@ -971,7 +1015,7 @@ def test_anneal_runs_bounded_windows_of_steps(monkeypatch, M, half_width):
         np.testing.assert_array_equal(np.concatenate(points), np.arange(M + 1) / M)
         points.clear()
         for h_huge, rows in ((1e300, hf), (h, 1e300 * hf / half_width)):
-            with pytest.raises(SizeGuardError, match="split-step's substep"):
+            with pytest.raises(SizeGuardError, match="split-step's angles and phases"):
                 anneal(AnnealConfig(h=h_huge, M=M, dt=1e10, mode=MODE_SPLIT), rows)
         assert not points
 
@@ -1233,17 +1277,20 @@ def test_seven_qutrit_split_step_builds_no_power_above_27(monkeypatch):
 
 
 def test_split_phases_track_np_exp_at_every_step(monkeypatch):
-    # each step's full phase, carried from the last one by one multiply,
-    # against np.exp at that step's s, over a long run of stepped blocks.
-    # The rows reach |Hf| = 1e5, the half-width the exact-step guard allows
-    # at dt = 0.1; np.exp's own rounding of tau s Hf passes 1e-12 near 2e5
+    # each step's full phase of the rows centred on their midpoints, carried
+    # from the last one by one multiply, against np.exp at that step's s,
+    # over a long run of stepped blocks.  The centred rows reach 1e5, the
+    # half-width the exact-step guard allows at dt = 0.1, and row 1 sits 3e5
+    # off centre; np.exp's own rounding of tau s H0 passes 1e-12 near 2e5
     M, dt = 2000, 0.1
     tau = dt / anneal_module._SPLIT_SUBSTEPS
-    hf = np.linspace(-1e5, 1e5, 2 * 27).reshape(2, 27)
+    hf = np.linspace(-1e5, 1e5, 27) + np.array([[0.0], [3e5]])
+    centred = hf - (0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1))[:, None]
+    assert np.abs(centred).max() == 1e5
     errors = []
 
     def check(grid, left, right, phase, *args):
-        want = np.exp(-1j * tau * (len(errors) / M) * hf)
+        want = np.exp(-1j * tau * (len(errors) / M) * centred)
         errors.append(np.abs(phase - want).max())
         return grid
 

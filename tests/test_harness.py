@@ -1,5 +1,7 @@
 import copy
+import importlib
 import json
+import re
 import time
 import warnings
 from functools import partial
@@ -827,6 +829,38 @@ def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data, advi
     anneal = {**data.get("anneal", {}), "M": 20, "mode": "split-step"}
     result = run(spec_from_dict({**data, "anneal": anneal}))
     assert abs(result.final_norm - 1.0) < 1e-9
+
+
+#: Centroids 1e305 from the free point at the origin: its row is about 1e305
+#: off zero and narrow, so dt r is small but dt (M + 1) m / 2 overflows.
+OFFSET_SPEC = {
+    "points": [[1e305, 0], [-1e305, 0], [0, 1e305], [0, 0]],
+    "method": "kmeanspp",
+    "centroids": [0, 1, 2],
+    "anneal": {"M": 100000},
+}
+
+
+@pytest.mark.parametrize("mode", ["exact-step", "split-step"])
+def test_run_refuses_a_closing_phase_past_the_float_range(monkeypatch, mode):
+    # both modes refuse the spec before any window, naming the rows' offset,
+    # with no numpy warning; exact-step used to report NaN and match true
+    anneal_module = importlib.import_module("qutrit_anneal.anneal")
+
+    def refuse(*args):
+        raise AssertionError("the run took a step")
+
+    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
+        monkeypatch.setattr(anneal_module, name, refuse)
+    spec = spec_from_dict({**OFFSET_SPEC, "anneal": {**OFFSET_SPEC["anneal"], "mode": mode}})
+    message = (
+        f"{mode}'s closing phase dt (M + 1) m / 2 passes the float range (the rows' "
+        "offset m up to 1e+305 with M = 100000, dt = 0.1); lower 'M' or 'dt'"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
+            run(spec)
 
 
 def test_build_final_hamiltonian_adds_penalty_for_partial_blocks(tiny_spec_dict):
