@@ -796,14 +796,14 @@ def test_anneal_refuses_more_steps_than_the_guard(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SPLIT])
 def test_anneal_refuses_a_closing_phase_past_the_float_range(monkeypatch, mode):
-    # rows of width 0 at 1e308: dt r is only h, but the closing phase
-    # dt (M + 1) m / 2 overflows.  The run is refused before any step, naming
-    # the offset, and numpy warns of nothing; exact-step used to end in NaN.
-    # At M = 1 the phase is 1e307 and the run keeps its norm
+    # rows of width 0 at 1e308: dt r is only h, but at M = 35 the closing
+    # phase dt (M + 1) m / 2 overflows.  The run is refused before any step,
+    # naming the offset, and numpy warns of nothing; exact-step used to end
+    # in NaN.  At M = 34 the phase is 1.75e308 and the run keeps its norm
     rows = [[1e308] * 3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert abs(np.linalg.norm(anneal(AnnealConfig(h=1.0, M=1, mode=mode), rows)) - 1.0) < 1e-15
+        assert abs(np.linalg.norm(anneal(AnnealConfig(h=1.0, M=34, mode=mode), rows)) - 1.0) < 1e-15
 
         def refuse(*args):
             raise AssertionError("the run took a step")
@@ -812,10 +812,10 @@ def test_anneal_refuses_a_closing_phase_past_the_float_range(monkeypatch, mode):
             monkeypatch.setattr(anneal_module, name, refuse)
         message = (
             f"{mode}'s closing phase dt (M + 1) m / 2 passes the float range (the rows' "
-            "offset m up to 1e+308 with M = 100, dt = 0.1); lower 'M' or 'dt'"
+            "offset m up to 1e+308 with M = 35, dt = 0.1); lower 'M' or 'dt'"
         )
         with pytest.raises(SizeGuardError, match=f"^{re.escape(message)}$"):
-            anneal(AnnealConfig(h=1.0, M=100, mode=mode), rows)
+            anneal(AnnealConfig(h=1.0, M=35, mode=mode), rows)
 
 
 def preset_matvecs(monkeypatch, name, per_step=False) -> int:
@@ -914,11 +914,12 @@ def test_zero_width_steps_make_no_matvec(monkeypatch):
     assert len(per_step) == 2 and all(per_step)
 
 
-@pytest.mark.parametrize("side", ["width", "driver", "blocks-width", "blocks-driver"])
+@pytest.mark.parametrize("side", ["width", "driver", "blocks-width", "blocks-driver", "tie"])
 def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
     # the half-width r(s) peaks at s = 1 (half Hf's width) or at s = 0 (h w);
-    # just under the guard every step runs (its expansion a stub here), just
-    # over none does, and no Chebyshev weights are computed.
+    # just under the guard and exactly at it every step runs (its expansion
+    # a stub here), just over none does, and no Chebyshev weights are
+    # computed.  Where both ends reach it, the refusal names h, at s = 0.
     # With two blocks it is the wider block's: block 1 spans 2 r and block 0
     # r / 2, while the whole register spans 2.5 r; and h w, not h n.  Rows of
     # 3 and 9 states take their 4 steps as one window, one expansion; rows of
@@ -937,10 +938,12 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
         def row(*values):
             return np.pad(values, (0, 3**w - len(values)))
 
-        for factor, refused in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+        for factor, refused in ((1.0 - 1e-9, False), (1.0, False), (1.0 + 1e-9, True)):
             r = factor * cap / dt
             if side == "width":
                 hf, h = np.array([row(-r, 0.0, r)]), 1.0
+            elif side == "tie":
+                hf, h = np.array([row(-r, 0.0, r)]), r / w
             elif side == "driver":
                 hf, h = np.zeros((1, 3**w)), r / w
             elif side == "blocks-width":
@@ -952,7 +955,7 @@ def test_anneal_guard_is_dt_times_the_largest_half_width(monkeypatch, side):
             cfg = AnnealConfig(h=h, M=3, dt=dt)
             if refused:
                 # the refusal names the end that exceeds the guard
-                if side.endswith("driver"):
+                if side.endswith("driver") or side == "tie":
                     advice = rf"driver h = \S+ on {w}-qutrit blocks, dt = 0.1\); lower 'h'$"
                 else:
                     advice = r"widest block, dt = 0.1\); lower the 'penalty' or the points' spread$"
