@@ -6,12 +6,11 @@ The schedule applies exp(-i dt H(s)) for s = l/M, l = 0 .. M, with H(s) =
 the state stays a product over them: ``anneal`` evolves a (C, 3**w) stack
 and returns its Kronecker product.  Exact-step expands each step in
 Chebyshev polynomials (``expm_multiply_hermitian``); split-step is a Strang
-splitting (``_split_steps``).  Both step the rows centred on their
-midpoints, whose phases come last, after one check of the whole schedule.
-Both loop over windows of steps, so memory does not grow with M: rows of
-at most ``_SMALL_BLOCK`` states take a window as a stack of d x d step
-matrices (``_small_propagators``, ``_split_propagators``), and wider rows
-step the state, ``_STEP_WINDOW`` steps a window.  ``decode`` reads the
+splitting (``_split_steps``).  Both step centred rows after one check of
+the schedule, and loop over windows of steps, so memory does not grow with
+M: rows of at most ``_SMALL_BLOCK`` states take a window as a stack of d x d
+step matrices (``_small_propagators``, ``_split_propagators``), and wider
+rows step the state, ``_STEP_WINDOW`` steps a window.  ``decode`` reads the
 final amplitudes out as partitions.
 """
 
@@ -446,10 +445,10 @@ def _split_steps(
     tau s_l H0), tau = dt / k, half_l = exp(-i tau s_l H0 / 2), H0 the
     ``centred`` rows.  Each substep ends with P_l, so the phase left between
     steps l and l + 1 is half_{l+1} conj(half_l) = exp(-i tau H0 / (2 M)),
-    ``between``; half_0 = 1, and ``anneal`` closes the run with conj(half_M).  P_l is the last step's
-    times ``ratio``, refreshed by ``np.exp`` at each window's first step
-    (see ``_STEP_WINDOW``).  The leading w - 2 sites are one group, or w - 4
-    and 2 sites from w = 6, so no factor is above 27 x 27.
+    ``between``; half_0 = 1, and ``anneal`` closes the run with conj(half_M).
+    P_l is the last step's times ``ratio``, refreshed by ``np.exp`` at each
+    window's first step (see ``_STEP_WINDOW``).  The leading w - 2 sites are
+    one group, or w - 4 and 2 sites from w = 6, so no factor is above 27 x 27.
     """
     w = _qutrits(centred.shape[1])
     groups = (w - 2,) if w <= 5 else (w - 4, 2)
@@ -475,14 +474,14 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
 
     One step per l = 0 .. M; the l = 0 step only rephases the initial state.
     ``hf`` holds C block rows of 3**w entries, annealed as C copies of the
-    w-qutrit initial state; the result is the blocks' Kronecker product in
-    register order.  Both modes step the rows centred on their midpoints m_b
-    and apply the phases exp(-i dt (M + 1) m_b / 2) last.  Rows that are not
-    a real, finite (C, 3**w) array, w >= 1, are a ``ValueError``.  Before any
-    step a ``SizeGuardError`` refuses more than ``_MAX_STEPS`` steps, naming
-    M; then dt r, r the largest half-width of H(s), above ``_MAX_DT_RADIUS``
-    in exact-step or past the float range in split-step, naming h or Hf's
-    width; then a closing phase past the float range, naming the offset m.
+    w-qutrit initial state, centred on their midpoints m_b, whose phases
+    exp(-i dt (M + 1) m_b / 2) come last; the result is the blocks' Kronecker
+    product in register order.  Rows that are not a real, finite (C, 3**w)
+    array, w >= 1, are a ``ValueError``.  Before any step a ``SizeGuardError``
+    refuses more than ``_MAX_STEPS`` steps, naming M; dt r, r the largest
+    half-width of H(s), above ``_MAX_DT_RADIUS`` in exact-step or past the
+    float range in split-step, naming h or Hf's width; and a closing phase
+    past the float range, naming the offset m.
     """
     hf = np.asarray(hf)
     shape = hf.shape
@@ -500,7 +499,7 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
     # r(s) is affine in s, so its largest value is at an end; dt r bounds
     # exact-step's degree and every split-step angle and phase of centred rows
     r0, r1 = _radii(np.array([0.0, 1.0]), hf, h).tolist()
-    x, mid = dt * max(r0, r1), 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
+    x = dt * max(r0, r1)
     if not (x <= _MAX_DT_RADIUS if exact else math.isfinite(x)):
         if exact:
             need = f"exact-step needs about dt * r = {x:.3g} Chebyshev terms a step, above "
@@ -513,6 +512,8 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
             cause = f"width {2.0 * r1:.3g} of the final Hamiltonian's widest block"
             advice = "lower the 'penalty' or the points' spread"
         raise SizeGuardError(f"{need} ({cause}, dt = {dt:g}); {advice}")
+    # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
+    mid = 0.5 * hf.max(axis=1) + 0.5 * hf.min(axis=1)
     offset = float(np.abs(mid).max())
     if not math.isfinite(0.5 * dt * (M + 1) * offset):
         raise SizeGuardError(
@@ -520,7 +521,6 @@ def anneal(cfg: AnnealConfig, hf: np.ndarray) -> np.ndarray:
             f"offset m up to {offset:.3g} with M = {M}, dt = {dt:g}); lower 'M' or 'dt'"
         )
     window = max(1, _PROPAGATORS // (hf.size * shape[1])) if small else _STEP_WINDOW
-    # rows centred once; their midpoints' phases, for a sum of s of (M + 1) / 2, come last
     centred = hf - mid[:, None]
     after = np.exp(-0.5j * dt * (M + 1) * mid)[:, None]
     if exact:

@@ -85,10 +85,7 @@ def method_traits(method: str) -> MethodTraits:
 
 
 def pinned_method(method: str, pinned: bool) -> str:
-    """The method with ``method``'s encoding and point 0 pinned or not, where one exists.
-
-    Otherwise ``method`` itself, whose ``Encoding`` refuses a pinning it lacks.
-    """
+    """The method of ``method``'s encoding with point 0 pinned or not; ``method`` if none."""
     traits = method_traits(method)
     return method if traits.variant is None or traits.pinned == pinned else traits.variant
 

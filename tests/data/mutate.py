@@ -165,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
             failed = first_failure(root)
             shutil.rmtree(root)
             survivors += failed is None
-            print(f"{'survived' if failed is None else 'killed':8}  {name}  {failed or ''}", flush=True)
+            verdict = "survived" if failed is None else "killed"
+            print(f"{verdict:8}  {name}  {failed or ''}", flush=True)
     print(f"{len(chosen) - survivors} of {len(chosen)} killed")
     return 0
 
