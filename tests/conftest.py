@@ -84,6 +84,17 @@ def forbid_expansion(monkeypatch) -> None:
     monkeypatch.setattr(importlib.import_module("qutrit_anneal.anneal"), "expm_multiply_hermitian", refuse)
 
 
+def forbid_steps(monkeypatch) -> None:
+    """Make any window of anneal steps, in either mode, fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("the run took a step")
+
+    module = importlib.import_module("qutrit_anneal.anneal")
+    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
+        monkeypatch.setattr(module, name, refuse)
+
+
 @pytest.fixture
 def tiny_spec_dict():
     return copy.deepcopy(TINY_SPEC)

@@ -10,7 +10,15 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
-from conftest import SX, block_state_index, dense_driver, full_diagonal, ground_states, step
+from conftest import (
+    SX,
+    block_state_index,
+    dense_driver,
+    forbid_steps,
+    full_diagonal,
+    ground_states,
+    step,
+)
 from qutrit_anneal.anneal import (
     MODE_EXACT,
     MODE_SPLIT,
@@ -759,11 +767,7 @@ def test_anneal_takes_array_like_rows_and_refuses_complex_ones(monkeypatch, mode
     for hf in (rng.uniform(-5.0, 5.0, (2, 3)), rng.uniform(-5.0, 5.0, (1, 27))):
         np.testing.assert_array_equal(anneal(cfg, hf.tolist()), anneal(cfg, hf))
 
-    def refuse(*args):
-        raise AssertionError("the run took a step")
-
-    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
-        monkeypatch.setattr(anneal_module, name, refuse)
+    forbid_steps(monkeypatch)
     for hf in (np.zeros((2, 3), complex), [[0.0, 1j, 2.0]], np.ones((1, 27)) + 0.5j):
         with pytest.raises(ValueError, match="^final Hamiltonian entries must be real$"):
             anneal(cfg, hf)
@@ -781,11 +785,7 @@ def test_anneal_refuses_more_steps_than_the_guard(monkeypatch, mode):
     for hf in rows:
         assert np.linalg.norm(anneal(AnnealConfig(h=2.0, M=4, mode=mode), hf)) > 0.99
 
-    def refuse(*args):
-        raise AssertionError("the run took a step")
-
-    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
-        monkeypatch.setattr(anneal_module, name, refuse)
+    forbid_steps(monkeypatch)
     for hf in rows:
         for M, cap in ((5, 4), (guard + 1, guard), (2**63, guard)):
             monkeypatch.setattr(anneal_module, "_MAX_STEPS", cap)
@@ -805,11 +805,7 @@ def test_anneal_refuses_a_closing_phase_past_the_float_range(monkeypatch, mode):
         warnings.simplefilter("error")
         assert abs(np.linalg.norm(anneal(AnnealConfig(h=1.0, M=34, mode=mode), rows)) - 1.0) < 1e-12
 
-        def refuse(*args):
-            raise AssertionError("the run took a step")
-
-        for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
-            monkeypatch.setattr(anneal_module, name, refuse)
+        forbid_steps(monkeypatch)
         message = (
             f"{mode}'s closing phase dt (M + 1) m / 2 passes the float range (the rows' "
             "offset m up to 1e+308 with M = 35, dt = 0.1); lower 'M' or 'dt'"

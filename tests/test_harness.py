@@ -1,5 +1,4 @@
 import copy
-import importlib
 import json
 import re
 import time
@@ -9,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import forbid_expansion
+from conftest import forbid_expansion, forbid_steps
 from qutrit_anneal.clustering import (
     ORACLE_MAX_POINTS,
     Partition,
@@ -831,28 +830,22 @@ def test_run_refuses_an_exact_step_degree_past_the_guard(monkeypatch, data, advi
     assert abs(result.final_norm - 1.0) < 1e-9
 
 
-#: Centroids 1e305 from the free point at the origin: its row is about 1e305
-#: off zero and narrow, so dt r is small but dt (M + 1) m / 2 overflows.
-OFFSET_SPEC = {
-    "points": [[1e305, 0], [-1e305, 0], [0, 1e305], [0, 0]],
-    "method": "kmeanspp",
-    "centroids": [0, 1, 2],
-    "anneal": {"M": 100000},
-}
-
-
 @pytest.mark.parametrize("mode", ["exact-step", "split-step"])
 def test_run_refuses_a_closing_phase_past_the_float_range(monkeypatch, mode):
-    # both modes refuse the spec before any window, naming the rows' offset,
-    # with no numpy warning; exact-step used to report NaN and match true
-    anneal_module = importlib.import_module("qutrit_anneal.anneal")
-
-    def refuse(*args):
-        raise AssertionError("the run took a step")
-
-    for name in ("_small_propagators", "_split_propagators", "_exact_anneal", "_split_steps"):
-        monkeypatch.setattr(anneal_module, name, refuse)
-    spec = spec_from_dict({**OFFSET_SPEC, "anneal": {**OFFSET_SPEC["anneal"], "mode": mode}})
+    # centroids 1e305 from the free point at the origin: its row is about
+    # 1e305 off zero and narrow, so dt r is small but dt (M + 1) m / 2
+    # overflows.  Both modes refuse the spec before any window, naming the
+    # rows' offset, with no numpy warning; exact-step used to report NaN and
+    # match true
+    forbid_steps(monkeypatch)
+    spec = spec_from_dict(
+        {
+            "points": [[1e305, 0], [-1e305, 0], [0, 1e305], [0, 0]],
+            "method": "kmeanspp",
+            "centroids": [0, 1, 2],
+            "anneal": {"M": 100000, "mode": mode},
+        }
+    )
     message = (
         f"{mode}'s closing phase dt (M + 1) m / 2 passes the float range (the rows' "
         "offset m up to 1e+305 with M = 100000, dt = 0.1); lower 'M' or 'dt'"
